@@ -1,25 +1,28 @@
-// Package goroutine forbids bare go statements in the deterministic
-// simulation packages (sim, simnet, server, coordinator, client, core).
+// Package goroutine forbids bare go statements and hand-made coroutines
+// in the deterministic simulation packages (sim, simnet, server,
+// coordinator, client, core).
 //
-// The simulator is cooperatively scheduled: sim.Engine.Go parks each
-// proc on a resume channel and the event loop hands control to exactly
-// one runnable proc at a time, so simulated interleaving is a function
-// of the event heap, not of the OS scheduler. A raw go statement
-// bypasses that handoff — its writes race the engine, its timing varies
-// run to run, and any future conservative-lookahead sharding of the
-// engine (the PDES item on the roadmap) would be undermined silently.
+// The simulator is cooperatively scheduled: sim.Engine.Go makes each
+// proc a runtime coroutine (iter.Pull) that the event loop switches into
+// and that switches back when it parks, so exactly one of them runs at a
+// time and simulated interleaving is a function of the event heap, not of
+// the OS scheduler. A raw go statement bypasses that handoff — its writes
+// race the engine and its timing varies run to run — and an iter.Pull
+// outside the engine is a second scheduler whose switches the event queue
+// never ordered.
 //
-// The two legitimate spawning sites — the engine scheduler itself and
-// the cross-scenario worker pool in core's Runner, both of which
-// synchronize before any simulated state is observed — carry
-// //rcvet:allow goroutine justifications. Anything new must either go
-// through sim.Engine.Go or document why OS-level concurrency cannot
-// perturb simulated time. Test files are exempt (race hammers drive the
-// pool from plain goroutines on purpose).
+// The legitimate sites are exempted by file in package scope (the engine
+// for iter.Pull, the sharded driver's lane workers for go) or, for the
+// cross-scenario worker pool in core's Runner, carry an //rcvet:allow
+// goroutine justification. Anything new must either go through
+// sim.Engine.Go or document why OS-level concurrency cannot perturb
+// simulated time. Test files are exempt (race hammers drive the pool from
+// plain goroutines on purpose).
 package goroutine
 
 import (
 	"go/ast"
+	"go/types"
 
 	"ramcloud/internal/analysis/framework"
 	"ramcloud/internal/analysis/scope"
@@ -28,7 +31,7 @@ import (
 // Analyzer is the goroutine check.
 var Analyzer = &framework.Analyzer{
 	Name: "goroutine",
-	Doc:  "forbid bare go statements in deterministic simulation packages",
+	Doc:  "forbid bare go statements and iter.Pull coroutines in deterministic simulation packages",
 	Run:  run,
 }
 
@@ -42,16 +45,38 @@ func run(pass *framework.Pass) error {
 			continue
 		}
 		// The sharded driver's lane workers are the one sanctioned use of
-		// OS goroutines inside the simulator (see scope.LaneScheduler).
-		if scope.LaneScheduler(pass.Pkg.Path(), filename) {
-			continue
-		}
+		// OS goroutines inside the simulator and the engine's procs the
+		// one sanctioned use of coroutines (see scope.LaneScheduler and
+		// scope.ProcScheduler).
+		goAllowed := scope.LaneScheduler(pass.Pkg.Path(), filename)
+		pullAllowed := scope.ProcScheduler(pass.Pkg.Path(), filename)
 		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "bare go statement in a deterministic package bypasses the engine's cooperative scheduler; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>")
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !goAllowed {
+					pass.Reportf(n.Pos(), "bare go statement in a deterministic package bypasses the engine's cooperative scheduler; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>")
+				}
+			case *ast.SelectorExpr:
+				if !pullAllowed && isIterPull(pass, n) {
+					pass.Reportf(n.Pos(), "iter.%s creates a coroutine the event loop does not schedule; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>", n.Sel.Name)
+				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// isIterPull reports whether sel names iter.Pull or iter.Pull2 of the
+// standard library, under whatever name the file imports package iter.
+func isIterPull(pass *framework.Pass, sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "Pull" && sel.Sel.Name != "Pull2" {
+		return false
+	}
+	ident, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
+	return ok && pkgName.Imported().Path() == "iter"
 }

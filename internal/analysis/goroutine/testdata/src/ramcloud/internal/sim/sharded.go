@@ -3,6 +3,8 @@
 // statements need neither a diagnostic nor an //rcvet:allow annotation.
 package sim
 
+import "iter"
+
 func startWorkers(n int, run func(i int)) []chan int {
 	start := make([]chan int, n)
 	for i := 1; i < n; i++ {
@@ -16,4 +18,10 @@ func startWorkers(n int, run func(i int)) []chan int {
 		}()
 	}
 	return start
+}
+
+// The lane-scheduler exemption covers go statements only.
+func laneCoroutine(seq iter.Seq[int]) {
+	_, stop := iter.Pull(seq) // want `iter.Pull creates a coroutine the event loop does not schedule`
+	stop()
 }

@@ -39,9 +39,9 @@ func Deterministic(pkgPath string) bool {
 // simulator and the protocol logic running inside it. A bare go
 // statement there bypasses the engine's cooperative scheduler: the OS
 // decides interleaving, and determinism — plus any future conservative-
-// lookahead sharding of the engine — is lost. sim owns the scheduler
-// and core owns the worker-pool runner; their spawning sites carry
-// //rcvet:allow goroutine justifications.
+// lookahead sharding of the engine — is lost. core owns the worker-pool
+// runner, whose spawning site carries an //rcvet:allow goroutine
+// justification; sim's two schedulers are exempted by file below.
 var singleThreaded = map[string]bool{
 	"sim":         true,
 	"simnet":      true,
@@ -77,11 +77,20 @@ func TestFile(filename string) bool {
 // spraying //rcvet:allow across every worker loop, and keeps the rest of
 // sim (and every protocol package) under the bare-go ban.
 func LaneScheduler(pkgPath, filename string) bool {
-	return pkgPath == internalPrefix+"sim" && path.Base(filepathToSlash(filename)) == "sharded.go"
+	return simFile(pkgPath, filename, "sharded.go")
 }
 
-// filepathToSlash normalizes OS path separators so LaneScheduler can use
-// path.Base portably.
-func filepathToSlash(filename string) string {
-	return strings.ReplaceAll(filename, "\\", "/")
+// ProcScheduler reports whether filename is the engine file, the one place
+// in the simulation tree that may create a coroutine (iter.Pull): Engine.Go
+// turns each proc into one and the event loop alone resumes them, in
+// (time, sequence) order. A coroutine made anywhere else is a second
+// scheduler the event queue knows nothing about.
+func ProcScheduler(pkgPath, filename string) bool {
+	return simFile(pkgPath, filename, "engine.go")
+}
+
+// simFile reports whether filename is package sim's file named base. OS
+// path separators are normalized so path.Base works portably.
+func simFile(pkgPath, filename, base string) bool {
+	return pkgPath == internalPrefix+"sim" && path.Base(strings.ReplaceAll(filename, "\\", "/")) == base
 }

@@ -208,3 +208,38 @@ func TestMustStatus(t *testing.T) {
 	}()
 	MustStatus(&wire.PingReq{})
 }
+
+// TestCallTimeoutAllocs pins what a simulated RPC that is answered in time
+// costs the host beyond its messages: the response future, and nothing for
+// the waiter or the deadline, which live inside the future.
+func TestCallTimeoutAllocs(t *testing.T) {
+	e, cl, srv := pair(t)
+	defer e.Shutdown()
+	req, resp := &wire.PingReq{Seq: 1}, &wire.PingResp{Seq: 1}
+	e.Go("server", func(p *sim.Proc) {
+		for {
+			srv.Reply(srv.Inbound.Pop(p), resp)
+		}
+	})
+	calls := 0
+	e.Go("client", func(p *sim.Proc) {
+		for {
+			if _, ok := cl.CallTimeout(p, 2, req, sim.Second); !ok {
+				t.Error("call timed out")
+			}
+			calls++
+		}
+	})
+	slice := func() { e.RunUntil(e.Now().Add(sim.Millisecond)) }
+	slice() // grow the event heap, the pending map and the delivery freelist
+	before := calls
+	allocs := testing.AllocsPerRun(20, slice)
+	perSlice := float64(calls-before) / 21
+	if perSlice < 100 {
+		t.Fatalf("%.0f calls per slice: the loop is not running", perSlice)
+	}
+	// AllocsPerRun rounds its per-slice average down, hence the margin.
+	if perCall := allocs / perSlice; perCall > 1.05 {
+		t.Fatalf("CallTimeout allocates %.2f objects per call, want 1", perCall)
+	}
+}

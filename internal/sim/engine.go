@@ -5,10 +5,14 @@
 //
 //   - Callback events scheduled with Schedule/ScheduleAt. They run on the
 //     engine goroutine and must never block.
-//   - Processes ("procs") spawned with Go. Each proc runs on its own
-//     goroutine but the engine enforces strict hand-off: exactly one
-//     goroutine (the engine or a single proc) is ever runnable, so the
-//     simulation is deterministic and free of data races by construction.
+//   - Processes ("procs") spawned with Go. Each proc is a runtime
+//     coroutine (iter.Pull): resuming one is a direct switch from the
+//     engine goroutine into the proc and parking is the switch back, with
+//     no trip through the Go scheduler. Exactly one of them (the engine or
+//     a single proc) ever runs, so the simulation is deterministic and
+//     free of data races by construction. Nothing that runs a simulation
+//     may call runtime.LockOSThread: the runtime throws on a coroutine
+//     switch between goroutines whose thread-lock states differ.
 //
 // Procs block in simulated time using Sleep and the synchronization
 // primitives in this package (Queue, Mutex, Semaphore, Future, WaitGroup).
@@ -27,6 +31,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -102,15 +107,9 @@ type Engine struct {
 	// events exactly as if they shared a heap.
 	timers []*timer
 
-	yield   chan struct{}
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	stopped bool
-
-	// procPanic carries a panic out of a proc goroutine so it can be
-	// re-raised on the engine goroutine with context.
-	procPanic any
-	panicProc string
 
 	eventsRun uint64
 }
@@ -118,7 +117,6 @@ type Engine struct {
 // New returns an engine whose randomness is derived entirely from seed.
 func New(seed int64) *Engine {
 	return &Engine{
-		yield:   make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 		procs:   make(map[*Proc]struct{}),
 		seqStep: 1,
@@ -164,17 +162,9 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	e.heapPush(event{t: t, seq: e.seq, fn: fn})
 }
 
-// scheduleProc resumes p after d of simulated time. It is the wake-up path
-// of Sleep and every synchronization primitive: the proc pointer rides in
-// the event itself, so no closure is allocated.
-func (e *Engine) scheduleProc(d Duration, p *Proc) {
-	if d < 0 {
-		d = 0
-	}
-	e.scheduleProcAt(e.now.Add(d), p)
-}
-
-// scheduleProcAt resumes p at time t (clamped to now).
+// scheduleProcAt resumes p at time t (clamped to now). It is the wake-up
+// path of Sleep and every synchronization primitive: the proc pointer rides
+// in the event itself, so no closure is allocated.
 func (e *Engine) scheduleProcAt(t Time, p *Proc) {
 	if t < e.now {
 		t = e.now
@@ -243,16 +233,15 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
-// scheduleProcTimer schedules a cancellable resume of p at time t (clamped
-// to now) and returns a handle for cancelTimer.
-func (e *Engine) scheduleProcTimer(t Time, p *Proc) *timer {
+// scheduleProcTimer arms tm, storage the caller owns, as a cancellable
+// resume of p at time t (clamped to now). tm must not be pending.
+func (e *Engine) scheduleProcTimer(tm *timer, t Time, p *Proc) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq += e.seqStep
-	tm := &timer{t: t, seq: e.seq, p: p}
+	*tm = timer{t: t, seq: e.seq, p: p}
 	e.timerPush(tm)
-	return tm
 }
 
 // cancelTimer removes a pending timer. Firing and cancellation are
@@ -371,8 +360,8 @@ func (e *Engine) nowPop() event {
 	return ev
 }
 
-// Run executes events until the queue is empty or Stop is called. It then
-// kills any procs that are still parked so their goroutines exit.
+// Run executes events until the queue is empty or Stop is called. Procs
+// still parked when it returns stay parked; Shutdown reaps them.
 func (e *Engine) Run() {
 	e.RunUntil(Time(1<<62 - 1))
 }
@@ -423,14 +412,9 @@ func (e *Engine) RunUntil(horizon Time) {
 		e.now = ev.t
 		e.eventsRun++
 		if ev.p != nil {
-			e.resumeProc(ev.p)
+			ev.p.next()
 		} else {
 			ev.fn()
-		}
-		if e.procPanic != nil {
-			p, name := e.procPanic, e.panicProc
-			e.procPanic = nil
-			panic(fmt.Sprintf("sim: panic in proc %q at t=%v: %v", name, e.now, p))
 		}
 	}
 }
@@ -519,69 +503,29 @@ func (e *Engine) peekTime() (Time, bool) {
 // runWindow executes every event with t < end — strictly: the window end
 // belongs to the next window (or to an exclusive instant) — and leaves
 // the lane clock at end. It is the per-window body a lane worker runs
-// under the Sharded driver; the merge across ring, heap and timers is
-// identical to RunUntil's.
+// under the Sharded driver. Time is integral, so this is RunUntil up to
+// the last instant before end.
 func (e *Engine) runWindow(end Time) {
-	for !e.stopped {
-		var t Time
-		var seq uint64
-		src := 0 // 0: none, 1: ring, 2: heap, 3: timers
-		if e.nowHead < len(e.nowQ) {
-			t, seq, src = e.nowQ[e.nowHead].t, e.nowQ[e.nowHead].seq, 1
-		}
-		if len(e.heap) > 0 {
-			if h := &e.heap[0]; src == 0 || h.t < t || (h.t == t && h.seq < seq) {
-				t, seq, src = h.t, h.seq, 2
-			}
-		}
-		if len(e.timers) > 0 {
-			if tm := e.timers[0]; src == 0 || tm.t < t || (tm.t == t && tm.seq < seq) {
-				t, src = tm.t, 3
-			}
-		}
-		if src == 0 || t >= end {
-			break
-		}
-		var ev event
-		switch src {
-		case 1:
-			ev = e.nowPop()
-		case 2:
-			ev = e.heapPop()
-		case 3:
-			tm := e.timerPop()
-			ev = event{t: tm.t, seq: tm.seq, p: tm.p}
-		}
-		e.now = ev.t
-		e.eventsRun++
-		if ev.p != nil {
-			e.resumeProc(ev.p)
-		} else {
-			ev.fn()
-		}
-		if e.procPanic != nil {
-			p, name := e.procPanic, e.panicProc
-			e.procPanic = nil
-			panic(fmt.Sprintf("sim: panic in proc %q at t=%v: %v", name, e.now, p))
-		}
-	}
+	e.RunUntil(end - 1)
 	if !e.stopped && e.now < end {
 		e.now = end
 	}
 }
 
-// Shutdown kills every parked proc so its goroutine exits. It must be called
-// from outside engine context (i.e. not from a callback or proc), typically
-// after Run returns. After Shutdown the engine must not be reused.
+// Shutdown kills every live proc: one parked mid-body unwinds through its
+// deferred functions, one that never got its first resume is discarded
+// without running. It must be called from outside engine context (i.e. not
+// from a callback or proc), typically after Run returns. After Shutdown the
+// engine must not be reused.
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	for p := range e.procs {
 		p.killed = true
-		//rcvet:allow maporder host-side teardown after Run returns; procs die without running and no simulated event or rendered output can observe the kill order
-		p.resume <- struct{}{}
-		<-e.yield
+		p.stop()
+		// stop does not enter the body of a coroutine that never started,
+		// so the body's own delete cannot be relied on.
+		delete(e.procs, p)
 	}
-	e.procPanic = nil
 }
 
 // LiveProcs reports the number of procs that have been spawned and have not
@@ -592,11 +536,16 @@ func (e *Engine) LiveProcs() int { return len(e.procs) }
 type killSentinel struct{}
 
 // Proc is a simulated process. A Proc's methods must only be called from the
-// proc's own goroutine (i.e. inside the function passed to Go).
+// proc's own body (i.e. inside the function passed to Go).
 type Proc struct {
-	name   string
-	eng    *Engine
-	resume chan struct{}
+	name string
+	eng  *Engine
+	// next resumes the coroutine until it parks or finishes and stop
+	// unwinds it (iter.Pull's pair); yield, valid once the body has
+	// started, switches back to whichever goroutine called next.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	killed bool
 }
 
@@ -610,55 +559,40 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Go spawns a new proc that begins executing fn at the current simulated
-// time (after already-scheduled events at this time).
+// time (after already-scheduled events at this time). A panic in fn
+// surfaces from the run loop, on the goroutine driving the engine, with the
+// proc's name and the virtual time attached.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{name: name, eng: e, resume: make(chan struct{})}
+	p := &Proc{name: name, eng: e}
 	e.procs[p] = struct{}{}
-	//rcvet:allow goroutine this IS the cooperative scheduler: the goroutine parks on p.resume immediately and only ever runs while the engine blocks on e.yield, so exactly one goroutine is runnable at a time
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			delete(e.procs, p)
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					e.procPanic = r
-					e.panicProc = p.name
+					panic(fmt.Sprintf("sim: panic in proc %q at t=%v: %v", p.name, e.now, r))
 				}
 			}
-			delete(e.procs, p)
-			e.yield <- struct{}{}
 		}()
-		<-p.resume
-		if p.killed {
-			panic(killSentinel{})
-		}
 		fn(p)
-	}()
+	})
 	e.scheduleProcAt(e.now, p)
 	return p
 }
 
-// resumeProc transfers control to p until it parks or finishes.
-func (e *Engine) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.yield
-}
-
-// park yields control back to the engine until the proc is resumed.
+// park switches back to the engine until the proc is resumed. A killed
+// proc never parks again — its deferred cleanup may reach here while the
+// stack unwinds — and a park cut short by Shutdown starts that unwinding.
 func (p *Proc) park() {
-	e := p.eng
-	e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if p.killed || !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
 }
 
-// Sleep suspends the proc for d of simulated time.
+// Sleep suspends the proc for d of simulated time (none if d is negative).
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		d = 0
-	}
-	e := p.eng
-	e.scheduleProc(d, p)
+	p.eng.scheduleProcAt(p.eng.now.Add(d), p)
 	p.park()
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -143,12 +144,71 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("boom")
 	})
 	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic to propagate from proc")
+		want := fmt.Sprintf("sim: panic in proc %q at t=%v: boom", "bomb", Time(Second))
+		if r := recover(); r != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
+		}
+		if e.LiveProcs() != 0 {
+			t.Fatalf("LiveProcs = %d after the only proc panicked", e.LiveProcs())
 		}
 	}()
 	e.Run()
+}
+
+// TestShutdownTeardown kills a 1,000-proc engine holding procs in every
+// state Shutdown can meet: parked in Queue.Pop, parked in GetTimeout, and
+// spawned but never resumed. Every parked proc must unwind through its
+// deferred function exactly once — one in four then tries to block again
+// from inside it, which a killed proc must refuse to do — the bodies of the
+// never-resumed ones must not run at all, and no goroutine (a coroutine is
+// one) may outlive the engine.
+func TestShutdownTeardown(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(1)
+	q := NewQueue[int](e)
+	f := NewFuture[int](e)
+	const parked, fresh = 800, 200
+	cleanups := make([]int, parked)
+	for i := 0; i < parked; i++ {
+		e.Go(fmt.Sprintf("parked-%d", i), func(p *Proc) {
+			defer func() {
+				cleanups[i]++
+				if i%4 == 0 {
+					p.Sleep(Second)
+					t.Errorf("proc %d slept after being killed", i)
+				}
+			}()
+			if i%2 == 0 {
+				q.Pop(p)
+			} else {
+				f.GetTimeout(p, Minute)
+			}
+			t.Errorf("proc %d resumed normally", i)
+		})
+	}
+	e.RunUntil(Time(Second))
+	for i := 0; i < fresh; i++ {
+		e.Go(fmt.Sprintf("fresh-%d", i), func(p *Proc) {
+			t.Errorf("proc %d ran: it was spawned after the run ended", i)
+		})
+	}
+	// Fewer goroutines than procs would make the leak check below vacuous.
+	if e.LiveProcs() != parked+fresh || runtime.NumGoroutine() < before+parked+fresh {
+		t.Fatalf("before Shutdown: %d live procs, %d goroutines over the baseline, want %d of each",
+			e.LiveProcs(), runtime.NumGoroutine()-before, parked+fresh)
+	}
+	e.Shutdown()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after Shutdown", e.LiveProcs())
+	}
+	for i, n := range cleanups {
+		if n != 1 {
+			t.Fatalf("deferred function of proc %d ran %d times, want 1", i, n)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before the engine, %d after Shutdown", before, after)
+	}
 }
 
 func TestNestedSpawn(t *testing.T) {
@@ -301,7 +361,9 @@ func TestTimerHeapCancelMidHeap(t *testing.T) {
 	var tms []*timer
 	for i := 0; i < 40; i++ {
 		d := Duration((i*37)%100 + 1)
-		tms = append(tms, e.scheduleProcTimer(e.now.Add(d), nil))
+		tm := new(timer)
+		e.scheduleProcTimer(tm, e.now.Add(d), nil)
+		tms = append(tms, tm)
 	}
 	// Cancel every third timer, including the current minimum.
 	for i := 0; i < len(tms); i += 3 {

@@ -3,6 +3,47 @@ package sim
 // This file provides blocking synchronization primitives for procs. All of
 // them wake waiters through the event queue, preserving determinism.
 
+// fifo is the ring buffer under every item and waiter list in this file.
+// It allocates only to grow: sliding a slice head (s = s[1:]) gives its
+// capacity away, so the next append reallocates — once per operation in a
+// steady push/pop cycle. The capacity is a power of two so that positions
+// wrap with a mask.
+type fifo[T any] struct {
+	buf     []T
+	head, n int // position of the oldest element, element count
+}
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		grown := make([]T, max(4, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+// pop removes the oldest element, popNewest the most recently pushed.
+func (f *fifo[T]) pop() T {
+	i := f.head
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return f.take(i)
+}
+
+func (f *fifo[T]) popNewest() T {
+	f.n--
+	return f.take((f.head + f.n) & (len(f.buf) - 1))
+}
+
+func (f *fifo[T]) take(i int) T {
+	var zero T
+	v := f.buf[i]
+	f.buf[i] = zero // release for GC
+	return v
+}
+
 // Queue is an unbounded FIFO queue that procs can block on. Pushing may be
 // done from callbacks or procs; popping only from procs.
 //
@@ -12,8 +53,8 @@ package sim
 // that finished most recently to keep its cache warm.
 type Queue[T any] struct {
 	eng      *Engine
-	items    []T
-	waiting  []*Proc
+	items    fifo[T]
+	waiting  fifo[*Proc]
 	wakeLIFO bool
 }
 
@@ -29,22 +70,20 @@ func NewLIFOWakeQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Waiters returns the number of procs blocked in Pop.
-func (q *Queue[T]) Waiters() int { return len(q.waiting) }
+func (q *Queue[T]) Waiters() int { return q.waiting.n }
 
 // Push appends v and wakes one waiting proc, if any.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiting) > 0 {
+	q.items.push(v)
+	if q.waiting.n > 0 {
 		var w *Proc
 		if q.wakeLIFO {
-			w = q.waiting[len(q.waiting)-1]
-			q.waiting = q.waiting[:len(q.waiting)-1]
+			w = q.waiting.popNewest()
 		} else {
-			w = q.waiting[0]
-			q.waiting = q.waiting[1:]
+			w = q.waiting.pop()
 		}
 		q.eng.scheduleProcAt(q.eng.now, w)
 	}
@@ -52,14 +91,11 @@ func (q *Queue[T]) Push(v T) {
 
 // TryPop removes and returns the head of the queue without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Pop removes and returns the head of the queue, blocking the proc until an
@@ -69,7 +105,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.waiting = append(q.waiting, p)
+		q.waiting.push(p)
 		p.park()
 	}
 }
@@ -79,7 +115,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 type Mutex struct {
 	eng     *Engine
 	locked  bool
-	waiting []*Proc
+	waiting fifo[*Proc]
 }
 
 // NewMutex returns an unlocked mutex bound to e.
@@ -89,7 +125,7 @@ func NewMutex(e *Engine) *Mutex { return &Mutex{eng: e} }
 func (m *Mutex) Locked() bool { return m.locked }
 
 // Waiters returns the number of procs blocked in Lock.
-func (m *Mutex) Waiters() int { return len(m.waiting) }
+func (m *Mutex) Waiters() int { return m.waiting.n }
 
 // Lock acquires the mutex, blocking the proc until it is available.
 func (m *Mutex) Lock(p *Proc) {
@@ -97,7 +133,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.locked = true
 		return
 	}
-	m.waiting = append(m.waiting, p)
+	m.waiting.push(p)
 	p.park()
 	// Ownership was handed to us by Unlock; m.locked is still true.
 }
@@ -108,10 +144,8 @@ func (m *Mutex) Unlock() {
 	if !m.locked {
 		panic("sim: unlock of unlocked Mutex")
 	}
-	if len(m.waiting) > 0 {
-		w := m.waiting[0]
-		m.waiting = m.waiting[1:]
-		m.eng.scheduleProcAt(m.eng.now, w)
+	if m.waiting.n > 0 {
+		m.eng.scheduleProcAt(m.eng.now, m.waiting.pop())
 		return
 	}
 	m.locked = false
@@ -121,7 +155,7 @@ func (m *Mutex) Unlock() {
 type Semaphore struct {
 	eng     *Engine
 	avail   int
-	waiting []*Proc
+	waiting fifo[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n available permits.
@@ -136,7 +170,7 @@ func NewSemaphore(e *Engine, n int) *Semaphore {
 func (s *Semaphore) Available() int { return s.avail }
 
 // Waiters returns the number of procs blocked in Acquire.
-func (s *Semaphore) Waiters() int { return len(s.waiting) }
+func (s *Semaphore) Waiters() int { return s.waiting.n }
 
 // Acquire takes one permit, blocking until available.
 func (s *Semaphore) Acquire(p *Proc) {
@@ -144,17 +178,15 @@ func (s *Semaphore) Acquire(p *Proc) {
 		s.avail--
 		return
 	}
-	s.waiting = append(s.waiting, p)
+	s.waiting.push(p)
 	p.park()
 	// A released permit was handed directly to us.
 }
 
 // Release returns one permit, handing it to the next waiter if any.
 func (s *Semaphore) Release() {
-	if len(s.waiting) > 0 {
-		w := s.waiting[0]
-		s.waiting = s.waiting[1:]
-		s.eng.scheduleProcAt(s.eng.now, w)
+	if s.waiting.n > 0 {
+		s.eng.scheduleProcAt(s.eng.now, s.waiting.pop())
 		return
 	}
 	s.avail++
@@ -168,13 +200,21 @@ type futureWaiter struct {
 }
 
 // Future is a write-once value that procs can wait on. It is the basis of
-// RPC replies.
+// RPC replies, which have exactly one waiter: that waiter and its deadline
+// timer are stored in the future itself, so waiting allocates nothing.
 type Future[T any] struct {
-	eng     *Engine
-	set     bool
-	setAt   Time
-	val     T
-	waiting []futureWaiter
+	eng   *Engine
+	set   bool
+	setAt Time
+	val   T
+	// first is the longest-parked waiter and more the later ones in
+	// arrival order. A proc takes first only when nobody is waiting at
+	// all, so first followed by more is always arrival order, which is the
+	// order Set wakes in.
+	first futureWaiter
+	more  []futureWaiter
+	// tm is the deadline of first; waiters in more allocate theirs.
+	tm timer
 }
 
 // NewFuture returns an unset future bound to e.
@@ -192,13 +232,20 @@ func (f *Future[T]) Set(v T) {
 	f.set = true
 	f.setAt = f.eng.now
 	f.val = v
-	for _, w := range f.waiting {
-		if w.tm != nil {
-			f.eng.cancelTimer(w.tm)
-		}
-		f.eng.scheduleProcAt(f.eng.now, w.p)
+	if f.first.p != nil {
+		f.wake(f.first)
 	}
-	f.waiting = nil
+	for _, w := range f.more {
+		f.wake(w)
+	}
+	f.first, f.more = futureWaiter{}, nil
+}
+
+func (f *Future[T]) wake(w futureWaiter) {
+	if w.tm != nil {
+		f.eng.cancelTimer(w.tm)
+	}
+	f.eng.scheduleProcAt(f.eng.now, w.p)
 }
 
 // ResolvedAt returns the virtual time Set was called, or zero while the
@@ -207,10 +254,21 @@ func (f *Future[T]) Set(v T) {
 // observation instant.
 func (f *Future[T]) ResolvedAt() Time { return f.setAt }
 
+// idle reports whether no proc is waiting.
+func (f *Future[T]) idle() bool { return f.first.p == nil && len(f.more) == 0 }
+
+func (f *Future[T]) addWaiter(w futureWaiter) {
+	if f.idle() {
+		f.first = w
+	} else {
+		f.more = append(f.more, w)
+	}
+}
+
 // Get blocks until the future is set and returns its value.
 func (f *Future[T]) Get(p *Proc) T {
 	for !f.set {
-		f.waiting = append(f.waiting, futureWaiter{p: p})
+		f.addWaiter(futureWaiter{p: p})
 		p.park()
 	}
 	return f.val
@@ -225,9 +283,13 @@ func (f *Future[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 		return f.val, true
 	}
 	deadline := f.eng.now.Add(d)
-	tm := f.eng.scheduleProcTimer(deadline, p)
+	tm := &f.tm
+	if !f.idle() {
+		tm = new(timer)
+	}
+	f.eng.scheduleProcTimer(tm, deadline, p)
 	for !f.set {
-		f.waiting = append(f.waiting, futureWaiter{p: p, tm: tm})
+		f.addWaiter(futureWaiter{p: p, tm: tm})
 		p.park()
 		if !f.set && f.eng.now >= deadline {
 			// The timer fired. Remove ourselves from the wait list so a
@@ -242,9 +304,13 @@ func (f *Future[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 }
 
 func (f *Future[T]) dropWaiter(p *Proc) {
-	for i, w := range f.waiting {
+	if f.first.p == p {
+		f.first = futureWaiter{}
+		return
+	}
+	for i, w := range f.more {
 		if w.p == p {
-			f.waiting = append(f.waiting[:i], f.waiting[i+1:]...)
+			f.more = append(f.more[:i], f.more[i+1:]...)
 			return
 		}
 	}

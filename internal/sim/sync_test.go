@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestQueueFIFO(t *testing.T) {
 	e := New(1)
@@ -340,6 +343,221 @@ func TestLIFOWakeQueue(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// steadyAllocs reports allocations per 100 µs slice of an engine whose
+// procs are already running, after checking that the slice makes progress.
+func steadyAllocs(t *testing.T, e *Engine, rounds *int) float64 {
+	t.Helper()
+	slice := func() { e.RunUntil(e.Now().Add(100 * Microsecond)) }
+	slice() // let queues, heaps and rings reach their working size
+	before := *rounds
+	n := testing.AllocsPerRun(50, slice)
+	if *rounds-before < 50*90 {
+		t.Fatalf("only %d rounds in 51 slices: the procs are not cycling", *rounds-before)
+	}
+	return n
+}
+
+func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
+	t.Run("queue ping-pong", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		q1, q2 := NewQueue[int](e), NewQueue[int](e)
+		rounds := 0
+		e.Go("a", func(p *Proc) {
+			for {
+				q1.Push(rounds)
+				q2.Pop(p)
+				rounds++
+				p.Sleep(Microsecond)
+			}
+		})
+		e.Go("b", func(p *Proc) {
+			for {
+				q2.Push(q1.Pop(p))
+			}
+		})
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("queue ping-pong allocates %v per slice, want 0", n)
+		}
+	})
+	t.Run("mutex hand-off", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		mu := NewMutex(e)
+		rounds := 0
+		for _, name := range []string{"a", "b", "c"} {
+			e.Go(name, func(p *Proc) {
+				for {
+					mu.Lock(p)
+					p.Sleep(Microsecond) // the other two queue up behind the holder
+					rounds++
+					mu.Unlock()
+				}
+			})
+		}
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("contended mutex allocates %v per slice, want 0", n)
+		}
+		if mu.Waiters() != 2 {
+			t.Fatalf("mutex has %d waiters, want 2: the lock is not contended", mu.Waiters())
+		}
+	})
+	t.Run("semaphore hand-off", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		sem := NewSemaphore(e, 2)
+		rounds := 0
+		for _, name := range []string{"a", "b", "c", "d", "e"} {
+			e.Go(name, func(p *Proc) {
+				for {
+					sem.Acquire(p)
+					p.Sleep(2 * Microsecond)
+					rounds++
+					sem.Release()
+				}
+			})
+		}
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("contended semaphore allocates %v per slice, want 0", n)
+		}
+		if sem.Waiters() != 3 {
+			t.Fatalf("semaphore has %d waiters, want 3: the permits are not contended", sem.Waiters())
+		}
+	})
+}
+
+// TestQueueItemOrderAcrossWrap pushes and pops in uneven bursts so the item
+// ring wraps, drains to empty, refills and grows while holding elements.
+func TestQueueItemOrderAcrossWrap(t *testing.T) {
+	q := NewQueue[int](New(1))
+	pushed, popped := 0, 0
+	for _, burst := range []struct{ push, pop int }{{3, 2}, {3, 4}, {5, 1}, {6, 10}, {0, 0}, {9, 9}, {2, 1}, {40, 41}} {
+		for i := 0; i < burst.push; i++ {
+			q.Push(pushed)
+			pushed++
+		}
+		for i := 0; i < burst.pop; i++ {
+			v, ok := q.TryPop()
+			if !ok || v != popped {
+				t.Fatalf("pop %d returned (%d, %v)", popped, v, ok)
+			}
+			popped++
+		}
+		if q.Len() != pushed-popped {
+			t.Fatalf("Len = %d with %d pushed and %d popped", q.Len(), pushed, popped)
+		}
+	}
+	if _, ok := q.TryPop(); ok || q.Len() != 0 {
+		t.Fatal("queue not empty after popping everything pushed")
+	}
+}
+
+// TestQueueWakeOrderAcrossRefill checks which waiter each push wakes against
+// a slice model, through bursts that wake some of the five waiters, all of
+// them (the waiter list drains to empty and refills as they park again) and
+// enough of them for the waiter ring to wrap.
+func TestQueueWakeOrderAcrossRefill(t *testing.T) {
+	for _, lifo := range []bool{false, true} {
+		e := New(1)
+		q := NewQueue[int](e)
+		if lifo {
+			q = NewLIFOWakeQueue[int](e)
+		}
+		names := []string{"w0", "w1", "w2", "w3", "w4"}
+		var got, want []string
+		items := 0
+		for _, name := range names {
+			e.Go(name, func(p *Proc) {
+				for {
+					if v := q.Pop(p); v != len(got) {
+						t.Errorf("lifo=%v: %s popped item %d as pop number %d", lifo, name, v, len(got))
+					}
+					got = append(got, name)
+					// Work on the item, as a server worker does; without
+					// this the first waiter woken pops the whole burst.
+					p.Sleep(Microsecond)
+				}
+			})
+		}
+		parked := append([]string(nil), names...) // in park order
+		e.Go("producer", func(p *Proc) {
+			for _, burst := range []int{3, 5, 5, 2, 5, 1, 4, 5, 5, 3} {
+				p.Sleep(Millisecond) // everyone woken by the last burst has parked again
+				var woken []string
+				for i := 0; i < burst; i++ {
+					q.Push(items)
+					items++
+					at := 0
+					if lifo {
+						at = len(parked) - 1
+					}
+					woken = append(woken, parked[at])
+					parked = append(parked[:at], parked[at+1:]...)
+				}
+				parked = append(parked, woken...) // they run, and park, in wake order
+				want = append(want, woken...)
+			}
+		})
+		e.Run()
+		if q.Waiters() != len(names) {
+			t.Fatalf("lifo=%v: %d waiters parked at the end, want %d", lifo, q.Waiters(), len(names))
+		}
+		e.Shutdown()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("lifo=%v: wake order\n got %v\nwant %v", lifo, got, want)
+		}
+	}
+}
+
+// TestFutureTimeoutLeavesOtherWaiter parks two procs with deadlines on one
+// future — the first in the future's own waiter slot, the second in the
+// overflow slice — lets one of them time out, and checks that the other,
+// and a third arriving later, still get the value, in arrival order, with
+// no timer left pending.
+func TestFutureTimeoutLeavesOtherWaiter(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		first, second  Duration // deadlines of the waiters arriving at t=0
+		wantOK, wantTO string
+	}{
+		{name: "overflow waiter times out", first: 10 * Millisecond, second: Millisecond, wantOK: "[a c]", wantTO: "[b]"},
+		{name: "slot waiter times out", first: Millisecond, second: 10 * Millisecond, wantOK: "[b c]", wantTO: "[a]"},
+	} {
+		e := New(1)
+		f := NewFuture[int](e)
+		var gotOK, gotTO []string
+		wait := func(name string, start, d Duration) {
+			e.Go(name, func(p *Proc) {
+				p.Sleep(start)
+				began := p.Now()
+				v, ok := f.GetTimeout(p, d)
+				switch {
+				case ok && v == 7 && p.Now() == Time(5*Millisecond):
+					gotOK = append(gotOK, name)
+				case !ok && p.Now() == began.Add(d):
+					gotTO = append(gotTO, name)
+				default:
+					t.Errorf("%s: %s got (%d, %v) at %v", tc.name, name, v, ok, p.Now())
+				}
+			})
+		}
+		wait("a", 0, tc.first)
+		wait("b", 0, tc.second)
+		wait("c", 2*Millisecond, 10*Millisecond) // arrives after the timeout
+		e.Schedule(5*Millisecond, func() {
+			f.Set(7)
+			if len(e.timers) != 0 {
+				t.Errorf("%s: %d timers pending after Set", tc.name, len(e.timers))
+			}
+		})
+		e.Run()
+		e.Shutdown()
+		if fmt.Sprint(gotOK) != tc.wantOK || fmt.Sprint(gotTO) != tc.wantTO {
+			t.Fatalf("%s: got value %v, timed out %v; want %s, %s", tc.name, gotOK, gotTO, tc.wantOK, tc.wantTO)
 		}
 	}
 }

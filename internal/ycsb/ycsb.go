@@ -75,9 +75,21 @@ func ByName(name string, records, size int) (Workload, error) {
 	}
 }
 
-// Key renders the YCSB-style key for a record index.
+// Key renders the YCSB-style key for a record index: "user" followed by
+// the index zero-padded to ten digits. Every simulated op and every loaded
+// record builds one, so the digits are written straight into the one slice
+// returned; indices the padding cannot hold (negative, or eleven digits
+// and up) take the Sprintf form this must always equal.
 func Key(i int) []byte {
-	return []byte(fmt.Sprintf("user%010d", i))
+	if uint64(i) >= 1e10 { // a negative i converts to a value above 2^63
+		return []byte(fmt.Sprintf("user%010d", i))
+	}
+	k := []byte("user0000000000")
+	for j := len(k) - 1; i > 0; j-- {
+		k[j] = byte('0' + i%10)
+		i /= 10
+	}
+	return k
 }
 
 // chooser picks record indices.

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,6 +69,26 @@ func TestKeyFormat(t *testing.T) {
 	}
 	if string(Key(0)) != "user0000000000" {
 		t.Fatalf("key = %q", Key(0))
+	}
+}
+
+// TestKeyEqualsSprintf pins the hand-written digits to the Sprintf form at
+// the padding's edges, on the fallback's side of them, and at random
+// indices.
+func TestKeyEqualsSprintf(t *testing.T) {
+	idx := []int{0, 9, 10, 1e9, 1e10 - 1, 1e10, -1, -42, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10_000; i++ {
+		idx = append(idx, int(rng.Int63n(1e10)))
+	}
+	for _, i := range idx {
+		if got, want := string(Key(i)), fmt.Sprintf("user%010d", i); got != want {
+			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	var sink []byte // keeps the key on the heap, as every caller's does
+	if n := testing.AllocsPerRun(100, func() { sink = Key(1234567) }); n != 1 || len(sink) != 14 {
+		t.Fatalf("Key allocates %v objects, want 1", n)
 	}
 }
 
