@@ -189,12 +189,10 @@ func (c *Client) Refresh() {
 	}
 }
 
-// locate returns the owner of (table, keyHash) from the cached map.
-func (c *Client) locate(table, keyHash uint64) (int32, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.tablets {
-		t := &c.tablets[i]
+// ownerOf returns the master owning (table, keyHash) in tablets.
+func ownerOf(tablets []wire.Tablet, table, keyHash uint64) (int32, bool) {
+	for i := range tablets {
+		t := &tablets[i]
 		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
 			return t.Master, true
 		}
@@ -202,10 +200,35 @@ func (c *Client) locate(table, keyHash uint64) (int32, bool) {
 	return 0, false
 }
 
+// tabletSnapshot returns the cached tablet map for lock-free lookups.
+// Refresh replaces the slice and never edits it in place, so the snapshot
+// stays consistent (and merely goes stale) after c.mu is released.
+func (c *Client) tabletSnapshot() []wire.Tablet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tablets
+}
+
+// route returns the connection to the owner of (table, keyHash): the
+// tablet lookup and the connection lookup under one lock acquisition.
+func (c *Client) route(table, keyHash uint64) (transport.Conn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	owner, ok := ownerOf(c.tablets, table, keyHash)
+	if !ok {
+		return nil, fmt.Errorf("realnode: no tablet for table %d", table)
+	}
+	return c.serverConnLocked(owner)
+}
+
 // serverConn returns (dialing lazily) the connection to server id.
 func (c *Client) serverConn(id int32) (transport.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.serverConnLocked(id)
+}
+
+func (c *Client) serverConnLocked(id int32) (transport.Conn, error) {
 	if conn, ok := c.conns[id]; ok {
 		return conn, nil
 	}
@@ -219,10 +242,6 @@ func (c *Client) serverConn(id int32) (transport.Conn, error) {
 	}
 	c.conns[id] = conn
 	return conn, nil
-}
-
-func errNoTablet(table uint64) error {
-	return fmt.Errorf("realnode: no tablet for table %d", table)
 }
 
 // backoff returns the pause before attempt n+1 (capped exponential).
@@ -256,12 +275,7 @@ func classify(resp wire.Message, err error) (wire.Message, wire.Status, error) {
 // returns the response status plus the response itself. It performs ONE
 // attempt; op drives the retry loop.
 func (c *Client) call(table uint64, key []byte, mk func() wire.Message) (wire.Message, wire.Status, error) {
-	keyHash := hashtable.HashKey(table, key)
-	owner, ok := c.locate(table, keyHash)
-	if !ok {
-		return nil, 0, errNoTablet(table)
-	}
-	conn, err := c.serverConn(owner)
+	conn, err := c.route(table, hashtable.HashKey(table, key))
 	if err != nil {
 		return nil, 0, err
 	}

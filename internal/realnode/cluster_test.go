@@ -279,3 +279,82 @@ func TestRunYCSB(t *testing.T) {
 		t.Fatalf("implausible latencies p50=%v p99=%v", res.P50, res.P99)
 	}
 }
+
+// TestClusterReadDuringOverwrite: a read takes the log entry under the
+// master mutex and copies the value after releasing it, while writers
+// keep replacing the same key. Every Get and MultiRead must return one of
+// the written values whole; under -race this is also the check that
+// nothing writes the bytes a reader is copying.
+func TestClusterReadDuringOverwrite(t *testing.T) {
+	_, _, client := bootCluster(t, 1)
+	table, err := client.CreateTable("usertable", 1)
+	if err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	key := []byte("contended")
+	// Value v is 1 KiB of byte v, so a torn or foreign value is visible
+	// in the bytes themselves.
+	value := func(v byte) []byte { return bytes.Repeat([]byte{v}, 1024) }
+	whole := func(b []byte) error {
+		if len(b) == 1024 && bytes.Count(b, b[:1]) == 1024 {
+			return nil
+		}
+		return fmt.Errorf("read %d bytes that are no value ever written", len(b))
+	}
+	if _, err := client.Put(table, key, value(0)); err != nil {
+		t.Fatalf("first put: %v", err)
+	}
+
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 300; i++ {
+				if _, err := client.Put(table, key, value(byte(2*i+w))); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	reader := func(read func() error) {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := read(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	readers.Add(3)
+	for r := 0; r < 2; r++ {
+		go reader(func() error {
+			got, _, err := client.Get(table, key)
+			if err != nil {
+				return fmt.Errorf("get: %w", err)
+			}
+			return whole(got)
+		})
+	}
+	go reader(func() error {
+		for _, r := range client.MultiRead(table, [][]byte{key, key, key, key}) {
+			if r.Err != nil {
+				return fmt.Errorf("multiread: %w", r.Err)
+			}
+			if err := whole(r.Value); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	writers.Wait()
+	close(done)
+	readers.Wait()
+}

@@ -43,13 +43,7 @@ type asyncResult struct {
 // surfaced as attempt zero when Wait runs the retry loop.
 func (c *Client) startOp(table uint64, key []byte, mk func() wire.Message) *Future {
 	f := &Future{c: c, table: table, key: key, mk: mk}
-	keyHash := hashtable.HashKey(table, key)
-	owner, ok := c.locate(table, keyHash)
-	if !ok {
-		f.startErr = errNoTablet(table)
-		return f
-	}
-	conn, err := c.serverConn(owner)
+	conn, err := c.route(table, hashtable.HashKey(table, key))
 	if err != nil {
 		f.startErr = err
 		return f

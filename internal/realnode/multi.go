@@ -134,12 +134,13 @@ func (c *Client) multiOp(
 		next := pending[:0]
 		keep := func(i int) { next = append(next, i) }
 
-		// Group pending items by owner. Unroutable items wait for a
-		// fresh tablet map.
+		// Group pending items by owner against one snapshot of the
+		// tablet map per round. Unroutable items wait for a fresh map.
+		tablets := c.tabletSnapshot()
 		groups := make(map[int32][]int)
 		stale := false
 		for _, i := range pending {
-			owner, ok := c.locate(table, hash(i))
+			owner, ok := ownerOf(tablets, table, hash(i))
 			if !ok {
 				stale = true
 				keep(i)

@@ -198,28 +198,46 @@ func (s *Server) appendLocked(entry logstore.Entry) (logstore.Ref, error) {
 	return s.log.Append(entry)
 }
 
-func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
-	keyHash := hashtable.HashKey(m.Table, m.Key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ownsLocked(m.Table, keyHash) {
+// readLocked looks (table, key) up for a read. The result's Value
+// ALIASES the log entry's bytes: the caller copies it after releasing
+// s.mu, so a read holds the master mutex for the lookup only. That is
+// safe because an entry's value is never written after its append and
+// the real path frees no segment. Caller holds s.mu.
+func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
+	if !s.ownsLocked(table, keyHash) {
 		s.wrongServer++
-		return &wire.ReadResp{Status: wire.StatusWrongServer}
+		return wire.MultiReadResult{Status: wire.StatusWrongServer}
 	}
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(m.Table, m.Key))
+	packed, ok := s.ht.Lookup(keyHash, s.keyEq(table, key))
 	if !ok {
-		return &wire.ReadResp{Status: wire.StatusUnknownKey}
+		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
 	}
 	e, err := s.log.Get(logstore.UnpackRef(packed))
 	if err != nil || e.Type != logstore.EntryObject {
-		return &wire.ReadResp{Status: wire.StatusUnknownKey}
+		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
 	}
 	s.readsOK++
-	return &wire.ReadResp{
+	return wire.MultiReadResult{
 		Status:   wire.StatusOK,
 		Version:  e.Version,
 		ValueLen: e.ValueLen,
-		Value:    append([]byte(nil), e.Value...),
+		Value:    e.Value,
+	}
+}
+
+func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
+	keyHash := hashtable.HashKey(m.Table, m.Key)
+	s.mu.Lock()
+	r := s.readLocked(m.Table, m.Key, keyHash)
+	s.mu.Unlock()
+	if r.Status != wire.StatusOK {
+		return &wire.ReadResp{Status: r.Status}
+	}
+	return &wire.ReadResp{
+		Status:   wire.StatusOK,
+		Version:  r.Version,
+		ValueLen: r.ValueLen,
+		Value:    append([]byte(nil), r.Value...),
 	}
 }
 
@@ -285,31 +303,14 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 	items := make([]wire.MultiReadResult, len(m.Items))
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range m.Items {
 		it := &m.Items[i]
-		keyHash := hashtable.HashKey(it.Table, it.Key)
-		if !s.ownsLocked(it.Table, keyHash) {
-			s.wrongServer++
-			items[i].Status = wire.StatusWrongServer
-			continue
-		}
-		packed, ok := s.ht.Lookup(keyHash, s.keyEq(it.Table, it.Key))
-		if !ok {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil || e.Type != logstore.EntryObject {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		s.readsOK++
-		items[i] = wire.MultiReadResult{
-			Status:   wire.StatusOK,
-			Version:  e.Version,
-			ValueLen: e.ValueLen,
-			Value:    append([]byte(nil), e.Value...),
+		items[i] = s.readLocked(it.Table, it.Key, hashtable.HashKey(it.Table, it.Key))
+	}
+	s.mu.Unlock()
+	for i := range items {
+		if items[i].Status == wire.StatusOK {
+			items[i].Value = append([]byte(nil), items[i].Value...)
 		}
 	}
 	return &wire.MultiReadResp{Status: wire.StatusOK, Items: items}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,9 +13,15 @@ import (
 // fast-path work per RPC — framing, coalescing, correlation, dispatch —
 // with allocs/op as the regression canary (BENCH_10.json records the
 // before/after). The handler answers reads with a fixed 8-byte value.
+// Each benchmark also prints which path its traffic shape took:
+// inline-writes/op (client frames written by the calling goroutine),
+// reader-served/op (requests served on the server's reader instead of
+// the pool) and frames/write (client-side coalescing).
 
 var benchValue = []byte("8bytesXY")
 
+// benchServer returns a connection to a fresh loopback listener and a
+// func that reports the path metrics and tears both down.
 func benchServer(b *testing.B) (Conn, func()) {
 	b.Helper()
 	tr := &TCP{}
@@ -39,7 +46,15 @@ func benchServer(b *testing.B) (Conn, func()) {
 	if err != nil {
 		b.Fatalf("dial: %v", err)
 	}
-	return conn, func() { conn.Close(); ln.Close() }
+	return conn, func() {
+		b.StopTimer()
+		w := clientStats(b, conn)
+		b.ReportMetric(float64(w.inlineWrites)/float64(b.N), "inline-writes/op")
+		b.ReportMetric(float64(ln.(*tcpListener).readerServed.Load())/float64(b.N), "reader-served/op")
+		b.ReportMetric(float64(w.frames)/float64(w.inlineWrites+w.flusherWrites), "frames/write")
+		conn.Close()
+		ln.Close()
+	}
 }
 
 // BenchmarkTCPCall is one synchronous request-response at a time: the
@@ -57,6 +72,37 @@ func BenchmarkTCPCall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTCPCallParallel is two goroutines in synchronous Call on one
+// connection — the shape of the tcp-read workload, where a call can find
+// the other caller's write in flight or its request still buffered.
+func BenchmarkTCPCallParallel(b *testing.B) {
+	conn, done := benchServer(b)
+	defer done()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		n := b.N / 2
+		if g == 0 {
+			n = b.N - n
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := &wire.ReadReq{Table: 1, Key: []byte("user0000000042")}
+			for i := 0; i < n; i++ {
+				if _, err := conn.Call(ctx, req); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkTCPPipelined keeps a 16-deep window of Start()ed calls in

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ramcloud/internal/wire"
@@ -21,14 +22,17 @@ type TCP struct {
 	// consecutive failure doubles it up to RedialCap. Defaults 50ms / 2s.
 	RedialBase time.Duration
 	RedialCap  time.Duration
-	// FlushTimeout bounds one coalesced write; a peer that stalls a
-	// flush this long is treated as dead. Default 30s.
+	// FlushTimeout bounds one write of queued frames, whichever
+	// goroutine performs it; a peer that stalls a write this long is
+	// treated as dead. Default 30s.
 	FlushTimeout time.Duration
 	// Workers bounds the per-listener dispatch pool. Default
-	// 8*GOMAXPROCS clamped to [8, 64]. When every worker is busy the
-	// reader goroutine serves overflow requests inline, so a request
-	// flood degrades into backpressure instead of a goroutine per
-	// request.
+	// 8*GOMAXPROCS clamped to [8, 64]. The pool serves what a connection's
+	// reader must not or need not serve itself: every control-plane
+	// request (a handler may block on RPCs of its own) and any request
+	// with more frames already buffered behind it. When every worker is
+	// busy the reader serves overflow requests itself, so a request flood
+	// degrades into backpressure instead of a goroutine per request.
 	Workers int
 }
 
@@ -222,8 +226,20 @@ func (c *tcpConn) teardown(nc net.Conn) {
 
 // Start implements Starter: it queues msg for the coalesced flush and
 // returns immediately, so a caller can keep a window of requests in
-// flight on one connection without a goroutine per call.
+// flight on one connection without a goroutine per call. The write is
+// left to the flusher: a Starter has said it has more to issue, and its
+// frames are the ones coalescing pays for.
 func (c *tcpConn) Start(ctx context.Context, msg wire.Message) (PendingCall, error) {
+	pw, err := c.start(ctx, msg, false)
+	if err != nil {
+		return nil, err // not pw: a nil *waiter is a non-nil PendingCall
+	}
+	return pw, nil
+}
+
+// start registers a pending-call slot and enqueues msg; inline lets this
+// goroutine write the frame itself when the socket is idle.
+func (c *tcpConn) start(ctx context.Context, msg wire.Message, inline bool) (*waiter, error) {
 	w, err := c.ensure(ctx)
 	if err != nil {
 		return nil, err
@@ -237,7 +253,7 @@ func (c *tcpConn) Start(ctx context.Context, msg wire.Message) (PendingCall, err
 	c.pending[id] = pw
 	c.mu.Unlock()
 
-	if err := w.enqueue(id, msg); err != nil {
+	if err := w.enqueue(id, msg, inline); err != nil {
 		// Writer already poisoned: the frame was never queued. Remove
 		// the slot if teardown hasn't already claimed it.
 		c.mu.Lock()
@@ -288,9 +304,11 @@ func (p *waiter) Wait(ctx context.Context) (wire.Message, error) {
 	}
 }
 
-// Call implements Conn.
+// Call implements Conn. The caller blocks for the reply anyway, so it
+// writes its own frame when the socket is idle instead of waking the
+// flusher to do it.
 func (c *tcpConn) Call(ctx context.Context, msg wire.Message) (wire.Message, error) {
-	p, err := c.Start(ctx, msg)
+	p, err := c.start(ctx, msg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -310,14 +328,31 @@ func (c *tcpConn) Close() error {
 }
 
 // Listen implements Interface: it binds addr (":0" allocates a port)
-// and services each accepted connection with one reader goroutine
-// feeding a listener-wide bounded worker pool. Responses are coalesced
-// per connection by connWriter, and the first write error tears the
-// connection down. Pings are answered inline on the reader goroutine
-// (they never block), and when every pool worker is busy the reader
-// serves overflow requests inline too — bounded backpressure instead
-// of a goroutine per request. A torn or hostile frame closes that
-// connection (log-and-drop); well-behaved peers redial.
+// and services each accepted connection with one reader goroutine. Who
+// runs the handler and who writes the response is chosen per request
+// from what the reader can see:
+//
+//   - A data-path request (read, write, delete, multi-read, multi-write)
+//     that is the last frame buffered on its connection is served on the
+//     reader — handler and response write — because nothing else is
+//     waiting for the reader and a hand-off to the pool and another to
+//     the flusher would only add two scheduler wake-ups to the round
+//     trip. Data-path handlers therefore must not wait on a later request
+//     of the same connection.
+//   - Everything else goes to the listener-wide bounded worker pool and
+//     answers through the connection's flusher: a request with more
+//     frames buffered behind it (the pool serves them in parallel and
+//     their responses coalesce), and every control-plane request (its
+//     handler may block for long, e.g. on RPCs of its own, and must never
+//     occupy a reader).
+//   - Pings are always answered on the reader (they never block, and a
+//     failure-detector probe must not queue behind a flood of data
+//     requests); when every pool worker is busy the reader serves
+//     overflow requests too — bounded backpressure instead of a goroutine
+//     per request.
+//
+// The first write error tears the connection down. A torn or hostile
+// frame closes that connection (log-and-drop); well-behaved peers redial.
 func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -327,7 +362,7 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 		ln:    ln,
 		h:     h,
 		tr:    t,
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[net.Conn]*srvConn),
 		work:  make(chan srvReq, 4*t.workers()),
 		done:  make(chan struct{}),
 	}
@@ -347,8 +382,12 @@ type tcpListener struct {
 	done chan struct{}
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*srvConn
 	closed bool
+
+	// Which goroutine ran the handler; read by tests and benchmarks.
+	readerServed atomic.Uint64 // on the connection's reader
+	poolServed   atomic.Uint64 // handed to the worker pool
 }
 
 // srvReq is one decoded request awaiting dispatch.
@@ -403,9 +442,14 @@ func (l *tcpListener) acceptLoop() {
 			nc.Close()
 			return
 		}
-		l.conns[nc] = struct{}{}
+		sc := &srvConn{nc: nc, remote: nc.RemoteAddr().String()}
+		// The first write error closes the socket, which fails the read
+		// loop and tears the whole connection down — a dead peer stops
+		// consuming cycles instead of accumulating doomed responses.
+		sc.w = newConnWriter(nc, l.tr.flushTimeout(), func() { nc.Close() })
+		l.conns[nc] = sc
 		l.mu.Unlock()
-		go l.serveConn(nc)
+		go l.serveConn(sc)
 	}
 }
 
@@ -414,60 +458,71 @@ func (l *tcpListener) worker() {
 	for {
 		select {
 		case req := <-l.work:
-			l.serve(req)
+			l.serve(req.sc, req.env, false)
 		case <-l.done:
 			return
 		}
 	}
 }
 
-// serve runs one request through the handler and queues the response on
-// the connection's coalescing writer. Enqueue errors mean the socket
-// already failed and teardown is underway; the response is dropped like
-// the request never arrived.
-func (l *tcpListener) serve(req srvReq) {
-	resp := l.h.ServeRPC(req.sc.remote, req.env.Msg)
+// serve runs one request through the handler and enqueues the response
+// on the connection's writer; inline lets this goroutine write it when
+// the socket is idle. Enqueue errors mean the socket already failed and
+// teardown is underway; the response is dropped like the request never
+// arrived.
+func (l *tcpListener) serve(sc *srvConn, env wire.Envelope, inline bool) {
+	resp := l.h.ServeRPC(sc.remote, env.Msg)
 	if resp == nil {
 		return
 	}
-	_ = req.sc.w.enqueue(req.env.RPCID, resp)
+	_ = sc.w.enqueue(env.RPCID, resp, inline)
 }
 
-func (l *tcpListener) serveConn(nc net.Conn) {
-	sc := &srvConn{
-		nc:     nc,
-		remote: nc.RemoteAddr().String(),
-	}
-	// The first write error closes the socket, which fails the read
-	// loop below and tears the whole connection down — a dead peer
-	// stops consuming cycles instead of accumulating doomed responses.
-	sc.w = newConnWriter(nc, l.tr.flushTimeout(), func() { nc.Close() })
+func (l *tcpListener) serveConn(sc *srvConn) {
 	defer func() {
 		l.mu.Lock()
-		delete(l.conns, nc)
+		delete(l.conns, sc.nc)
 		l.mu.Unlock()
 		sc.w.close()
-		nc.Close()
+		sc.nc.Close()
 	}()
-	br := bufio.NewReaderSize(nc, 64<<10)
+	br := bufio.NewReaderSize(sc.nc, 64<<10)
 	for {
 		env, err := ReadFrame(br)
 		if err != nil {
 			return // torn/hostile frame or peer hangup: drop the connection
 		}
-		if _, ok := env.Msg.(*wire.PingReq); ok {
-			// Fast path: failure-detector probes are answered inline —
-			// a ping must not queue behind a flood of data requests.
-			l.serve(srvReq{sc: sc, env: env})
+		// With nothing more buffered, nobody is waiting for this reader:
+		// it can write a response itself instead of waking the flusher,
+		// and run a data-path handler instead of waking a pool worker.
+		last := br.Buffered() == 0
+		onReader := false
+		switch env.Msg.(type) {
+		case *wire.PingReq:
+			// Failure-detector probes never block and must not queue
+			// behind a flood of data requests.
+			onReader = true
+		case *wire.ReadReq, *wire.WriteReq, *wire.DeleteReq, *wire.MultiReadReq, *wire.MultiWriteReq:
+			onReader = last
+		default:
+			// Control plane: a handler may block for long (a coordinator
+			// pushing assignments calls out to every owner), so it never
+			// runs on the reader.
+		}
+		if onReader {
+			l.readerServed.Add(1)
+			l.serve(sc, env, last)
 			continue
 		}
 		select {
 		case l.work <- srvReq{sc: sc, env: env}:
+			l.poolServed.Add(1)
 		default:
-			// Pool saturated: serve inline on the reader goroutine.
-			// This bounds concurrency at workers + connections and
-			// applies natural backpressure to the flooding peer.
-			l.serve(srvReq{sc: sc, env: env})
+			// Pool saturated: serve on the reader goroutine. This bounds
+			// concurrency at workers + connections and applies natural
+			// backpressure to the flooding peer.
+			l.readerServed.Add(1)
+			l.serve(sc, env, false)
 		}
 	}
 }

@@ -3,6 +3,9 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,16 +54,25 @@ func TestTCPEcho(t *testing.T) {
 }
 
 // TestTCPOutOfOrder proves responses are correlated by RPC id, not
-// arrival order: a slow request issued first must not delay or corrupt a
-// fast one issued after it on the same connection.
+// arrival order, and that a control-plane handler never occupies the
+// connection's reader: while a CreateTableReq handler is parked, a read
+// and a ping issued after it on the same connection are read, served
+// and answered.
 func TestTCPOutOfOrder(t *testing.T) {
+	entered := make(chan struct{})
 	release := make(chan struct{})
 	h := HandlerFunc(func(remote string, msg wire.Message) wire.Message {
-		r := msg.(*wire.ReadReq)
-		if string(r.Key) == "slow" {
+		switch m := msg.(type) {
+		case *wire.CreateTableReq:
+			close(entered)
 			<-release
+			return &wire.CreateTableResp{Status: wire.StatusOK, Table: 7}
+		case *wire.ReadReq:
+			return &wire.ReadResp{Status: wire.StatusOK, Value: append([]byte(nil), m.Key...), ValueLen: uint32(len(m.Key))}
+		case *wire.PingReq:
+			return &wire.PingResp{Seq: m.Seq}
 		}
-		return &wire.ReadResp{Status: wire.StatusOK, Value: append([]byte(nil), r.Key...), ValueLen: uint32(len(r.Key))}
+		return nil
 	})
 	tr := &TCP{}
 	ln, err := tr.Listen("127.0.0.1:0", h)
@@ -77,31 +89,46 @@ func TestTCPOutOfOrder(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	var wg sync.WaitGroup
-	wg.Add(1)
 	slowDone := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		resp, err := conn.Call(ctx, &wire.ReadReq{Table: 1, Key: []byte("slow")})
+		resp, err := conn.Call(ctx, &wire.CreateTableReq{Name: "slow", ServerSpan: 1})
 		if err == nil {
-			if string(resp.(*wire.ReadResp).Value) != "slow" {
-				err = errors.New("slow call got wrong value")
+			if m, ok := resp.(*wire.CreateTableResp); !ok || m.Table != 7 {
+				err = errors.New("slow call got wrong response")
 			}
 		}
 		slowDone <- err
 	}()
+	select {
+	case <-entered:
+	case <-ctx.Done():
+		t.Fatal("slow handler never ran")
+	}
 
-	// The fast call completes while the slow one is still parked.
-	resp, err := conn.Call(ctx, &wire.ReadReq{Table: 1, Key: []byte("fast")})
+	// Both complete while the slow one is still parked.
+	fastCtx, fastCancel := context.WithTimeout(ctx, time.Second)
+	defer fastCancel()
+	resp, err := conn.Call(fastCtx, &wire.ReadReq{Table: 1, Key: []byte("fast")})
 	if err != nil {
-		t.Fatalf("fast call: %v", err)
+		t.Fatalf("read behind a parked handler: %v", err)
 	}
 	if string(resp.(*wire.ReadResp).Value) != "fast" {
 		t.Fatalf("fast call got %q", resp.(*wire.ReadResp).Value)
 	}
+	resp, err = conn.Call(fastCtx, &wire.PingReq{Seq: 9})
+	if err != nil {
+		t.Fatalf("ping behind a parked handler: %v", err)
+	}
+	if m, ok := resp.(*wire.PingResp); !ok || m.Seq != 9 {
+		t.Fatalf("ping got %#v", resp)
+	}
+	select {
+	case err := <-slowDone:
+		t.Fatalf("slow call resolved before its handler was released: %v", err)
+	default:
+	}
 
 	close(release)
-	wg.Wait()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
 	}
@@ -206,14 +233,18 @@ func TestTCPClosedConn(t *testing.T) {
 }
 
 // TestTCPFlusherStressTeardown hammers one Conn with a mix of
-// synchronous Calls and pipelined Start/Wait windows while the listener
-// is repeatedly killed and restarted on the same port. This is the
-// -race soak for the coalescing writer: enqueues racing a mid-flight
-// teardown, waiter slots recycling through the pool across ErrConnLost
-// deliveries, and ctx-deadline deregistration racing the read loop.
-// Every call must terminate — with a correctly-correlated echo or a
-// connection-level error — and the Conn must still work afterwards.
+// synchronous Calls (which write inline when the socket is idle) and
+// pipelined Start/Wait windows (which leave the write to the flusher)
+// while the listener is repeatedly killed and restarted on the same
+// port. This is the -race soak for the writer hand-over: enqueues and
+// inline writes racing a mid-flight teardown, waiter slots recycling
+// through the pool across ErrConnLost deliveries, and ctx-deadline
+// deregistration racing the read loop. Every call must terminate — with
+// a correctly-correlated echo, ErrConnLost, its context's error or a
+// refused dial — the Conn must still work afterwards, and nothing may
+// outlive it.
 func TestTCPFlusherStressTeardown(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	tr := &TCP{
 		RedialBase:   time.Millisecond,
 		RedialCap:    20 * time.Millisecond,
@@ -253,13 +284,25 @@ func TestTCPFlusherStressTeardown(t *testing.T) {
 
 	var wg sync.WaitGroup
 	fatal := make(chan error, 64)
-	check := func(key []byte, resp wire.Message, err error) {
+	report := func(err error) {
+		select {
+		case fatal <- err:
+		default:
+		}
+	}
+	check := func(ctx context.Context, key []byte, resp wire.Message, err error) {
 		if err != nil {
-			return // conn lost / deadline / dial refused: legal under chaos
+			// Legal under chaos: the connection died under the call, the
+			// call's own deadline fired, or the redial was refused.
+			var dialErr *net.OpError
+			if !errors.Is(err, ErrConnLost) && !errors.Is(err, ctx.Err()) && !errors.As(err, &dialErr) {
+				report(fmt.Errorf("call failed with neither ErrConnLost, its context error nor a dial error: %w", err))
+			}
+			return
 		}
 		rr, ok := resp.(*wire.ReadResp)
 		if !ok || string(rr.Value) != string(key) {
-			fatal <- errors.New("cross-correlated or corrupt response under teardown")
+			report(errors.New("cross-correlated or corrupt response under teardown"))
 		}
 	}
 	for g := 0; g < 6; g++ {
@@ -279,25 +322,27 @@ func TestTCPFlusherStressTeardown(t *testing.T) {
 						key := []byte{byte(g), byte(i), byte(j)}
 						pc, err := st.Start(ctx, &wire.ReadReq{Table: 1, Key: key})
 						if err != nil {
+							check(ctx, key, nil, err)
 							continue
 						}
 						win = append(win, issued{pc, key})
 					}
 					for _, is := range win {
 						resp, err := is.pc.Wait(ctx)
-						check(is.key, resp, err)
+						check(ctx, is.key, resp, err)
 					}
 				} else {
 					key := []byte{byte(g), byte(i), 0xff}
 					resp, err := conn.Call(ctx, &wire.ReadReq{Table: 1, Key: key})
-					check(key, resp, err)
+					check(ctx, key, resp, err)
 				}
 				cancel()
 			}
 		}(g)
 	}
 	wg.Wait()
-	defer func() { (<-finalLn).Close() }()
+	last := <-finalLn
+	defer last.Close()
 	close(fatal)
 	for err := range fatal {
 		t.Fatal(err)
@@ -313,10 +358,37 @@ func TestTCPFlusherStressTeardown(t *testing.T) {
 			if string(resp.(*wire.ReadResp).Value) != "alive" {
 				t.Fatalf("post-chaos echo got %q", resp.(*wire.ReadResp).Value)
 			}
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("conn never recovered after chaos: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// A socket generation retired twice would have delivered a second nil
+	// into a waiter slot that is back in the pool: some later call would
+	// then fail with a connection loss that never happened.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 500; i++ {
+		key := []byte{byte(i), byte(i >> 8)}
+		resp, err := conn.Call(ctx, &wire.ReadReq{Table: 1, Key: key})
+		if err != nil {
+			t.Fatalf("call %d on the recovered conn: %v", i, err)
+		}
+		if string(resp.(*wire.ReadResp).Value) != string(key) {
+			t.Fatalf("call %d on the recovered conn: stale response", i)
+		}
+	}
+
+	// Readers, flushers, pool workers and the error path's onDead
+	// goroutines all exit with their connection or listener.
+	conn.Close()
+	last.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after teardown, %d before the test", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

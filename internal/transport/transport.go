@@ -35,7 +35,11 @@ var (
 // Handler services one inbound request. remote identifies the peer (a
 // host:port for TCP, a node id for simnet). A nil response drops the
 // request without replying — the peer sees a timeout, exactly like a
-// lost datagram.
+// lost datagram. The TCP backend may run a data-path request (read,
+// write, delete, multi-read, multi-write) on its connection's reader, so
+// serving one must not wait for a later request of the same connection;
+// every other request runs on a pool worker and may block (see
+// TCP.Listen).
 type Handler interface {
 	ServeRPC(remote string, msg wire.Message) wire.Message
 }
