@@ -2,97 +2,8 @@ package ramcloud
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"testing"
-
-	"ramcloud/internal/core"
 )
-
-// Each benchmark regenerates one table or figure of the paper and logs
-// the paper-vs-measured rendering. Identical scenarios are memoized
-// within the process, so figures sharing a grid (e.g. fig1a/fig1b/fig2)
-// pay for their runs once.
-//
-// RAMCLOUD_BENCH_SCALE scales request/record counts (default 1.0, the
-// standard reproduction scale documented in EXPERIMENTS.md; larger values
-// approach the paper's full run lengths at proportional wall-clock cost).
-
-func benchScale() float64 {
-	if v := os.Getenv("RAMCLOUD_BENCH_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
-		}
-	}
-	return 1.0
-}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := core.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var rendered string
-	for i := 0; i < b.N; i++ {
-		res := exp.Run(core.Options{Scale: benchScale(), Seed: 42})
-		rendered = res.Render()
-	}
-	b.Log("\n" + rendered)
-}
-
-func BenchmarkFig1aThroughputReadOnly(b *testing.B)   { benchExperiment(b, "fig1a") }
-func BenchmarkFig1bPowerReadOnly(b *testing.B)        { benchExperiment(b, "fig1b") }
-func BenchmarkFig2EnergyEfficiency(b *testing.B)      { benchExperiment(b, "fig2") }
-func BenchmarkTableICPUUsage(b *testing.B)            { benchExperiment(b, "table1") }
-func BenchmarkTableIIWorkloadThroughput(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkFig3Scalability(b *testing.B)           { benchExperiment(b, "fig3") }
-func BenchmarkFig4aPowerPerWorkload(b *testing.B)     { benchExperiment(b, "fig4a") }
-func BenchmarkFig4bEnergyPerWorkload(b *testing.B)    { benchExperiment(b, "fig4b") }
-func BenchmarkFig5ReplicationThroughput(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig6aThroughputVsServers(b *testing.B)  { benchExperiment(b, "fig6a") }
-func BenchmarkFig6bEnergyVsServers(b *testing.B)      { benchExperiment(b, "fig6b") }
-func BenchmarkFig7PowerVsRF(b *testing.B)             { benchExperiment(b, "fig7") }
-func BenchmarkFig8EfficiencyVsRF(b *testing.B)        { benchExperiment(b, "fig8") }
-func BenchmarkFig9aRecoveryCPU(b *testing.B)          { benchExperiment(b, "fig9a") }
-func BenchmarkFig9bRecoveryPower(b *testing.B)        { benchExperiment(b, "fig9b") }
-func BenchmarkFig10RecoveryLatency(b *testing.B)      { benchExperiment(b, "fig10") }
-func BenchmarkFig11aRecoveryTimeVsRF(b *testing.B)    { benchExperiment(b, "fig11a") }
-func BenchmarkFig11bRecoveryEnergyVsRF(b *testing.B)  { benchExperiment(b, "fig11b") }
-func BenchmarkFig12RecoveryDiskIO(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkFig13Throttling(b *testing.B)           { benchExperiment(b, "fig13") }
-func BenchmarkSegmentSweep(b *testing.B)              { benchExperiment(b, "seg") }
-func BenchmarkCleanerAblation(b *testing.B)           { benchExperiment(b, "cleaner") }
-func BenchmarkRelaxedConsistency(b *testing.B)        { benchExperiment(b, "consistency") }
-func BenchmarkScatterAblation(b *testing.B)           { benchExperiment(b, "scatter") }
-func BenchmarkDistributionStudy(b *testing.B)         { benchExperiment(b, "dist") }
-func BenchmarkBatchSweep(b *testing.B)                { benchExperiment(b, "batch") }
-
-// Full-suite render benchmarks: every registered experiment, prewarmed on
-// the worker pool (BenchmarkFullRender) or fully serial
-// (BenchmarkFullRenderSerial). The pair measures the parallel runner's
-// wall-clock speedup; run with -benchtime=1x — one iteration is the whole
-// reproduction. The memo resets per iteration so every iteration pays the
-// full simulation cost.
-
-func benchFullRender(b *testing.B, workers int) {
-	opts := core.Options{Scale: benchScale(), Seed: 42}
-	exps := core.Experiments()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ResetMemo()
-		if workers > 1 {
-			core.NewRunner(workers).Prewarm(exps, opts)
-		}
-		for _, e := range exps {
-			_ = e.Run(opts).Render()
-		}
-	}
-}
-
-func BenchmarkFullRender(b *testing.B)       { benchFullRender(b, runtime.GOMAXPROCS(0)) }
-func BenchmarkFullRenderSerial(b *testing.B) { benchFullRender(b, 1) }
 
 // Micro-benchmarks of the storage data structures (real wall-clock
 // performance of this library, not simulated time).

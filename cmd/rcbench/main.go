@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,25 +23,33 @@ import (
 	"ramcloud/internal/core"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is main with the arguments, standard output and exit status made
+// explicit so a test can drive it.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("rcbench", flag.ContinueOnError)
 	var (
-		list  = flag.Bool("list", false, "list experiments and exit")
-		exps  = flag.String("exp", "", "comma-separated experiment ids")
-		all   = flag.Bool("all", false, "run every experiment")
-		scale = flag.Float64("scale", 1.0, "request/record scale (1.0 = standard reproduction)")
-		seed  = flag.Int64("seed", 42, "simulation seed")
-		out   = flag.String("o", "", "write results to file instead of stdout")
-		j     = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (1 = fully serial)")
-		lanes = flag.Int("lanes", 1, "event lanes per eligible scenario (sharded engine; output is lane-count invariant)")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		exps  = fs.String("exp", "", "comma-separated experiment ids")
+		all   = fs.Bool("all", false, "run every experiment")
+		scale = fs.Float64("scale", 1.0, "request/record scale (1.0 = standard reproduction)")
+		seed  = fs.Int64("seed", 42, "simulation seed")
+		out   = fs.String("o", "", "write results to file instead of stdout")
+		j     = fs.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (1 = fully serial)")
 	)
-	flag.Parse()
-	core.SetLanes(*lanes)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range core.Experiments() {
-			fmt.Printf("%-12s %s\n             %s\n", e.ID, e.Title, e.Setup)
+			fmt.Fprintf(stdout, "%-12s %s\n             %s\n", e.ID, e.Title, e.Setup)
 		}
-		return
+		return 0
 	}
 
 	var ids []string
@@ -53,53 +62,75 @@ func main() {
 		ids = strings.Split(*exps, ",")
 	default:
 		fmt.Fprintln(os.Stderr, "rcbench: nothing to do; use -list, -exp or -all")
-		os.Exit(2)
+		return 2
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
+	// Resolve every id before -o is created: a typo must not truncate a
+	// results file that already exists.
 	var selected []core.Experiment
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		e, ok := core.ByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "rcbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+			return 2
 		}
 		selected = append(selected, e)
 	}
 
-	opts := core.Options{Scale: *scale, Seed: *seed}
+	w := stdout
+	var f *os.File
+	if *out != "" {
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
+			return 1
+		}
+		w = f
+	}
 	core.SetParallelism(*j)
+	err := render(w, selected, core.Options{Scale: *scale, Seed: *seed}, *j)
+	if f != nil {
+		// A short file must not hide behind exit status 0.
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// render runs the selected experiments and writes each rendering with its
+// wall clock to w, stopping at the first write error.
+func render(w io.Writer, selected []core.Experiment, opts core.Options, j int) error {
 	warmable := 0
 	for _, e := range selected {
 		if e.Scenarios != nil {
 			warmable++
 		}
 	}
-	if *j > 1 && warmable > 0 {
+	if j > 1 && warmable > 0 {
 		// Run every scenario of every requested experiment on the worker
 		// pool up front; the per-experiment timings below then measure
 		// rendering against a warm memo (the prewarm line reports the
 		// simulation cost once). Experiments without a scenario grid
 		// (fig10's custom loop) still pay their cost in their own line.
 		start := time.Now()
-		core.NewRunner(*j).Prewarm(selected, opts)
-		fmt.Fprintf(w, "(prewarmed %d of %d experiments on %d workers in %.1fs wall clock)\n\n",
-			warmable, len(selected), *j, time.Since(start).Seconds())
+		core.NewRunner(j).Prewarm(selected, opts)
+		if _, err := fmt.Fprintf(w, "(prewarmed %d of %d experiments on %d workers in %.1fs wall clock)\n\n",
+			warmable, len(selected), j, time.Since(start).Seconds()); err != nil {
+			return err
+		}
 	}
 	for _, e := range selected {
 		start := time.Now()
 		res := e.Run(opts)
-		fmt.Fprintf(w, "%s(completed in %.1fs wall clock)\n\n", res.Render(), time.Since(start).Seconds())
+		if _, err := fmt.Fprintf(w, "%s(completed in %.1fs wall clock)\n\n", res.Render(), time.Since(start).Seconds()); err != nil {
+			return err
+		}
 	}
+	return nil
 }

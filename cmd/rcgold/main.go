@@ -25,10 +25,8 @@ func main() {
 		seed  = flag.Int64("seed", 42, "simulation seed")
 		only  = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		j     = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (1 = fully serial)")
-		lanes = flag.Int("lanes", 1, "event lanes per eligible scenario (sharded engine; output is lane-count invariant)")
 	)
 	flag.Parse()
-	core.SetLanes(*lanes)
 
 	want := map[string]bool{}
 	if *only != "" {

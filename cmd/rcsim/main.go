@@ -47,12 +47,10 @@ func main() {
 		experiment = flag.String("experiment", "", "run a registered experiment by id (e.g. loadshape, latload, fig1a) and exit")
 		scale      = flag.Float64("scale", 1.0, "experiment scale factor (with -experiment)")
 		j          = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (experiments and -runs sweeps; 1 = fully serial)")
-		lanes      = flag.Int("lanes", 1, "event lanes per eligible scenario (sharded engine; output is lane-count invariant)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
 	core.SetParallelism(*j)
-	core.SetLanes(*lanes)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

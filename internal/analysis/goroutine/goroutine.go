@@ -11,13 +11,12 @@
 // outside the engine is a second scheduler whose switches the event queue
 // never ordered.
 //
-// The legitimate sites are exempted by file in package scope (the engine
-// for iter.Pull, the sharded driver's lane workers for go) or, for the
-// cross-scenario worker pool in core's Runner, carry an //rcvet:allow
-// goroutine justification. Anything new must either go through
-// sim.Engine.Go or document why OS-level concurrency cannot perturb
-// simulated time. Test files are exempt (race hammers drive the pool from
-// plain goroutines on purpose).
+// The legitimate sites are exempted by file in package scope (the engine,
+// for iter.Pull only) or, for the cross-scenario worker pool in core's
+// Runner, carry an //rcvet:allow goroutine justification. Anything new
+// must either go through sim.Engine.Go or document why OS-level
+// concurrency cannot perturb simulated time. Test files are exempt (race
+// hammers drive the pool from plain goroutines on purpose).
 package goroutine
 
 import (
@@ -44,18 +43,13 @@ func run(pass *framework.Pass) error {
 		if scope.TestFile(filename) {
 			continue
 		}
-		// The sharded driver's lane workers are the one sanctioned use of
-		// OS goroutines inside the simulator and the engine's procs the
-		// one sanctioned use of coroutines (see scope.LaneScheduler and
-		// scope.ProcScheduler).
-		goAllowed := scope.LaneScheduler(pass.Pkg.Path(), filename)
+		// The engine's procs are the one sanctioned use of coroutines
+		// (see scope.ProcScheduler).
 		pullAllowed := scope.ProcScheduler(pass.Pkg.Path(), filename)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !goAllowed {
-					pass.Reportf(n.Pos(), "bare go statement in a deterministic package bypasses the engine's cooperative scheduler; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>")
-				}
+				pass.Reportf(n.Pos(), "bare go statement in a deterministic package bypasses the engine's cooperative scheduler; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>")
 			case *ast.SelectorExpr:
 				if !pullAllowed && isIterPull(pass, n) {
 					pass.Reportf(n.Pos(), "iter.%s creates a coroutine the event loop does not schedule; spawn procs with sim.Engine.Go, or annotate //rcvet:allow goroutine <why>", n.Sel.Name)

@@ -38,10 +38,9 @@ func Deterministic(pkgPath string) bool {
 // singleThreaded lists the packages making up the discrete-event
 // simulator and the protocol logic running inside it. A bare go
 // statement there bypasses the engine's cooperative scheduler: the OS
-// decides interleaving, and determinism — plus any future conservative-
-// lookahead sharding of the engine — is lost. core owns the worker-pool
+// decides interleaving, and determinism is lost. core owns the worker-pool
 // runner, whose spawning site carries an //rcvet:allow goroutine
-// justification; sim's two schedulers are exempted by file below.
+// justification.
 var singleThreaded = map[string]bool{
 	"sim":         true,
 	"simnet":      true,
@@ -68,29 +67,12 @@ func TestFile(filename string) bool {
 	return strings.HasSuffix(filename, "_test.go")
 }
 
-// LaneScheduler reports whether filename is the sharded engine's driver
-// file, the one place in the simulation tree where bare go statements are
-// the mechanism rather than a bug: its persistent lane workers ARE the
-// parallel scheduler, synchronized by the window barrier so that no
-// simulated state is ever observed across lanes mid-window. Scoping the
-// exemption to exactly sim/sharded.go keeps it auditable here instead of
-// spraying //rcvet:allow across every worker loop, and keeps the rest of
-// sim (and every protocol package) under the bare-go ban.
-func LaneScheduler(pkgPath, filename string) bool {
-	return simFile(pkgPath, filename, "sharded.go")
-}
-
 // ProcScheduler reports whether filename is the engine file, the one place
 // in the simulation tree that may create a coroutine (iter.Pull): Engine.Go
 // turns each proc into one and the event loop alone resumes them, in
 // (time, sequence) order. A coroutine made anywhere else is a second
 // scheduler the event queue knows nothing about.
 func ProcScheduler(pkgPath, filename string) bool {
-	return simFile(pkgPath, filename, "engine.go")
-}
-
-// simFile reports whether filename is package sim's file named base. OS
-// path separators are normalized so path.Base works portably.
-func simFile(pkgPath, filename, base string) bool {
-	return pkgPath == internalPrefix+"sim" && path.Base(strings.ReplaceAll(filename, "\\", "/")) == base
+	// OS path separators are normalized so path.Base works portably.
+	return pkgPath == internalPrefix+"sim" && path.Base(strings.ReplaceAll(filename, "\\", "/")) == "engine.go"
 }

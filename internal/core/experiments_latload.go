@@ -105,7 +105,7 @@ func runLatLoad(o Options) *ExpResult {
 		t := Table{
 			Caption: fmt.Sprintf("workload %s, %d clients, %ds window per cell (nominal capacity %s)",
 				sw.wl, sw.clients, latLoadSeconds(o)*sw.windowMult, kops(sw.capacity)),
-			Header:  []string{"offered x", "offered", "delivered", "p50 read us", "p99 read us", "p99 write us", "W/server", "mJ/op"},
+			Header: []string{"offered x", "offered", "delivered", "p50 read us", "p99 read us", "p99 write us", "W/server", "mJ/op"},
 		}
 		var kneeFrac float64
 		var p99AtTrough, p99AtPeak float64

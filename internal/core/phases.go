@@ -23,11 +23,11 @@ type ArrivalMode uint8
 // the same way the flat Scenario fields always did: BatchSize > 1 means
 // batched, Window > 1 means windowed, otherwise the paper's closed loop.
 const (
-	ArrivalDefault ArrivalMode = iota
-	ArrivalClosed              // issue, wait, repeat (the paper's loop)
-	ArrivalOpen                // open-loop Poisson arrivals at Rate ops/s
-	ArrivalBatched             // closed loop over MultiRead/MultiWrite batches
-	ArrivalWindowed            // closed loop with an async pipeline window
+	ArrivalDefault  ArrivalMode = iota
+	ArrivalClosed               // issue, wait, repeat (the paper's loop)
+	ArrivalOpen                 // open-loop Poisson arrivals at Rate ops/s
+	ArrivalBatched              // closed loop over MultiRead/MultiWrite batches
+	ArrivalWindowed             // closed loop with an async pipeline window
 )
 
 // String names the mode for renderings.

@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Counter is a monotonically increasing event count.
@@ -33,30 +32,6 @@ func (c *Counter) Add(delta int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// AtomicCounter is a Counter safe for concurrent increments. Addition is
-// commutative, so a total incremented from several event lanes is still
-// deterministic — use it for cross-lane aggregates (the fabric's
-// delivered/dropped totals) where a plain Counter would race under the
-// sharded engine. Everything order-sensitive (series, histograms) must
-// stay lane-confined instead.
-type AtomicCounter struct {
-	n atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *AtomicCounter) Inc() { c.n.Add(1) }
-
-// Add adds delta to the counter. Negative deltas panic: counters only grow.
-func (c *AtomicCounter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: negative delta on AtomicCounter")
-	}
-	c.n.Add(delta)
-}
-
-// Value returns the current count.
-func (c *AtomicCounter) Value() int64 { return c.n.Load() }
 
 // Series is a per-second time series. Index 0 covers simulated time
 // [0s, 1s), index 1 covers [1s, 2s), and so on.

@@ -67,10 +67,7 @@ func NewEndpoint(e *sim.Engine, net *simnet.Network, node simnet.NodeID) *Endpoi
 		pending: make(map[uint64]*sim.Future[wire.Message]),
 		Inbound: sim.NewQueue[Request](e),
 	}
-	// AttachOn records the endpoint's engine as the node's home lane, so
-	// the fabric routes deliveries onto the lane that owns this node's
-	// procs (identical to Attach under a standalone engine).
-	net.AttachOn(e, node, ep.deliver)
+	net.Attach(node, ep.deliver)
 	return ep
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -163,7 +164,19 @@ func TestProcPanicPropagates(t *testing.T) {
 // never-resumed ones must not run at all, and no goroutine (a coroutine is
 // one) may outlive the engine.
 func TestShutdownTeardown(t *testing.T) {
+	// A coroutine's goroutine exits a moment after its body returns (a
+	// long moment under -race): let the ones earlier tests left behind go
+	// first, or the baseline counts them and the checks below are off by
+	// however many were still exiting.
 	before := runtime.NumGoroutine()
+	for settle := time.Now().Add(time.Second); time.Now().Before(settle); {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	e := New(1)
 	q := NewQueue[int](e)
 	f := NewFuture[int](e)
@@ -441,4 +454,46 @@ func TestFutureSetCancelsTimeoutTimer(t *testing.T) {
 		t.Fatalf("engine ran to the stale deadline: now=%v", e.Now())
 	}
 	e.Shutdown()
+}
+
+// Keyed events at one instant run in key order whatever order they were
+// scheduled in, and after every event the engine numbered itself at that
+// instant — one scheduled later and one raised during the instant included.
+func TestScheduleKeyedAtOrdersByKey(t *testing.T) {
+	e := New(1)
+	at := Time(Microsecond)
+	var got []string
+	e.ScheduleAt(at, func() { got = append(got, "plain0") })
+	for _, k := range []uint64{3, 1, 2} {
+		k := k
+		e.ScheduleKeyedAt(at, KeyedSeqBit|k, func() { got = append(got, fmt.Sprintf("key%d", k)) })
+	}
+	e.ScheduleAt(at, func() {
+		got = append(got, "plain1")
+		e.Schedule(0, func() { got = append(got, "ring") })
+	})
+	e.Run()
+	want := []string{"plain0", "plain1", "ring", "key1", "key2", "key3"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+func TestScheduleKeyedAtPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	e := New(1)
+	mustPanic("key without KeyedSeqBit", func() { e.ScheduleKeyedAt(Time(Second), 1, func() {}) })
+	mustPanic("t == now", func() { e.ScheduleKeyedAt(e.Now(), KeyedSeqBit|1, func() {}) })
+	e.Schedule(Second, func() {
+		mustPanic("t < now", func() { e.ScheduleKeyedAt(Time(Millisecond), KeyedSeqBit|1, func() {}) })
+	})
+	e.Run()
 }

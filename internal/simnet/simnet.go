@@ -51,16 +51,8 @@ func DefaultConfig() Config {
 }
 
 type nic struct {
-	// eng is the node's home event lane. Under the sharded engine every
-	// node lives on exactly one lane: transmit state (txBusyUntil,
-	// txBytes, txBusy) is only touched by sends *from* the node — its own
-	// lane — and rxBytes only by deliveries *to* it, which execute on the
-	// same lane. A standalone engine is the 1-lane special case.
-	eng *sim.Engine
-
 	// msgSeq counts messages sent by this node; it keys same-instant
-	// delivery ordering (see deliverySeq), so it must be node-local, not
-	// lane-local.
+	// delivery ordering (see deliverySeq).
 	msgSeq uint64
 
 	txBusyUntil sim.Time
@@ -70,13 +62,12 @@ type nic struct {
 }
 
 // deliverySeq builds the sequence key for one delivery: deliveries that
-// land at the same instant on the same node execute in (sender node,
-// per-sender send order) order. Both components are properties of the
-// simulated cluster — never of the lane partition — so the execution
-// order of colliding deliveries is identical at any lane count. The
-// sender id occupies bits 62..31 and the per-sender counter bits 30..0
-// (2^31 sends per node outlasts any simulated run by orders of
-// magnitude).
+// land at the same instant execute in (sender node, per-sender send
+// order) order. Both components are properties of the simulated cluster,
+// so the order of colliding deliveries does not depend on the order in
+// which the engine happened to run their Sends. The sender id occupies
+// bits 62..31 and the per-sender counter bits 30..0 (2^31 sends per node
+// outlasts any simulated run by orders of magnitude).
 func deliverySeq(from NodeID, counter uint64) uint64 {
 	return sim.KeyedSeqBit | uint64(uint32(from))<<31 | (counter & 0x7FFFFFFF)
 }
@@ -90,18 +81,13 @@ type Network struct {
 	handlers map[NodeID]Handler
 	down     map[NodeID]bool
 
-	// free holds per-lane freelists of delivery records, indexed by lane
-	// id. Each record's closure is created once and rescheduled forever
-	// after, so a steady-state send allocates nothing. A sender pops from
-	// its own lane's list and the record is returned to the *destination*
-	// lane's list after delivery: every pop and push is lane-local, so no
-	// lock is needed even though records migrate between lists.
-	free []*delivery
+	// free is the freelist of delivery records. Each record's closure is
+	// created once and rescheduled forever after, so a steady-state send
+	// allocates nothing.
+	free *delivery
 
-	// delivered/dropped are incremented from whichever lane runs the
-	// delivery; addition commutes, so atomic totals stay deterministic.
-	delivered metrics.AtomicCounter
-	dropped   metrics.AtomicCounter
+	delivered metrics.Counter
+	dropped   metrics.Counter
 
 	// fault holds injected fault rules (faults.go); nil until the first
 	// rule is installed, so the healthy fast path pays one nil check.
@@ -117,17 +103,15 @@ type delivery struct {
 	next *delivery
 }
 
-// run delivers the message and returns the record to the destination
-// lane's freelist (run always executes on the destination's lane).
+// run delivers the message and returns the record to the freelist.
 func (d *delivery) run() {
 	n := d.n
 	msg := d.msg
 	at := d.at
 	dst := n.nics[msg.To]
 	d.msg = Message{} // drop the payload reference before pooling
-	lane := dst.eng.LaneID()
-	d.next = n.free[lane]
-	n.free[lane] = d
+	d.next = n.free
+	n.free = d
 	if n.down[msg.To] || n.down[msg.From] {
 		n.dropped.Inc()
 		return
@@ -137,17 +121,15 @@ func (d *delivery) run() {
 	n.handlers[msg.To](msg)
 }
 
-// newDelivery pops a record from the given lane's freelist or makes one.
-// Only call for the sender's own lane; the freelist slice was sized at
-// attach time, so no lane ever mutates its header.
-func (n *Network) newDelivery(lane int) *delivery {
-	d := n.free[lane]
+// newDelivery pops a record from the freelist or makes one.
+func (n *Network) newDelivery() *delivery {
+	d := n.free
 	if d == nil {
 		d = &delivery{n: n}
 		d.fn = d.run
 		return d
 	}
-	n.free[lane] = d.next
+	n.free = d.next
 	d.next = nil
 	return d
 }
@@ -166,29 +148,16 @@ func New(e *sim.Engine, cfg Config) *Network {
 	}
 }
 
-// Attach registers a node and its message handler on the network's
-// default lane. Attaching the same node twice panics: handlers must not
-// be silently replaced — a restarted process must Detach first. The NIC
-// record is reused across restarts so the node's transmit accounting
-// stays continuous.
+// Attach registers a node and its message handler. Attaching the same
+// node twice panics: handlers must not be silently replaced — a restarted
+// process must Detach first. The NIC record is reused across restarts so
+// the node's transmit accounting stays continuous.
 func (n *Network) Attach(id NodeID, h Handler) {
-	n.AttachOn(n.eng, id, h)
-}
-
-// AttachOn registers a node on a specific event lane: every delivery to
-// the node is scheduled on e, and sends from it read its clock. Under a
-// standalone engine e is the network's own engine and AttachOn is exactly
-// Attach. Must be called during setup (before the lanes run).
-func (n *Network) AttachOn(e *sim.Engine, id NodeID, h Handler) {
 	if _, ok := n.handlers[id]; ok {
 		panic(fmt.Sprintf("simnet: node %d attached twice", id))
 	}
 	if n.nics[id] == nil {
 		n.nics[id] = &nic{}
-	}
-	n.nics[id].eng = e
-	for len(n.free) <= e.LaneID() {
-		n.free = append(n.free, nil)
 	}
 	n.handlers[id] = h
 }
@@ -201,12 +170,9 @@ func (n *Network) SetDown(id NodeID, down bool) { n.down[id] = down }
 func (n *Network) IsDown(id NodeID) bool { return n.down[id] }
 
 // Send transmits a message. Transmission serializes on the sender's NIC;
-// delivery happens one propagation delay after the last byte leaves. It
-// must be called from the sender's engine context: the clock is the
-// sender lane's, and when the destination lives on another lane the
-// delivery crosses through that lane's mailbox with a sender-assigned
-// sequence number — always at least PropagationDelay in the future, which
-// is exactly the sharded engine's lookahead window.
+// delivery happens one propagation delay after the last byte leaves, as
+// a keyed event (deliverySeq) so deliveries colliding on one nanosecond
+// run in sender order. It must be called from engine context.
 func (n *Network) Send(msg Message) {
 	if n.down[msg.From] || n.down[msg.To] {
 		n.dropped.Inc()
@@ -219,8 +185,7 @@ func (n *Network) Send(msg Message) {
 	if _, ok := n.handlers[msg.To]; !ok {
 		panic(fmt.Sprintf("simnet: send to unattached node %d", msg.To))
 	}
-	srcEng := src.eng
-	now := srcEng.Now()
+	now := n.eng.Now()
 	start := src.txBusyUntil
 	if start < now {
 		start = now
@@ -232,7 +197,6 @@ func (n *Network) Send(msg Message) {
 	spreadBytes(&src.txBytes, start, end, float64(msg.Size))
 
 	deliverAt := end.Add(n.cfg.PropagationDelay)
-	dstEng := n.nics[msg.To].eng
 	if n.fault != nil {
 		at, dup, ok := n.fault.apply(msg.From, msg.To, deliverAt)
 		if !ok {
@@ -241,31 +205,17 @@ func (n *Network) Send(msg Message) {
 		deliverAt = at
 		if dup {
 			src.msgSeq++
-			d2 := n.newDelivery(srcEng.LaneID())
+			d2 := n.newDelivery()
 			d2.msg = msg
 			d2.at = deliverAt
-			n.schedule(srcEng, dstEng, deliverAt, deliverySeq(msg.From, src.msgSeq), d2)
+			n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d2.fn)
 		}
 	}
 	src.msgSeq++
-	d := n.newDelivery(srcEng.LaneID())
+	d := n.newDelivery()
 	d.msg = msg
 	d.at = deliverAt
-	n.schedule(srcEng, dstEng, deliverAt, deliverySeq(msg.From, src.msgSeq), d)
-}
-
-// schedule routes a delivery to the destination's lane: directly into the
-// destination's event heap when sender and destination share a lane,
-// through the destination lane's mailbox otherwise. Both paths use the
-// same sender-keyed sequence number, so a colliding pair of deliveries
-// executes in the same order whether or not a lane boundary separates
-// their senders.
-func (n *Network) schedule(srcEng, dstEng *sim.Engine, at sim.Time, seq uint64, d *delivery) {
-	if dstEng == srcEng {
-		srcEng.ScheduleKeyedAt(at, seq, d.fn)
-		return
-	}
-	dstEng.CrossScheduleAt(at, seq, d.fn)
+	n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d.fn)
 }
 
 func accountSpan(s *metrics.Series, from, to sim.Time) {

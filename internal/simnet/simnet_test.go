@@ -164,3 +164,52 @@ func TestRoundTripThroughQueues(t *testing.T) {
 		t.Fatalf("rtt = %v, want %v", rtt, want)
 	}
 }
+
+// Deliveries that land on one nanosecond run in sender-id order, whichever
+// Send the engine happened to execute first.
+func TestSameInstantDeliveriesOrderBySender(t *testing.T) {
+	for _, senders := range [][]NodeID{{1, 2}, {2, 1}} {
+		e := sim.New(1)
+		n := New(e, netCfg())
+		var got []NodeID
+		var at []sim.Time
+		n.Attach(1, func(m Message) {})
+		n.Attach(2, func(m Message) {})
+		n.Attach(3, func(m Message) { got = append(got, m.From); at = append(at, e.Now()) })
+		e.Schedule(0, func() {
+			for _, from := range senders {
+				n.Send(Message{From: from, To: 3, Size: 1000})
+			}
+		})
+		e.Run()
+		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+			t.Fatalf("send order %v: delivered from %v, want [1 2]", senders, got)
+		}
+		if at[0] != at[1] {
+			t.Fatalf("send order %v: deliveries at %v did not collide", senders, at)
+		}
+	}
+}
+
+// Delivery records go back on the freelist, so once a round of sends has
+// been delivered the next round allocates nothing.
+func TestDeliveryRecordsReused(t *testing.T) {
+	e := sim.New(1)
+	n := New(e, netCfg())
+	delivered := 0
+	n.Attach(1, func(m Message) {})
+	n.Attach(2, func(m Message) { delivered++ })
+	round := func() {
+		for i := 0; i < 8; i++ {
+			n.Send(Message{From: 1, To: 2, Size: 100})
+		}
+		e.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("a round of 8 sends allocated %v times, want 0", allocs)
+	}
+	if delivered != 8*12 {
+		t.Fatalf("delivered = %d, want %d", delivered, 8*12)
+	}
+}

@@ -11,8 +11,9 @@ import (
 
 // Loopback micro-benchmarks for the real TCP path. These quantify the
 // fast-path work per RPC — framing, coalescing, correlation, dispatch —
-// with allocs/op as the regression canary (BENCH_10.json records the
-// before/after). The handler answers reads with a fixed 8-byte value.
+// with allocs/op as the regression canary (PERFORMANCE.md, "Before the
+// benchmark", has PR 10's before/after). The handler answers reads with
+// a fixed 8-byte value.
 // Each benchmark also prints which path its traffic shape took:
 // inline-writes/op (client frames written by the calling goroutine),
 // reader-served/op (requests served on the server's reader instead of

@@ -28,9 +28,9 @@ func FuzzFrame(f *testing.F) {
 	f.Add(seed(wire.Envelope{RPCID: 99, Msg: &wire.ServerListResp{Status: wire.StatusOK, Servers: []wire.ServerAddr{{ID: 2, Addr: "127.0.0.1:1"}}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
-	f.Add(valid[:7])                           // torn header
-	f.Add(valid[:len(valid)-1])                // torn body
-	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
+	f.Add(valid[:7])                                            // torn header
+	f.Add(valid[:len(valid)-1])                                 // torn body
+	f.Add(append(append([]byte{}, valid...), valid...))         // two frames back to back
 	f.Add(append(append([]byte{}, valid...), 0xFF, 0x00, 0x13)) // garbage tail
 	huge := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(huge[9:13], 0xFFFFFFFE) // hostile length
