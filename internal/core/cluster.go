@@ -135,8 +135,18 @@ func (c *Cluster) CreateTable(name string) uint64 {
 func (c *Cluster) BulkLoad(table uint64, records, recordSize int) {
 	tablets := c.Coord.TabletMapDirect()
 	reg := c.Coord.Registry()
+	// FastLoad retains the key as the log entry's, so a slice per record
+	// is an allocation per record; keys are carved out of slabs instead,
+	// each capped at its own length so no append can reach a neighbour.
+	const slabKeys, keyLen = 4096, len("user0000000000")
+	var slab []byte
 	for i := 0; i < records; i++ {
-		key := ycsb.Key(i)
+		if cap(slab)-len(slab) < keyLen {
+			slab = make([]byte, 0, min(records-i, slabKeys)*keyLen)
+		}
+		start := len(slab)
+		slab = ycsb.AppendKey(slab, i)
+		key := slab[start:len(slab):len(slab)]
 		keyHash := hashtable.HashKey(table, key)
 		var owner *server.Server
 		for j := range tablets {

@@ -119,6 +119,49 @@ func TestBulkLoadMatchesClientView(t *testing.T) {
 	}
 }
 
+// TestBulkLoadKeysAreSealedSlabSlices: bulk-loaded keys are carved out of
+// shared slabs, so each must be exactly its record's key and capped at its
+// own length — an append to one may not write into its neighbour. 5,000
+// records cross a slab boundary.
+func TestBulkLoadKeysAreSealedSlabSlices(t *testing.T) {
+	const records = 5000
+	eng := sim.New(3)
+	cl := NewCluster(eng, smallProfile(), 3, 0)
+	cl.Start()
+	table := cl.CreateTable("t")
+	cl.BulkLoad(table, records, 64)
+	eng.Shutdown()
+
+	seen := make(map[string]bool, records)
+	for _, s := range cl.Servers {
+		log := s.Log()
+		for id := uint64(0); id <= log.Head().ID(); id++ {
+			seg, ok := log.Segment(id)
+			if !ok {
+				continue
+			}
+			for i := 0; i < seg.Entries(); i++ {
+				e, err := seg.EntryAt(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cap(e.Key) != len(e.Key) {
+					t.Fatalf("key %q has capacity %d beyond its length %d", e.Key, cap(e.Key), len(e.Key))
+				}
+				seen[string(e.Key)] = true
+			}
+		}
+	}
+	if len(seen) != records {
+		t.Fatalf("%d distinct keys loaded, want %d", len(seen), records)
+	}
+	for i := 0; i < records; i++ {
+		if !seen[string(ycsb.Key(i))] {
+			t.Fatalf("key %q missing from the logs", ycsb.Key(i))
+		}
+	}
+}
+
 func TestCrashRecoveryPreservesAckedWrites(t *testing.T) {
 	eng := sim.New(4)
 	cl := NewCluster(eng, smallProfile(), 4, 2)

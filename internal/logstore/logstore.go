@@ -59,8 +59,12 @@ func (e *Entry) StorageSize() int {
 // Virtual values contribute their declared length (the simulation cannot
 // hash bytes it does not materialize, but a length change still alters the
 // sum).
+//
+// Every append on both halves computes one, so it must not allocate: the
+// header bytes are folded with the table here (handing the array to
+// crc32.Update, or to a hash.Hash32, moves it to the heap), and only the
+// key and value, heap slices already, go through crc32.Update.
 func (e *Entry) ComputeChecksum() uint32 {
-	h := crc32.New(castagnoli)
 	var hdr [33]byte
 	hdr[0] = byte(e.Type)
 	putU64(hdr[1:], e.Table)
@@ -68,12 +72,15 @@ func (e *Entry) ComputeChecksum() uint32 {
 	putU64(hdr[17:], e.Version)
 	putU32(hdr[25:], e.ValueLen)
 	putU32(hdr[29:], uint32(len(e.Key)))
-	h.Write(hdr[:])
-	h.Write(e.Key)
-	if e.Value != nil {
-		h.Write(e.Value)
+	sum := ^uint32(0)
+	for _, b := range hdr {
+		sum = castagnoli[byte(sum)^b] ^ sum>>8
 	}
-	return h.Sum32()
+	sum = crc32.Update(^sum, castagnoli, e.Key)
+	if e.Value != nil {
+		sum = crc32.Update(sum, castagnoli, e.Value)
+	}
+	return sum
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -1,8 +1,10 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +191,56 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	e.Version = 4
 	if e.VerifyChecksum() {
 		t.Fatal("corrupted entry must not verify")
+	}
+}
+
+// referenceChecksum is ComputeChecksum as it was written before it had to
+// stop allocating: one hash.Hash32 fed the header, the key and the value.
+// The allocation-free form must produce the same sums, or every stored
+// checksum and every rendered figure moves.
+func referenceChecksum(e *Entry) uint32 {
+	h := crc32.New(castagnoli)
+	var hdr [33]byte
+	hdr[0] = byte(e.Type)
+	putU64(hdr[1:], e.Table)
+	putU64(hdr[9:], e.KeyHash)
+	putU64(hdr[17:], e.Version)
+	putU32(hdr[25:], e.ValueLen)
+	putU32(hdr[29:], uint32(len(e.Key)))
+	h.Write(hdr[:])
+	h.Write(e.Key)
+	if e.Value != nil {
+		h.Write(e.Value)
+	}
+	return h.Sum32()
+}
+
+func TestChecksumMatchesReferenceAndDoesNotAllocate(t *testing.T) {
+	kib := bytes.Repeat([]byte{0xa5, 0x00, 0xff, 0x3c}, 256)
+	entries := []Entry{
+		{Type: EntryObject, Table: 1, KeyHash: 0x9e3779b97f4a7c15, Key: []byte("user0000000042"), ValueLen: 5, Value: []byte("hello"), Version: 7},
+		{Type: EntryObject, Table: 1, KeyHash: 3, Key: []byte("user0000000042"), ValueLen: 1024, Version: 1}, // virtual value
+		{Type: EntryObject, Table: 2, KeyHash: 1 << 63, Key: []byte("k"), ValueLen: 1024, Value: kib, Version: 1<<64 - 1},
+		{Type: EntryObject, Table: 3, Key: nil, ValueLen: 0, Value: []byte{}, Version: 1}, // empty key, real empty value
+		{Type: EntryTombstone, Table: 1, KeyHash: 0xdeadbeef, Key: []byte("user0000000042"), Version: 8, ObjectSegment: 12},
+		{Type: EntryTombstone, Table: 1<<64 - 1, KeyHash: 1<<64 - 1, Key: []byte{}, Version: 2},
+	}
+	for i := range entries {
+		e := &entries[i]
+		if got, want := e.ComputeChecksum(), referenceChecksum(e); got != want {
+			t.Errorf("entry %d: checksum %#08x, reference %#08x", i, got, want)
+		}
+		var sink uint32
+		if n := testing.AllocsPerRun(100, func() { sink += e.ComputeChecksum() }); n != 0 {
+			t.Errorf("entry %d: ComputeChecksum allocates %v objects, want 0", i, n)
+		}
+	}
+	f := func(typ uint8, table, hash, version uint64, vlen uint32, key, value []byte) bool {
+		e := Entry{Type: EntryType(typ), Table: table, KeyHash: hash, Key: key, ValueLen: vlen, Value: value, Version: version}
+		return e.ComputeChecksum() == referenceChecksum(&e)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package realnode
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -134,8 +133,8 @@ func (c *Client) callCoord(req wire.Message) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.rpcTimeout())
-	defer cancel()
+	ctx := newDeadline(c.cfg.rpcTimeout())
+	defer ctx.release()
 	return conn.Call(ctx, req)
 }
 
@@ -279,8 +278,8 @@ func (c *Client) call(table uint64, key []byte, mk func() wire.Message) (wire.Me
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.rpcTimeout())
-	defer cancel()
+	ctx := newDeadline(c.cfg.rpcTimeout())
+	defer ctx.release()
 	resp, err := conn.Call(ctx, mk())
 	return classify(resp, err)
 }

@@ -18,7 +18,6 @@
 package realnode
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -327,8 +326,8 @@ func (c *Coordinator) pushAssignment(owner int32) {
 	if err != nil {
 		return // pinger will retry via miss accounting
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.rpcTimeout())
-	defer cancel()
+	ctx := newDeadline(c.cfg.rpcTimeout())
+	defer ctx.release()
 	_, _ = conn.Call(ctx, req) // best-effort: a miss shows up as WrongServer and a later re-push
 }
 
@@ -377,9 +376,9 @@ func (c *Coordinator) pinger() {
 			if err != nil {
 				dead = c.miss(s)
 			} else {
-				ctx, cancel := context.WithTimeout(context.Background(), c.cfg.pingInterval())
+				ctx := newDeadline(c.cfg.pingInterval())
 				_, err = conn.Call(ctx, &wire.PingReq{Seq: seq})
-				cancel()
+				ctx.release()
 				if err != nil {
 					dead = c.miss(s)
 				} else {

@@ -1,8 +1,6 @@
 package realnode
 
 import (
-	"context"
-
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
@@ -28,8 +26,7 @@ type Future struct {
 
 	pc       transport.PendingCall
 	fallback chan asyncResult
-	ctx      context.Context
-	cancel   context.CancelFunc
+	ctx      *deadline // the pipelined attempt's; released by resolve
 	startErr error
 }
 
@@ -48,11 +45,11 @@ func (c *Client) startOp(table uint64, key []byte, mk func() wire.Message) *Futu
 		f.startErr = err
 		return f
 	}
-	f.ctx, f.cancel = context.WithTimeout(context.Background(), c.cfg.rpcTimeout())
+	f.ctx = newDeadline(c.cfg.rpcTimeout())
 	if st, ok := conn.(transport.Starter); ok {
 		pc, err := st.Start(f.ctx, mk())
 		if err != nil {
-			f.cancel()
+			f.ctx.release()
 			f.startErr = err
 			return f
 		}
@@ -85,7 +82,7 @@ func (f *Future) resolve() (wire.Message, wire.Status, error) {
 		r := <-f.fallback
 		resp, err = r.resp, r.err
 	}
-	f.cancel()
+	f.ctx.release() // after the fallback goroutine, if any, has reported back
 	return classify(resp, err)
 }
 

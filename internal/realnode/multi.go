@@ -1,7 +1,6 @@
 package realnode
 
 import (
-	"context"
 	"time"
 
 	"ramcloud/internal/hashtable"
@@ -23,8 +22,7 @@ type multiBatch struct {
 	idxs []int // indices (into the caller's item slice) this RPC covers
 	pc   transport.PendingCall
 	ch   chan asyncResult // fallback when the conn lacks Starter
-	ctx  context.Context
-	stop context.CancelFunc
+	ctx  *deadline
 }
 
 // MultiRead fetches a batch of keys with at most one RPC per owning
@@ -136,8 +134,14 @@ func (c *Client) multiOp(
 
 		// Group pending items by owner against one snapshot of the
 		// tablet map per round. Unroutable items wait for a fresh map.
+		// Groups keep first-contact order — a slice scan, no map — so the
+		// per-owner RPCs are issued in the same order on every call.
 		tablets := c.tabletSnapshot()
-		groups := make(map[int32][]int)
+		var (
+			ownerBuf [8]int32 // a batch rarely spans more masters; both stay on the stack
+			groupBuf [8][]int
+		)
+		owners, groups := ownerBuf[:0], groupBuf[:0]
 		stale := false
 		for _, i := range pending {
 			owner, ok := ownerOf(tablets, table, hash(i))
@@ -146,13 +150,21 @@ func (c *Client) multiOp(
 				keep(i)
 				continue
 			}
-			groups[owner] = append(groups[owner], i)
+			g := 0
+			for g < len(owners) && owners[g] != owner {
+				g++
+			}
+			if g == len(owners) {
+				owners = append(owners, owner)
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], i)
 		}
 
 		// One RPC per owner, all in flight together.
 		batches := make([]multiBatch, 0, len(groups))
-		for owner, idxs := range groups {
-			b, ok := c.startBatch(owner, build(idxs), idxs)
+		for g, idxs := range groups {
+			b, ok := c.startBatch(owners[g], build(idxs), idxs)
 			if !ok {
 				stale = true
 				for _, i := range idxs {
@@ -171,7 +183,7 @@ func (c *Client) multiOp(
 				r := <-b.ch
 				resp, err = r.resp, r.err
 			}
-			b.stop()
+			b.ctx.release()
 			if err != nil || !settle(resp, b.idxs, keep) {
 				// Connection lost, deadline, or a malformed response:
 				// every item in the batch retries.
@@ -199,12 +211,12 @@ func (c *Client) startBatch(owner int32, req wire.Message, idxs []int) (multiBat
 	if err != nil {
 		return multiBatch{}, false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.rpcTimeout())
-	b := multiBatch{idxs: idxs, ctx: ctx, stop: cancel}
+	ctx := newDeadline(c.cfg.rpcTimeout())
+	b := multiBatch{idxs: idxs, ctx: ctx}
 	if st, ok := conn.(transport.Starter); ok {
 		pc, err := st.Start(ctx, req)
 		if err != nil {
-			cancel()
+			ctx.release()
 			return multiBatch{}, false
 		}
 		b.pc = pc

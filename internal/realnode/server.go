@@ -1,7 +1,6 @@
 package realnode
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -92,9 +91,9 @@ func (s *Server) Start(addr string) error {
 	defer conn.Close()
 	req := &wire.EnlistAddrReq{Addr: ln.Addr(), MemoryBytes: s.cfg.memoryBytes()}
 	for attempt := 0; ; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.enlistTimeout())
+		ctx := newDeadline(s.cfg.enlistTimeout())
 		resp, err := conn.Call(ctx, req)
-		cancel()
+		ctx.release()
 		if err == nil {
 			m, ok := resp.(*wire.EnlistAddrResp)
 			if !ok || m.Status != wire.StatusOK {

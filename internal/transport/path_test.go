@@ -81,45 +81,90 @@ func TestTCPCallStaysOnCallerAndReader(t *testing.T) {
 	}
 }
 
-// TestTCPStartLeavesWritesToFlusher: a pipelining caller never writes
-// itself, so its frames keep coalescing behind the flusher's writes.
-func TestTCPStartLeavesWritesToFlusher(t *testing.T) {
+// TestTCPStartWritesInlineOnlyWithNothingInFlight: a Start writes its own
+// frame only when the connection has no other call in flight. The first
+// Start of a burst finds none and may write inline; the rest find it
+// pending and keep coalescing behind the flusher's writes. A lone
+// Start+Wait loop always finds the connection empty and never wakes the
+// flusher.
+func TestTCPStartWritesInlineOnlyWithNothingInFlight(t *testing.T) {
+	// Control-plane requests run on the pool and may block: the handler
+	// holds each one until the test has issued its whole burst, so no
+	// response can empty the pending table in the middle of one.
+	const window, rounds = 16, 100
+	gate := make(chan struct{}, window) // one token per held request of a burst
+	echo := echoHandler()
 	tr := &TCP{}
-	ln, err := tr.Listen("127.0.0.1:0", echoHandler())
+	ln, err := tr.Listen("127.0.0.1:0", HandlerFunc(func(remote string, msg wire.Message) wire.Message {
+		if _, ok := msg.(*wire.GetTabletMapReq); ok {
+			<-gate
+		}
+		return echo.ServeRPC(remote, msg)
+	}))
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	conn, err := tr.Dial(ln.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	st := conn.(Starter)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const window, rounds = 16, 100
-	var win [window]PendingCall
-	for r := 0; r < rounds; r++ {
-		for j := range win {
-			if win[j], err = st.Start(ctx, &wire.ReadReq{Table: 1, Key: []byte{byte(r), byte(j)}}); err != nil {
-				t.Fatalf("start: %v", err)
+
+	t.Run("bursts", func(t *testing.T) {
+		conn, err := tr.Dial(ln.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		st := conn.(Starter)
+		var win [window]PendingCall
+		for r := 0; r < rounds; r++ {
+			for j := range win {
+				if win[j], err = st.Start(ctx, &wire.GetTabletMapReq{}); err != nil {
+					t.Fatalf("start: %v", err)
+				}
+			}
+			for range win {
+				gate <- struct{}{}
+			}
+			for j := range win {
+				if _, err := win[j].Wait(ctx); err != nil {
+					t.Fatalf("wait: %v", err)
+				}
 			}
 		}
-		for j := range win {
-			if _, err := win[j].Wait(ctx); err != nil {
-				t.Fatalf("wait: %v", err)
+		got := clientStats(t, conn)
+		if got.inlineWrites > rounds || got.frames != window*rounds {
+			t.Errorf("client writer: got %+v, want at most one inline write per burst (%d) and %d frames", got, rounds, window*rounds)
+		}
+		if got.inlineWrites == 0 {
+			t.Errorf("client writer: got %+v, want a burst on an empty connection to start with an inline write", got)
+		}
+		if fl := got.frames - got.inlineWrites; got.flusherWrites >= fl {
+			t.Errorf("client writer: the flusher wrote %d frames in %d writes, want more than one frame per write", fl, got.flusherWrites)
+		}
+	})
+
+	t.Run("lone", func(t *testing.T) {
+		conn, err := tr.Dial(ln.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		st := conn.(Starter)
+		const calls = 1000
+		for i := 0; i < calls; i++ {
+			p, err := st.Start(ctx, &wire.ReadReq{Table: 1, Key: []byte{byte(i), byte(i >> 8)}})
+			if err != nil {
+				t.Fatalf("start %d: %v", i, err)
+			}
+			if _, err := p.Wait(ctx); err != nil {
+				t.Fatalf("wait %d: %v", i, err)
 			}
 		}
-	}
-	got := clientStats(t, conn)
-	if got.inlineWrites != 0 || got.frames != window*rounds {
-		t.Errorf("client writer: got %+v, want no inline write and %d frames", got, window*rounds)
-	}
-	if got.flusherWrites >= got.frames {
-		t.Errorf("client writer: %d frames in %d writes, want more than one frame per write", got.frames, got.flusherWrites)
-	}
+		want := writerStats{inlineWrites: calls, flusherWrites: 0, frames: calls}
+		if got := clientStats(t, conn); got != want {
+			t.Errorf("client writer: got %+v, want %+v", got, want)
+		}
+	})
 }
 
 // gateConn is a net.Conn whose Write parks until the test lets it

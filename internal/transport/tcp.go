@@ -224,11 +224,17 @@ func (c *tcpConn) teardown(nc net.Conn) {
 	}
 }
 
-// Start implements Starter: it queues msg for the coalesced flush and
-// returns immediately, so a caller can keep a window of requests in
-// flight on one connection without a goroutine per call. The write is
-// left to the flusher: a Starter has said it has more to issue, and its
-// frames are the ones coalescing pays for.
+// Start implements Starter: it registers the call and returns without
+// waiting for the response, so a caller can keep a window of requests in
+// flight on one connection without a goroutine per call. Who writes the
+// frame is decided from what the connection observes, not from an option:
+// with no other call in flight there is nothing to coalesce behind, so
+// the caller writes its own frame, as Call does, and a lone Start+Wait
+// costs no flusher wake-up; with a call in flight the frame is left to
+// the flusher, so a window kept full coalesces as before. This is Nagle's
+// rule at RPC granularity. (Writing inline whenever the socket is idle
+// was measured and rejected: it takes a pipelining caller from 13 frames
+// per write to 1.0 — see PERFORMANCE.md.)
 func (c *tcpConn) Start(ctx context.Context, msg wire.Message) (PendingCall, error) {
 	pw, err := c.start(ctx, msg, false)
 	if err != nil {
@@ -237,9 +243,11 @@ func (c *tcpConn) Start(ctx context.Context, msg wire.Message) (PendingCall, err
 	return pw, nil
 }
 
-// start registers a pending-call slot and enqueues msg; inline lets this
-// goroutine write the frame itself when the socket is idle.
-func (c *tcpConn) start(ctx context.Context, msg wire.Message, inline bool) (*waiter, error) {
+// start registers a pending-call slot and enqueues msg. This goroutine
+// writes the frame itself, when the socket is idle, if the caller is
+// about to block for the reply anyway (blocking) or if no other call is
+// in flight on the connection.
+func (c *tcpConn) start(ctx context.Context, msg wire.Message, blocking bool) (*waiter, error) {
 	w, err := c.ensure(ctx)
 	if err != nil {
 		return nil, err
@@ -247,6 +255,7 @@ func (c *tcpConn) start(ctx context.Context, msg wire.Message, inline bool) (*wa
 	pw := waiterPool.Get().(*waiter)
 	pw.c = c
 	c.mu.Lock()
+	inline := blocking || len(c.pending) == 0
 	c.nextID++
 	id := c.nextID
 	pw.id = id

@@ -76,7 +76,10 @@ type PendingCall interface {
 // The TCP backend implements it; callers should type-assert and fall
 // back to a goroutine around Call when the substrate doesn't.
 type Starter interface {
-	// Start queues msg and returns without waiting for the response.
+	// Start queues msg and returns without waiting for the response. On
+	// TCP the caller writes the frame itself only when the connection has
+	// no other call in flight (nothing to coalesce behind); otherwise the
+	// write is left to the flusher, so a window kept full still coalesces.
 	Start(ctx context.Context, msg wire.Message) (PendingCall, error)
 }
 

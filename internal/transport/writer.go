@@ -16,17 +16,18 @@ import (
 //
 //   - The enqueuing goroutine itself, when it asks for an inline write
 //     and the socket is idle. A synchronous caller blocks for the reply
-//     anyway, and a server reader that has nothing else buffered has
-//     nothing better to do, so waking another goroutine to issue the
+//     anyway, a Start with no other call in flight has nothing to
+//     coalesce behind, and a server reader that has nothing else buffered
+//     has nothing better to do, so waking another goroutine to issue the
 //     syscall only adds a scheduler hand-off to the round trip. An inline
 //     writer performs one write and leaves; it never loops over frames
 //     other callers queued meanwhile.
 //   - The flusher goroutine, for everything else: frames whose enqueuer
-//     has more work to issue (pipelined Starts, pool-served responses) and
-//     frames that queued while a write was in flight. Under load many
-//     frames accumulate behind the write in progress, so the syscall cost
-//     amortizes across the batch (smallbatching: the flush boundary is
-//     "whatever queued since the last write").
+//     has more work to issue (Starts behind a call in flight, pool-served
+//     responses) and frames that queued while a write was in flight.
+//     Under load many frames accumulate behind the write in progress, so
+//     the syscall cost amortizes across the batch (smallbatching: the
+//     flush boundary is "whatever queued since the last write").
 //
 // A frame appended while a write is in progress is never stranded: the
 // writer re-checks the buffer when its Write returns — the flusher loops,

@@ -76,20 +76,25 @@ func ByName(name string, records, size int) (Workload, error) {
 }
 
 // Key renders the YCSB-style key for a record index: "user" followed by
-// the index zero-padded to ten digits. Every simulated op and every loaded
-// record builds one, so the digits are written straight into the one slice
-// returned; indices the padding cannot hold (negative, or eleven digits
-// and up) take the Sprintf form this must always equal.
-func Key(i int) []byte {
+// the index zero-padded to ten digits, in a slice of its own.
+func Key(i int) []byte { return AppendKey(nil, i) }
+
+// AppendKey appends Key(i) to dst and returns the extended slice, so a
+// caller that builds many keys (a bulk load) can carve them out of one
+// buffer. Every simulated op and every loaded record builds a key, so the
+// digits are written straight into place; indices the padding cannot hold
+// (negative, or eleven digits and up) take the Sprintf form this must
+// always equal.
+func AppendKey(dst []byte, i int) []byte {
 	if uint64(i) >= 1e10 { // a negative i converts to a value above 2^63
-		return []byte(fmt.Sprintf("user%010d", i))
+		return fmt.Appendf(dst, "user%010d", i)
 	}
-	k := []byte("user0000000000")
-	for j := len(k) - 1; i > 0; j-- {
-		k[j] = byte('0' + i%10)
+	dst = append(dst, "user0000000000"...)
+	for j := len(dst) - 1; i > 0; j-- {
+		dst[j] = byte('0' + i%10)
 		i /= 10
 	}
-	return k
+	return dst
 }
 
 // chooser picks record indices.

@@ -82,13 +82,21 @@ func TestKeyEqualsSprintf(t *testing.T) {
 		idx = append(idx, int(rng.Int63n(1e10)))
 	}
 	for _, i := range idx {
-		if got, want := string(Key(i)), fmt.Sprintf("user%010d", i); got != want {
+		want := fmt.Sprintf("user%010d", i)
+		if got := string(Key(i)); got != want {
 			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+		}
+		if got := string(AppendKey([]byte("prefix|"), i)); got != "prefix|"+want {
+			t.Fatalf("AppendKey(prefix, %d) = %q, want %q", i, got, "prefix|"+want)
 		}
 	}
 	var sink []byte // keeps the key on the heap, as every caller's does
 	if n := testing.AllocsPerRun(100, func() { sink = Key(1234567) }); n != 1 || len(sink) != 14 {
 		t.Fatalf("Key allocates %v objects, want 1", n)
+	}
+	buf := make([]byte, 0, 14)
+	if n := testing.AllocsPerRun(100, func() { sink = AppendKey(buf[:0], 1234567) }); n != 0 || string(sink) != "user0001234567" {
+		t.Fatalf("AppendKey into a buffer with room allocates %v objects (%q), want 0", n, sink)
 	}
 }
 
