@@ -135,9 +135,10 @@ func (c *Cluster) CreateTable(name string) uint64 {
 func (c *Cluster) BulkLoad(table uint64, records, recordSize int) {
 	tablets := c.Coord.TabletMapDirect()
 	reg := c.Coord.Registry()
-	// FastLoad retains the key as the log entry's, so a slice per record
-	// is an allocation per record; keys are carved out of slabs instead,
-	// each capped at its own length so no append can reach a neighbour.
+	// FastLoad's backup replicas retain the key they are handed (the log
+	// copies it), so a slice per record is an allocation per record; keys
+	// are carved out of slabs instead, each capped at its own length so no
+	// append can reach a neighbour.
 	const slabKeys, keyLen = 4096, len("user0000000000")
 	var slab []byte
 	for i := 0; i < records; i++ {

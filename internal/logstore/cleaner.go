@@ -52,11 +52,13 @@ func (l *Log) SelectVictims(maxSegments int) []*Segment {
 
 // IsLiveFunc reports whether the object entry at ref is still the current
 // version of its key (i.e. the hash table points at it).
-type IsLiveFunc func(ref Ref, e *Entry) bool
+type IsLiveFunc func(ref Ref, e Entry) bool
 
 // RelocatedFunc observes a live entry being moved from old to new; the
-// master uses it to fix the hash table and re-replicate survivor data.
-type RelocatedFunc func(old, new Ref, e *Entry)
+// master uses it to fix the hash table and re-replicate survivor data. e
+// is a view of the entry at old; the victim's bytes stay readable after it
+// is freed, for as long as a view of them is held.
+type RelocatedFunc func(old, new Ref, e Entry)
 
 // Clean performs one cleaning pass over up to maxSegments victims:
 // live objects (per isLive) and still-needed tombstones are relocated to
@@ -74,8 +76,9 @@ func (l *Log) Clean(maxSegments int, isLive IsLiveFunc, relocated RelocatedFunc)
 		dying[v.id] = true
 	}
 	for _, v := range victims {
-		for i := range v.entries {
-			e := &v.entries[i]
+		for i := range v.offs {
+			var e Entry
+			e.decode(v.bytesAt(i))
 			old := Ref{Segment: v.id, Index: i}
 			keep := false
 			isTomb := e.Type == EntryTombstone
@@ -93,7 +96,7 @@ func (l *Log) Clean(maxSegments int, isLive IsLiveFunc, relocated RelocatedFunc)
 				}
 				continue
 			}
-			newRef, err := l.appendRelocating(*e)
+			newRef, err := l.appendRelocating(e)
 			if err != nil {
 				return stats, err
 			}
@@ -126,13 +129,5 @@ func (l *Log) appendRelocating(e Entry) (Ref, error) {
 	if l.NeedsRoll(size) {
 		l.Roll()
 	}
-	e.Seal()
-	s := l.head
-	s.entries = append(s.entries, e)
-	s.accounted += size
-	s.live += size
-	l.totalAccounted += int64(size)
-	l.totalLive += int64(size)
-	l.appends++
-	return Ref{Segment: s.id, Index: len(s.entries) - 1}, nil
+	return l.put(&e, size), nil
 }

@@ -70,14 +70,14 @@ func (m *modelStore) delete(t *testing.T, key string) {
 	delete(m.vals, key)
 }
 
-func (m *modelStore) isLive(ref Ref, e *Entry) bool {
+func (m *modelStore) isLive(ref Ref, e Entry) bool {
 	cur, ok := m.refs[string(e.Key)]
 	return ok && cur == ref
 }
 
 func (m *modelStore) clean(t *testing.T, maxSegs int) CleanStats {
 	t.Helper()
-	stats, err := m.log.Clean(maxSegs, m.isLive, func(old, new Ref, e *Entry) {
+	stats, err := m.log.Clean(maxSegs, m.isLive, func(old, new Ref, e Entry) {
 		if e.Type != EntryObject {
 			return
 		}
@@ -156,8 +156,8 @@ func TestCleanPreservesExactlyLiveSet(t *testing.T) {
 		if !ok {
 			continue
 		}
-		for i := range s.entries {
-			e := &s.entries[i]
+		for i := 0; i < s.Entries(); i++ {
+			e, _ := s.EntryAt(i)
 			if e.Type != EntryObject {
 				continue
 			}

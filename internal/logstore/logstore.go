@@ -11,9 +11,15 @@
 // paper-scale experiments fit in host memory; all capacity accounting uses
 // declared sizes, so segment rollover, cleaning and backup flush behave
 // exactly as if the bytes were real.
+//
+// The log is bytes: an appended entry is serialised into its segment's
+// pointer-free backing (header, key, then the value when it is real), and
+// what Get hands back is a view of those bytes. Nothing is allocated per
+// entry and the collector has nothing to trace inside a segment.
 package logstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -28,7 +34,10 @@ const (
 	EntryTombstone
 )
 
-// Entry is one log record.
+// Entry is one log record. What Append is given is copied into the log;
+// what Get and EntryAt return is a view: Key and Value are sub-slices of
+// the segment's bytes, never written again after the append, so they may
+// be read without the owner's lock but must not be written through.
 type Entry struct {
 	Type     EntryType
 	Table    uint64
@@ -45,9 +54,55 @@ type Entry struct {
 	Checksum uint32
 }
 
-// entryHeaderBytes is the accounted per-entry overhead: type, table, key
-// hash, key length, value length, version, object segment, checksum.
+// entryHeaderBytes is the accounted per-entry overhead, and the stored
+// header byte for byte: type, table, key hash, key length, value length,
+// version, object segment, checksum (little-endian). The key follows, then
+// the value unless it is virtual, which the type byte's top bit records.
 const entryHeaderBytes = 1 + 8 + 8 + 4 + 4 + 8 + 8 + 4
+
+const virtualFlag = 0x80
+
+// encode serialises the sealed entry into b, which is exactly as long as
+// the entry's stored form.
+func (e *Entry) encode(b []byte) {
+	b[0] = byte(e.Type)
+	if e.Value == nil {
+		b[0] |= virtualFlag
+	}
+	le := binary.LittleEndian
+	le.PutUint64(b[1:], e.Table)
+	le.PutUint64(b[9:], e.KeyHash)
+	le.PutUint32(b[17:], uint32(len(e.Key)))
+	le.PutUint32(b[21:], e.ValueLen)
+	le.PutUint64(b[25:], e.Version)
+	le.PutUint64(b[33:], e.ObjectSegment)
+	le.PutUint32(b[41:], e.Checksum)
+	n := entryHeaderBytes + copy(b[entryHeaderBytes:], e.Key)
+	copy(b[n:], e.Value)
+}
+
+// decode makes e a view of the entry stored at the start of b: Key and
+// Value alias b, clipped so an append cannot reach the bytes behind them.
+// It fills e in place because Get is on every lookup: handing the 100-byte
+// struct up through one more return doubled what a Get costs.
+func (e *Entry) decode(b []byte) {
+	_ = b[entryHeaderBytes-1]
+	le := binary.LittleEndian
+	e.Type = EntryType(b[0] &^ virtualFlag)
+	e.Table = le.Uint64(b[1:])
+	e.KeyHash = le.Uint64(b[9:])
+	e.ValueLen = le.Uint32(b[21:])
+	e.Version = le.Uint64(b[25:])
+	e.ObjectSegment = le.Uint64(b[33:])
+	e.Checksum = le.Uint32(b[41:])
+	keyEnd := entryHeaderBytes + int(le.Uint32(b[17:]))
+	e.Key = b[entryHeaderBytes:keyEnd:keyEnd]
+	e.Value = nil
+	if b[0]&virtualFlag == 0 {
+		valueEnd := keyEnd + int(e.ValueLen)
+		e.Value = b[keyEnd:valueEnd:valueEnd]
+	}
+}
 
 // StorageSize returns the bytes this entry occupies in the log, counting
 // the declared value length.
@@ -123,21 +178,69 @@ func UnpackRef(v uint64) Ref {
 	return Ref{Segment: v >> 24, Index: int(v & (1<<24 - 1))}
 }
 
-// Segment is one fixed-size piece of the log.
+// blockBytes bounds one piece of a segment's backing. A segment's bytes
+// are allocated a block at a time as it fills, never as one SegmentBytes
+// array: an 8 MB array per head leaves megabytes of unfilled tail in the
+// heap of every master (measured: tcp-open heap_mb_peak +22 %, against
+// +3 % in 1 MiB pieces; PERFORMANCE.md "The log is bytes"). RAMCloud cuts
+// its segments into seglets for the same reason.
+const blockBytes = 1 << 20
+
+// Segment is one fixed-size piece of the log: its entries serialised back
+// to back in blocks. An entry never straddles a block; one larger than a
+// block has a block of its own. Blocks are never reused — a freed
+// segment's are left to the collector, which is what keeps a view valid
+// for as long as anybody holds it.
 type Segment struct {
-	id        uint64
-	entries   []Entry
+	id     uint64
+	blocks [][]byte
+	// offs[i] locates entry i: block offs[i]>>32, byte uint32(offs[i]).
+	offs      []uint64
+	used      int // bytes filled in the last block
 	accounted int // bytes appended (declared sizes)
 	live      int // bytes still live
 	sealed    bool
 	seq       uint64 // creation sequence, proxy for age in cost-benefit
 }
 
+// reserve returns room for the next entry — need bytes stored, size bytes
+// accounted, rest accounted bytes left in the segment — and records where
+// it starts. A new block is as large as the rest of the segment would
+// store if it filled up with entries like this one, at most blockBytes:
+// real values get the block they will fill, and a segment of virtual
+// values, which stores a twentieth of what it accounts, gets no more than
+// that.
+func (s *Segment) reserve(need, size, rest int) []byte {
+	last := len(s.blocks) - 1
+	if last < 0 || s.used+need > len(s.blocks[last]) {
+		n := int(int64(rest) * int64(need) / int64(size))
+		if n > blockBytes {
+			n = blockBytes
+		}
+		if n < need {
+			n = need
+		}
+		s.blocks = append(s.blocks, make([]byte, n))
+		s.used = 0
+		last++
+	}
+	s.offs = append(s.offs, uint64(last)<<32|uint64(s.used))
+	b := s.blocks[last][s.used : s.used+need]
+	s.used += need
+	return b
+}
+
+// bytesAt returns the block from entry i's first byte on.
+func (s *Segment) bytesAt(i int) []byte {
+	off := s.offs[i]
+	return s.blocks[off>>32][uint32(off):]
+}
+
 // ID returns the segment's log-unique id.
 func (s *Segment) ID() uint64 { return s.id }
 
 // Entries returns the number of records in the segment.
-func (s *Segment) Entries() int { return len(s.entries) }
+func (s *Segment) Entries() int { return len(s.offs) }
 
 // Accounted returns the bytes appended to this segment.
 func (s *Segment) Accounted() int { return s.accounted }
@@ -156,12 +259,21 @@ func (s *Segment) Utilization() float64 {
 	return float64(s.live) / float64(s.accounted)
 }
 
-// EntryAt returns the i-th entry.
-func (s *Segment) EntryAt(i int) (*Entry, error) {
-	if i < 0 || i >= len(s.entries) {
-		return nil, fmt.Errorf("%w: index %d of %d in segment %d", ErrBadRef, i, len(s.entries), s.id)
+// has reports whether the segment has an entry i; badIndex is the error
+// when it has not.
+func (s *Segment) has(i int) bool { return i >= 0 && i < len(s.offs) }
+
+func (s *Segment) badIndex(i int) error {
+	return fmt.Errorf("%w: index %d of %d in segment %d", ErrBadRef, i, len(s.offs), s.id)
+}
+
+// EntryAt returns a view of the i-th entry.
+func (s *Segment) EntryAt(i int) (e Entry, err error) {
+	if !s.has(i) {
+		return e, s.badIndex(i)
 	}
-	return &s.entries[i], nil
+	e.decode(s.bytesAt(i))
+	return e, nil
 }
 
 // Config sets the log geometry.
@@ -196,8 +308,7 @@ type Log struct {
 	totalAccounted int64
 	totalLive      int64
 
-	appends   uint64
-	tombCount int
+	appends uint64
 }
 
 // NewLog returns an empty log. The first Append opens the first segment.
@@ -264,10 +375,10 @@ func (l *Log) Roll() (sealed, head *Segment) {
 	return sealed, head
 }
 
-// Append adds an entry to the head segment and returns its ref. The caller
-// must have arranged capacity via NeedsRoll/Roll; appending an entry that
-// does not fit the head is an error. Entries larger than a segment or
-// beyond total capacity are errors.
+// Append copies an entry into the head segment and returns its ref; the
+// caller keeps its key and value. The caller must have arranged capacity
+// via NeedsRoll/Roll; appending an entry that does not fit the head is an
+// error. Entries larger than a segment or beyond total capacity are errors.
 func (l *Log) Append(e Entry) (Ref, error) {
 	size := e.StorageSize()
 	if size > l.cfg.SegmentBytes {
@@ -279,30 +390,40 @@ func (l *Log) Append(e Entry) (Ref, error) {
 	if l.head == nil || l.head.accounted+size > l.cfg.SegmentBytes {
 		return Ref{}, fmt.Errorf("logstore: append without roll (head full or missing)")
 	}
-	if e.Type == 0 {
-		return Ref{}, errors.New("logstore: entry type unset")
+	if e.Type != EntryObject && e.Type != EntryTombstone {
+		return Ref{}, fmt.Errorf("logstore: entry type %d", e.Type)
 	}
+	if e.Value != nil && len(e.Value) != int(e.ValueLen) {
+		return Ref{}, fmt.Errorf("logstore: value of %d bytes declared as %d", len(e.Value), e.ValueLen)
+	}
+	return l.put(&e, size), nil
+}
+
+// put seals e and serialises it at the end of the head segment, which has
+// room for its size accounted bytes.
+func (l *Log) put(e *Entry, size int) Ref {
 	e.Seal()
 	s := l.head
-	s.entries = append(s.entries, e)
+	e.encode(s.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, l.cfg.SegmentBytes-s.accounted))
 	s.accounted += size
 	s.live += size
 	l.totalAccounted += int64(size)
 	l.totalLive += int64(size)
 	l.appends++
-	if e.Type == EntryTombstone {
-		l.tombCount++
-	}
-	return Ref{Segment: s.id, Index: len(s.entries) - 1}, nil
+	return Ref{Segment: s.id, Index: len(s.offs) - 1}
 }
 
-// Get returns the entry at ref.
-func (l *Log) Get(ref Ref) (*Entry, error) {
+// Get returns a view of the entry at ref.
+func (l *Log) Get(ref Ref) (e Entry, err error) {
 	s, ok := l.segments[ref.Segment]
 	if !ok {
-		return nil, fmt.Errorf("%w: segment %d missing", ErrBadRef, ref.Segment)
+		return e, fmt.Errorf("%w: segment %d missing", ErrBadRef, ref.Segment)
 	}
-	return s.EntryAt(ref.Index)
+	if !s.has(ref.Index) {
+		return e, s.badIndex(ref.Index)
+	}
+	e.decode(s.bytesAt(ref.Index))
+	return e, nil
 }
 
 // MarkDead reduces liveness for the entry at ref (overwritten or deleted).
@@ -311,11 +432,12 @@ func (l *Log) MarkDead(ref Ref) error {
 	if !ok {
 		return fmt.Errorf("%w: segment %d missing", ErrBadRef, ref.Segment)
 	}
-	e, err := s.EntryAt(ref.Index)
-	if err != nil {
-		return err
+	if !s.has(ref.Index) {
+		return s.badIndex(ref.Index)
 	}
-	size := e.StorageSize()
+	// The entry's StorageSize, from its two length fields alone.
+	b := s.bytesAt(ref.Index)
+	size := entryHeaderBytes + int(binary.LittleEndian.Uint32(b[17:])) + int(binary.LittleEndian.Uint32(b[21:]))
 	s.live -= size
 	l.totalLive -= int64(size)
 	if s.live < 0 {

@@ -96,9 +96,9 @@ func TestAllocationBudget(t *testing.T) {
 		items  int     // items per op; the figure is per item
 		budget float64 // 0: printed, not pinned
 	}{
-		{"Get", get, ops, 1, 7},
-		{"Put", put, ops, 1, 8},
-		{"GetAsync+Wait", async, ops, 1, 9},
+		{"Get", get, ops, 1, 6},
+		{"Put", put, ops, 1, 4},
+		{"GetAsync+Wait", async, ops, 1, 8},
 		{"MultiRead/32", multiRead, ops / batch, batch, 0},
 		{"MultiWrite/32", multiWrite, ops / batch, batch, 0},
 	} {

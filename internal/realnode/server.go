@@ -46,6 +46,9 @@ func (c ServerConfig) enlistBackoff() time.Duration {
 // simulated master uses (hashtable index over an append-only log), but
 // serialized behind a sync mutex instead of sim time, and carrying real
 // value bytes — virtual (length-only) payloads cannot cross a real wire.
+// A request is valid only until its handler returns (transport.Handler),
+// and the handlers keep none of it: the one copy of a written key and
+// value is the log's, made by Append.
 type Server struct {
 	tr        transport.Interface
 	cfg       ServerConfig
@@ -197,22 +200,26 @@ func (s *Server) appendLocked(entry logstore.Entry) (logstore.Ref, error) {
 	return s.log.Append(entry)
 }
 
-// readLocked looks (table, key) up for a read. The result's Value
-// ALIASES the log entry's bytes: the caller copies it after releasing
-// s.mu, so a read holds the master mutex for the lookup only. That is
-// safe because an entry's value is never written after its append and
-// the real path frees no segment. Caller holds s.mu.
+// readLocked looks (table, key) up for a read. The result's Value is a
+// VIEW of the log's bytes: the caller copies it after releasing s.mu, so a
+// read holds the master mutex for the lookup only. That is safe because
+// the bytes of an appended entry are never written again — later appends
+// fill the block behind them — and a segment's blocks are never reused,
+// so whoever frees a segment leaves this view to the collector. Caller
+// holds s.mu.
 func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
 	if !s.ownsLocked(table, keyHash) {
 		s.wrongServer++
 		return wire.MultiReadResult{Status: wire.StatusWrongServer}
 	}
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(table, key))
-	if !ok {
-		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
-	}
-	e, err := s.log.Get(logstore.UnpackRef(packed))
-	if err != nil || e.Type != logstore.EntryObject {
+	// The candidate that matches is the answer: one log read per hit.
+	var e logstore.Entry
+	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
+		var err error
+		e, err = s.log.Get(logstore.UnpackRef(packed))
+		return err == nil && e.Table == table && string(e.Key) == string(key)
+	})
+	if !ok || e.Type != logstore.EntryObject {
 		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
 	}
 	s.readsOK++
@@ -253,9 +260,9 @@ func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
 		Type:     logstore.EntryObject,
 		Table:    m.Table,
 		KeyHash:  keyHash,
-		Key:      append([]byte(nil), m.Key...),
+		Key:      m.Key,
 		ValueLen: m.ValueLen,
-		Value:    append([]byte(nil), m.Value...),
+		Value:    m.Value,
 		Version:  s.nextVersion,
 	}
 	ref, err := s.appendLocked(entry)
@@ -286,7 +293,7 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 		Type:          logstore.EntryTombstone,
 		Table:         m.Table,
 		KeyHash:       keyHash,
-		Key:           append([]byte(nil), m.Key...),
+		Key:           m.Key,
 		Version:       s.nextVersion,
 		ObjectSegment: oldRef.Segment,
 	}
@@ -332,9 +339,9 @@ func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 			Type:     logstore.EntryObject,
 			Table:    it.Table,
 			KeyHash:  keyHash,
-			Key:      append([]byte(nil), it.Key...),
+			Key:      it.Key,
 			ValueLen: it.ValueLen,
-			Value:    append([]byte(nil), it.Value...),
+			Value:    it.Value,
 			Version:  s.nextVersion,
 		}
 		ref, err := s.appendLocked(entry)

@@ -43,11 +43,11 @@ func (s *Server) cleanerLoop(p *sim.Proc) {
 // cleanOnce runs one cleaning pass of up to four victim segments.
 func (s *Server) cleanOnce(p *sim.Proc) {
 	s.lockWithSpin(p, s.logMu)
-	isLive := func(ref logstore.Ref, e *logstore.Entry) bool {
+	isLive := func(ref logstore.Ref, e logstore.Entry) bool {
 		cur, ok := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
 		return ok && logstore.UnpackRef(cur) == ref
 	}
-	relocated := func(old, new logstore.Ref, e *logstore.Entry) {
+	relocated := func(old, new logstore.Ref, e logstore.Entry) {
 		if e.Type != logstore.EntryObject {
 			return
 		}

@@ -60,6 +60,19 @@ func (s *Server) keyEq(table uint64, key []byte) hashtable.EqualFunc {
 	}
 }
 
+// lookup makes e a view of the log entry the hash table holds for (table,
+// key). The candidate that matches is the answer, so a hit costs one log
+// read, not one to compare and one to fetch; e is the caller's so that the
+// 100-byte entry is written once.
+func (s *Server) lookup(e *logstore.Entry, table uint64, key []byte, keyHash uint64) bool {
+	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
+		var err error
+		*e, err = s.log.Get(logstore.UnpackRef(packed))
+		return err == nil && e.Table == table && string(e.Key) == string(key)
+	})
+	return ok
+}
+
 func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	if !s.ownsKey(m.Table, keyHash) {
@@ -72,13 +85,8 @@ func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 		return
 	}
 	s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(m.Table, m.Key))
-	if !ok {
-		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
-		return
-	}
-	e, err := s.log.Get(logstore.UnpackRef(packed))
-	if err != nil || e.Type != logstore.EntryObject {
+	var e logstore.Entry
+	if !s.lookup(&e, m.Table, m.Key, keyHash) || e.Type != logstore.EntryObject {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
 		return
 	}
@@ -182,13 +190,8 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 			continue
 		}
 		it := &m.Items[i]
-		packed, ok := s.ht.Lookup(hashes[i], s.keyEq(it.Table, it.Key))
-		if !ok {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil || e.Type != logstore.EntryObject {
+		var e logstore.Entry
+		if !s.lookup(&e, it.Table, it.Key, hashes[i]) || e.Type != logstore.EntryObject {
 			items[i].Status = wire.StatusUnknownKey
 			continue
 		}
@@ -577,7 +580,7 @@ func (s *Server) removeReplica(segment uint64, backup simnet.NodeID) {
 	s.replicas[segment] = out
 }
 
-func entryToObject(e *logstore.Entry) wire.Object {
+func entryToObject(e logstore.Entry) wire.Object {
 	return wire.Object{
 		Table:     e.Table,
 		KeyHash:   e.KeyHash,
@@ -692,7 +695,7 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 	}
 	s.indexEntry(entry, ref)
 	if s.cfg.ReplicationFactor > 0 {
-		obj := entryToObject(&entry)
+		obj := entryToObject(entry)
 		for _, b := range s.replicas[ref.Segment] {
 			s.fastAppendReplica(b, ref.Segment, obj)
 		}

@@ -118,11 +118,9 @@ func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 
 	// Staleness check: replay may deliver older versions after newer ones
 	// when segments interleave; never regress.
-	eq := s.keyEq(obj.Table, obj.Key)
-	if packed, found := s.ht.Lookup(obj.KeyHash, eq); found {
-		if cur, err := s.log.Get(logstore.UnpackRef(packed)); err == nil && cur.Version >= obj.Version {
-			return 0, false
-		}
+	var cur logstore.Entry
+	if s.lookup(&cur, obj.Table, obj.Key, obj.KeyHash) && cur.Version >= obj.Version {
+		return 0, false
 	}
 
 	_, seg, appended := s.appendLocked(p, entry, obj.Version, false)

@@ -371,12 +371,12 @@ func TestEntryToObject(t *testing.T) {
 		ValueLen: 77,
 		Version:  9,
 	}
-	o := entryToObject(&e)
+	o := entryToObject(e)
 	if o.Table != 3 || o.ValueLen != 77 || o.Version != 9 || o.Tombstone {
 		t.Fatalf("object = %+v", o)
 	}
 	e.Type = logstore.EntryTombstone
-	if !entryToObject(&e).Tombstone {
+	if !entryToObject(e).Tombstone {
 		t.Fatal("tombstone flag lost")
 	}
 }

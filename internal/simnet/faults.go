@@ -140,7 +140,9 @@ func (n *Network) Duplicated() int64 {
 // same address. The NIC record survives: its transmit history belongs to
 // the machine, not the process.
 func (n *Network) Detach(id NodeID) {
-	delete(n.handlers, id)
+	if nc := n.nics[id]; nc != nil {
+		nc.handler = nil
+	}
 }
 
 // model resolves the fault model for one message: link override first, then

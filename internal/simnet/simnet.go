@@ -50,7 +50,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// nic is everything the fabric knows about one node, so a message costs
+// one map lookup per endpoint. A record is created by the first Attach or
+// SetDown of its id and is never removed: the transmit history belongs to
+// the machine, not the process.
 type nic struct {
+	handler Handler // nil while no process is attached
+	down    bool
+
 	// msgSeq counts messages sent by this node; it keys same-instant
 	// delivery ordering (see deliverySeq).
 	msgSeq uint64
@@ -77,9 +84,7 @@ type Network struct {
 	eng *sim.Engine
 	cfg Config
 
-	nics     map[NodeID]*nic
-	handlers map[NodeID]Handler
-	down     map[NodeID]bool
+	nics map[NodeID]*nic
 
 	// free is the freelist of delivery records. Each record's closure is
 	// created once and rescheduled forever after, so a steady-state send
@@ -94,44 +99,50 @@ type Network struct {
 	fault *faultState
 }
 
-// delivery is one in-flight message's arrival event.
+// delivery is one in-flight message's arrival event. It carries both
+// endpoints' records from Send, so arrival looks nothing up.
 type delivery struct {
-	n    *Network
-	msg  Message
-	at   sim.Time
-	fn   func() // bound to run once at construction; reused across sends
-	next *delivery
+	n        *Network
+	msg      Message
+	src, dst *nic
+	at       sim.Time
+	fn       func() // bound to run once at construction; reused across sends
+	next     *delivery
 }
 
 // run delivers the message and returns the record to the freelist.
 func (d *delivery) run() {
 	n := d.n
 	msg := d.msg
+	src, dst := d.src, d.dst
 	at := d.at
-	dst := n.nics[msg.To]
 	d.msg = Message{} // drop the payload reference before pooling
+	d.src, d.dst = nil, nil
 	d.next = n.free
 	n.free = d
-	if n.down[msg.To] || n.down[msg.From] {
+	if dst.down || src.down {
 		n.dropped.Inc()
 		return
 	}
 	spreadBytes(&dst.rxBytes, at, at, float64(msg.Size))
 	n.delivered.Inc()
-	n.handlers[msg.To](msg)
+	dst.handler(msg) // read now, not at Send: the process may have restarted
 }
 
-// newDelivery pops a record from the freelist or makes one.
-func (n *Network) newDelivery() *delivery {
+// schedule queues msg's arrival at deliverAt on a record popped from the
+// freelist (or a new one), keyed by the sender's next message number.
+func (n *Network) schedule(msg Message, src, dst *nic, deliverAt sim.Time) {
 	d := n.free
 	if d == nil {
 		d = &delivery{n: n}
 		d.fn = d.run
-		return d
+	} else {
+		n.free = d.next
+		d.next = nil
 	}
-	n.free = d.next
-	d.next = nil
-	return d
+	d.msg, d.src, d.dst, d.at = msg, src, dst, deliverAt
+	src.msgSeq++
+	n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d.fn)
 }
 
 // New returns an empty fabric.
@@ -139,13 +150,17 @@ func New(e *sim.Engine, cfg Config) *Network {
 	if cfg.Bandwidth <= 0 {
 		panic("simnet: bandwidth must be positive")
 	}
-	return &Network{
-		eng:      e,
-		cfg:      cfg,
-		nics:     make(map[NodeID]*nic),
-		handlers: make(map[NodeID]Handler),
-		down:     make(map[NodeID]bool),
+	return &Network{eng: e, cfg: cfg, nics: make(map[NodeID]*nic)}
+}
+
+// nic returns id's record, creating it on first mention.
+func (n *Network) nic(id NodeID) *nic {
+	nc := n.nics[id]
+	if nc == nil {
+		nc = &nic{}
+		n.nics[id] = nc
 	}
+	return nc
 }
 
 // Attach registers a node and its message handler. Attaching the same
@@ -153,36 +168,37 @@ func New(e *sim.Engine, cfg Config) *Network {
 // process must Detach first. The NIC record is reused across restarts so
 // the node's transmit accounting stays continuous.
 func (n *Network) Attach(id NodeID, h Handler) {
-	if _, ok := n.handlers[id]; ok {
+	nc := n.nic(id)
+	if nc.handler != nil {
 		panic(fmt.Sprintf("simnet: node %d attached twice", id))
 	}
-	if n.nics[id] == nil {
-		n.nics[id] = &nic{}
-	}
-	n.handlers[id] = h
+	nc.handler = h
 }
 
 // SetDown marks a node unreachable (crashed). Messages to or from it are
 // dropped silently, like a dead NIC.
-func (n *Network) SetDown(id NodeID, down bool) { n.down[id] = down }
+func (n *Network) SetDown(id NodeID, down bool) { n.nic(id).down = down }
 
 // IsDown reports whether a node is marked unreachable.
-func (n *Network) IsDown(id NodeID) bool { return n.down[id] }
+func (n *Network) IsDown(id NodeID) bool {
+	nc := n.nics[id]
+	return nc != nil && nc.down
+}
 
 // Send transmits a message. Transmission serializes on the sender's NIC;
 // delivery happens one propagation delay after the last byte leaves, as
 // a keyed event (deliverySeq) so deliveries colliding on one nanosecond
 // run in sender order. It must be called from engine context.
 func (n *Network) Send(msg Message) {
-	if n.down[msg.From] || n.down[msg.To] {
+	src, dst := n.nics[msg.From], n.nics[msg.To]
+	if src != nil && src.down || dst != nil && dst.down {
 		n.dropped.Inc()
 		return
 	}
-	src, ok := n.nics[msg.From]
-	if !ok {
+	if src == nil {
 		panic(fmt.Sprintf("simnet: send from unattached node %d", msg.From))
 	}
-	if _, ok := n.handlers[msg.To]; !ok {
+	if dst == nil || dst.handler == nil {
 		panic(fmt.Sprintf("simnet: send to unattached node %d", msg.To))
 	}
 	now := n.eng.Now()
@@ -204,18 +220,10 @@ func (n *Network) Send(msg Message) {
 		}
 		deliverAt = at
 		if dup {
-			src.msgSeq++
-			d2 := n.newDelivery()
-			d2.msg = msg
-			d2.at = deliverAt
-			n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d2.fn)
+			n.schedule(msg, src, dst, deliverAt)
 		}
 	}
-	src.msgSeq++
-	d := n.newDelivery()
-	d.msg = msg
-	d.at = deliverAt
-	n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d.fn)
+	n.schedule(msg, src, dst, deliverAt)
 }
 
 func accountSpan(s *metrics.Series, from, to sim.Time) {

@@ -20,8 +20,10 @@ import (
 
 // frameBufPool recycles the scratch buffers frames are read into and
 // (for the plain WriteFrame path) encoded into. wire.Unmarshal copies
-// every byte a decoded message references, so a buffer is reusable the
-// moment the call that borrowed it returns.
+// every byte a decoded message references, so ReadFrame's buffer is
+// reusable the moment it returns; a server connection decodes views
+// instead and keeps the buffer until the request has been served
+// (readFrame, tcpListener.serve).
 var frameBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4<<10)
@@ -55,6 +57,18 @@ func putFrameBuf(bp *[]byte) {
 // errors so callers can log-and-drop. The scratch buffer the frame
 // lands in is pooled: the returned message owns its bytes.
 func ReadFrame(r io.Reader) (wire.Envelope, error) {
+	env, bp, err := readFrame(r, false)
+	if err == nil {
+		putFrameBuf(bp)
+	}
+	return env, err
+}
+
+// readFrame is ReadFrame with the choice of decoder. With view set the
+// message is decoded by wire.UnmarshalView: its byte fields are the pooled
+// buffer's bytes, valid until the caller hands the returned buffer to
+// putFrameBuf. On error the buffer has already been released.
+func readFrame(r io.Reader, view bool) (wire.Envelope, *[]byte, error) {
 	// The header lands in the pooled buffer too — a stack [HeaderSize]
 	// array would escape through the io.ReadFull interface call and cost
 	// a heap allocation per frame.
@@ -63,18 +77,18 @@ func ReadFrame(r io.Reader) (wire.Envelope, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		putFrameBuf(bp)
 		if err == io.EOF {
-			return wire.Envelope{}, io.EOF
+			return wire.Envelope{}, nil, io.EOF
 		}
-		return wire.Envelope{}, fmt.Errorf("transport: torn frame header: %w", io.ErrUnexpectedEOF)
+		return wire.Envelope{}, nil, fmt.Errorf("transport: torn frame header: %w", io.ErrUnexpectedEOF)
 	}
 	total := binary.LittleEndian.Uint32(hdr[9:13])
 	if total < wire.HeaderSize {
 		putFrameBuf(bp)
-		return wire.Envelope{}, fmt.Errorf("%w: frame length %d < header %d", wire.ErrBadLength, total, wire.HeaderSize)
+		return wire.Envelope{}, nil, fmt.Errorf("%w: frame length %d < header %d", wire.ErrBadLength, total, wire.HeaderSize)
 	}
 	if total > wire.MaxEnvelopeSize {
 		putFrameBuf(bp)
-		return wire.Envelope{}, fmt.Errorf("%w: frame length %d", wire.ErrTooLarge, total)
+		return wire.Envelope{}, nil, fmt.Errorf("%w: frame length %d", wire.ErrTooLarge, total)
 	}
 	if cap(*bp) < int(total) {
 		nb := make([]byte, total)
@@ -84,11 +98,18 @@ func ReadFrame(r io.Reader) (wire.Envelope, error) {
 	buf := (*bp)[:total]
 	if _, err := io.ReadFull(r, buf[wire.HeaderSize:]); err != nil {
 		putFrameBuf(bp)
-		return wire.Envelope{}, fmt.Errorf("transport: torn frame body: %w", io.ErrUnexpectedEOF)
+		return wire.Envelope{}, nil, fmt.Errorf("transport: torn frame body: %w", io.ErrUnexpectedEOF)
 	}
-	env, err := wire.Unmarshal(buf)
-	putFrameBuf(bp)
-	return env, err
+	decode := wire.Unmarshal
+	if view {
+		decode = wire.UnmarshalView
+	}
+	env, err := decode(buf)
+	if err != nil {
+		putFrameBuf(bp)
+		return wire.Envelope{}, nil, err
+	}
+	return env, bp, nil
 }
 
 // WriteFrame marshals env and writes it as one frame through a pooled

@@ -399,10 +399,12 @@ type tcpListener struct {
 	poolServed   atomic.Uint64 // handed to the worker pool
 }
 
-// srvReq is one decoded request awaiting dispatch.
+// srvReq is one decoded request awaiting dispatch, with the frame buffer
+// its message is a view of.
 type srvReq struct {
 	sc  *srvConn
 	env wire.Envelope
+	buf *[]byte
 }
 
 // srvConn is the server side of one accepted connection: the socket
@@ -467,7 +469,7 @@ func (l *tcpListener) worker() {
 	for {
 		select {
 		case req := <-l.work:
-			l.serve(req.sc, req.env, false)
+			l.serve(req, false)
 		case <-l.done:
 			return
 		}
@@ -478,13 +480,14 @@ func (l *tcpListener) worker() {
 // on the connection's writer; inline lets this goroutine write it when
 // the socket is idle. Enqueue errors mean the socket already failed and
 // teardown is underway; the response is dropped like the request never
-// arrived.
-func (l *tcpListener) serve(sc *srvConn, env wire.Envelope, inline bool) {
-	resp := l.h.ServeRPC(sc.remote, env.Msg)
-	if resp == nil {
-		return
+// arrived. The request is a view of req.buf, and the response may be too
+// (an echo), so the buffer goes back to the pool only here, once enqueue
+// has encoded the response.
+func (l *tcpListener) serve(req srvReq, inline bool) {
+	if resp := l.h.ServeRPC(req.sc.remote, req.env.Msg); resp != nil {
+		_ = req.sc.w.enqueue(req.env.RPCID, resp, inline)
 	}
-	_ = sc.w.enqueue(env.RPCID, resp, inline)
+	putFrameBuf(req.buf)
 }
 
 func (l *tcpListener) serveConn(sc *srvConn) {
@@ -497,10 +500,11 @@ func (l *tcpListener) serveConn(sc *srvConn) {
 	}()
 	br := bufio.NewReaderSize(sc.nc, 64<<10)
 	for {
-		env, err := ReadFrame(br)
+		env, buf, err := readFrame(br, true)
 		if err != nil {
 			return // torn/hostile frame or peer hangup: drop the connection
 		}
+		req := srvReq{sc: sc, env: env, buf: buf}
 		// With nothing more buffered, nobody is waiting for this reader:
 		// it can write a response itself instead of waking the flusher,
 		// and run a data-path handler instead of waking a pool worker.
@@ -520,18 +524,18 @@ func (l *tcpListener) serveConn(sc *srvConn) {
 		}
 		if onReader {
 			l.readerServed.Add(1)
-			l.serve(sc, env, last)
+			l.serve(req, last)
 			continue
 		}
 		select {
-		case l.work <- srvReq{sc: sc, env: env}:
+		case l.work <- req:
 			l.poolServed.Add(1)
 		default:
 			// Pool saturated: serve on the reader goroutine. This bounds
 			// concurrency at workers + connections and applies natural
 			// backpressure to the flooding peer.
 			l.readerServed.Add(1)
-			l.serve(sc, env, false)
+			l.serve(req, false)
 		}
 	}
 }

@@ -40,6 +40,14 @@ var (
 // serving one must not wait for a later request of the same connection;
 // every other request runs on a pool worker and may block (see
 // TCP.Listen).
+//
+// A handler keeps nothing it was handed. On the TCP backend msg is a view
+// of the frame it arrived in: the message and every byte slice in it are
+// valid only until ServeRPC returns, after which the frame's buffer is
+// reused for another request. What must outlive the call is copied by the
+// handler (the master copies a written value once, into its log). The
+// response may alias the request: it is encoded before the buffer is
+// released.
 type Handler interface {
 	ServeRPC(remote string, msg wire.Message) wire.Message
 }

@@ -116,9 +116,8 @@ func decodeObject(d *decoder) Object {
 	return o
 }
 
-// decPool recycles decoder headers across Unmarshal calls; every byte a
-// decoded message references is copied out of b, so the decoder itself
-// holds no state worth keeping.
+// decPool recycles decoder headers across Unmarshal calls; a decoder
+// holds no state worth keeping once its call returns.
 var decPool = sync.Pool{New: func() any { return new(decoder) }}
 
 // Unmarshal decodes a message produced by Marshal. Inputs that cannot
@@ -127,7 +126,16 @@ var decPool = sync.Pool{New: func() any { return new(decoder) }}
 // decoding, so a transport facing network bytes can log-and-drop
 // without allocating for hostile frames. The decoded message owns its
 // bytes: b may be reused immediately.
-func Unmarshal(b []byte) (Envelope, error) {
+func Unmarshal(b []byte) (Envelope, error) { return unmarshal(b, false) }
+
+// UnmarshalView decodes like Unmarshal — same accepted inputs, same
+// errors, equal messages — but every []byte field of the decoded message
+// is a capacity-clipped sub-slice of b instead of a copy. The message is
+// valid only while b is left alone: this is for a server that holds the
+// frame until its handler has returned. Strings are still copied.
+func UnmarshalView(b []byte) (Envelope, error) { return unmarshal(b, true) }
+
+func unmarshal(b []byte, view bool) (Envelope, error) {
 	if len(b) < headerSize {
 		return Envelope{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrTruncated, len(b), headerSize)
 	}
@@ -135,7 +143,7 @@ func Unmarshal(b []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(b))
 	}
 	d := decPool.Get().(*decoder)
-	*d = decoder{b: b}
+	*d = decoder{b: b, view: view}
 	env, err := unmarshalBody(d)
 	d.b = nil
 	decPool.Put(d)

@@ -1,11 +1,15 @@
 package wire
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// FuzzDecode feeds arbitrary bytes to Unmarshal: it must never panic or
-// over-read, and anything it accepts must re-encode and decode to the same
-// opcode. This is the groundwork for a real-transport backend, where the
-// decoder faces bytes from the network rather than from Marshal.
+// FuzzDecode feeds arbitrary bytes to Unmarshal and UnmarshalView: neither
+// may panic or over-read, the view decode must reject exactly what the
+// copying one rejects, with the same error, and accept to an equal
+// message, and anything accepted must re-encode and decode to the same
+// opcode. The decoders face bytes from the network, not from Marshal.
 func FuzzDecode(f *testing.F) {
 	for _, msg := range allMessages() {
 		if b, err := Marshal(Envelope{RPCID: 7, Msg: msg}); err == nil {
@@ -17,8 +21,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{255, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := Unmarshal(b)
+		view, verr := UnmarshalView(b)
+		if (err == nil) != (verr == nil) || err != nil && err.Error() != verr.Error() {
+			t.Fatalf("Unmarshal error %v, UnmarshalView error %v", err, verr)
+		}
 		if err != nil {
 			return // rejected input; all that matters is no panic
+		}
+		if !reflect.DeepEqual(env, view) {
+			t.Fatalf("view decode differs from copy:\n copy %#v\n view %#v", env.Msg, view.Msg)
 		}
 		// Accepted messages are canonical: decoded value lengths always
 		// match the carried bytes, so a re-encode must succeed and survive

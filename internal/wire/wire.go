@@ -584,6 +584,9 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// view makes bytes return sub-slices of b instead of copies
+	// (UnmarshalView).
+	view bool
 }
 
 func (d *decoder) fail() {
@@ -627,16 +630,30 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) i32() int32 { return int32(d.u32()) }
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 
-func (d *decoder) bytes() []byte {
+// take consumes a length-prefixed field and returns it as a
+// capacity-clipped sub-slice of the input; nil after a failure.
+func (d *decoder) take() []byte {
 	n := d.u32()
 	if d.err != nil || d.off+int(n) > len(d.b) {
 		d.fail()
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b[d.off:])
-	d.off += int(n)
+	end := d.off + int(n)
+	v := d.b[d.off:end:end]
+	d.off = end
 	return v
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+func (d *decoder) bytes() []byte {
+	v := d.take()
+	if d.view || v == nil {
+		return v
+	}
+	c := make([]byte, len(v))
+	copy(c, v)
+	return c
+}
+
+// str converts straight from the input: one allocation, and never a view
+// (a string must not alias a frame that will be reused).
+func (d *decoder) str() string { return string(d.take()) }

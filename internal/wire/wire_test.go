@@ -398,3 +398,68 @@ func TestHeaderLayout(t *testing.T) {
 		t.Fatal("rpc id not little-endian in header")
 	}
 }
+
+// TestUnmarshalViewAliasesItsInput pins the one difference between the two
+// decoders: a view's byte fields are the input's bytes, clipped so an
+// append cannot reach the next field; a copy's are its own.
+func TestUnmarshalViewAliasesItsInput(t *testing.T) {
+	want := &WriteReq{Table: 2, Key: []byte("key"), ValueLen: 5, Value: []byte("value")}
+	b, err := Marshal(Envelope{RPCID: 1, Msg: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewEnv, err := UnmarshalView(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyEnv, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, cp := viewEnv.Msg.(*WriteReq), copyEnv.Msg.(*WriteReq)
+	if !reflect.DeepEqual(view, want) || !reflect.DeepEqual(cp, want) {
+		t.Fatalf("decoded view %#v, copy %#v, want %#v", view, cp, want)
+	}
+	if cap(view.Key) != len(view.Key) || cap(view.Value) != len(view.Value) {
+		t.Fatalf("view not capacity-clipped: key %d/%d value %d/%d",
+			len(view.Key), cap(view.Key), len(view.Value), cap(view.Value))
+	}
+	for i := range b {
+		b[i] = 'x'
+	}
+	if string(view.Key) != "xxx" || string(view.Value) != "xxxxx" {
+		t.Fatalf("UnmarshalView copied: key %q value %q after the input was overwritten", view.Key, view.Value)
+	}
+	if !reflect.DeepEqual(cp, want) {
+		t.Fatalf("Unmarshal aliased its input: %#v", cp)
+	}
+}
+
+// TestViewStringsAreCopies: a string field must never alias a frame, and
+// decoding one costs the message and the string, nothing more.
+func TestViewStringsAreCopies(t *testing.T) {
+	b, err := Marshal(Envelope{RPCID: 1, Msg: &CreateTableReq{Name: "usertable", ServerSpan: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := append([]byte(nil), b...)
+	env, err := UnmarshalView(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		in[i] = 'x'
+	}
+	if name := env.Msg.(*CreateTableReq).Name; name != "usertable" {
+		t.Fatalf("name %q aliases the input", name)
+	}
+	for name, decode := range map[string]func([]byte) (Envelope, error){"Unmarshal": Unmarshal, "UnmarshalView": UnmarshalView} {
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("%s(CreateTableReq) allocates %v objects, want 2", name, got)
+		}
+	}
+}
