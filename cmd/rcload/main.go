@@ -1,12 +1,10 @@
-// Command rcload is a YCSB-style load driver printing output in the
-// familiar YCSB format. It drives the simulated cluster by default;
-// -transport tcp points it at a live rccoord/rcserver cluster instead.
+// Command rcload is a YCSB-style load driver for the simulated cluster,
+// printing output in the familiar YCSB format. (A live rccoord/rcserver
+// cluster is driven by `rcclient ... ycsb`.)
 //
-// Examples:
+// Example:
 //
 //	rcload -workload a -records 100000 -ops 10000 -clients 30 -servers 10
-//	rcload -transport tcp -addr 127.0.0.1:7070 -workload a -records 5000 -ops 20000
-//	rcload -transport tcp -addr 127.0.0.1:7070 -workload a -ops 20000 -pipeline 16
 package main
 
 import (
@@ -16,8 +14,6 @@ import (
 	"time"
 
 	"ramcloud/internal/core"
-	"ramcloud/internal/realnode"
-	"ramcloud/internal/transport"
 	"ramcloud/internal/ycsb"
 )
 
@@ -27,31 +23,17 @@ func main() {
 		records   = flag.Int("records", 100_000, "record count (1 KB values)")
 		ops       = flag.Int("ops", 10_000, "operations per client")
 		clients   = flag.Int("clients", 10, "concurrent clients")
-		servers   = flag.Int("servers", 10, "storage servers (sim transport only)")
-		rf        = flag.Int("rf", 0, "replication factor (sim transport only)")
-		target    = flag.Float64("target", 0, "per-client target ops/s (0 = max; sim transport only)")
+		servers   = flag.Int("servers", 10, "storage servers")
+		rf        = flag.Int("rf", 0, "replication factor")
+		target    = flag.Float64("target", 0, "per-client target ops/s (0 = max)")
 		seed      = flag.Int64("seed", 42, "simulation / key-choice seed")
-		transp    = flag.String("transport", "sim", "substrate: sim (deterministic simulation) or tcp (live cluster)")
-		addr      = flag.String("addr", "127.0.0.1:7070", "coordinator address for -transport tcp")
 		valueSize = flag.Int("size", 1024, "value bytes per record")
-		loadPhase = flag.Bool("load", false, "tcp: insert all records before the run phase")
-		pipe      = flag.Int("pipeline", 1, "tcp: in-flight ops per worker (async futures; 1 = sync)")
-		batch     = flag.Int("batch", 1, "tcp: ops per MultiRead/MultiWrite round (1 = individual ops)")
 	)
 	flag.Parse()
 
 	w, err := ycsb.ByName(*workload, *records, *valueSize)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rcload: %v\n", err)
-		os.Exit(2)
-	}
-	switch *transp {
-	case "sim":
-	case "tcp":
-		runTCP(w, *addr, *clients, *ops, *seed, *loadPhase, *pipe, *batch)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "rcload: unknown transport %q (want sim or tcp)\n", *transp)
 		os.Exit(2)
 	}
 	wallStart := time.Now()
@@ -84,39 +66,4 @@ func main() {
 	fmt.Printf("[ENERGY], TotalEnergy(J), %.0f\n", res.TotalJoules)
 	fmt.Printf("[ENERGY], Efficiency(ops/J), %.0f\n", res.OpsPerJoule)
 	fmt.Printf("# simulated on %d servers in %.1fs wall clock\n", *servers, time.Since(wallStart).Seconds())
-}
-
-// runTCP drives a live rccoord/rcserver cluster through the real client.
-// ops stays per-client, matching the sim path. Latencies here are wall
-// clock over loopback/ethernet TCP — a protocol soak, not the paper's
-// InfiniBand numbers — and the cluster exposes no power model, so the
-// [ENERGY] section is omitted.
-func runTCP(w ycsb.Workload, addr string, clients, opsPerClient int, seed int64, load bool, pipeline, batch int) {
-	cl := realnode.NewClient(&transport.TCP{}, addr, realnode.ClientConfig{})
-	defer cl.Close()
-	table, err := cl.CreateTable("usertable", 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcload: open table: %v\n", err)
-		os.Exit(1)
-	}
-	res, err := realnode.RunYCSB(cl, table, w, realnode.LoadOptions{
-		Clients: clients, Ops: opsPerClient * clients, Seed: seed, Load: load,
-		Pipeline: pipeline, Batch: batch,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcload: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("[OVERALL], RunTime(ms), %.0f\n", res.Elapsed.Seconds()*1000)
-	fmt.Printf("[OVERALL], Throughput(ops/sec), %.1f\n", res.Throughput)
-	fmt.Printf("[READ], Operations, %d\n", res.Reads)
-	fmt.Printf("[UPDATE], Operations, %d\n", res.Updates)
-	fmt.Printf("[OVERALL], 50thPercentileLatency(us), %.1f\n", float64(res.P50.Microseconds()))
-	fmt.Printf("[OVERALL], 99thPercentileLatency(us), %.1f\n", float64(res.P99.Microseconds()))
-	fmt.Printf("[OVERALL], NotFound, %d\n", res.NotFound)
-	fmt.Printf("[OVERALL], Errors, %d\n", res.Errors)
-	fmt.Printf("# live TCP cluster at %s; no [ENERGY] section (no power model on the real path)\n", addr)
-	if res.Errors > 0 {
-		os.Exit(1)
-	}
 }

@@ -45,6 +45,7 @@ var singleThreaded = map[string]bool{
 	"sim":         true,
 	"simnet":      true,
 	"server":      true,
+	"store":       true,
 	"coordinator": true,
 	"client":      true,
 	"core":        true,

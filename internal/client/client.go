@@ -13,6 +13,7 @@ import (
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -96,12 +97,10 @@ func NewStats() *Stats {
 	return &Stats{ReadLatency: metrics.NewHistogram(), WriteLatency: metrics.NewHistogram()}
 }
 
-// Client is one application client bound to a fabric node. Its
-// operation core speaks rpc.Caller — the substrate-facing interface —
-// rather than the concrete simulated endpoint.
+// Client is one application client bound to a fabric node.
 type Client struct {
 	eng   *sim.Engine
-	ep    rpc.Caller
+	ep    *rpc.Endpoint
 	coord simnet.NodeID
 	cfg   Config
 
@@ -232,11 +231,8 @@ func (c *Client) refreshTablets(p *sim.Proc) {
 
 // locate returns the master for (table, keyHash).
 func (c *Client) locate(table, keyHash uint64) (master simnet.NodeID, recovering, found bool) {
-	for i := range c.tablets {
-		t := &c.tablets[i]
-		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-			return simnet.NodeID(t.Master), t.Recovering, true
-		}
+	if t := store.Find(c.tablets, table, keyHash); t != nil {
+		return simnet.NodeID(t.Master), t.Recovering, true
 	}
 	return 0, false, false
 }

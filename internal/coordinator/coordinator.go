@@ -15,6 +15,7 @@ import (
 	"ramcloud/internal/server"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -266,24 +267,9 @@ func (c *Coordinator) createTable(name string, span int) (uint64, bool) {
 	id := c.nextTableID
 	c.tables[name] = id
 
-	// Split the hash space into span uniform ranges, assigned round-robin
-	// (the paper's ServerSpan configuration for uniform distribution).
-	var tablets []wire.Tablet
-	step := ^uint64(0)/uint64(span) + 1
-	var start uint64
-	for i := 0; i < span; i++ {
-		end := start + step - 1
-		if i == span-1 || end < start {
-			end = ^uint64(0)
-		}
-		owner := alive[i%len(alive)]
-		t := wire.Tablet{Table: id, StartHash: start, EndHash: end, Master: owner}
-		tablets = append(tablets, t)
-		c.registry[owner].AssignTablet(t)
-		if end == ^uint64(0) {
-			break
-		}
-		start = end + 1
+	tablets := store.SplitHashSpace(id, span, alive)
+	for _, t := range tablets {
+		c.registry[t.Master].AssignTablet(t)
 	}
 	c.tablets[id] = tablets
 	return id, true

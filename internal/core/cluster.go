@@ -12,6 +12,7 @@ import (
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simdisk"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/ycsb"
 )
 
@@ -149,17 +150,11 @@ func (c *Cluster) BulkLoad(table uint64, records, recordSize int) {
 		slab = ycsb.AppendKey(slab, i)
 		key := slab[start:len(slab):len(slab)]
 		keyHash := hashtable.HashKey(table, key)
-		var owner *server.Server
-		for j := range tablets {
-			t := &tablets[j]
-			if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-				owner = reg(simnet.NodeID(t.Master))
-				break
-			}
-		}
-		if owner == nil {
+		t := store.Find(tablets, table, keyHash)
+		if t == nil {
 			panic(fmt.Sprintf("core: no owner for record %d", i))
 		}
+		owner := reg(simnet.NodeID(t.Master))
 		if err := owner.FastLoad(table, key, uint32(recordSize)); err != nil {
 			panic(fmt.Sprintf("core: bulk load: %v", err))
 		}

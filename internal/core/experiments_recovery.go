@@ -6,6 +6,7 @@ import (
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/metrics"
 	"ramcloud/internal/sim"
+	"ramcloud/internal/store"
 	"ramcloud/internal/ycsb"
 )
 
@@ -299,16 +300,7 @@ func runFig10(o Options) *ExpResult {
 	var victimKeys, otherKeys [][]byte
 	for i := 0; i < records && (len(victimKeys) < 20_000 || len(otherKeys) < 20_000); i++ {
 		key := ycsb.Key(i)
-		h := hashtable.HashKey(table, key)
-		owned := false
-		for j := range tablets {
-			t := &tablets[j]
-			if t.Table == table && h >= t.StartHash && h <= t.EndHash {
-				owned = t.Master == victimID
-				break
-			}
-		}
-		if owned {
+		if t := store.Find(tablets, table, hashtable.HashKey(table, key)); t != nil && t.Master == victimID {
 			victimKeys = append(victimKeys, key)
 		} else {
 			otherKeys = append(otherKeys, key)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ramcloud/internal/hashtable"
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
@@ -188,17 +189,6 @@ func (c *Client) Refresh() {
 	}
 }
 
-// ownerOf returns the master owning (table, keyHash) in tablets.
-func ownerOf(tablets []wire.Tablet, table, keyHash uint64) (int32, bool) {
-	for i := range tablets {
-		t := &tablets[i]
-		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-			return t.Master, true
-		}
-	}
-	return 0, false
-}
-
 // tabletSnapshot returns the cached tablet map for lock-free lookups.
 // Refresh replaces the slice and never edits it in place, so the snapshot
 // stays consistent (and merely goes stale) after c.mu is released.
@@ -213,11 +203,11 @@ func (c *Client) tabletSnapshot() []wire.Tablet {
 func (c *Client) route(table, keyHash uint64) (transport.Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	owner, ok := ownerOf(c.tablets, table, keyHash)
-	if !ok {
+	t := store.Find(c.tablets, table, keyHash)
+	if t == nil {
 		return nil, fmt.Errorf("realnode: no tablet for table %d", table)
 	}
-	return c.serverConnLocked(owner)
+	return c.serverConnLocked(t.Master)
 }
 
 // serverConn returns (dialing lazily) the connection to server id.

@@ -3,7 +3,9 @@
 // the simulated cluster but run as ordinary goroutine-based services over
 // transport.Interface (normally transport.TCP), so the system boots as a
 // multi-process localhost cluster via cmd/rccoord, cmd/rcserver and
-// cmd/rcclient.
+// cmd/rcclient. A master serves from internal/store, the very store the
+// simulated master serves from; the client and the coordinator are this
+// package's own.
 //
 // The real path deliberately carries no replication or crash recovery:
 // when the coordinator declares a master dead it reassigns the dead
@@ -23,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
@@ -218,21 +221,7 @@ func (c *Coordinator) serveCreateTable(m *wire.CreateTableReq) wire.Message {
 	c.nextTableID++
 	id := c.nextTableID
 	c.tables[m.Name] = id
-	var tablets []wire.Tablet
-	step := ^uint64(0)/uint64(span) + 1
-	var start uint64
-	for i := 0; i < span; i++ {
-		end := start + step - 1
-		if i == span-1 || end < start {
-			end = ^uint64(0)
-		}
-		owner := alive[i%len(alive)]
-		tablets = append(tablets, wire.Tablet{Table: id, StartHash: start, EndHash: end, Master: owner})
-		if end == ^uint64(0) {
-			break
-		}
-		start = end + 1
-	}
+	tablets := store.SplitHashSpace(id, span, alive)
 	c.tablets[id] = tablets
 	owners := ownersOf(tablets)
 	c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ramcloud/internal/hashtable"
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
@@ -144,12 +145,13 @@ func (c *Client) multiOp(
 		owners, groups := ownerBuf[:0], groupBuf[:0]
 		stale := false
 		for _, i := range pending {
-			owner, ok := ownerOf(tablets, table, hash(i))
-			if !ok {
+			t := store.Find(tablets, table, hash(i))
+			if t == nil {
 				stale = true
 				keep(i)
 				continue
 			}
+			owner := t.Master
 			g := 0
 			for g < len(owners) && owners[g] != owner {
 				g++

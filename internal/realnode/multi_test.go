@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ramcloud/internal/hashtable"
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 	"ramcloud/internal/ycsb"
@@ -76,11 +77,11 @@ func TestMultiReadIssuesInFirstContactOrder(t *testing.T) {
 	}
 	var want []string
 	for _, k := range keys {
-		owner, ok := ownerOf(client.tabletSnapshot(), table, hashtable.HashKey(table, k))
-		if !ok {
+		tab := store.Find(client.tabletSnapshot(), table, hashtable.HashKey(table, k))
+		if tab == nil {
 			t.Fatalf("no owner for %q", k)
 		}
-		if addr := client.addrs[owner]; !slices.Contains(want, addr) {
+		if addr := client.addrs[tab.Master]; !slices.Contains(want, addr) {
 			want = append(want, addr)
 		}
 	}

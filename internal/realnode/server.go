@@ -7,6 +7,7 @@ import (
 
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/logstore"
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
@@ -42,13 +43,14 @@ func (c ServerConfig) enlistBackoff() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// Server is a real-transport master: the same log-structured store the
-// simulated master uses (hashtable index over an append-only log), but
-// serialized behind a sync mutex instead of sim time, and carrying real
-// value bytes — virtual (length-only) payloads cannot cross a real wire.
-// A request is valid only until its handler returns (transport.Handler),
-// and the handlers keep none of it: the one copy of a written key and
-// value is the log's, made by Append.
+// Server is a real-transport master: the store.Store the simulated master
+// serves from (hashtable index over an append-only log, one set of
+// ownership, version and tombstone rules), but serialized behind a sync
+// mutex instead of sim time, and carrying real value bytes — virtual
+// (length-only) payloads cannot cross a real wire. A request is valid only
+// until its handler returns (transport.Handler), and the handlers keep
+// none of it: the one copy of a written key and value is the log's, made
+// by the store's Put.
 type Server struct {
 	tr        transport.Interface
 	cfg       ServerConfig
@@ -57,11 +59,8 @@ type Server struct {
 	ln transport.Listener
 	id int32
 
-	mu          sync.Mutex
-	ht          *hashtable.Table
-	log         *logstore.Log
-	nextVersion uint64
-	tablets     []wire.Tablet
+	mu sync.Mutex
+	st *store.Store
 
 	readsOK, writesOK, deletesOK uint64
 	wrongServer                  uint64
@@ -73,8 +72,7 @@ func NewServer(tr transport.Interface, coordAddr string, cfg ServerConfig) *Serv
 		tr:        tr,
 		cfg:       cfg,
 		coordAddr: coordAddr,
-		ht:        hashtable.New(1 << 12),
-		log:       logstore.NewLog(logstore.DefaultConfig()),
+		st:        store.New(logstore.DefaultConfig(), 1<<12),
 	}
 }
 
@@ -149,55 +147,19 @@ func (s *Server) serve(remote string, msg wire.Message) wire.Message {
 // coordinator.
 func (s *Server) serveAssign(m *wire.AssignTabletsReq) wire.Message {
 	s.mu.Lock()
-	s.tablets = append([]wire.Tablet(nil), m.Tablets...)
+	s.st.Tablets = append([]wire.Tablet(nil), m.Tablets...)
 	s.mu.Unlock()
 	return &wire.AssignTabletsResp{Status: wire.StatusOK}
 }
 
-func (s *Server) ownsLocked(table, keyHash uint64) bool {
-	for _, t := range s.tablets {
-		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-			return true
-		}
+// putLocked rolls the head if the entry needs it and puts the entry.
+// Caller holds s.mu.
+func (s *Server) putLocked(entry logstore.Entry) error {
+	if s.st.Log.NeedsRoll(entry.StorageSize()) {
+		s.st.Log.Roll()
 	}
-	return false
-}
-
-// keyEq matches the hash-table candidate whose log entry carries exactly
-// (table, key). Caller holds s.mu.
-func (s *Server) keyEq(table uint64, key []byte) hashtable.EqualFunc {
-	return func(packed uint64) bool {
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil {
-			return false
-		}
-		return e.Table == table && string(e.Key) == string(key)
-	}
-}
-
-// indexEntry mirrors the simulated master: update the index, mark the
-// displaced version dead. Caller holds s.mu.
-func (s *Server) indexEntry(entry logstore.Entry, ref logstore.Ref) {
-	eq := s.keyEq(entry.Table, entry.Key)
-	if entry.Type == logstore.EntryTombstone {
-		if old, ok := s.ht.Delete(entry.KeyHash, eq); ok {
-			_ = s.log.MarkDead(logstore.UnpackRef(old))
-		}
-		return
-	}
-	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
-		_ = s.log.MarkDead(logstore.UnpackRef(old))
-	} else {
-		s.ht.Insert(entry.KeyHash, ref.Packed())
-	}
-}
-
-// appendLocked rolls the head if needed and appends. Caller holds s.mu.
-func (s *Server) appendLocked(entry logstore.Entry) (logstore.Ref, error) {
-	if s.log.NeedsRoll(entry.StorageSize()) {
-		s.log.Roll()
-	}
-	return s.log.Append(entry)
+	_, err := s.st.Put(entry)
+	return err
 }
 
 // readLocked looks (table, key) up for a read. The result's Value is a
@@ -208,18 +170,12 @@ func (s *Server) appendLocked(entry logstore.Entry) (logstore.Ref, error) {
 // so whoever frees a segment leaves this view to the collector. Caller
 // holds s.mu.
 func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
-	if !s.ownsLocked(table, keyHash) {
+	if !s.st.Owns(table, keyHash) {
 		s.wrongServer++
 		return wire.MultiReadResult{Status: wire.StatusWrongServer}
 	}
-	// The candidate that matches is the answer: one log read per hit.
 	var e logstore.Entry
-	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
-		var err error
-		e, err = s.log.Get(logstore.UnpackRef(packed))
-		return err == nil && e.Table == table && string(e.Key) == string(key)
-	})
-	if !ok || e.Type != logstore.EntryObject {
+	if !s.st.Lookup(&e, table, key, keyHash) || e.Type != logstore.EntryObject {
 		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
 	}
 	s.readsOK++
@@ -251,11 +207,10 @@ func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ownsLocked(m.Table, keyHash) {
+	if !s.st.Owns(m.Table, keyHash) {
 		s.wrongServer++
 		return &wire.WriteResp{Status: wire.StatusWrongServer}
 	}
-	s.nextVersion++
 	entry := logstore.Entry{
 		Type:     logstore.EntryObject,
 		Table:    m.Table,
@@ -263,13 +218,11 @@ func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
 		Key:      m.Key,
 		ValueLen: m.ValueLen,
 		Value:    m.Value,
-		Version:  s.nextVersion,
+		Version:  s.st.NextVersion(),
 	}
-	ref, err := s.appendLocked(entry)
-	if err != nil {
+	if s.putLocked(entry) != nil {
 		return &wire.WriteResp{Status: wire.StatusError}
 	}
-	s.indexEntry(entry, ref)
 	s.writesOK++
 	return &wire.WriteResp{Status: wire.StatusOK, Version: entry.Version}
 }
@@ -278,30 +231,17 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ownsLocked(m.Table, keyHash) {
+	if !s.st.Owns(m.Table, keyHash) {
 		s.wrongServer++
 		return &wire.DeleteResp{Status: wire.StatusWrongServer}
 	}
-	eq := s.keyEq(m.Table, m.Key)
-	packed, ok := s.ht.Lookup(keyHash, eq)
+	tomb, ok := s.st.Tombstone(m.Table, m.Key, keyHash)
 	if !ok {
 		return &wire.DeleteResp{Status: wire.StatusUnknownKey}
 	}
-	oldRef := logstore.UnpackRef(packed)
-	s.nextVersion++
-	tomb := logstore.Entry{
-		Type:          logstore.EntryTombstone,
-		Table:         m.Table,
-		KeyHash:       keyHash,
-		Key:           m.Key,
-		Version:       s.nextVersion,
-		ObjectSegment: oldRef.Segment,
-	}
-	ref, err := s.appendLocked(tomb)
-	if err != nil {
+	if s.putLocked(tomb) != nil {
 		return &wire.DeleteResp{Status: wire.StatusError}
 	}
-	s.indexEntry(tomb, ref)
 	s.deletesOK++
 	return &wire.DeleteResp{Status: wire.StatusOK, Version: tomb.Version}
 }
@@ -329,12 +269,11 @@ func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 	for i := range m.Items {
 		it := &m.Items[i]
 		keyHash := hashtable.HashKey(it.Table, it.Key)
-		if !s.ownsLocked(it.Table, keyHash) {
+		if !s.st.Owns(it.Table, keyHash) {
 			s.wrongServer++
 			items[i].Status = wire.StatusWrongServer
 			continue
 		}
-		s.nextVersion++
 		entry := logstore.Entry{
 			Type:     logstore.EntryObject,
 			Table:    it.Table,
@@ -342,14 +281,12 @@ func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 			Key:      it.Key,
 			ValueLen: it.ValueLen,
 			Value:    it.Value,
-			Version:  s.nextVersion,
+			Version:  s.st.NextVersion(),
 		}
-		ref, err := s.appendLocked(entry)
-		if err != nil {
+		if s.putLocked(entry) != nil {
 			items[i].Status = wire.StatusError
 			continue
 		}
-		s.indexEntry(entry, ref)
 		s.writesOK++
 		items[i] = wire.MultiWriteResult{Status: wire.StatusOK, Version: entry.Version}
 	}
@@ -367,5 +304,5 @@ func (s *Server) Counters() (reads, writes, deletes, wrongServer uint64) {
 func (s *Server) Objects() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ht.Len()
+	return s.st.Len()
 }

@@ -10,29 +10,10 @@
 package rpc
 
 import (
-	"fmt"
-
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
 	"ramcloud/internal/wire"
 )
-
-// Caller is the outbound-RPC surface the client's operation core runs
-// on: issue a request and correlate its response, with or without a
-// deadline. Endpoint is the simulated-fabric implementation; extracting
-// the interface keeps the op core free of any simnet hard-wiring, so an
-// alternative substrate only has to supply these four methods.
-type Caller interface {
-	// Node returns the caller's fabric address.
-	Node() simnet.NodeID
-	// Sent returns the number of requests issued.
-	Sent() uint64
-	// StartCall issues a request without blocking and returns the
-	// in-flight handle.
-	StartCall(to simnet.NodeID, msg wire.Message) Call
-	// CallTimeout issues a request and waits up to d for its response.
-	CallTimeout(p *sim.Proc, to simnet.NodeID, msg wire.Message, d sim.Duration) (wire.Message, bool)
-}
 
 // Request is an inbound RPC awaiting service.
 type Request struct {
@@ -54,8 +35,7 @@ type Endpoint struct {
 	// Inbound holds requests awaiting the dispatch proc.
 	Inbound *sim.Queue[Request]
 
-	sent     uint64
-	received uint64
+	sent uint64
 }
 
 // NewEndpoint attaches a node to the fabric and returns its endpoint.
@@ -77,9 +57,6 @@ func (ep *Endpoint) Node() simnet.NodeID { return ep.node }
 // Sent returns the number of requests issued.
 func (ep *Endpoint) Sent() uint64 { return ep.sent }
 
-// Received returns the number of requests received.
-func (ep *Endpoint) Received() uint64 { return ep.received }
-
 func (ep *Endpoint) deliver(m simnet.Message) {
 	if m.Resp {
 		f, ok := ep.pending[m.RPCID]
@@ -90,7 +67,6 @@ func (ep *Endpoint) deliver(m simnet.Message) {
 		f.Set(m.Payload)
 		return
 	}
-	ep.received++
 	ep.Inbound.Push(Request{From: m.From, RPCID: m.RPCID, Msg: m.Payload, ArrivedAt: ep.eng.Now()})
 }
 
@@ -178,23 +154,4 @@ func (ep *Endpoint) CallTimeout(p *sim.Proc, to simnet.NodeID, msg wire.Message,
 // Reply sends a response for an inbound request.
 func (ep *Endpoint) Reply(req Request, msg wire.Message) {
 	ep.net.Send(simnet.Message{From: ep.node, To: req.From, Size: msg.WireSize(), RPCID: req.RPCID, Resp: true, Payload: msg})
-}
-
-// WaitAll blocks until every future resolves, returning the responses in
-// order. Used by the replication fan-out ("wait for acknowledgements from
-// all backups").
-func WaitAll(p *sim.Proc, futures []*sim.Future[wire.Message]) []wire.Message {
-	out := make([]wire.Message, len(futures))
-	for i, f := range futures {
-		out[i] = f.Get(p)
-	}
-	return out
-}
-
-// MustStatus extracts a status from a response message known to carry one.
-func MustStatus(msg wire.Message) wire.Status {
-	if r, ok := msg.(wire.Response); ok {
-		return r.RespStatus()
-	}
-	panic(fmt.Sprintf("rpc: message %T carries no status", msg))
 }

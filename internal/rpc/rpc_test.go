@@ -44,8 +44,8 @@ func TestCallRoundTrip(t *testing.T) {
 	if seq != 77 {
 		t.Fatalf("seq = %d", seq)
 	}
-	if cl.Sent() != 1 || srv.Received() != 1 {
-		t.Fatalf("sent=%d received=%d", cl.Sent(), srv.Received())
+	if cl.Sent() != 1 {
+		t.Fatalf("sent=%d", cl.Sent())
 	}
 }
 
@@ -128,8 +128,8 @@ func TestAsyncCallFanOut(t *testing.T) {
 		for id := simnet.NodeID(2); id <= 4; id++ {
 			futures = append(futures, cl.AsyncCall(id, &wire.PingReq{Seq: uint64(id)}))
 		}
-		for _, resp := range WaitAll(p, futures) {
-			if resp.(*wire.PingResp).Seq != 0 {
+		for _, f := range futures {
+			if f.Get(p).(*wire.PingResp).Seq != 0 {
 				replies++
 			}
 		}
@@ -192,21 +192,6 @@ func TestStartTimeoutDropsLateResponse(t *testing.T) {
 	if !second {
 		t.Fatal("second call should succeed with its own response")
 	}
-}
-
-func TestMustStatus(t *testing.T) {
-	if MustStatus(&wire.WriteResp{Status: wire.StatusOK}) != wire.StatusOK {
-		t.Fatal("wrong status")
-	}
-	if MustStatus(&wire.ReadResp{Status: wire.StatusUnknownKey}) != wire.StatusUnknownKey {
-		t.Fatal("wrong status")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for statusless message")
-		}
-	}()
-	MustStatus(&wire.PingReq{})
 }
 
 // TestCallTimeoutAllocs pins what a simulated RPC that is answered in time

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"ramcloud/internal/logstore"
 	"ramcloud/internal/sim"
 )
 
@@ -30,7 +29,7 @@ func (s *Server) cleanerLoop(p *sim.Proc) {
 		if s.dead {
 			return
 		}
-		if s.log.MemoryUtilization() < s.cfg.CleanerThreshold {
+		if s.st.Log.MemoryUtilization() < s.cfg.CleanerThreshold {
 			continue
 		}
 		s.cleanOnce(p)
@@ -43,17 +42,7 @@ func (s *Server) cleanerLoop(p *sim.Proc) {
 // cleanOnce runs one cleaning pass of up to four victim segments.
 func (s *Server) cleanOnce(p *sim.Proc) {
 	s.lockWithSpin(p, s.logMu)
-	isLive := func(ref logstore.Ref, e logstore.Entry) bool {
-		cur, ok := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
-		return ok && logstore.UnpackRef(cur) == ref
-	}
-	relocated := func(old, new logstore.Ref, e logstore.Entry) {
-		if e.Type != logstore.EntryObject {
-			return
-		}
-		s.ht.Replace(e.KeyHash, func(r uint64) bool { return logstore.UnpackRef(r) == old }, new.Packed())
-	}
-	stats, err := s.log.Clean(4, isLive, relocated)
+	stats, err := s.st.Clean(4)
 	if err != nil {
 		s.logMu.Unlock()
 		panic(fmt.Sprintf("server %d: cleaner: %v", s.id, err))

@@ -19,63 +19,28 @@ import (
 // the coordinator's configuration plane.
 func (s *Server) AssignTablet(t wire.Tablet) {
 	t.Master = s.id
-	s.tablets = append(s.tablets, t)
+	s.st.Tablets = append(s.st.Tablets, t)
 }
 
 // DropTablets removes ownership of every tablet of a table.
 func (s *Server) DropTablets(table uint64) {
-	out := s.tablets[:0]
-	for _, t := range s.tablets {
+	out := s.st.Tablets[:0]
+	for _, t := range s.st.Tablets {
 		if t.Table != table {
 			out = append(out, t)
 		}
 	}
-	s.tablets = out
+	s.st.Tablets = out
 }
 
 // Tablets returns a copy of the master's owned tablets.
 func (s *Server) Tablets() []wire.Tablet {
-	return append([]wire.Tablet(nil), s.tablets...)
-}
-
-// ownsKey reports whether the master owns (table, keyHash).
-func (s *Server) ownsKey(table uint64, keyHash uint64) bool {
-	for _, t := range s.tablets {
-		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-			return true
-		}
-	}
-	return false
-}
-
-// keyEq returns an equality callback that matches the hash-table candidate
-// whose log entry carries exactly (table, key).
-func (s *Server) keyEq(table uint64, key []byte) hashtable.EqualFunc {
-	return func(packed uint64) bool {
-		e, err := s.log.Get(logstore.UnpackRef(packed))
-		if err != nil {
-			return false
-		}
-		return e.Table == table && string(e.Key) == string(key)
-	}
-}
-
-// lookup makes e a view of the log entry the hash table holds for (table,
-// key). The candidate that matches is the answer, so a hit costs one log
-// read, not one to compare and one to fetch; e is the caller's so that the
-// 100-byte entry is written once.
-func (s *Server) lookup(e *logstore.Entry, table uint64, key []byte, keyHash uint64) bool {
-	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
-		var err error
-		*e, err = s.log.Get(logstore.UnpackRef(packed))
-		return err == nil && e.Table == table && string(e.Key) == string(key)
-	})
-	return ok
+	return append([]wire.Tablet(nil), s.st.Tablets...)
 }
 
 func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.ownsKey(m.Table, keyHash) {
+	if !s.st.Owns(m.Table, keyHash) {
 		s.stats.WrongServer.Inc()
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusWrongServer})
 		return
@@ -86,7 +51,7 @@ func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 	}
 	s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
 	var e logstore.Entry
-	if !s.lookup(&e, m.Table, m.Key, keyHash) || e.Type != logstore.EntryObject {
+	if !s.st.Lookup(&e, m.Table, m.Key, keyHash) || e.Type != logstore.EntryObject {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
 		return
 	}
@@ -101,7 +66,7 @@ func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 
 func (s *Server) serveWrite(p *sim.Proc, req rpc.Request, m *wire.WriteReq) {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.ownsKey(m.Table, keyHash) {
+	if !s.st.Owns(m.Table, keyHash) {
 		s.stats.WrongServer.Inc()
 		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusWrongServer})
 		return
@@ -118,7 +83,7 @@ func (s *Server) serveWrite(p *sim.Proc, req rpc.Request, m *wire.WriteReq) {
 		ValueLen: m.ValueLen,
 		Value:    m.Value,
 	}
-	version, seg, ok := s.appendLocked(p, entry, 0, true)
+	version, seg, ok := s.appendLocked(p, entry)
 	if !ok {
 		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusError})
 		return
@@ -136,7 +101,7 @@ func (s *Server) serveWrite(p *sim.Proc, req rpc.Request, m *wire.WriteReq) {
 
 func (s *Server) serveDelete(p *sim.Proc, req rpc.Request, m *wire.DeleteReq) {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.ownsKey(m.Table, keyHash) {
+	if !s.st.Owns(m.Table, keyHash) {
 		s.stats.WrongServer.Inc()
 		s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusWrongServer})
 		return
@@ -173,7 +138,7 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 	for i := range m.Items {
 		it := &m.Items[i]
 		hashes[i] = hashtable.HashKey(it.Table, it.Key)
-		if !s.ownsKey(it.Table, hashes[i]) {
+		if !s.st.Owns(it.Table, hashes[i]) {
 			s.stats.WrongServer.Inc()
 			items[i].Status = wire.StatusWrongServer
 			continue
@@ -191,7 +156,7 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 		}
 		it := &m.Items[i]
 		var e logstore.Entry
-		if !s.lookup(&e, it.Table, it.Key, hashes[i]) || e.Type != logstore.EntryObject {
+		if !s.st.Lookup(&e, it.Table, it.Key, hashes[i]) || e.Type != logstore.EntryObject {
 			items[i].Status = wire.StatusUnknownKey
 			continue
 		}
@@ -219,7 +184,7 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 	for i := range m.Items {
 		it := &m.Items[i]
 		hashes[i] = hashtable.HashKey(it.Table, it.Key)
-		if !s.ownsKey(it.Table, hashes[i]) {
+		if !s.st.Owns(it.Table, hashes[i]) {
 			s.stats.WrongServer.Inc()
 			items[i].Status = wire.StatusWrongServer
 			continue
@@ -261,7 +226,6 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 			continue
 		}
 		it := &m.Items[i]
-		s.nextVersion++
 		entry := logstore.Entry{
 			Type:     logstore.EntryObject,
 			Table:    it.Table,
@@ -269,17 +233,16 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 			Key:      it.Key,
 			ValueLen: it.ValueLen,
 			Value:    it.Value,
-			Version:  s.nextVersion,
+			Version:  s.st.NextVersion(),
 		}
-		if s.log.NeedsRoll(entry.StorageSize()) {
+		if s.st.Log.NeedsRoll(entry.StorageSize()) {
 			s.rollLocked(p)
 		}
-		ref, err := s.log.Append(entry)
+		ref, err := s.st.Put(entry)
 		if err != nil {
 			items[i].Status = wire.StatusError
 			continue
 		}
-		s.indexEntry(entry, ref)
 		items[i] = wire.MultiWriteResult{Status: wire.StatusOK, Version: entry.Version}
 		s.stats.WritesOK.Inc()
 		if s.cfg.ReplicationFactor > 0 {
@@ -303,10 +266,11 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 }
 
 // appendLocked runs the serialized section of the write path: contention-
-// inflated service cost, segment roll (with replica open/close), log
-// append and hash-table update. It returns the assigned version and the
-// segment the entry landed in. forceVersion > 0 pins the version (replay).
-func (s *Server) appendLocked(p *sim.Proc, entry logstore.Entry, forceVersion uint64, bumpVersion bool) (uint64, uint64, bool) {
+// inflated service cost, segment roll (with replica open/close) and the
+// store's Put. It returns the entry's version and the segment it landed
+// in. An entry that arrives with a version keeps it (replay); one without
+// draws a fresh one.
+func (s *Server) appendLocked(p *sim.Proc, entry logstore.Entry) (uint64, uint64, bool) {
 	waiters := s.logMu.Waiters()
 	s.lockWithSpin(p, s.logMu)
 	cost := s.cfg.Costs.WriteBase +
@@ -318,41 +282,18 @@ func (s *Server) appendLocked(p *sim.Proc, entry logstore.Entry, forceVersion ui
 		return 0, 0, false
 	}
 
-	if forceVersion > 0 {
-		entry.Version = forceVersion
-	} else if bumpVersion {
-		s.nextVersion++
-		entry.Version = s.nextVersion
+	if entry.Version == 0 {
+		entry.Version = s.st.NextVersion()
 	}
-
-	if s.log.NeedsRoll(entry.StorageSize()) {
+	if s.st.Log.NeedsRoll(entry.StorageSize()) {
 		s.rollLocked(p)
 	}
-	ref, err := s.log.Append(entry)
+	ref, err := s.st.Put(entry)
+	s.logMu.Unlock()
 	if err != nil {
-		s.logMu.Unlock()
 		return 0, 0, false
 	}
-	s.indexEntry(entry, ref)
-	s.logMu.Unlock()
 	return entry.Version, ref.Segment, true
-}
-
-// indexEntry updates the hash table for a freshly appended entry and marks
-// any previous version dead.
-func (s *Server) indexEntry(entry logstore.Entry, ref logstore.Ref) {
-	eq := s.keyEq(entry.Table, entry.Key)
-	if entry.Type == logstore.EntryTombstone {
-		if old, ok := s.ht.Delete(entry.KeyHash, eq); ok {
-			_ = s.log.MarkDead(logstore.UnpackRef(old))
-		}
-		return
-	}
-	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
-		_ = s.log.MarkDead(logstore.UnpackRef(old))
-	} else {
-		s.ht.Insert(entry.KeyHash, ref.Packed())
-	}
 }
 
 // deleteLocked appends a tombstone for an existing key.
@@ -366,42 +307,27 @@ func (s *Server) deleteLocked(p *sim.Proc, table, keyHash uint64, key []byte) (u
 		s.logMu.Unlock()
 		return 0, 0, wire.StatusError
 	}
-	eq := s.keyEq(table, key)
-	packed, ok := s.ht.Lookup(keyHash, eq)
+	tomb, ok := s.st.Tombstone(table, key, keyHash)
 	if !ok {
 		s.logMu.Unlock()
 		return 0, 0, wire.StatusUnknownKey
 	}
-	oldRef := logstore.UnpackRef(packed)
-	s.nextVersion++
-	tomb := logstore.Entry{
-		Type:          logstore.EntryTombstone,
-		Table:         table,
-		KeyHash:       keyHash,
-		Key:           key,
-		Version:       s.nextVersion,
-		ObjectSegment: oldRef.Segment,
-	}
-	if s.log.NeedsRoll(tomb.StorageSize()) {
+	if s.st.Log.NeedsRoll(tomb.StorageSize()) {
 		s.rollLocked(p)
 	}
-	ref, err := s.log.Append(tomb)
+	ref, err := s.st.Put(tomb)
+	s.logMu.Unlock()
 	if err != nil {
-		s.logMu.Unlock()
 		return 0, 0, wire.StatusError
 	}
-	s.indexEntry(tomb, ref)
-	seg := ref.Segment
-	version := tomb.Version
-	s.logMu.Unlock()
-	return version, seg, wire.StatusOK
+	return tomb.Version, ref.Segment, wire.StatusOK
 }
 
 // rollLocked seals the head segment and opens a new one, closing the old
 // replicas (async) and opening fresh ones (synchronously, so the new head
 // is durable before use). Caller holds logMu.
 func (s *Server) rollLocked(p *sim.Proc) {
-	sealed, head := s.log.Roll()
+	sealed, head := s.st.Log.Roll()
 	rf := s.cfg.ReplicationFactor
 	if rf <= 0 {
 		return
@@ -524,7 +450,7 @@ func (s *Server) replicationMsg(segment uint64, objs []wire.Object) wire.Message
 func (s *Server) handleBackupFailure(p *sim.Proc, failed simnet.NodeID, segment uint64) {
 	s.deadPeers[failed] = true
 	s.stats.BackupFailures.Inc()
-	seg, ok := s.log.Segment(segment)
+	seg, ok := s.st.Log.Segment(segment)
 	if !ok || seg.Sealed() {
 		// Sealed segments keep their surviving replicas; full backup
 		// recovery (re-replicating sealed segments) is out of scope.
@@ -604,14 +530,14 @@ func (s *Server) sendWill() {
 // number of peer servers: RAMCloud scatters recovery "to have as many
 // machines performing the crash-recovery as possible" (paper Sec. II-B).
 func (s *Server) computeWill() []wire.WillPartition {
-	nParts := int(s.log.LiveBytes()/s.cfg.PartitionBytes) + 1
+	nParts := int(s.st.Log.LiveBytes()/s.cfg.PartitionBytes) + 1
 	if peers := len(s.peers) - 1; nParts < peers {
 		nParts = peers
 	}
 	if nParts > 64 {
 		nParts = 64
 	}
-	return SplitRanges(s.tablets, nParts)
+	return SplitRanges(s.st.Tablets, nParts)
 }
 
 // SplitRanges cuts the union of tablet hash ranges into n partitions of
@@ -666,17 +592,16 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 		return fmt.Errorf("server %d is dead", s.id)
 	}
 	keyHash := hashtable.HashKey(table, key)
-	s.nextVersion++
 	entry := logstore.Entry{
 		Type:     logstore.EntryObject,
 		Table:    table,
 		KeyHash:  keyHash,
 		Key:      key,
 		ValueLen: valueLen,
-		Version:  s.nextVersion,
+		Version:  s.st.NextVersion(),
 	}
-	if s.log.NeedsRoll(entry.StorageSize()) {
-		sealed, head := s.log.Roll()
+	if s.st.Log.NeedsRoll(entry.StorageSize()) {
+		sealed, head := s.st.Log.Roll()
 		rf := s.cfg.ReplicationFactor
 		if rf > 0 {
 			if sealed != nil {
@@ -689,11 +614,10 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 			}
 		}
 	}
-	ref, err := s.log.Append(entry)
+	ref, err := s.st.Put(entry)
 	if err != nil {
 		return err
 	}
-	s.indexEntry(entry, ref)
 	if s.cfg.ReplicationFactor > 0 {
 		obj := entryToObject(entry)
 		for _, b := range s.replicas[ref.Segment] {

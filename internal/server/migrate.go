@@ -7,6 +7,7 @@ import (
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -35,12 +36,7 @@ func (s *Server) PeerRejoined(addr simnet.NodeID) {
 // and retries, and after the migration lands it is re-routed by the
 // WrongServer path.
 func (s *Server) frozenKey(table, keyHash uint64) bool {
-	for _, t := range s.frozen {
-		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
-			return true
-		}
-	}
-	return false
+	return store.Find(s.frozen, table, keyHash) != nil
 }
 
 // serveMigrateTablet hands the transfer to a dedicated proc so the backup
@@ -57,7 +53,7 @@ func (s *Server) migrateTablet(p *sim.Proc, req rpc.Request, m *wire.MigrateTabl
 	if s.dead {
 		return
 	}
-	if !s.ownsKey(m.Table, m.FirstHash) || !s.ownsKey(m.Table, m.LastHash) {
+	if !s.st.Owns(m.Table, m.FirstHash) || !s.st.Owns(m.Table, m.LastHash) {
 		s.ep.Reply(req, &wire.MigrateTabletResp{Status: wire.StatusWrongServer})
 		return
 	}
@@ -103,13 +99,13 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 	s.lockWithSpin(p, s.logMu)
 	var objs []wire.Object
 	var refs []logstore.Ref
-	head := s.log.Head()
+	head := s.st.Log.Head()
 	if head == nil {
 		s.logMu.Unlock()
 		return nil, nil
 	}
 	for id := uint64(0); id <= head.ID(); id++ {
-		seg, ok := s.log.Segment(id)
+		seg, ok := s.st.Log.Segment(id)
 		if !ok {
 			continue
 		}
@@ -122,8 +118,7 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 				continue
 			}
 			ref := logstore.Ref{Segment: id, Index: i}
-			cur, found := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
-			if !found || logstore.UnpackRef(cur) != ref {
+			if !s.st.IsLive(ref, e) {
 				continue
 			}
 			objs = append(objs, entryToObject(e))
@@ -141,7 +136,7 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 func (s *Server) dropRange(p *sim.Proc, table, first, last uint64, moved []wire.Object) {
 	s.lockWithSpin(p, s.logMu)
 	var out []wire.Tablet
-	for _, t := range s.tablets {
+	for _, t := range s.st.Tablets {
 		if t.Table != table || t.EndHash < first || t.StartHash > last {
 			out = append(out, t)
 			continue
@@ -153,12 +148,10 @@ func (s *Server) dropRange(p *sim.Proc, table, first, last uint64, moved []wire.
 			out = append(out, wire.Tablet{Table: table, StartHash: last + 1, EndHash: t.EndHash, Master: s.id})
 		}
 	}
-	s.tablets = out
+	s.st.Tablets = out
 	for i := range moved {
 		o := &moved[i]
-		if old, ok := s.ht.Delete(o.KeyHash, s.keyEq(o.Table, o.Key)); ok {
-			_ = s.log.MarkDead(logstore.UnpackRef(old))
-		}
+		s.st.Unindex(o.Table, o.Key, o.KeyHash)
 	}
 	s.logMu.Unlock()
 }
@@ -175,9 +168,9 @@ func (s *Server) unfreeze(rng wire.Tablet) {
 
 // serveTakeTablet receives one batch of a migrating tablet. Objects are
 // re-inserted through the replay path (versions preserved, staleness
-// checked) and re-replicated to this master's own backups; the version
-// counter is pulled forward so post-migration writes never regress below a
-// migrated version.
+// checked) and re-replicated to this master's own backups. The store keeps
+// its version counter at or above every version it is handed, so
+// post-migration writes never regress below a migrated version.
 func (s *Server) serveTakeTablet(p *sim.Proc, req rpc.Request, m *wire.TakeTabletReq) {
 	if s.dead {
 		return
@@ -192,9 +185,6 @@ func (s *Server) serveTakeTablet(p *sim.Proc, req rpc.Request, m *wire.TakeTable
 	}
 	for i := range m.Objects {
 		obj := &m.Objects[i]
-		if obj.Version > s.nextVersion {
-			s.nextVersion = obj.Version
-		}
 		seg, replayed := s.replayObject(p, obj)
 		if !replayed {
 			continue

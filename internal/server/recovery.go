@@ -109,6 +109,7 @@ func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 		Key:      obj.Key,
 		ValueLen: obj.ValueLen,
 		Value:    obj.Value,
+		Version:  obj.Version,
 	}
 	if obj.Tombstone {
 		entry.Type = logstore.EntryTombstone
@@ -119,11 +120,11 @@ func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 	// Staleness check: replay may deliver older versions after newer ones
 	// when segments interleave; never regress.
 	var cur logstore.Entry
-	if s.lookup(&cur, obj.Table, obj.Key, obj.KeyHash) && cur.Version >= obj.Version {
+	if s.st.Lookup(&cur, obj.Table, obj.Key, obj.KeyHash) && cur.Version >= obj.Version {
 		return 0, false
 	}
 
-	_, seg, appended := s.appendLocked(p, entry, obj.Version, false)
+	_, seg, appended := s.appendLocked(p, entry)
 	if !appended {
 		return 0, false
 	}

@@ -23,13 +23,13 @@ package server
 import (
 	"fmt"
 
-	"ramcloud/internal/hashtable"
 	"ramcloud/internal/logstore"
 	"ramcloud/internal/machine"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simdisk"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -49,14 +49,12 @@ type Server struct {
 
 	dead bool
 
-	// Master state.
-	log         *logstore.Log
-	ht          *hashtable.Table
-	logMu       *sim.Mutex
-	tablets     []wire.Tablet
-	frozen      []wire.Tablet // ranges mid-migration; ops answer StatusRetry
-	nextVersion uint64
-	replicas    map[uint64][]simnet.NodeID // segment id -> backup set
+	// Master state: the store (log, index, owned tablets, versions) and
+	// what the simulation wraps around it.
+	st       *store.Store
+	logMu    *sim.Mutex
+	frozen   []wire.Tablet              // ranges mid-migration; ops answer StatusRetry
+	replicas map[uint64][]simnet.NodeID // segment id -> backup set
 
 	// workQs holds one queue per worker. The dispatch thread routes each
 	// client request to the worker owning its connection (hash of the
@@ -120,8 +118,7 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		cfg:            cfg,
 		coordinator:    coordinator,
 		deadPeers:      make(map[simnet.NodeID]bool),
-		log:            logstore.NewLog(cfg.Log),
-		ht:             hashtable.New(1 << 16),
+		st:             store.New(cfg.Log, 1<<16),
 		logMu:          sim.NewMutex(e),
 		replicas:       make(map[uint64][]simnet.NodeID),
 		openReplicas:   make(map[replicaKey]*replica),
@@ -147,7 +144,7 @@ func (s *Server) Addr() simnet.NodeID { return s.ep.Node() }
 func (s *Server) Stats() *Stats { return &s.stats }
 
 // Log exposes the master's log (for verification in tests and tools).
-func (s *Server) Log() *logstore.Log { return s.log }
+func (s *Server) Log() *logstore.Log { return s.st.Log }
 
 // SetPeers tells the server which nodes can host its replicas. The list
 // may include the server itself; selection always excludes self.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 
 	"ramcloud/internal/hashtable"
@@ -91,6 +92,42 @@ func TestServerWriteReadDeleteRPC(t *testing.T) {
 		r2 := rig.client.Call(p, srv, &wire.ReadReq{Table: 1, Key: []byte("k")}).(*wire.ReadResp)
 		if r2.Status != wire.StatusUnknownKey {
 			failures = append(failures, "read after delete should be UNKNOWN_KEY")
+		}
+		rig.eng.Stop()
+	})
+	rig.eng.Run()
+	rig.eng.Shutdown()
+	for _, f := range failures {
+		t.Error(f)
+	}
+}
+
+// TestWriteAfterReplayDoesNotRegressVersion replays an object at a high
+// version (crash recovery), writes the key, and replays the old object
+// again — what a second crash delivers, old segment after new. The write
+// must be acknowledged above the recovered version, or the second replay's
+// staleness check lets the old object displace it and an acknowledged
+// write is lost.
+func TestWriteAfterReplayDoesNotRegressVersion(t *testing.T) {
+	rig := newRig(t, 1, smallCfg(0))
+	s := rig.servers[0]
+	key := []byte("k")
+	old := wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 10, Version: 1000}
+	var failures []string
+	rig.eng.Go("client", func(p *sim.Proc) {
+		if _, ok := s.replayObject(p, &old); !ok {
+			failures = append(failures, "first replay refused")
+		}
+		w := rig.client.Call(p, s.Addr(), &wire.WriteReq{Table: 1, Key: key, ValueLen: 20}).(*wire.WriteResp)
+		if w.Status != wire.StatusOK || w.Version <= old.Version {
+			failures = append(failures, fmt.Sprintf("write after replay acknowledged at version %d, want above %d", w.Version, old.Version))
+		}
+		if _, ok := s.replayObject(p, &old); ok {
+			failures = append(failures, "second replay displaced a newer write")
+		}
+		r := rig.client.Call(p, s.Addr(), &wire.ReadReq{Table: 1, Key: key}).(*wire.ReadResp)
+		if r.Status != wire.StatusOK || r.ValueLen != 20 {
+			failures = append(failures, fmt.Sprintf("read after second replay: status %v, ValueLen %d, want the 20 just written", r.Status, r.ValueLen))
 		}
 		rig.eng.Stop()
 	})

@@ -15,7 +15,7 @@
 //     switch between goroutines whose thread-lock states differ.
 //
 // Procs block in simulated time using Sleep and the synchronization
-// primitives in this package (Queue, Mutex, Semaphore, Future, WaitGroup).
+// primitives in this package (Queue, Mutex, Future, WaitGroup).
 // All wake-ups are funneled through the event queue, so execution order is a
 // pure function of the seed and the program.
 //

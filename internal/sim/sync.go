@@ -151,47 +151,6 @@ func (m *Mutex) Unlock() {
 	m.locked = false
 }
 
-// Semaphore is a counting semaphore with FIFO hand-off.
-type Semaphore struct {
-	eng     *Engine
-	avail   int
-	waiting fifo[*Proc]
-}
-
-// NewSemaphore returns a semaphore with n available permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore capacity")
-	}
-	return &Semaphore{eng: e, avail: n}
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
-// Waiters returns the number of procs blocked in Acquire.
-func (s *Semaphore) Waiters() int { return s.waiting.n }
-
-// Acquire takes one permit, blocking until available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 {
-		s.avail--
-		return
-	}
-	s.waiting.push(p)
-	p.park()
-	// A released permit was handed directly to us.
-}
-
-// Release returns one permit, handing it to the next waiter if any.
-func (s *Semaphore) Release() {
-	if s.waiting.n > 0 {
-		s.eng.scheduleProcAt(s.eng.now, s.waiting.pop())
-		return
-	}
-	s.avail++
-}
-
 // futureWaiter is one proc parked on a future, with its timeout timer when
 // the wait has a deadline.
 type futureWaiter struct {

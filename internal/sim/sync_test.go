@@ -132,31 +132,6 @@ func TestMutexWaiters(t *testing.T) {
 	}
 }
 
-func TestSemaphoreCapacity(t *testing.T) {
-	e := New(1)
-	s := NewSemaphore(e, 2)
-	active, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go("u", func(p *Proc) {
-			s.Acquire(p)
-			active++
-			if active > peak {
-				peak = active
-			}
-			p.Sleep(Millisecond)
-			active--
-			s.Release()
-		})
-	}
-	e.Run()
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if s.Available() != 2 {
-		t.Fatalf("available = %d, want 2", s.Available())
-	}
-}
-
 func TestFutureSetBeforeGet(t *testing.T) {
 	e := New(1)
 	f := NewFuture[int](e)
@@ -404,28 +379,6 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 		}
 		if mu.Waiters() != 2 {
 			t.Fatalf("mutex has %d waiters, want 2: the lock is not contended", mu.Waiters())
-		}
-	})
-	t.Run("semaphore hand-off", func(t *testing.T) {
-		e := New(1)
-		defer e.Shutdown()
-		sem := NewSemaphore(e, 2)
-		rounds := 0
-		for _, name := range []string{"a", "b", "c", "d", "e"} {
-			e.Go(name, func(p *Proc) {
-				for {
-					sem.Acquire(p)
-					p.Sleep(2 * Microsecond)
-					rounds++
-					sem.Release()
-				}
-			})
-		}
-		if n := steadyAllocs(t, e, &rounds); n != 0 {
-			t.Fatalf("contended semaphore allocates %v per slice, want 0", n)
-		}
-		if sem.Waiters() != 3 {
-			t.Fatalf("semaphore has %d waiters, want 3: the permits are not contended", sem.Waiters())
 		}
 	})
 }

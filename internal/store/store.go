@@ -1,0 +1,177 @@
+// Package store is the master's object store: a hash-table index over the
+// log-structured memory, with the rules both masters (the simulated
+// internal/server and the real internal/realnode) serve by — which key
+// ranges are owned, how versions are drawn, what an overwrite, a delete, a
+// migration hand-off and a cleaning pass do to the index and to the log's
+// liveness accounting. The packed-ref format the index stores is known
+// here, in logstore and in hashtable only.
+//
+// The store knows nothing about time, threads or networks. Rolling the
+// head stays with the caller (if st.Log.NeedsRoll(size) { ... }) because
+// the simulated master opens and closes backup replicas across a roll;
+// serialisation (a sim.Mutex there, a sync.Mutex on the real master),
+// CPU-cost charging and replication stay with the caller too.
+package store
+
+import (
+	"ramcloud/internal/hashtable"
+	"ramcloud/internal/logstore"
+	"ramcloud/internal/wire"
+)
+
+// Store is one master's objects. Log and Tablets are the caller's to read
+// and, for Tablets, to replace; the index and the version counter change
+// only through the methods.
+type Store struct {
+	Log     *logstore.Log
+	Tablets []wire.Tablet // owned key-hash ranges
+
+	ht          *hashtable.Table
+	nextVersion uint64
+}
+
+// New returns an empty store over a log of the given geometry, its index
+// sized for sizeHint objects.
+func New(cfg logstore.Config, sizeHint int) *Store {
+	return &Store{Log: logstore.NewLog(cfg), ht: hashtable.New(sizeHint)}
+}
+
+// Find returns the tablet of tablets that covers (table, keyHash), or nil.
+func Find(tablets []wire.Tablet, table, keyHash uint64) *wire.Tablet {
+	for i := range tablets {
+		t := &tablets[i]
+		if t.Table == table && keyHash >= t.StartHash && keyHash <= t.EndHash {
+			return t
+		}
+	}
+	return nil
+}
+
+// SplitHashSpace cuts the whole key-hash space of table into span uniform
+// ranges owned round-robin by owners (the paper's ServerSpan layout).
+func SplitHashSpace(table uint64, span int, owners []int32) []wire.Tablet {
+	tablets := make([]wire.Tablet, 0, span)
+	step := ^uint64(0)/uint64(span) + 1
+	var start uint64
+	for i := 0; i < span; i++ {
+		end := start + step - 1
+		if i == span-1 || end < start {
+			end = ^uint64(0)
+		}
+		tablets = append(tablets, wire.Tablet{Table: table, StartHash: start, EndHash: end, Master: owners[i%len(owners)]})
+		if end == ^uint64(0) {
+			break
+		}
+		start = end + 1
+	}
+	return tablets
+}
+
+// Owns reports whether (table, keyHash) falls in an owned tablet.
+func (s *Store) Owns(table, keyHash uint64) bool {
+	return Find(s.Tablets, table, keyHash) != nil
+}
+
+// Len returns the number of objects indexed.
+func (s *Store) Len() int { return s.ht.Len() }
+
+// keyEq matches the index candidate whose log entry carries exactly
+// (table, key).
+func (s *Store) keyEq(table uint64, key []byte) hashtable.EqualFunc {
+	return func(packed uint64) bool {
+		e, err := s.Log.Get(logstore.UnpackRef(packed))
+		return err == nil && e.Table == table && string(e.Key) == string(key)
+	}
+}
+
+// Lookup makes e a view of the log entry indexed for (table, key). The
+// candidate that matches is the answer, so a hit costs one log read, not
+// one to compare and one to fetch; e is the caller's so that the 100-byte
+// entry is written once.
+func (s *Store) Lookup(e *logstore.Entry, table uint64, key []byte, keyHash uint64) bool {
+	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
+		var err error
+		*e, err = s.Log.Get(logstore.UnpackRef(packed))
+		return err == nil && e.Table == table && string(e.Key) == string(key)
+	})
+	return ok
+}
+
+// NextVersion draws a version above every version the store holds or has
+// handed out.
+func (s *Store) NextVersion() uint64 {
+	s.nextVersion++
+	return s.nextVersion
+}
+
+// Put appends entry to the log head (the caller has rolled if
+// Log.NeedsRoll said so) and makes it the indexed version of its key: the
+// displaced version is marked dead, and a tombstone leaves the key
+// unindexed. The version counter never stays below a version held, so a
+// replayed or migrated object cannot be followed by a write at a lower
+// version.
+func (s *Store) Put(entry logstore.Entry) (logstore.Ref, error) {
+	ref, err := s.Log.Append(entry)
+	if err != nil {
+		return ref, err
+	}
+	if entry.Version > s.nextVersion {
+		s.nextVersion = entry.Version
+	}
+	eq := s.keyEq(entry.Table, entry.Key)
+	if entry.Type == logstore.EntryTombstone {
+		if old, ok := s.ht.Delete(entry.KeyHash, eq); ok {
+			_ = s.Log.MarkDead(logstore.UnpackRef(old)) // old came out of the index: it is in the log
+		}
+		return ref, nil
+	}
+	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
+		_ = s.Log.MarkDead(logstore.UnpackRef(old)) // as above
+	} else {
+		s.ht.Insert(entry.KeyHash, ref.Packed())
+	}
+	return ref, nil
+}
+
+// Tombstone returns the tombstone that deletes the indexed version of
+// (table, key), at a fresh version, for the caller to Put; false when the
+// key is not indexed.
+func (s *Store) Tombstone(table uint64, key []byte, keyHash uint64) (logstore.Entry, bool) {
+	packed, ok := s.ht.Lookup(keyHash, s.keyEq(table, key))
+	if !ok {
+		return logstore.Entry{}, false
+	}
+	return logstore.Entry{
+		Type:          logstore.EntryTombstone,
+		Table:         table,
+		KeyHash:       keyHash,
+		Key:           key,
+		Version:       s.NextVersion(),
+		ObjectSegment: logstore.UnpackRef(packed).Segment,
+	}, true
+}
+
+// Unindex drops (table, key) from the index and marks its entry dead, with
+// no tombstone: the object now lives on another master (migration).
+func (s *Store) Unindex(table uint64, key []byte, keyHash uint64) {
+	if old, ok := s.ht.Delete(keyHash, s.keyEq(table, key)); ok {
+		_ = s.Log.MarkDead(logstore.UnpackRef(old)) // as in Put
+	}
+}
+
+// IsLive reports whether the object entry e at ref is the indexed version
+// of its key.
+func (s *Store) IsLive(ref logstore.Ref, e logstore.Entry) bool {
+	cur, ok := s.ht.Lookup(e.KeyHash, s.keyEq(e.Table, e.Key))
+	return ok && logstore.UnpackRef(cur) == ref
+}
+
+// Clean runs one cleaning pass over up to maxSegments victims (see
+// logstore.Log.Clean), repointing the index at each relocated object.
+func (s *Store) Clean(maxSegments int) (logstore.CleanStats, error) {
+	return s.Log.Clean(maxSegments, s.IsLive, func(old, new logstore.Ref, e logstore.Entry) {
+		if e.Type == logstore.EntryObject {
+			s.ht.Replace(e.KeyHash, func(r uint64) bool { return r == old.Packed() }, new.Packed())
+		}
+	})
+}

@@ -1,18 +1,16 @@
-// Package transport abstracts the RPC substrate behind a dial/listen
-// interface carrying wire.Message values, with two backends:
+// Package transport is the real cluster's RPC substrate: a dial/listen
+// interface carrying wire.Message values, and its one backend, TCP
+// (tcp.go): real sockets, goroutines and context deadlines. Frames are the
+// self-framing wire.Envelope encoding (frame.go), responses are correlated
+// to requests by RPC id so they may return out of order, connections are
+// reused across calls and redialed with capped backoff after a failure.
+// The interface is what lets a test or the benchmark put an in-memory
+// substrate under the same client and master. The simulator does not run
+// through it: its procs call internal/rpc directly.
 //
-//   - TCP (tcp.go): real sockets, goroutines and context deadlines.
-//     Frames are the self-framing wire.Envelope encoding (frame.go),
-//     responses are correlated to requests by RPC id so they may return
-//     out of order, connections are reused across calls and redialed
-//     with capped backoff after a failure.
-//   - simnet (sim.go): the existing simulated fabric adapted behind the
-//     same interface. Calls run on a sim.Proc carried in the context,
-//     so the deterministic figure path is untouched.
-//
-// The real backend legitimately uses bare goroutines, wall-clock time
-// and OS scheduling; rcvet's determinism analyzers exempt this package
-// by scope (internal/analysis/scope), not by per-line suppression.
+// The backend legitimately uses bare goroutines, wall-clock time and OS
+// scheduling; rcvet's determinism analyzers exempt this package by scope
+// (internal/analysis/scope), not by per-line suppression.
 package transport
 
 import (
@@ -33,9 +31,8 @@ var (
 )
 
 // Handler services one inbound request. remote identifies the peer (a
-// host:port for TCP, a node id for simnet). A nil response drops the
-// request without replying — the peer sees a timeout, exactly like a
-// lost datagram. The TCP backend may run a data-path request (read,
+// host:port for TCP). A nil response drops the request without replying —
+// the peer sees a timeout, exactly like a lost datagram. The TCP backend may run a data-path request (read,
 // write, delete, multi-read, multi-write) on its connection's reader, so
 // serving one must not wait for a later request of the same connection;
 // every other request runs on a pool worker and may block (see

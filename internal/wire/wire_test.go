@@ -144,7 +144,8 @@ func TestOpCoversAllMessages(t *testing.T) {
 }
 
 // TestResponsesCarryStatus asserts every *Resp message except PingResp
-// implements Response, so rpc.MustStatus keeps working as types migrate.
+// implements Response, so a status can be read off any response without a
+// type switch.
 func TestResponsesCarryStatus(t *testing.T) {
 	for _, msg := range allMessages() {
 		name := fmt.Sprintf("%T", msg)
