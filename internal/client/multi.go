@@ -5,6 +5,7 @@ import (
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -43,135 +44,74 @@ func (c *Client) batchOverhead(base sim.Duration, n int) sim.Duration {
 	return base + sim.Duration(int64(c.cfg.BatchItemOverhead)*int64(n-1))
 }
 
-// resolveBatch maps each pending item index to its owning master,
+// resolveBatch groups the pending items by owning master (store.Group:
+// first-contact order, so batch RPC issue order is deterministic),
 // refreshing the tablet map at most once for unknown tablets. Items that
-// stay unknown after the refresh fail through the fail callback (ErrNoTable
-// semantics of the single-op path). If any involved tablet is recovering,
-// the whole remainder backs off and retries: retry=true, consuming one
-// attempt, like the single-op recovery poll.
-//
-// Groups preserve first-contact order — no map iteration — so batch RPC
-// issue order is deterministic.
-func (c *Client) resolveBatch(p *sim.Proc, table uint64, hashes []uint64, pending []int, fail func(i int)) (masters []simnet.NodeID, groups [][]int, remaining []int, retry bool) {
-	remaining = pending
+// stay unknown after the refresh fail with ErrNoTable, the single-op
+// path's answer. If any involved tablet is recovering, the whole remainder
+// backs off and retries: retry=true, consuming one attempt, like the
+// single-op recovery poll.
+func (c *Client) resolveBatch(p *sim.Proc, table uint64, hashes []uint64, pending []int, out []MultiResult) (masters []int32, groups [][]int, retry bool) {
+	hash := func(i int) uint64 { return hashes[i] }
 	for pass := 0; ; pass++ {
-		unknown, recovering := false, false
-		for _, i := range remaining {
-			_, rec, found := c.locate(table, hashes[i])
-			if !found {
-				unknown = true
-			} else if rec {
-				recovering = true
-			}
-		}
+		masters, groups, unroutable, recovering := store.Group(c.tablets, table, hash, pending, nil, nil)
 		if recovering {
 			p.Sleep(c.cfg.RecoveringBackoff)
 			c.refreshTablets(p)
-			return nil, nil, remaining, true
+			return nil, nil, true
 		}
-		if !unknown {
-			break
-		}
-		if pass == 0 {
-			c.refreshTablets(p)
-			continue
-		}
-		// Still unknown after a refresh: fail those items, keep the rest.
-		kept := remaining[:0]
-		for _, i := range remaining {
-			if _, _, found := c.locate(table, hashes[i]); found {
-				kept = append(kept, i)
-			} else {
-				fail(i)
+		if len(unroutable) == 0 || pass > 0 {
+			for _, i := range unroutable {
+				out[i].Err = ErrNoTable
 			}
+			return masters, groups, false
 		}
-		remaining = kept
-		break
-	}
-	for _, i := range remaining {
-		master, _, _ := c.locate(table, hashes[i])
-		g := -1
-		for j := range masters {
-			if masters[j] == master {
-				g = j
-				break
-			}
-		}
-		if g < 0 {
-			masters = append(masters, master)
-			groups = append(groups, nil)
-			g = len(masters) - 1
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return masters, groups, remaining, false
-}
-
-// multiRound carries one attempt's retry bookkeeping between the shared
-// execution loop and the per-kind response handlers.
-type multiRound struct {
-	retry       []int // item indices to try again next attempt
-	needRefresh bool  // a timeout or WrongServer invalidated the tablet map
-	backoff     bool  // a retryable error asks for RetryBackoff
-}
-
-// fail marks item i for another attempt. wrongServer distinguishes the
-// refresh-the-map case from the plain-backoff case.
-func (r *multiRound) fail(i int, wrongServer bool) {
-	r.retry = append(r.retry, i)
-	if wrongServer {
-		r.needRefresh = true
-	} else {
-		r.backoff = true
+		c.refreshTablets(p)
 	}
 }
 
 // multiExec is the shared retry loop behind MultiRead and MultiWrite: it
 // resolves pending items to masters, issues one RPC per master per attempt
 // (in first-contact order), gathers the responses in the same order, and
-// retries whatever the handlers put back. issue builds and sends the
-// multi-op request for one group; handle distributes one response's items.
+// retries whatever the round kept. issue builds and sends the multi-op
+// request for one group; handle judges one response's items into round.
 func (c *Client) multiExec(p *sim.Proc, table uint64, hashes []uint64, out []MultiResult,
 	issue func(master simnet.NodeID, idx []int) rpc.Call,
-	handle func(resp wire.Message, idx []int, round *multiRound)) {
+	handle func(resp wire.Message, idx []int, round *store.Round)) {
 	pending := make([]int, len(hashes))
 	for i := range pending {
 		pending[i] = i
 	}
 	for attempt := 0; attempt <= c.cfg.MaxRetries && len(pending) > 0; attempt++ {
-		masters, groups, remaining, retry := c.resolveBatch(p, table, hashes, pending, func(i int) {
-			out[i].Err = ErrNoTable
-		})
-		pending = remaining
-		if retry || len(pending) == 0 {
+		masters, groups, retry := c.resolveBatch(p, table, hashes, pending, out)
+		if retry {
 			continue
 		}
 		calls := make([]rpc.Call, len(groups))
 		for g := range groups {
-			calls[g] = issue(masters[g], groups[g])
+			calls[g] = issue(simnet.NodeID(masters[g]), groups[g])
 			c.stats.BatchRPCs.Inc()
 		}
-		var round multiRound
+		var round store.Round
 		for g := range calls {
 			resp, ok := calls[g].WaitTimeout(p, c.cfg.RPCTimeout)
 			if !ok {
 				c.stats.Timeouts.Inc()
-				round.needRefresh = true
-				round.retry = append(round.retry, groups[g]...)
+				round.Lost(groups[g])
 				continue
 			}
 			handle(resp, groups[g], &round)
 		}
-		// Refresh and backoff are independent, mirroring the single-op
-		// policy per item: WrongServer/timeout invalidates the map,
-		// retryable errors pace the next attempt.
-		if round.needRefresh {
+		// Refresh and pause are independent, mirroring the single-op
+		// policy per item: a Reroute or a timeout invalidates the map, a
+		// Backoff paces the next attempt.
+		if round.Refresh {
 			c.refreshTablets(p)
 		}
-		if round.backoff && len(round.retry) > 0 {
+		if round.Pause {
 			c.retryPause(p, attempt)
 		}
-		pending = round.retry
+		pending = round.Retry
 	}
 	for _, i := range pending {
 		out[i].Err = ErrUnavailable
@@ -204,27 +144,25 @@ func (c *Client) MultiRead(p *sim.Proc, table uint64, keys [][]byte) []MultiResu
 			}
 			return c.ep.StartCall(master, &wire.MultiReadReq{Items: items})
 		},
-		func(resp wire.Message, idx []int, round *multiRound) {
-			m, isMulti := resp.(*wire.MultiReadResp)
+		func(resp wire.Message, idx []int, round *store.Round) {
+			m, ok := resp.(*wire.MultiReadResp)
 			for j, i := range idx {
-				if !isMulti || j >= len(m.Items) {
-					round.fail(i, false)
-					continue
+				st := wire.StatusError // a malformed response retries its items
+				if ok && j < len(m.Items) {
+					st = m.Items[j].Status
 				}
-				it := &m.Items[j]
-				switch it.Status {
-				case wire.StatusOK:
+				switch round.Judge(i, st, false) {
+				case store.Done:
+					it := &m.Items[j]
 					out[i] = MultiResult{ValueLen: it.ValueLen, Value: it.Value, Version: it.Version}
-					c.record(start, c.stats.ReadLatency)
-					c.stats.BatchedOps.Inc()
-				case wire.StatusUnknownKey:
+				case store.NotFound:
 					out[i].Err = ErrNotFound
-					c.record(start, c.stats.ReadLatency)
-					c.stats.BatchedOps.Inc()
 				default:
 					c.stats.Retries.Inc()
-					round.fail(i, it.Status == wire.StatusWrongServer)
+					continue
 				}
+				c.record(start, c.stats.ReadLatency)
+				c.stats.BatchedOps.Inc()
 			}
 		})
 	return out
@@ -257,22 +195,20 @@ func (c *Client) MultiWrite(p *sim.Proc, table uint64, ops []MultiWriteOp) []Mul
 			}
 			return c.ep.StartCall(master, &wire.MultiWriteReq{Items: items})
 		},
-		func(resp wire.Message, idx []int, round *multiRound) {
-			m, isMulti := resp.(*wire.MultiWriteResp)
+		func(resp wire.Message, idx []int, round *store.Round) {
+			m, ok := resp.(*wire.MultiWriteResp)
 			for j, i := range idx {
-				if !isMulti || j >= len(m.Items) {
-					round.fail(i, false)
+				st := wire.StatusError // as for MultiRead
+				if ok && j < len(m.Items) {
+					st = m.Items[j].Status
+				}
+				if round.Judge(i, st, true) != store.Done {
+					c.stats.Retries.Inc()
 					continue
 				}
-				it := &m.Items[j]
-				if it.Status == wire.StatusOK {
-					out[i] = MultiResult{Version: it.Version}
-					c.record(start, c.stats.WriteLatency)
-					c.stats.BatchedOps.Inc()
-					continue
-				}
-				c.stats.Retries.Inc()
-				round.fail(i, it.Status == wire.StatusWrongServer)
+				out[i] = MultiResult{Version: m.Items[j].Version}
+				c.record(start, c.stats.WriteLatency)
+				c.stats.BatchedOps.Inc()
 			}
 		})
 	return out

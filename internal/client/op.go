@@ -5,6 +5,7 @@ import (
 	"ramcloud/internal/metrics"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -135,9 +136,6 @@ func (o *Op) Done() bool {
 	return o.finished || (o.inflight && o.call.Done())
 }
 
-// Err returns the op's error; valid once Wait has returned.
-func (o *Op) Err() error { return o.err }
-
 // Wait blocks until the operation completes and returns its result. For a
 // read, valueLen is the declared length and value the bytes (nil under
 // virtual payloads); writes and deletes return zero values. The recorded
@@ -181,21 +179,14 @@ func (o *Op) Wait(p *sim.Proc) (valueLen uint32, value []byte, err error) {
 			continue
 		}
 		st, valueLen, value := o.classify(resp)
-		switch st {
-		case wire.StatusOK:
+		switch store.Judge(st, o.kind == opWrite) {
+		case store.Done:
 			c.recordCompleted(o.start, o.call.ResolvedAt(), o.hist())
 			return o.finish(valueLen, value, nil)
-		case wire.StatusUnknownKey:
-			if o.kind == opWrite {
-				// A write never legitimately sees UnknownKey; retry it.
-				c.stats.Retries.Inc()
-				c.retryPause(p, fails)
-				fails++
-				continue
-			}
+		case store.NotFound:
 			c.recordCompleted(o.start, o.call.ResolvedAt(), o.hist())
 			return o.finish(0, nil, ErrNotFound)
-		case wire.StatusWrongServer:
+		case store.Reroute:
 			c.stats.Retries.Inc()
 			c.refreshTablets(p)
 			fails = 0 // progress: the map moved, not a failure of the op

@@ -2,10 +2,15 @@ package realnode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
+	"ramcloud/internal/client"
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/machine"
 	"ramcloud/internal/rpc"
@@ -13,6 +18,7 @@ import (
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simdisk"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
 
@@ -91,5 +97,329 @@ func TestMastersAgree(t *testing.T) {
 		if !reflect.DeepEqual(got, fromSim[i]) {
 			t.Errorf("step %d, %T:\n  real master: %+v\n  simulated:   %+v", i, req, got, fromSim[i])
 		}
+	}
+}
+
+// scripted is the cluster both clients talk to in TestClientsAgree: one
+// master that answers the n-th data request (for a multi-op, the n-th
+// item) with the n-th scripted status, and one coordinator that serves a
+// fixed map, table 1 whole on master 1. A scripted drop (status 0)
+// swallows a whole request, so the client sees a lost RPC. Both record
+// what they receive, the real client's server-list fetch left out.
+type scripted struct {
+	mu       sync.Mutex
+	statuses []wire.Status
+	trace    []string
+}
+
+const drop wire.Status = 0
+
+var agreeTablets = []wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0), Master: 1}}
+
+func (s *scripted) note(what string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.trace = append(s.trace, what)
+}
+
+// next pops the next status; an exhausted script answers Error.
+func (s *scripted) next() wire.Status {
+	if len(s.statuses) == 0 {
+		return wire.StatusError
+	}
+	st := s.statuses[0]
+	s.statuses = s.statuses[1:]
+	return st
+}
+
+// dropped pops a scripted drop, if one is next.
+func (s *scripted) dropped() bool {
+	if len(s.statuses) > 0 && s.statuses[0] == drop {
+		s.statuses = s.statuses[1:]
+		return true
+	}
+	return false
+}
+
+// master answers one data request; nil drops it.
+func (s *scripted) master(msg wire.Message) wire.Message {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch m := msg.(type) {
+	case *wire.ReadReq:
+		s.trace = append(s.trace, "Read")
+		if s.dropped() {
+			return nil
+		}
+		return &wire.ReadResp{Status: s.next(), Version: 1, ValueLen: 1, Value: []byte("v")}
+	case *wire.WriteReq:
+		s.trace = append(s.trace, "Write")
+		if s.dropped() {
+			return nil
+		}
+		return &wire.WriteResp{Status: s.next(), Version: 2}
+	case *wire.DeleteReq:
+		s.trace = append(s.trace, "Delete")
+		if s.dropped() {
+			return nil
+		}
+		return &wire.DeleteResp{Status: s.next(), Version: 3}
+	case *wire.MultiReadReq:
+		s.trace = append(s.trace, fmt.Sprintf("MultiRead×%d", len(m.Items)))
+		if s.dropped() {
+			return nil
+		}
+		items := make([]wire.MultiReadResult, len(m.Items))
+		for i := range items {
+			items[i] = wire.MultiReadResult{Status: s.next(), Version: 1, ValueLen: 1, Value: []byte("v")}
+		}
+		return &wire.MultiReadResp{Status: wire.StatusOK, Items: items}
+	case *wire.MultiWriteReq:
+		s.trace = append(s.trace, fmt.Sprintf("MultiWrite×%d", len(m.Items)))
+		if s.dropped() {
+			return nil
+		}
+		items := make([]wire.MultiWriteResult, len(m.Items))
+		for i := range items {
+			items[i] = wire.MultiWriteResult{Status: s.next(), Version: 2}
+		}
+		return &wire.MultiWriteResp{Status: wire.StatusOK, Items: items}
+	}
+	return nil
+}
+
+// agreeClient is what the cases drive: one client or the other, each
+// result reduced to its error class.
+type agreeClient interface {
+	read(table uint64, key []byte) error
+	write(table uint64, key []byte) error
+	del(table uint64, key []byte) error
+	multiRead(table uint64, keys [][]byte) []error
+	multiWrite(table uint64, keys [][]byte) []error
+}
+
+type simAgree struct {
+	c *client.Client
+	p *sim.Proc
+}
+
+func (a simAgree) read(table uint64, key []byte) error {
+	_, _, err := a.c.Read(a.p, table, key)
+	return err
+}
+func (a simAgree) write(table uint64, key []byte) error {
+	return a.c.Write(a.p, table, key, 1, []byte("w"))
+}
+func (a simAgree) del(table uint64, key []byte) error { return a.c.Delete(a.p, table, key) }
+func (a simAgree) multiRead(table uint64, keys [][]byte) []error {
+	return simErrs(a.c.MultiRead(a.p, table, keys))
+}
+func (a simAgree) multiWrite(table uint64, keys [][]byte) []error {
+	ops := make([]client.MultiWriteOp, len(keys))
+	for i, k := range keys {
+		ops[i] = client.MultiWriteOp{Key: k, ValueLen: 1, Value: []byte("w")}
+	}
+	return simErrs(a.c.MultiWrite(a.p, table, ops))
+}
+
+func simErrs(rs []client.MultiResult) []error {
+	errs := make([]error, len(rs))
+	for i, r := range rs {
+		errs[i] = r.Err
+	}
+	return errs
+}
+
+type realAgree struct{ c *Client }
+
+func (a realAgree) read(table uint64, key []byte) error {
+	_, _, err := a.c.Get(table, key)
+	return err
+}
+func (a realAgree) write(table uint64, key []byte) error {
+	_, err := a.c.Put(table, key, []byte("w"))
+	return err
+}
+func (a realAgree) del(table uint64, key []byte) error { return a.c.Delete(table, key) }
+func (a realAgree) multiRead(table uint64, keys [][]byte) []error {
+	return realErrs(a.c.MultiRead(table, keys))
+}
+func (a realAgree) multiWrite(table uint64, keys [][]byte) []error {
+	values := make([][]byte, len(keys))
+	for i := range values {
+		values[i] = []byte("w")
+	}
+	return realErrs(a.c.MultiWrite(table, keys, values))
+}
+
+func realErrs(rs []MultiResult) []error {
+	errs := make([]error, len(rs))
+	for i, r := range rs {
+		errs[i] = r.Err
+	}
+	return errs
+}
+
+// class names an error the way both clients mean it.
+func class(err error) string {
+	switch {
+	case err == nil:
+		return "OK"
+	case errors.Is(err, client.ErrNotFound), errors.Is(err, ErrNotFound):
+		return "NotFound"
+	case errors.Is(err, client.ErrNoTable), errors.Is(err, ErrNoTable):
+		return "NoTable"
+	case errors.Is(err, client.ErrUnavailable), errors.Is(err, ErrUnavailable):
+		return "Unavailable"
+	}
+	return err.Error()
+}
+
+// agreeOnSim runs one case through the simulated client, over rpc
+// endpoints on a sim engine.
+func agreeOnSim(s *scripted, do func(agreeClient) []error) []error {
+	eng := sim.New(1)
+	net := simnet.New(eng, simnet.DefaultConfig())
+	coord := rpc.NewEndpoint(eng, net, simnet.NodeID(-1))
+	master := rpc.NewEndpoint(eng, net, simnet.NodeID(1))
+	eng.Go("coord", func(p *sim.Proc) {
+		for {
+			req := coord.Inbound.Pop(p)
+			if _, ok := req.Msg.(*wire.GetTabletMapReq); ok {
+				s.note("Map")
+				coord.Reply(req, &wire.GetTabletMapResp{Status: wire.StatusOK, Tablets: agreeTablets})
+			}
+		}
+	})
+	eng.Go("master", func(p *sim.Proc) {
+		for {
+			req := master.Inbound.Pop(p)
+			if resp := s.master(req.Msg); resp != nil {
+				master.Reply(req, resp)
+			}
+		}
+	})
+	cfg := client.DefaultConfig()
+	cfg.RPCTimeout = 20 * sim.Millisecond
+	cfg.MaxRetries = 3
+	cfg.ReadOverhead, cfg.UpdateOverhead = 0, 0
+	c := client.New(eng, net, simnet.NodeID(100), coord.Node(), cfg)
+	var errs []error
+	eng.Go("app", func(p *sim.Proc) {
+		c.WarmRoutes(p)
+		s.trace = nil
+		errs = do(simAgree{c, p})
+		eng.Stop()
+	})
+	eng.Run()
+	eng.Shutdown()
+	return errs
+}
+
+// agreeOnTCP runs one case through the real client, over loopback TCP.
+func agreeOnTCP(t *testing.T, s *scripted, do func(agreeClient) []error) []error {
+	tr := &transport.TCP{}
+	masterAddr := listenTCP(t, tr, func(_ string, msg wire.Message) wire.Message { return s.master(msg) })
+	coordAddr := listenTCP(t, tr, func(_ string, msg wire.Message) wire.Message {
+		switch msg.(type) {
+		case *wire.GetTabletMapReq:
+			s.note("Map")
+			return &wire.GetTabletMapResp{Status: wire.StatusOK, Tablets: agreeTablets}
+		case *wire.ServerListReq:
+			return &wire.ServerListResp{Status: wire.StatusOK, Servers: []wire.ServerAddr{{ID: 1, Addr: masterAddr}}}
+		}
+		return nil
+	})
+	c := NewClient(tr, coordAddr, ClientConfig{
+		RPCTimeout: 100 * time.Millisecond,
+		MaxRetries: 3,
+		RetryBase:  time.Millisecond,
+		RetryCap:   4 * time.Millisecond,
+	})
+	defer c.Close()
+	c.Refresh()
+	s.mu.Lock()
+	s.trace = nil
+	s.mu.Unlock()
+	return do(realAgree{c})
+}
+
+// TestClientsAgree drives the simulated and the real client through one
+// scripted status stream per case and requires the same requests at the
+// master and the coordinator, in the same order, and the same results:
+// both decide by store.Judge and store.Group, and only their waiting
+// differs, which no trace shows.
+func TestClientsAgree(t *testing.T) {
+	const (
+		ok, wrong, retry = wire.StatusOK, wire.StatusWrongServer, wire.StatusRetry
+		unknownKey       = wire.StatusUnknownKey
+	)
+	k := []byte("k")
+	abc := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	read := func(table uint64) func(agreeClient) []error {
+		return func(c agreeClient) []error { return []error{c.read(table, k)} }
+	}
+	for _, c := range []struct {
+		name     string
+		statuses []wire.Status
+		do       func(agreeClient) []error
+		trace    []string
+		want     []string
+	}{
+		{"read rerouted, then backed off", []wire.Status{wrong, retry, ok}, read(1),
+			[]string{"Read", "Map", "Read", "Read"}, []string{"OK"}},
+		{"read through Recovering and Error", []wire.Status{wire.StatusRecovering, wire.StatusError, ok}, read(1),
+			[]string{"Read", "Read", "Read"}, []string{"OK"}},
+		{"read whose request is lost", []wire.Status{drop, ok}, read(1),
+			[]string{"Read", "Map", "Read"}, []string{"OK"}},
+		{"read out of retries", []wire.Status{retry, retry, retry, retry}, read(1),
+			[]string{"Read", "Read", "Read", "Read"}, []string{"Unavailable"}},
+		{"write answered UnknownKey backs off", []wire.Status{unknownKey, ok},
+			func(c agreeClient) []error { return []error{c.write(1, k)} },
+			[]string{"Write", "Write"}, []string{"OK"}},
+		{"delete of an absent key", []wire.Status{unknownKey},
+			func(c agreeClient) []error { return []error{c.del(1, k)} },
+			[]string{"Delete"}, []string{"NotFound"}},
+		{"multi-read rerouted and backed off", []wire.Status{ok, wrong, retry, ok, ok},
+			func(c agreeClient) []error { return c.multiRead(1, abc) },
+			[]string{"MultiRead×3", "Map", "MultiRead×2"}, []string{"OK", "OK", "OK"}},
+		{"multi-write rerouted and backed off", []wire.Status{ok, wrong, retry, ok, ok},
+			func(c agreeClient) []error { return c.multiWrite(1, abc) },
+			[]string{"MultiWrite×3", "Map", "MultiWrite×2"}, []string{"OK", "OK", "OK"}},
+		{"multi-read whose request is lost", []wire.Status{drop, ok, ok, ok},
+			func(c agreeClient) []error { return c.multiRead(1, abc) },
+			[]string{"MultiRead×3", "Map", "MultiRead×3"}, []string{"OK", "OK", "OK"}},
+		{"multi-read of absent keys, multi-write answered UnknownKey", []wire.Status{unknownKey, ok, unknownKey, unknownKey, ok, ok},
+			func(c agreeClient) []error { return append(c.multiRead(1, abc), c.multiWrite(1, abc[:2])...) },
+			[]string{"MultiRead×3", "MultiWrite×2", "MultiWrite×1"}, []string{"NotFound", "OK", "NotFound", "OK", "OK"}},
+		{"read of a table no tablet covers", nil, read(9),
+			[]string{"Map"}, []string{"NoTable"}},
+		{"multi-read of a table no tablet covers", nil,
+			func(c agreeClient) []error { return c.multiRead(9, abc) },
+			[]string{"Map"}, []string{"NoTable", "NoTable", "NoTable"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got [2]struct{ trace, results []string }
+			for side := range got {
+				s := &scripted{statuses: slices.Clone(c.statuses)}
+				var errs []error
+				if side == 0 {
+					errs = agreeOnSim(s, c.do)
+				} else {
+					errs = agreeOnTCP(t, s, c.do)
+				}
+				got[side].trace = s.trace
+				for _, err := range errs {
+					got[side].results = append(got[side].results, class(err))
+				}
+			}
+			onSim, onTCP := got[0], got[1]
+			if !slices.Equal(onSim.trace, onTCP.trace) || !slices.Equal(onSim.results, onTCP.results) {
+				t.Fatalf("the clients disagree:\n  simulated: %v → %v\n  real:      %v → %v", onSim.trace, onSim.results, onTCP.trace, onTCP.results)
+			}
+			if !slices.Equal(onSim.trace, c.trace) || !slices.Equal(onSim.results, c.want) {
+				t.Fatalf("both clients: %v → %v, want %v → %v", onSim.trace, onSim.results, c.trace, c.want)
+			}
+		})
 	}
 }

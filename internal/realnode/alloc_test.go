@@ -98,7 +98,7 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"Get", get, ops, 1, 6},
 		{"Put", put, ops, 1, 4},
-		{"GetAsync+Wait", async, ops, 1, 8},
+		{"GetAsync+Wait", async, ops, 1, 7},
 		{"MultiRead/32", multiRead, ops / batch, batch, 0},
 		{"MultiWrite/32", multiWrite, ops / batch, batch, 0},
 	} {

@@ -20,6 +20,8 @@ var (
 	ErrNotFound = errors.New("realnode: key not found")
 	// ErrUnavailable reports an operation that exhausted its retries.
 	ErrUnavailable = errors.New("realnode: operation failed after retries")
+	// ErrNoTable reports a key no tablet covers, even after a refresh.
+	ErrNoTable = errors.New("realnode: unknown table")
 )
 
 // ClientConfig tunes the real client.
@@ -72,8 +74,8 @@ type ClientStats struct {
 
 // Client is the real-transport storage client: it caches the tablet map
 // and server list from the coordinator, routes by key hash, and retries
-// with capped backoff through server failures and ownership moves. Safe
-// for concurrent use.
+// through server failures and ownership moves by the rules the simulated
+// client follows (store.Judge, store.Group). Safe for concurrent use.
 type Client struct {
 	tr        transport.Interface
 	cfg       ClientConfig
@@ -81,11 +83,19 @@ type Client struct {
 
 	mu      sync.Mutex
 	coord   transport.Conn
-	conns   map[int32]transport.Conn
+	conns   map[int32]conn
 	addrs   map[int32]string
 	tablets []wire.Tablet
 
 	stats ClientStats
+}
+
+// conn is a connection to a master. A data-plane attempt is either called
+// or started pipelined on it, so the client requires a transport.Starter
+// of every connection it dials to a master.
+type conn interface {
+	transport.Conn
+	transport.Starter
 }
 
 // NewClient creates a client for the cluster at coordAddr.
@@ -94,7 +104,7 @@ func NewClient(tr transport.Interface, coordAddr string, cfg ClientConfig) *Clie
 		tr:        tr,
 		cfg:       cfg,
 		coordAddr: coordAddr,
-		conns:     make(map[int32]transport.Conn),
+		conns:     make(map[int32]conn),
 		addrs:     make(map[int32]string),
 	}
 }
@@ -198,42 +208,49 @@ func (c *Client) tabletSnapshot() []wire.Tablet {
 	return c.tablets
 }
 
-// route returns the connection to the owner of (table, keyHash): the
-// tablet lookup and the connection lookup under one lock acquisition.
-func (c *Client) route(table, keyHash uint64) (transport.Conn, error) {
+// route finds the tablet covering (table, keyHash) in the cached map (nil
+// when none does) and the connection to its master: the tablet lookup and
+// the connection lookup under one lock acquisition.
+func (c *Client) route(table, keyHash uint64) (*wire.Tablet, conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := store.Find(c.tablets, table, keyHash)
 	if t == nil {
-		return nil, fmt.Errorf("realnode: no tablet for table %d", table)
+		return nil, nil, nil
 	}
-	return c.serverConnLocked(t.Master)
+	cn, err := c.serverConnLocked(t.Master)
+	return t, cn, err
 }
 
 // serverConn returns (dialing lazily) the connection to server id.
-func (c *Client) serverConn(id int32) (transport.Conn, error) {
+func (c *Client) serverConn(id int32) (conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.serverConnLocked(id)
 }
 
-func (c *Client) serverConnLocked(id int32) (transport.Conn, error) {
-	if conn, ok := c.conns[id]; ok {
-		return conn, nil
+func (c *Client) serverConnLocked(id int32) (conn, error) {
+	if cn, ok := c.conns[id]; ok {
+		return cn, nil
 	}
 	addr, ok := c.addrs[id]
 	if !ok {
 		return nil, fmt.Errorf("realnode: no address for server %d", id)
 	}
-	conn, err := c.tr.Dial(addr)
+	raw, err := c.tr.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.conns[id] = conn
-	return conn, nil
+	cn, ok := raw.(conn)
+	if !ok {
+		raw.Close()
+		return nil, fmt.Errorf("realnode: a %T cannot pipeline (no transport.Starter)", raw)
+	}
+	c.conns[id] = cn
+	return cn, nil
 }
 
-// backoff returns the pause before attempt n+1 (capped exponential).
+// backoff returns the n-th consecutive pause (capped exponential).
 func (c *Client) backoff(n int) time.Duration {
 	d := c.cfg.retryBase() << n
 	if limit := c.cfg.retryCap(); d > limit || d <= 0 {
@@ -242,125 +259,148 @@ func (c *Client) backoff(n int) time.Duration {
 	return d
 }
 
-// classify maps a data-plane response (or transport error) onto the
-// (response, status, error) triple the retry loop interprets.
-func classify(resp wire.Message, err error) (wire.Message, wire.Status, error) {
-	if err != nil {
-		return nil, 0, err
+// opKind selects what an op does.
+type opKind uint8
+
+const (
+	opRead opKind = iota + 1
+	opWrite
+	opDelete
+)
+
+// op is one single-key operation: what run retries and a Future carries.
+type op struct {
+	kind    opKind
+	table   uint64
+	key     []byte
+	value   []byte // writes only
+	keyHash uint64
+}
+
+func newOp(kind opKind, table uint64, key, value []byte) op {
+	return op{kind: kind, table: table, key: key, value: value, keyHash: hashtable.HashKey(table, key)}
+}
+
+// request builds one attempt's message.
+func (o *op) request() wire.Message {
+	switch o.kind {
+	case opRead:
+		return &wire.ReadReq{Table: o.table, Key: o.key}
+	case opWrite:
+		return &wire.WriteReq{Table: o.table, Key: o.key, ValueLen: uint32(len(o.value)), Value: o.value}
+	default:
+		return &wire.DeleteReq{Table: o.table, Key: o.key}
 	}
+}
+
+// reply reads a single-key response: its status, the value of a read and
+// the version. Any other message is an error, which backs off.
+func reply(resp wire.Message) (wire.Status, []byte, uint64) {
 	switch m := resp.(type) {
 	case *wire.ReadResp:
-		return m, m.Status, nil
+		return m.Status, m.Value, m.Version
 	case *wire.WriteResp:
-		return m, m.Status, nil
+		return m.Status, nil, m.Version
 	case *wire.DeleteResp:
-		return m, m.Status, nil
+		return m.Status, nil, m.Version
 	default:
-		return nil, 0, fmt.Errorf("realnode: unexpected response %#v", resp)
+		return wire.StatusError, nil, 0
 	}
 }
 
-// call routes one data-plane request to the owner of (table, key) and
-// returns the response status plus the response itself. It performs ONE
-// attempt; op drives the retry loop.
-func (c *Client) call(table uint64, key []byte, mk func() wire.Message) (wire.Message, wire.Status, error) {
-	conn, err := c.route(table, hashtable.HashKey(table, key))
-	if err != nil {
-		return nil, 0, err
-	}
-	ctx := newDeadline(c.cfg.rpcTimeout())
-	defer ctx.release()
-	resp, err := conn.Call(ctx, mk())
-	return classify(resp, err)
-}
-
-// op runs the shared retry loop: transport errors and retryable statuses
-// refresh the map and back off; OK and UnknownKey terminate. The
-// semantics mirror the simulated client's operation core.
-func (c *Client) op(table uint64, key []byte, mk func() wire.Message) (wire.Message, error) {
-	return c.opResume(table, key, mk, nil)
-}
-
-// opResume is op with a pluggable first attempt: an async operation's
-// already-issued RPC resolves as attempt zero (via first), and only the
-// uncommon retry path falls back to synchronous attempts. first may be
-// nil for a fully synchronous operation.
-func (c *Client) opResume(table uint64, key []byte, mk func() wire.Message, first func() (wire.Message, wire.Status, error)) (wire.Message, error) {
+// run drives o until a verdict ends it, deciding as the simulated client's
+// Op.Wait does: store.Judge reads each status, a key no tablet covers
+// fails with ErrNoTable after one refresh, and a recovering tablet is
+// polled. first, when not nil, resolves attempt zero, which a Future
+// already has in flight; every other attempt is a blocking call. The
+// waiting is this client's own: a Backoff pauses, and so does a lost RPC,
+// because a refused dial fails at once where a simulated timeout has
+// already waited out RPCTimeout; a Reroute retries at once.
+func (c *Client) run(o *op, first func() (wire.Message, error)) ([]byte, uint64, error) {
+	fails := 0 // consecutive pauses; a Reroute is progress and resets it
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.maxRetries(); attempt++ {
 		if attempt > 0 {
 			c.stats.Retries.Add(1)
-			time.Sleep(c.backoff(attempt - 1))
 		}
 		var (
-			resp   wire.Message
-			status wire.Status
-			err    error
+			resp wire.Message
+			err  error
 		)
 		if attempt == 0 && first != nil {
-			resp, status, err = first()
+			resp, err = first()
 		} else {
-			resp, status, err = c.call(table, key, mk)
+			var t *wire.Tablet
+			var cn conn
+			t, cn, err = c.route(o.table, o.keyHash)
+			switch {
+			case t == nil:
+				c.Refresh()
+				if store.Find(c.tabletSnapshot(), o.table, o.keyHash) == nil {
+					return nil, 0, ErrNoTable
+				}
+				continue
+			case t.Recovering:
+				time.Sleep(c.backoff(fails))
+				fails++
+				c.Refresh()
+				continue
+			case err == nil:
+				ctx := newDeadline(c.cfg.rpcTimeout())
+				resp, err = cn.Call(ctx, o.request())
+				ctx.release()
+			}
 		}
 		if err != nil {
-			// Connection lost, dial refused, deadline: the server may be
-			// gone — refresh routes and retry.
+			// Connection lost, dial refused, deadline: the owner may be
+			// gone. Pause, then route on a fresh map.
 			lastErr = err
+			time.Sleep(c.backoff(fails))
+			fails++
 			c.Refresh()
 			continue
 		}
-		switch status {
-		case wire.StatusOK:
+		st, value, version := reply(resp)
+		switch store.Judge(st, o.kind == opWrite) {
+		case store.Done:
 			c.stats.Ops.Add(1)
-			return resp, nil
-		case wire.StatusUnknownKey:
+			return value, version, nil
+		case store.NotFound:
 			c.stats.Ops.Add(1)
-			return resp, ErrNotFound
-		case wire.StatusWrongServer:
-			lastErr = fmt.Errorf("realnode: wrong server")
+			return nil, 0, ErrNotFound
+		case store.Reroute:
 			c.Refresh()
-		case wire.StatusRetry, wire.StatusRecovering:
-			lastErr = fmt.Errorf("realnode: server busy")
+			fails = 0
 		default:
-			lastErr = fmt.Errorf("realnode: status %v", status)
-			c.Refresh()
+			time.Sleep(c.backoff(fails))
+			fails++
 		}
+		lastErr = fmt.Errorf("realnode: status %v", st)
 	}
 	c.stats.Failures.Add(1)
 	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+		return nil, 0, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
 	}
-	return nil, ErrUnavailable
+	return nil, 0, ErrUnavailable
 }
 
 // Get fetches a value.
 func (c *Client) Get(table uint64, key []byte) ([]byte, uint64, error) {
-	resp, err := c.op(table, key, func() wire.Message {
-		return &wire.ReadReq{Table: table, Key: key}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	m := resp.(*wire.ReadResp)
-	return m.Value, m.Version, nil
+	o := newOp(opRead, table, key, nil)
+	return c.run(&o, nil)
 }
 
 // Put stores value under key. Real transports carry real bytes: value
 // must be the actual payload, not a declared length.
 func (c *Client) Put(table uint64, key, value []byte) (uint64, error) {
-	resp, err := c.op(table, key, func() wire.Message {
-		return &wire.WriteReq{Table: table, Key: key, ValueLen: uint32(len(value)), Value: value}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(*wire.WriteResp).Version, nil
+	o := newOp(opWrite, table, key, value)
+	_, version, err := c.run(&o, nil)
+	return version, err
 }
 
 // Delete removes key. Deleting an absent key returns ErrNotFound.
 func (c *Client) Delete(table uint64, key []byte) error {
-	_, err := c.op(table, key, func() wire.Message {
-		return &wire.DeleteReq{Table: table, Key: key}
-	})
+	o := newOp(opDelete, table, key, nil)
+	_, _, err := c.run(&o, nil)
 	return err
 }

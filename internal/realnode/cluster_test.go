@@ -254,6 +254,75 @@ func TestClusterServerRejoin(t *testing.T) {
 	}
 }
 
+// TestMultiOpAfterMasterRestart: a master dies, its tablets move to the
+// survivor, and a fresh process enlists at the dead one's address, so it
+// gets the same id and owns nothing. A client still holding the old map
+// sends half of every batch there and is answered WrongServer; a multi-op
+// must then refresh the map and re-route, as a single op does, instead of
+// retrying the same stale owner until its budget runs out.
+func TestMultiOpAfterMasterRestart(t *testing.T) {
+	coord, servers, client := bootCluster(t, 2)
+	table, err := client.CreateTable("usertable", 2)
+	if err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	const records = 2000
+	keys := make([][]byte, records)
+	values := make([][]byte, records)
+	for i := range keys {
+		keys[i] = ycsb.Key(i)
+		values[i] = []byte(fmt.Sprintf("value-%04d", i))
+	}
+	for i, r := range client.MultiWrite(table, keys, values) {
+		if r.Err != nil {
+			t.Fatalf("load %d: %v", i, r.Err)
+		}
+	}
+
+	addr, id := servers[0].Addr(), servers[0].ID()
+	servers[0].Stop()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(coord.Servers()) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("death not detected: %d servers", len(coord.Servers()))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	tr := &transport.TCP{RedialBase: 2 * time.Millisecond, RedialCap: 50 * time.Millisecond}
+	fresh := NewServer(tr, coord.Addr(), ServerConfig{EnlistBackoff: 10 * time.Millisecond})
+	if err := fresh.Start(addr); err != nil {
+		t.Fatalf("restart at %s: %v", addr, err)
+	}
+	t.Cleanup(fresh.Stop)
+	if fresh.ID() != id {
+		t.Fatalf("the restarted master enlisted as %d, want its old id %d", fresh.ID(), id)
+	}
+
+	refreshes := client.Stats().Refreshes.Load()
+	start := time.Now()
+	for i, r := range client.MultiRead(table, keys) {
+		if r.Err != nil && !errors.Is(r.Err, ErrNotFound) {
+			t.Fatalf("multi-read %d: %v", i, r.Err)
+		}
+	}
+	for i, r := range client.MultiWrite(table, keys, values) {
+		if r.Err != nil {
+			t.Fatalf("multi-write %d: %v", i, r.Err)
+		}
+	}
+	took := time.Since(start)
+	if client.Stats().Refreshes.Load() == refreshes {
+		t.Fatal("the client never refreshed its map")
+	}
+	if took > time.Second {
+		t.Fatalf("both batches took %v", took)
+	}
+	if fresh.Objects() != 0 {
+		t.Fatalf("the restarted master, which owns nothing, holds %d objects", fresh.Objects())
+	}
+	t.Logf("%v, %d refreshes", took, client.Stats().Refreshes.Load()-refreshes)
+}
+
 // TestRunYCSB exercises the exported load driver end to end.
 func TestRunYCSB(t *testing.T) {
 	_, _, client := bootCluster(t, 3)

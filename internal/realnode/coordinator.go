@@ -4,8 +4,10 @@
 // transport.Interface (normally transport.TCP), so the system boots as a
 // multi-process localhost cluster via cmd/rccoord, cmd/rcserver and
 // cmd/rcclient. A master serves from internal/store, the very store the
-// simulated master serves from; the client and the coordinator are this
-// package's own.
+// simulated master serves from, and the client decides by the store's
+// client rules (store.Judge, store.Group) as the simulated client does:
+// only its waiting — wall-clock pauses, pooled deadlines, pipelined
+// attempts — is its own. The coordinator is this package's own.
 //
 // The real path deliberately carries no replication or crash recovery:
 // when the coordinator declares a master dead it reassigns the dead

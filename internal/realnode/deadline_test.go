@@ -48,8 +48,13 @@ func TestAttemptTimesOutAtItsDeadline(t *testing.T) {
 	c.tablets = []wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0), Master: 1}}
 	c.addrs[1] = addr
 
+	// One attempt: a Future's attempt zero, resolved on its own.
 	start := time.Now()
-	_, _, err := c.call(1, []byte("k"), func() wire.Message { return &wire.ReadReq{Table: 1, Key: []byte("k")} })
+	f := c.GetAsync(1, []byte("k"))
+	if f.pc == nil {
+		t.Fatal("the attempt did not start")
+	}
+	_, err := f.resolve()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("attempt against a silent server: %v, want context.DeadlineExceeded", err)
 	}

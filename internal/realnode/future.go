@@ -1,135 +1,72 @@
 package realnode
 
 import (
-	"ramcloud/internal/hashtable"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
 
 // Future is one asynchronous operation in flight against the real
-// cluster. The request is pipelined onto the owner's connection at
-// creation (no goroutine per call on a transport.Starter substrate);
-// Wait resolves it. The fast path — request lands on the right server
-// and succeeds — costs one pipelined RPC; any retryable outcome falls
-// back to the synchronous retry loop inside Wait, so a Future has
-// exactly the same semantics as its synchronous counterpart.
+// cluster. Its first attempt is pipelined onto the owner's connection at
+// creation (no goroutine per call); Wait resolves it as attempt zero of
+// the same run loop Get, Put and Delete use, so a Future has exactly the
+// semantics of its synchronous counterpart. When the cached map does not
+// route the key to a master that is serving, nothing is started and Wait
+// runs every attempt itself.
 //
 // A bounded window of Futures per goroutine is how the real path keeps
 // the wire full: issue D, then reap-and-replace. See RunYCSB's
 // Pipeline option.
 type Future struct {
-	c *Client
+	c  *Client
+	op op
 
-	table uint64
-	key   []byte
-	mk    func() wire.Message
-
-	pc       transport.PendingCall
-	fallback chan asyncResult
-	ctx      *deadline // the pipelined attempt's; released by resolve
-	startErr error
+	pc  transport.PendingCall // attempt zero; nil if none was started
+	ctx *deadline             // pc's; released when it resolves
 }
 
-type asyncResult struct {
-	resp wire.Message
-	err  error
-}
-
-// startOp issues one pipelined attempt toward the owner of (table, key).
-// Failures to even start (no tablet, dial error) are remembered and
-// surfaced as attempt zero when Wait runs the retry loop.
-func (c *Client) startOp(table uint64, key []byte, mk func() wire.Message) *Future {
-	f := &Future{c: c, table: table, key: key, mk: mk}
-	conn, err := c.route(table, hashtable.HashKey(table, key))
-	if err != nil {
-		f.startErr = err
+// start issues o's first attempt pipelined, if the cached map routes it.
+func (c *Client) start(o op) *Future {
+	f := &Future{c: c, op: o}
+	t, cn, err := c.route(o.table, o.keyHash)
+	if t == nil || t.Recovering || err != nil {
 		return f
 	}
 	f.ctx = newDeadline(c.cfg.rpcTimeout())
-	if st, ok := conn.(transport.Starter); ok {
-		pc, err := st.Start(f.ctx, mk())
-		if err != nil {
-			f.ctx.release()
-			f.startErr = err
-			return f
-		}
-		f.pc = pc
-		return f
+	if f.pc, err = cn.Start(f.ctx, f.op.request()); err != nil {
+		f.ctx.release()
+		f.pc = nil
 	}
-	// Substrate without pipelining: fall back to one goroutine.
-	ch := make(chan asyncResult, 1)
-	f.fallback = ch
-	go func() {
-		resp, err := conn.Call(f.ctx, mk())
-		ch <- asyncResult{resp, err}
-	}()
 	return f
 }
 
-// resolve blocks for the pipelined attempt's outcome (attempt zero of
-// the retry loop).
-func (f *Future) resolve() (wire.Message, wire.Status, error) {
-	if f.startErr != nil {
-		return nil, 0, f.startErr
-	}
-	var (
-		resp wire.Message
-		err  error
-	)
-	if f.pc != nil {
-		resp, err = f.pc.Wait(f.ctx)
-	} else {
-		r := <-f.fallback
-		resp, err = r.resp, r.err
-	}
-	f.ctx.release() // after the fallback goroutine, if any, has reported back
-	return classify(resp, err)
-}
-
-// wait drives the shared retry loop with the pipelined attempt as
-// attempt zero.
-func (f *Future) wait() (wire.Message, error) {
-	return f.c.opResume(f.table, f.key, f.mk, f.resolve)
+// resolve waits for attempt zero.
+func (f *Future) resolve() (wire.Message, error) {
+	resp, err := f.pc.Wait(f.ctx)
+	f.ctx.release()
+	return resp, err
 }
 
 // Wait resolves the operation: (value, version, error) for reads,
 // (nil, version, error) for writes and deletes. It must be called
 // exactly once per Future.
 func (f *Future) Wait() ([]byte, uint64, error) {
-	resp, err := f.wait()
-	if err != nil {
-		return nil, 0, err
+	if f.pc == nil {
+		return f.c.run(&f.op, nil)
 	}
-	switch m := resp.(type) {
-	case *wire.ReadResp:
-		return m.Value, m.Version, nil
-	case *wire.WriteResp:
-		return nil, m.Version, nil
-	case *wire.DeleteResp:
-		return nil, m.Version, nil
-	default:
-		// classify already rejected anything else as a protocol error.
-		return nil, 0, nil
-	}
+	return f.c.run(&f.op, f.resolve)
 }
 
 // GetAsync issues a pipelined read. Resolve it with Wait.
 func (c *Client) GetAsync(table uint64, key []byte) *Future {
-	return c.startOp(table, key, func() wire.Message {
-		return &wire.ReadReq{Table: table, Key: key}
-	})
+	return c.start(newOp(opRead, table, key, nil))
 }
 
 // PutAsync issues a pipelined write. Resolve it with Wait.
 func (c *Client) PutAsync(table uint64, key, value []byte) *Future {
-	return c.startOp(table, key, func() wire.Message {
-		return &wire.WriteReq{Table: table, Key: key, ValueLen: uint32(len(value)), Value: value}
-	})
+	return c.start(newOp(opWrite, table, key, value))
 }
 
 // DeleteAsync issues a pipelined delete. Resolve it with Wait.
 func (c *Client) DeleteAsync(table uint64, key []byte) *Future {
-	return c.startOp(table, key, func() wire.Message {
-		return &wire.DeleteReq{Table: table, Key: key}
-	})
+	return c.start(newOp(opDelete, table, key, nil))
 }

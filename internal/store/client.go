@@ -1,0 +1,104 @@
+package store
+
+import "ramcloud/internal/wire"
+
+// This file is the client's half of the rules: what a data-plane status
+// asks the caller to do next, and how a batch is split by owner. Both
+// clients (the simulated internal/client and the real internal/realnode)
+// decide through it and differ only in how they wait: sim.Proc sleeps
+// there, wall-clock pauses and deadlines here.
+
+// Verdict is what one status asks of the operation that received it.
+type Verdict uint8
+
+const (
+	// Done: the operation succeeded.
+	Done Verdict = iota + 1
+	// NotFound: a read or delete of a key with no live object; final.
+	NotFound
+	// Reroute: the tablet moved. Refresh the map and retry at once; this
+	// is progress, so it does not grow the backoff.
+	Reroute
+	// Backoff: the master cannot serve it now (busy, recovering, an
+	// error, or a write answered UnknownKey, which it never legitimately
+	// is). Pause, then retry.
+	Backoff
+)
+
+// Judge maps a response status to a verdict. write is true for a write:
+// UnknownKey ends a read or a delete, but a write retries it.
+func Judge(st wire.Status, write bool) Verdict {
+	switch st {
+	case wire.StatusOK:
+		return Done
+	case wire.StatusUnknownKey:
+		if write {
+			return Backoff
+		}
+		return NotFound
+	case wire.StatusWrongServer:
+		return Reroute
+	default:
+		return Backoff
+	}
+}
+
+// Group sorts the pending items of a batch on table by the master that
+// owns them, for one round of one RPC per owner. hash(i) is item i's key
+// hash. Owners come in the order the batch first reaches them (a slice
+// scan, no map), so the RPCs go out in the same order on every call;
+// groups[g] lists, in batch order, the items owners[g] serves. The
+// results are appended to ownerBuf and groupBuf, which a caller may keep
+// on its stack. unroutable lists the items no tablet covers; recovering
+// reports whether any item's tablet is being recovered.
+func Group(tablets []wire.Tablet, table uint64, hash func(i int) uint64, pending []int, ownerBuf []int32, groupBuf [][]int) (owners []int32, groups [][]int, unroutable []int, recovering bool) {
+	owners, groups = ownerBuf, groupBuf
+	for _, i := range pending {
+		t := Find(tablets, table, hash(i))
+		if t == nil {
+			unroutable = append(unroutable, i)
+			continue
+		}
+		recovering = recovering || t.Recovering
+		g := 0
+		for g < len(owners) && owners[g] != t.Master {
+			g++
+		}
+		if g == len(owners) {
+			owners = append(owners, t.Master)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return owners, groups, unroutable, recovering
+}
+
+// Round gathers the verdicts of one multi-op round: the items to try
+// again, and what the next round must do first.
+type Round struct {
+	Retry   []int // items to send again
+	Refresh bool  // a Reroute or a lost RPC: refresh the tablet map
+	Pause   bool  // a Backoff: pause before the next round
+}
+
+// Judge files item i's status and returns its verdict; a Reroute or a
+// Backoff keeps the item for the next round.
+func (r *Round) Judge(i int, st wire.Status, write bool) Verdict {
+	v := Judge(st, write)
+	switch v {
+	case Reroute:
+		r.Retry = append(r.Retry, i)
+		r.Refresh = true
+	case Backoff:
+		r.Retry = append(r.Retry, i)
+		r.Pause = true
+	}
+	return v
+}
+
+// Lost files items whose RPC got no answer (a timeout, a lost
+// connection): the owner may be gone, so they retry on a refreshed map.
+func (r *Round) Lost(items []int) {
+	r.Retry = append(r.Retry, items...)
+	r.Refresh = true
+}

@@ -6,6 +6,11 @@
 // liveness accounting. The packed-ref format the index stores is known
 // here, in logstore and in hashtable only.
 //
+// It also holds the other side of the protocol, the rules both clients
+// (internal/client and realnode.Client) decide by (client.go): what a
+// response status asks of an operation (Judge, Round) and how a batch is
+// split by owner (Group), with the tablet lookup (Find) they route by.
+//
 // The store knows nothing about time, threads or networks. Rolling the
 // head stays with the caller (if st.Log.NeedsRoll(size) { ... }) because
 // the simulated master opens and closes backup replicas across a roll;

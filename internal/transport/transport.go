@@ -78,8 +78,8 @@ type PendingCall interface {
 
 // Starter is implemented by connections that support pipelining: many
 // requests in flight on one connection without a goroutine per call.
-// The TCP backend implements it; callers should type-assert and fall
-// back to a goroutine around Call when the substrate doesn't.
+// The TCP backend implements it, and realnode's client requires it of
+// every connection to a master.
 type Starter interface {
 	// Start queues msg and returns without waiting for the response. On
 	// TCP the caller writes the frame itself only when the connection has

@@ -20,13 +20,6 @@ type Message interface {
 	encodeBody(e *encoder) error
 }
 
-// Response is implemented by every response message that carries a Status.
-type Response interface {
-	Message
-	// RespStatus returns the response's status code.
-	RespStatus() Status
-}
-
 // Client data plane --------------------------------------------------------
 
 func (*ReadReq) Op() Op          { return OpReadReq }
@@ -37,9 +30,8 @@ func (m *ReadReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*ReadResp) Op() Op               { return OpReadResp }
-func (m *ReadResp) WireSize() int      { return headerSize + 1 + 8 + 4 + int(m.ValueLen) }
-func (m *ReadResp) RespStatus() Status { return m.Status }
+func (*ReadResp) Op() Op          { return OpReadResp }
+func (m *ReadResp) WireSize() int { return headerSize + 1 + 8 + 4 + int(m.ValueLen) }
 func (m *ReadResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u64(m.Version)
@@ -54,9 +46,8 @@ func (m *WriteReq) encodeBody(e *encoder) error {
 	return encodeValue(e, m.ValueLen, m.Value)
 }
 
-func (*WriteResp) Op() Op               { return OpWriteResp }
-func (*WriteResp) WireSize() int        { return headerSize + 1 + 8 }
-func (m *WriteResp) RespStatus() Status { return m.Status }
+func (*WriteResp) Op() Op        { return OpWriteResp }
+func (*WriteResp) WireSize() int { return headerSize + 1 + 8 }
 func (m *WriteResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u64(m.Version)
@@ -71,9 +62,8 @@ func (m *DeleteReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*DeleteResp) Op() Op               { return OpDeleteResp }
-func (*DeleteResp) WireSize() int        { return headerSize + 1 + 8 }
-func (m *DeleteResp) RespStatus() Status { return m.Status }
+func (*DeleteResp) Op() Op        { return OpDeleteResp }
+func (*DeleteResp) WireSize() int { return headerSize + 1 + 8 }
 func (m *DeleteResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u64(m.Version)
@@ -105,7 +95,6 @@ func (m *MultiReadResp) WireSize() int {
 	}
 	return headerSize + body
 }
-func (m *MultiReadResp) RespStatus() Status { return m.Status }
 func (m *MultiReadResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(uint32(len(m.Items)))
@@ -145,7 +134,6 @@ func (*MultiWriteResp) Op() Op { return OpMultiWriteResp }
 func (m *MultiWriteResp) WireSize() int {
 	return headerSize + 1 + 4 + len(m.Items)*(1+8)
 }
-func (m *MultiWriteResp) RespStatus() Status { return m.Status }
 func (m *MultiWriteResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(uint32(len(m.Items)))
@@ -166,9 +154,8 @@ func (m *CreateTableReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*CreateTableResp) Op() Op               { return OpCreateTableResp }
-func (*CreateTableResp) WireSize() int        { return headerSize + 1 + 8 }
-func (m *CreateTableResp) RespStatus() Status { return m.Status }
+func (*CreateTableResp) Op() Op        { return OpCreateTableResp }
+func (*CreateTableResp) WireSize() int { return headerSize + 1 + 8 }
 func (m *CreateTableResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u64(m.Table)
@@ -182,9 +169,8 @@ func (m *DropTableReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*DropTableResp) Op() Op               { return OpDropTableResp }
-func (*DropTableResp) WireSize() int        { return headerSize + 1 }
-func (m *DropTableResp) RespStatus() Status { return m.Status }
+func (*DropTableResp) Op() Op        { return OpDropTableResp }
+func (*DropTableResp) WireSize() int { return headerSize + 1 }
 func (m *DropTableResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -198,7 +184,6 @@ func (*GetTabletMapResp) Op() Op { return OpGetTabletMapResp }
 func (m *GetTabletMapResp) WireSize() int {
 	return headerSize + 1 + 4 + len(m.Tablets)*tabletSize
 }
-func (m *GetTabletMapResp) RespStatus() Status { return m.Status }
 func (m *GetTabletMapResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(uint32(len(m.Tablets)))
@@ -217,9 +202,8 @@ func (m *EnlistReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*EnlistResp) Op() Op               { return OpEnlistResp }
-func (*EnlistResp) WireSize() int        { return headerSize + 1 + 4 }
-func (m *EnlistResp) RespStatus() Status { return m.Status }
+func (*EnlistResp) Op() Op        { return OpEnlistResp }
+func (*EnlistResp) WireSize() int { return headerSize + 1 + 4 }
 func (m *EnlistResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.i32(m.ServerID)
@@ -252,9 +236,8 @@ func (m *SetWillReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*SetWillResp) Op() Op               { return OpSetWillResp }
-func (*SetWillResp) WireSize() int        { return headerSize + 1 }
-func (m *SetWillResp) RespStatus() Status { return m.Status }
+func (*SetWillResp) Op() Op        { return OpSetWillResp }
+func (*SetWillResp) WireSize() int { return headerSize + 1 }
 func (m *SetWillResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -270,9 +253,8 @@ func (m *OpenSegmentReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*OpenSegmentResp) Op() Op               { return OpOpenSegmentResp }
-func (*OpenSegmentResp) WireSize() int        { return headerSize + 1 }
-func (m *OpenSegmentResp) RespStatus() Status { return m.Status }
+func (*OpenSegmentResp) Op() Op        { return OpOpenSegmentResp }
+func (*OpenSegmentResp) WireSize() int { return headerSize + 1 }
 func (m *OpenSegmentResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -298,9 +280,8 @@ func (m *ReplicateReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*ReplicateResp) Op() Op               { return OpReplicateResp }
-func (*ReplicateResp) WireSize() int        { return headerSize + 1 }
-func (m *ReplicateResp) RespStatus() Status { return m.Status }
+func (*ReplicateResp) Op() Op        { return OpReplicateResp }
+func (*ReplicateResp) WireSize() int { return headerSize + 1 }
 func (m *ReplicateResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -315,9 +296,8 @@ func (m *CloseSegmentReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*CloseSegmentResp) Op() Op               { return OpCloseSegmentResp }
-func (*CloseSegmentResp) WireSize() int        { return headerSize + 1 }
-func (m *CloseSegmentResp) RespStatus() Status { return m.Status }
+func (*CloseSegmentResp) Op() Op        { return OpCloseSegmentResp }
+func (*CloseSegmentResp) WireSize() int { return headerSize + 1 }
 func (m *CloseSegmentResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -330,9 +310,8 @@ func (m *FreeReplicasReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*FreeReplicasResp) Op() Op               { return OpFreeReplicasResp }
-func (*FreeReplicasResp) WireSize() int        { return headerSize + 1 }
-func (m *FreeReplicasResp) RespStatus() Status { return m.Status }
+func (*FreeReplicasResp) Op() Op        { return OpFreeReplicasResp }
+func (*FreeReplicasResp) WireSize() int { return headerSize + 1 }
 func (m *FreeReplicasResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -358,9 +337,8 @@ func (m *RDMAWriteReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*RDMAWriteResp) Op() Op               { return OpRDMAWriteResp }
-func (*RDMAWriteResp) WireSize() int        { return headerSize + 1 }
-func (m *RDMAWriteResp) RespStatus() Status { return m.Status }
+func (*RDMAWriteResp) Op() Op        { return OpRDMAWriteResp }
+func (*RDMAWriteResp) WireSize() int { return headerSize + 1 }
 func (m *RDMAWriteResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -379,7 +357,6 @@ func (*SegmentInventoryResp) Op() Op { return OpSegmentInventoryResp }
 func (m *SegmentInventoryResp) WireSize() int {
 	return headerSize + 1 + 4 + len(m.Segments)*segInfoSize
 }
-func (m *SegmentInventoryResp) RespStatus() Status { return m.Status }
 func (m *SegmentInventoryResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(uint32(len(m.Segments)))
@@ -408,7 +385,6 @@ func (m *GetRecoveryDataResp) WireSize() int {
 	}
 	return headerSize + body
 }
-func (m *GetRecoveryDataResp) RespStatus() Status { return m.Status }
 func (m *GetRecoveryDataResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(m.SegmentBytes)
@@ -444,9 +420,8 @@ func (m *RecoverReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*RecoverResp) Op() Op               { return OpRecoverResp }
-func (*RecoverResp) WireSize() int        { return headerSize + 1 }
-func (m *RecoverResp) RespStatus() Status { return m.Status }
+func (*RecoverResp) Op() Op        { return OpRecoverResp }
+func (*RecoverResp) WireSize() int { return headerSize + 1 }
 func (m *RecoverResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -461,9 +436,8 @@ func (m *RecoveryDoneReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*RecoveryDoneResp) Op() Op               { return OpRecoveryDoneResp }
-func (*RecoveryDoneResp) WireSize() int        { return headerSize + 1 }
-func (m *RecoveryDoneResp) RespStatus() Status { return m.Status }
+func (*RecoveryDoneResp) Op() Op        { return OpRecoveryDoneResp }
+func (*RecoveryDoneResp) WireSize() int { return headerSize + 1 }
 func (m *RecoveryDoneResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -481,9 +455,8 @@ func (m *MigrateTabletReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*MigrateTabletResp) Op() Op               { return OpMigrateTabletResp }
-func (*MigrateTabletResp) WireSize() int        { return headerSize + 1 + 4 }
-func (m *MigrateTabletResp) RespStatus() Status { return m.Status }
+func (*MigrateTabletResp) Op() Op        { return OpMigrateTabletResp }
+func (*MigrateTabletResp) WireSize() int { return headerSize + 1 + 4 }
 func (m *MigrateTabletResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(m.Moved)
@@ -511,9 +484,8 @@ func (m *TakeTabletReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*TakeTabletResp) Op() Op               { return OpTakeTabletResp }
-func (*TakeTabletResp) WireSize() int        { return headerSize + 1 }
-func (m *TakeTabletResp) RespStatus() Status { return m.Status }
+func (*TakeTabletResp) Op() Op        { return OpTakeTabletResp }
+func (*TakeTabletResp) WireSize() int { return headerSize + 1 }
 func (m *TakeTabletResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil
@@ -529,9 +501,8 @@ func (m *EnlistAddrReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*EnlistAddrResp) Op() Op               { return OpEnlistAddrResp }
-func (*EnlistAddrResp) WireSize() int        { return headerSize + 1 + 4 }
-func (m *EnlistAddrResp) RespStatus() Status { return m.Status }
+func (*EnlistAddrResp) Op() Op        { return OpEnlistAddrResp }
+func (*EnlistAddrResp) WireSize() int { return headerSize + 1 + 4 }
 func (m *EnlistAddrResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.i32(m.ServerID)
@@ -550,7 +521,6 @@ func (m *ServerListResp) WireSize() int {
 	}
 	return headerSize + body
 }
-func (m *ServerListResp) RespStatus() Status { return m.Status }
 func (m *ServerListResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	e.u32(uint32(len(m.Servers)))
@@ -573,9 +543,8 @@ func (m *AssignTabletsReq) encodeBody(e *encoder) error {
 	return nil
 }
 
-func (*AssignTabletsResp) Op() Op               { return OpAssignTabletsResp }
-func (*AssignTabletsResp) WireSize() int        { return headerSize + 1 }
-func (m *AssignTabletsResp) RespStatus() Status { return m.Status }
+func (*AssignTabletsResp) Op() Op        { return OpAssignTabletsResp }
+func (*AssignTabletsResp) WireSize() int { return headerSize + 1 }
 func (m *AssignTabletsResp) encodeBody(e *encoder) error {
 	e.u8(uint8(m.Status))
 	return nil

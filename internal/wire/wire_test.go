@@ -143,20 +143,6 @@ func TestOpCoversAllMessages(t *testing.T) {
 	}
 }
 
-// TestResponsesCarryStatus asserts every *Resp message except PingResp
-// implements Response, so a status can be read off any response without a
-// type switch.
-func TestResponsesCarryStatus(t *testing.T) {
-	for _, msg := range allMessages() {
-		name := fmt.Sprintf("%T", msg)
-		_, isResp := msg.(Response)
-		wantResp := strings.HasSuffix(name, "Resp") && name != "*wire.PingResp"
-		if isResp != wantResp {
-			t.Errorf("%s: implements Response = %v, want %v", name, isResp, wantResp)
-		}
-	}
-}
-
 func TestVirtualValueSizeCounted(t *testing.T) {
 	real := Envelope{Msg: &WriteReq{Table: 1, Key: []byte("k"), ValueLen: 1024, Value: make([]byte, 1024)}}
 	virtual := Envelope{Msg: &WriteReq{Table: 1, Key: []byte("k"), ValueLen: 1024, Value: nil}}
