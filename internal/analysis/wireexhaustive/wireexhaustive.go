@@ -12,7 +12,7 @@
 //     which constructs that implementation. A message type added
 //     without a decode case would marshal but never unmarshal — invisible
 //     on the simulated fabric (which passes structs by reference) and
-//     fatal on the real-transport backend the roadmap plans.
+//     fatal on the TCP transport.
 //
 //  2. Exhaustiveness: a type switch over a sealed interface from this
 //     module, in any non-test file of any package, must either carry a

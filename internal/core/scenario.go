@@ -277,7 +277,6 @@ func Run(s Scenario) *Result {
 	// Client-side aggregation.
 	res.ReadLatency = metrics.NewHistogram()
 	res.WriteLatency = metrics.NewHistogram()
-	var lastDone sim.Time
 	for _, c := range cl.Clients {
 		st := c.Stats()
 		res.TotalOps += st.Ops.Value()
@@ -294,7 +293,6 @@ func Run(s Scenario) *Result {
 		}
 		res.ClientLatencyUs = append(res.ClientLatencyUs, &lat)
 	}
-	_ = lastDone
 	if totalClients > 0 && res.Duration > 0 {
 		res.Throughput = float64(res.TotalOps) / res.Duration.Seconds()
 	}

@@ -292,7 +292,6 @@ var (
 	ErrBadRef     = errors.New("logstore: invalid reference")
 	ErrLogFull    = errors.New("logstore: log capacity exhausted")
 	ErrEntryLarge = errors.New("logstore: entry larger than a segment")
-	ErrSealed     = errors.New("logstore: segment is sealed")
 )
 
 // Log is the append-only log-structured memory of one master.

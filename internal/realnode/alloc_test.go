@@ -94,25 +94,24 @@ func TestAllocationBudget(t *testing.T) {
 		op     func(i int)
 		ops    int
 		items  int     // items per op; the figure is per item
-		budget float64 // 0: printed, not pinned
+		budget float64 // objects per item
 	}{
 		{"Get", get, ops, 1, 6},
 		{"Put", put, ops, 1, 4},
 		{"GetAsync+Wait", async, ops, 1, 7},
-		{"MultiRead/32", multiRead, ops / batch, batch, 0},
-		{"MultiWrite/32", multiWrite, ops / batch, batch, 0},
+		// A batch spans the three masters unevenly, so a multi-op's
+		// figure is fractional: its budget is the measured figure rounded
+		// up to a tenth, which one more object per RPC (about three RPCs
+		// per batch) would exceed.
+		{"MultiRead/32", multiRead, ops / batch, batch, 2.7},
+		{"MultiWrite/32", multiWrite, ops / batch, batch, 0.7},
 	} {
 		mallocsPerOp(c.ops/4, c.op) // warm-up: pools filled, buffers grown
 		got := mallocsPerOp(c.ops, c.op) / float64(c.items)
-		if c.budget == 0 {
-			t.Logf("%-14s %.3f allocations per item", c.name, got)
-			continue
-		}
-		t.Logf("%-14s %.3f allocations per op (budget %v)", c.name, got, c.budget)
-		// The budget is a whole number of objects; the slack is the
-		// background's share, far below one object per op.
-		if got > c.budget+0.25 {
-			t.Errorf("%s allocates %.3f objects per op, budget %v", c.name, got, c.budget)
+		t.Logf("%-14s %.3f allocations per item (budget %v)", c.name, got, c.budget)
+		// The slack is the background's share, far below one object per op.
+		if got > c.budget+0.25/float64(c.items) {
+			t.Errorf("%s allocates %.3f objects per item, budget %v", c.name, got, c.budget)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import "testing"
 var (
 	benchSizeSink int
 	benchBufSink  []byte
+	benchEnvSink  Envelope
 )
 
 func benchMessages() []Envelope {
@@ -31,8 +32,8 @@ func BenchmarkWireSize(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshal measures the real binary encoding (fidelity tests and
-// external tooling; not on the simulated fast path).
+// BenchmarkMarshal measures the binary encoding the TCP transport sends
+// (the simulated fabric passes structs and never encodes).
 func BenchmarkMarshal(b *testing.B) {
 	envs := benchMessages()
 	b.ReportAllocs()
@@ -43,5 +44,28 @@ func BenchmarkMarshal(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchBufSink = buf
+	}
+}
+
+// BenchmarkUnmarshal measures the copying decode the TCP client reads
+// responses with, over the messages above and one 14-item multi-read
+// response of 1 KiB values (a counted list, made once).
+func BenchmarkUnmarshal(b *testing.B) {
+	envs := append(benchMessages(), Envelope{RPCID: 7, Msg: multiReadResp(14, 1024)})
+	frames := make([][]byte, len(envs))
+	for i, env := range envs {
+		var err error
+		if frames[i], err = Marshal(env); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env, err := Unmarshal(frames[i%len(frames)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchEnvSink = env
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -11,20 +12,184 @@ type Envelope struct {
 	Msg   Message
 }
 
-const objectFixed = 8 + 8 + 4 + 4 + 8 + 1 // table, keyhash, keylen, valuelen, version, tombstone
+// codec is the one walker every message's walk drives. Encoding, it
+// appends each field to b; decoding, it reads each field from b at off,
+// as a copy or, with view set, as a capacity-clipped sub-slice of b. The
+// first failure sticks (ErrVirtualValue encoding, ErrTruncated decoding),
+// the walk runs on, and its result is discarded.
+type codec struct {
+	b    []byte
+	off  int
+	dec  bool
+	view bool
+	err  error
+}
 
-func objectSize(o *Object) int { return objectFixed + len(o.Key) + int(o.ValueLen) }
+// codecPool recycles codecs: a codec escapes into the Message interface
+// call, so without the pool every frame would heap-allocate one.
+var codecPool = sync.Pool{New: func() any { return new(codec) }}
 
-const tabletSize = 8 + 8 + 8 + 4 + 1
-const segInfoSize = 8 + 4
-const segLocSize = 8 + 4 + 4
-const willPartSize = 8 + 8
+// next consumes n bytes of the input as a capacity-clipped sub-slice;
+// nil after a failure. Decoding fails in one way only, so the error is
+// set, not kept.
+func (c *codec) next(n int) []byte {
+	if c.err != nil || n > len(c.b)-c.off {
+		c.err = ErrTruncated
+		return nil
+	}
+	v := c.b[c.off : c.off+n : c.off+n]
+	c.off += n
+	return v
+}
 
-// encPool recycles encoder headers so the append-style encoding path
-// allocates nothing beyond the destination buffer's own growth. The
-// encoder escapes into the Message interface call, so without the pool
-// every frame would heap-allocate one.
-var encPool = sync.Pool{New: func() any { return new(encoder) }}
+func (c *codec) u8(v *uint8) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if p := c.next(1); p != nil {
+		*v = p[0]
+	}
+}
+
+func (c *codec) status(v *Status) { c.u8((*uint8)(v)) }
+
+func (c *codec) b1(v *bool) {
+	if !c.dec {
+		var x uint8
+		if *v {
+			x = 1
+		}
+		c.b = append(c.b, x)
+	} else if p := c.next(1); p != nil {
+		*v = p[0] != 0
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+	} else if p := c.next(4); p != nil {
+		*v = binary.LittleEndian.Uint32(p)
+	}
+}
+
+func (c *codec) i32(v *int32) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*v))
+	} else if p := c.next(4); p != nil {
+		*v = int32(binary.LittleEndian.Uint32(p))
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+	} else if p := c.next(8); p != nil {
+		*v = binary.LittleEndian.Uint64(p)
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if p := c.next(8); p != nil {
+		*v = int64(binary.LittleEndian.Uint64(p))
+	}
+}
+
+// take decodes a length-prefixed field as a sub-slice of the input.
+func (c *codec) take() []byte {
+	var n uint32
+	c.u32(&n)
+	return c.next(int(n))
+}
+
+// bytes walks a length-prefixed byte field. A decoded one is a copy unless
+// the codec is a view.
+func (c *codec) bytes(v *[]byte) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(len(*v)))
+		c.b = append(c.b, *v...)
+		return
+	}
+	p := c.take()
+	if !c.view && p != nil {
+		p = append(make([]byte, 0, len(p)), p...)
+	}
+	*v = p
+}
+
+// str walks a length-prefixed string. It converts straight from the
+// input: one allocation, and never a view (a string must not alias a
+// frame that will be reused).
+func (c *codec) str(v *string) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(len(*v)))
+		c.b = append(c.b, *v...)
+		return
+	}
+	*v = string(c.take())
+}
+
+// value walks a value and its declared length. Encoding fails a virtual
+// value (a declared length without the bytes); decoding sets the length
+// from the bytes carried.
+func (c *codec) value(n *uint32, v *[]byte) {
+	if !c.dec && int(*n) != len(*v) {
+		if c.err == nil {
+			c.err = fmt.Errorf("%w: declared %d bytes, carrying %d", ErrVirtualValue, *n, len(*v))
+		}
+		return
+	}
+	c.bytes(v)
+	if c.dec {
+		*n = uint32(len(*v))
+	}
+}
+
+// list walks a counted list: a u32 count, then each element's walk. A
+// decoded list is made once, at its final length, and only after the
+// remaining input is seen to hold that many elements at their smallest
+// encoding, so a hostile count fails before anything is allocated. A zero
+// count decodes to nil.
+func list[T any](c *codec, s *[]T, walk func(*T, *codec)) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if !c.dec {
+		for i := range *s {
+			walk(&(*s)[i], c)
+		}
+		return
+	}
+	if c.err != nil || n == 0 {
+		return
+	}
+	if uint64(n)*uint64(minSize(walk)) > uint64(len(c.b)-c.off) {
+		c.err = ErrTruncated
+		return
+	}
+	out := make([]T, n)
+	for i := range out {
+		walk(&out[i], c)
+	}
+	*s = out
+}
+
+// minSizes caches each list element type's smallest encoding, keyed by
+// a nil pointer of that type.
+var minSizes sync.Map
+
+// minSize is the encoded size of T's zero value: no bytes, no string,
+// no value, which is the least any T can take on the wire.
+func minSize[T any](walk func(*T, *codec)) int {
+	key := any((*T)(nil))
+	if n, ok := minSizes.Load(key); ok {
+		return n.(int)
+	}
+	c := new(codec)
+	walk(new(T), c)
+	minSizes.Store(key, len(c.b))
+	return len(c.b)
+}
 
 // Marshal encodes the envelope. Messages carrying virtual values (declared
 // length without bytes) return ErrVirtualValue: they can cross the simulated
@@ -46,79 +211,23 @@ func AppendEnvelope(dst []byte, env Envelope) ([]byte, error) {
 		return dst, fmt.Errorf("%w: nil message", ErrUnknownOp)
 	}
 	start := len(dst)
-	e := encPool.Get().(*encoder)
-	e.b = dst
-	e.u8(uint8(env.Msg.Op()))
-	e.u64(env.RPCID)
-	e.u32(0) // length back-patched below
-	if err := env.Msg.encodeBody(e); err != nil {
-		e.b = nil
-		encPool.Put(e)
+	c := codecPool.Get().(*codec)
+	*c = codec{b: dst}
+	op, total := uint8(env.Msg.Op()), uint32(0) // total back-patched below
+	c.u8(&op)
+	c.u64(&env.RPCID)
+	c.u32(&total)
+	env.Msg.walk(c)
+	out, err := c.b, c.err
+	*c = codec{}
+	codecPool.Put(c)
+	if err != nil {
 		return dst, err
 	}
-	out := e.b
-	e.b = nil
-	encPool.Put(e)
-	// Back-patch total length (of this frame, not the whole buffer).
-	total := uint32(len(out) - start)
-	out[start+9] = byte(total)
-	out[start+10] = byte(total >> 8)
-	out[start+11] = byte(total >> 16)
-	out[start+12] = byte(total >> 24)
+	// The length of this frame, not of the whole buffer.
+	binary.LittleEndian.PutUint32(out[start+9:], uint32(len(out)-start))
 	return out, nil
 }
-
-func encodeValue(e *encoder, declared uint32, value []byte) error {
-	if int(declared) != len(value) {
-		return fmt.Errorf("%w: declared %d bytes, carrying %d", ErrVirtualValue, declared, len(value))
-	}
-	e.bytes(value)
-	return nil
-}
-
-func encodeTablet(e *encoder, t *Tablet) {
-	e.u64(t.Table)
-	e.u64(t.StartHash)
-	e.u64(t.EndHash)
-	e.i32(t.Master)
-	e.b1(t.Recovering)
-}
-
-func encodeObject(e *encoder, o *Object) error {
-	if int(o.ValueLen) != len(o.Value) {
-		return fmt.Errorf("%w: object declares %d bytes, carries %d", ErrVirtualValue, o.ValueLen, len(o.Value))
-	}
-	e.u64(o.Table)
-	e.u64(o.KeyHash)
-	e.bytes(o.Key)
-	e.bytes(o.Value)
-	e.u64(o.Version)
-	e.b1(o.Tombstone)
-	return nil
-}
-
-func decodeTablet(d *decoder) Tablet {
-	return Tablet{
-		Table:      d.u64(),
-		StartHash:  d.u64(),
-		EndHash:    d.u64(),
-		Master:     d.i32(),
-		Recovering: d.b1(),
-	}
-}
-
-func decodeObject(d *decoder) Object {
-	o := Object{Table: d.u64(), KeyHash: d.u64(), Key: d.bytes()}
-	o.Value = d.bytes()
-	o.ValueLen = uint32(len(o.Value))
-	o.Version = d.u64()
-	o.Tombstone = d.b1()
-	return o
-}
-
-// decPool recycles decoder headers across Unmarshal calls; a decoder
-// holds no state worth keeping once its call returns.
-var decPool = sync.Pool{New: func() any { return new(decoder) }}
 
 // Unmarshal decodes a message produced by Marshal. Inputs that cannot
 // be a valid envelope are rejected with typed errors (ErrTruncated,
@@ -142,215 +251,135 @@ func unmarshal(b []byte, view bool) (Envelope, error) {
 	if len(b) > MaxEnvelopeSize {
 		return Envelope{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(b))
 	}
-	d := decPool.Get().(*decoder)
-	*d = decoder{b: b, view: view}
-	env, err := unmarshalBody(d)
-	d.b = nil
-	decPool.Put(d)
+	c := codecPool.Get().(*codec)
+	*c = codec{b: b, dec: true, view: view}
+	env, err := unmarshalBody(c)
+	*c = codec{}
+	codecPool.Put(c)
 	return env, err
 }
 
-func unmarshalBody(d *decoder) (Envelope, error) {
-	b := d.b
-	op := Op(d.u8())
-	rpcID := d.u64()
-	total := d.u32()
-	if int64(total) != int64(len(b)) {
-		return Envelope{}, fmt.Errorf("%w: length field %d != buffer %d", ErrBadLength, total, len(b))
+// unmarshalBody reads the header, constructs the message its opcode
+// names, and walks it.
+func unmarshalBody(c *codec) (Envelope, error) {
+	var (
+		env   Envelope
+		op    Op
+		total uint32
+	)
+	c.u8((*uint8)(&op))
+	c.u64(&env.RPCID)
+	c.u32(&total)
+	if int64(total) != int64(len(c.b)) {
+		return Envelope{}, fmt.Errorf("%w: length field %d != buffer %d", ErrBadLength, total, len(c.b))
 	}
-	var msg Message
 	switch op {
 	case OpReadReq:
-		msg = &ReadReq{Table: d.u64(), Key: d.bytes()}
+		env.Msg = &ReadReq{}
 	case OpReadResp:
-		m := &ReadResp{Status: Status(d.u8()), Version: d.u64()}
-		m.Value = d.bytes()
-		m.ValueLen = uint32(len(m.Value))
-		msg = m
+		env.Msg = &ReadResp{}
 	case OpWriteReq:
-		m := &WriteReq{Table: d.u64(), Key: d.bytes()}
-		m.Value = d.bytes()
-		m.ValueLen = uint32(len(m.Value))
-		msg = m
+		env.Msg = &WriteReq{}
 	case OpWriteResp:
-		msg = &WriteResp{Status: Status(d.u8()), Version: d.u64()}
+		env.Msg = &WriteResp{}
 	case OpDeleteReq:
-		msg = &DeleteReq{Table: d.u64(), Key: d.bytes()}
+		env.Msg = &DeleteReq{}
 	case OpDeleteResp:
-		msg = &DeleteResp{Status: Status(d.u8()), Version: d.u64()}
+		env.Msg = &DeleteResp{}
 	case OpCreateTableReq:
-		msg = &CreateTableReq{Name: d.str(), ServerSpan: d.u32()}
+		env.Msg = &CreateTableReq{}
 	case OpCreateTableResp:
-		msg = &CreateTableResp{Status: Status(d.u8()), Table: d.u64()}
+		env.Msg = &CreateTableResp{}
 	case OpDropTableReq:
-		msg = &DropTableReq{Name: d.str()}
+		env.Msg = &DropTableReq{}
 	case OpDropTableResp:
-		msg = &DropTableResp{Status: Status(d.u8())}
+		env.Msg = &DropTableResp{}
 	case OpGetTabletMapReq:
-		msg = &GetTabletMapReq{}
+		env.Msg = &GetTabletMapReq{}
 	case OpGetTabletMapResp:
-		m := &GetTabletMapResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
-		msg = m
+		env.Msg = &GetTabletMapResp{}
 	case OpEnlistReq:
-		msg = &EnlistReq{Node: d.i32(), MemoryBytes: d.i64(), HasBackup: d.b1()}
+		env.Msg = &EnlistReq{}
 	case OpEnlistResp:
-		msg = &EnlistResp{Status: Status(d.u8()), ServerID: d.i32()}
+		env.Msg = &EnlistResp{}
 	case OpPingReq:
-		msg = &PingReq{Seq: d.u64()}
+		env.Msg = &PingReq{}
 	case OpPingResp:
-		msg = &PingResp{Seq: d.u64()}
+		env.Msg = &PingResp{}
 	case OpSetWillReq:
-		m := &SetWillReq{Master: d.i32()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Partitions = append(m.Partitions, WillPartition{FirstHash: d.u64(), LastHash: d.u64()})
-		}
-		msg = m
+		env.Msg = &SetWillReq{}
 	case OpSetWillResp:
-		msg = &SetWillResp{Status: Status(d.u8())}
+		env.Msg = &SetWillResp{}
 	case OpOpenSegmentReq:
-		msg = &OpenSegmentReq{Master: d.i32(), Segment: d.u64()}
+		env.Msg = &OpenSegmentReq{}
 	case OpOpenSegmentResp:
-		msg = &OpenSegmentResp{Status: Status(d.u8())}
+		env.Msg = &OpenSegmentResp{}
 	case OpReplicateReq:
-		m := &ReplicateReq{Master: d.i32(), Segment: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
-		msg = m
+		env.Msg = &ReplicateReq{}
 	case OpReplicateResp:
-		msg = &ReplicateResp{Status: Status(d.u8())}
+		env.Msg = &ReplicateResp{}
 	case OpCloseSegmentReq:
-		msg = &CloseSegmentReq{Master: d.i32(), Segment: d.u64(), SegmentBytes: d.u32()}
+		env.Msg = &CloseSegmentReq{}
 	case OpCloseSegmentResp:
-		msg = &CloseSegmentResp{Status: Status(d.u8())}
+		env.Msg = &CloseSegmentResp{}
 	case OpFreeReplicasReq:
-		msg = &FreeReplicasReq{Master: d.i32()}
+		env.Msg = &FreeReplicasReq{}
 	case OpFreeReplicasResp:
-		msg = &FreeReplicasResp{Status: Status(d.u8())}
+		env.Msg = &FreeReplicasResp{}
 	case OpSegmentInventoryReq:
-		msg = &SegmentInventoryReq{Master: d.i32()}
+		env.Msg = &SegmentInventoryReq{}
 	case OpSegmentInventoryResp:
-		m := &SegmentInventoryResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Segments = append(m.Segments, SegmentInfo{Segment: d.u64(), Bytes: d.u32()})
-		}
-		msg = m
+		env.Msg = &SegmentInventoryResp{}
 	case OpGetRecoveryDataReq:
-		msg = &GetRecoveryDataReq{Master: d.i32(), Segment: d.u64(), FirstHash: d.u64(), LastHash: d.u64()}
+		env.Msg = &GetRecoveryDataReq{}
 	case OpGetRecoveryDataResp:
-		m := &GetRecoveryDataResp{Status: Status(d.u8()), SegmentBytes: d.u32()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
-		msg = m
+		env.Msg = &GetRecoveryDataResp{}
 	case OpRecoverReq:
-		m := &RecoverReq{Crashed: d.i32(), FirstHash: d.u64(), LastHash: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
-		n = d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Segments = append(m.Segments, SegmentLoc{Segment: d.u64(), Backup: d.i32(), Bytes: d.u32()})
-		}
-		msg = m
+		env.Msg = &RecoverReq{}
 	case OpRecoverResp:
-		msg = &RecoverResp{Status: Status(d.u8())}
+		env.Msg = &RecoverResp{}
 	case OpRecoveryDoneReq:
-		msg = &RecoveryDoneReq{Crashed: d.i32(), FirstHash: d.u64(), Ok: d.b1()}
+		env.Msg = &RecoveryDoneReq{}
 	case OpRecoveryDoneResp:
-		msg = &RecoveryDoneResp{Status: Status(d.u8())}
+		env.Msg = &RecoveryDoneResp{}
 	case OpRDMAWriteReq:
-		m := &RDMAWriteReq{Master: d.i32(), Segment: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
-		msg = m
+		env.Msg = &RDMAWriteReq{}
 	case OpRDMAWriteResp:
-		msg = &RDMAWriteResp{Status: Status(d.u8())}
+		env.Msg = &RDMAWriteResp{}
 	case OpMultiReadReq:
-		m := &MultiReadReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Items = append(m.Items, MultiReadItem{Table: d.u64(), Key: d.bytes()})
-		}
-		msg = m
+		env.Msg = &MultiReadReq{}
 	case OpMultiReadResp:
-		m := &MultiReadResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			it := MultiReadResult{Status: Status(d.u8()), Version: d.u64()}
-			it.Value = d.bytes()
-			it.ValueLen = uint32(len(it.Value))
-			m.Items = append(m.Items, it)
-		}
-		msg = m
+		env.Msg = &MultiReadResp{}
 	case OpMultiWriteReq:
-		m := &MultiWriteReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			it := MultiWriteItem{Table: d.u64(), Key: d.bytes()}
-			it.Value = d.bytes()
-			it.ValueLen = uint32(len(it.Value))
-			m.Items = append(m.Items, it)
-		}
-		msg = m
+		env.Msg = &MultiWriteReq{}
 	case OpMultiWriteResp:
-		m := &MultiWriteResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Items = append(m.Items, MultiWriteResult{Status: Status(d.u8()), Version: d.u64()})
-		}
-		msg = m
+		env.Msg = &MultiWriteResp{}
 	case OpMigrateTabletReq:
-		msg = &MigrateTabletReq{Table: d.u64(), FirstHash: d.u64(), LastHash: d.u64(), Dst: d.i32()}
+		env.Msg = &MigrateTabletReq{}
 	case OpMigrateTabletResp:
-		msg = &MigrateTabletResp{Status: Status(d.u8()), Moved: d.u32()}
+		env.Msg = &MigrateTabletResp{}
 	case OpTakeTabletReq:
-		m := &TakeTabletReq{Table: d.u64(), FirstHash: d.u64(), LastHash: d.u64()}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Objects = append(m.Objects, decodeObject(d))
-		}
-		msg = m
+		env.Msg = &TakeTabletReq{}
 	case OpTakeTabletResp:
-		msg = &TakeTabletResp{Status: Status(d.u8())}
+		env.Msg = &TakeTabletResp{}
 	case OpEnlistAddrReq:
-		msg = &EnlistAddrReq{Addr: d.str(), MemoryBytes: d.i64()}
+		env.Msg = &EnlistAddrReq{}
 	case OpEnlistAddrResp:
-		msg = &EnlistAddrResp{Status: Status(d.u8()), ServerID: d.i32()}
+		env.Msg = &EnlistAddrResp{}
 	case OpServerListReq:
-		msg = &ServerListReq{}
+		env.Msg = &ServerListReq{}
 	case OpServerListResp:
-		m := &ServerListResp{Status: Status(d.u8())}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Servers = append(m.Servers, ServerAddr{ID: d.i32(), Addr: d.str()})
-		}
-		msg = m
+		env.Msg = &ServerListResp{}
 	case OpAssignTabletsReq:
-		m := &AssignTabletsReq{}
-		n := d.u32()
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Tablets = append(m.Tablets, decodeTablet(d))
-		}
-		msg = m
+		env.Msg = &AssignTabletsReq{}
 	case OpAssignTabletsResp:
-		msg = &AssignTabletsResp{Status: Status(d.u8())}
+		env.Msg = &AssignTabletsResp{}
 	default:
 		return Envelope{}, fmt.Errorf("%w: %d", ErrUnknownOp, op)
 	}
-	if d.err != nil {
-		return Envelope{}, d.err
+	env.Msg.walk(c)
+	if c.err != nil {
+		return Envelope{}, c.err
 	}
-	return Envelope{RPCID: rpcID, Msg: msg}, nil
+	return env, nil
 }

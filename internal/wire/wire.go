@@ -1,18 +1,18 @@
 // Package wire defines the RPC message vocabulary of the storage system and
 // a compact binary codec for it. The simulated fabric passes message structs
 // by reference for speed, but every message has an exact on-wire size
-// (computed by Size) that drives network transfer timing, and Marshal /
-// Unmarshal implement the real encoding for fidelity tests and external
-// tooling.
+// (WireSize) that drives network transfer timing. Marshal / AppendEnvelope
+// and Unmarshal / UnmarshalView are the real encoding the TCP transport
+// sends; each message states its byte layout once, in a walk that both
+// encodes and decodes.
 //
 // Values may be "virtual": a message can declare ValueLen without carrying
-// the bytes (Value == nil). Size always accounts the declared length, which
-// lets large experiments run without materializing gigabytes of payload
-// while keeping transfer times faithful.
+// the bytes (Value == nil). WireSize always accounts the declared length,
+// which lets large experiments run without materializing gigabytes of
+// payload while keeping transfer times faithful.
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -558,102 +558,3 @@ var ErrUnknownOp = errors.New("wire: unknown opcode")
 // ErrVirtualValue reports an attempt to marshal a message whose declared
 // value length disagrees with the bytes it carries.
 var ErrVirtualValue = errors.New("wire: cannot marshal virtual value")
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *encoder) b1(v bool)    { e.u8(boolByte(v)) }
-func (e *encoder) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) i32(v int32)  { e.u32(uint32(v)) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *encoder) str(v string) { e.bytes([]byte(v)) }
-
-func boolByte(v bool) uint8 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-type decoder struct {
-	b   []byte
-	off int
-	err error
-	// view makes bytes return sub-slices of b instead of copies
-	// (UnmarshalView).
-	view bool
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrTruncated
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) b1() bool { return d.u8() != 0 }
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) i32() int32 { return int32(d.u32()) }
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-// take consumes a length-prefixed field and returns it as a
-// capacity-clipped sub-slice of the input; nil after a failure.
-func (d *decoder) take() []byte {
-	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.b) {
-		d.fail()
-		return nil
-	}
-	end := d.off + int(n)
-	v := d.b[d.off:end:end]
-	d.off = end
-	return v
-}
-
-func (d *decoder) bytes() []byte {
-	v := d.take()
-	if d.view || v == nil {
-		return v
-	}
-	c := make([]byte, len(v))
-	copy(c, v)
-	return c
-}
-
-// str converts straight from the input: one allocation, and never a view
-// (a string must not alias a frame that will be reused).
-func (d *decoder) str() string { return string(d.take()) }

@@ -450,3 +450,128 @@ func TestViewStringsAreCopies(t *testing.T) {
 		}
 	}
 }
+
+// multiReadResp is a MultiReadResp of n found items carrying valueLen
+// bytes each: the response to one multi-read round.
+func multiReadResp(n, valueLen int) *MultiReadResp {
+	m := &MultiReadResp{Status: StatusOK, Items: make([]MultiReadResult, n)}
+	for i := range m.Items {
+		m.Items[i] = MultiReadResult{Status: StatusOK, Version: uint64(i + 1),
+			ValueLen: uint32(valueLen), Value: bytes.Repeat([]byte{'v'}, valueLen)}
+	}
+	return m
+}
+
+// TestDecodeAllocations pins what decoding a counted list costs: the
+// message, its list made once at its final length, and (copying) each
+// item's value. Nothing grows while the list is read.
+func TestDecodeAllocations(t *testing.T) {
+	req := &MultiReadReq{Items: make([]MultiReadItem, 14)}
+	for i := range req.Items {
+		req.Items[i] = MultiReadItem{Table: 1, Key: []byte(fmt.Sprintf("user%010d", i))}
+	}
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (Envelope, error)
+		msg    Message
+		want   float64
+	}{
+		{"Unmarshal(MultiReadResp/14 x 1 KiB)", Unmarshal, multiReadResp(14, 1024), 16},
+		{"UnmarshalView(MultiReadReq/14)", UnmarshalView, req, 2},
+	} {
+		b, err := Marshal(Envelope{RPCID: 1, Msg: c.msg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := c.decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.want {
+			t.Errorf("%s allocates %v objects, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// decoders are the two ways to decode a frame.
+var decoders = map[string]func([]byte) (Envelope, error){"Unmarshal": Unmarshal, "UnmarshalView": UnmarshalView}
+
+// isList reports whether a message field is a counted list (a slice of
+// structs, not of bytes).
+func isList(f reflect.Value) bool {
+	return f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct
+}
+
+// emptyLists returns a copy of msg with every counted list set to a
+// non-nil empty slice, and how many lists it carries. Every message's
+// lists are its last fields, so with them empty the frame ends in their
+// counts.
+func emptyLists(msg Message) (Message, int) {
+	v := reflect.New(reflect.TypeOf(msg).Elem()).Elem()
+	v.Set(reflect.ValueOf(msg).Elem())
+	n := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); isList(f) {
+			f.Set(reflect.MakeSlice(f.Type(), 0, 0))
+			n++
+		}
+	}
+	return v.Addr().Interface().(Message), n
+}
+
+// TestHostileListCount: a well-framed envelope whose list count is
+// 2^32-1 fails with ErrTruncated from both decoders, having allocated at
+// most the message struct, not a slice sized by the count.
+func TestHostileListCount(t *testing.T) {
+	lists := 0
+	for _, msg := range allMessages() {
+		empty, n := emptyLists(msg)
+		b, err := Marshal(Envelope{RPCID: 1, Msg: empty})
+		if err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		for k := 1; k <= n; k++ {
+			lists++
+			hostile := append([]byte(nil), b...)
+			copy(hostile[len(b)-4*k:], []byte{0xff, 0xff, 0xff, 0xff})
+			for name, decode := range decoders {
+				if _, err := decode(hostile); !errors.Is(err, ErrTruncated) {
+					t.Errorf("%s(%T, count %d from the end = 2^32-1): err = %v, want ErrTruncated", name, msg, k, err)
+				}
+				if got := testing.AllocsPerRun(20, func() { _, _ = decode(hostile) }); got > 1 {
+					t.Errorf("%s(%T, hostile count) allocates %v objects, want at most the message", name, msg, got)
+				}
+			}
+		}
+	}
+	if lists != 15 {
+		t.Fatalf("checked %d counted lists, want 15 (one per list-carrying message, two in RecoverReq)", lists)
+	}
+}
+
+// TestEmptyListsDecodeNil: a zero count decodes to a nil list, even when
+// the list encoded was empty rather than nil.
+func TestEmptyListsDecodeNil(t *testing.T) {
+	for _, msg := range allMessages() {
+		empty, n := emptyLists(msg)
+		if n == 0 {
+			continue
+		}
+		b, err := Marshal(Envelope{RPCID: 1, Msg: empty})
+		if err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		for name, decode := range decoders {
+			env, err := decode(b)
+			if err != nil {
+				t.Fatalf("%s(%T): %v", name, msg, err)
+			}
+			v := reflect.ValueOf(env.Msg).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); isList(f) && !f.IsNil() {
+					t.Errorf("%s(%T): %s decoded to an empty non-nil list", name, msg, v.Type().Field(i).Name)
+				}
+			}
+		}
+	}
+}
