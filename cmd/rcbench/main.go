@@ -2,12 +2,19 @@
 // Performance and Energy-Efficiency of The RAMCloud Storage System"
 // (ICDCS 2017) on the simulated testbed.
 //
+// Standard output (or the -o file) carries only the renderings, so it is
+// a determinism fixture: two runs of the same binary must be
+// byte-identical, and neither a simulation-core refactor nor the -j level
+// may change it (diff against a pre-change capture, and -j 8 against
+// -j 1). Wall-clock timings go to standard error.
+//
 // Usage:
 //
 //	rcbench -list                 # show available experiments
 //	rcbench -exp table2,fig5      # run selected experiments
 //	rcbench -all                  # run everything (several minutes)
 //	rcbench -all -scale 2 -o out  # longer runs, write to a file
+//	rcbench -all -scale 0.5 -seed 42 -j 8 > golden.txt
 package main
 
 import (
@@ -23,12 +30,13 @@ import (
 	"ramcloud/internal/core"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with the arguments, standard output and exit status made
+// run is main with the arguments, output streams and exit status made
 // explicit so a test can drive it.
-func run(args []string, stdout io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		list  = fs.Bool("list", false, "list experiments and exit")
 		exps  = fs.String("exp", "", "comma-separated experiment ids")
@@ -61,7 +69,7 @@ func run(args []string, stdout io.Writer) int {
 	case *exps != "":
 		ids = strings.Split(*exps, ",")
 	default:
-		fmt.Fprintln(os.Stderr, "rcbench: nothing to do; use -list, -exp or -all")
+		fmt.Fprintln(stderr, "rcbench: nothing to do; use -list, -exp or -all")
 		return 2
 	}
 
@@ -72,7 +80,7 @@ func run(args []string, stdout io.Writer) int {
 		id = strings.TrimSpace(id)
 		e, ok := core.ByID(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "rcbench: unknown experiment %q (try -list)\n", id)
+			fmt.Fprintf(stderr, "rcbench: unknown experiment %q (try -list)\n", id)
 			return 2
 		}
 		selected = append(selected, e)
@@ -83,13 +91,13 @@ func run(args []string, stdout io.Writer) int {
 	if *out != "" {
 		var err error
 		if f, err = os.Create(*out); err != nil {
-			fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
+			fmt.Fprintf(stderr, "rcbench: %v\n", err)
 			return 1
 		}
 		w = f
 	}
 	core.SetParallelism(*j)
-	err := render(w, selected, core.Options{Scale: *scale, Seed: *seed}, *j)
+	err := render(w, stderr, selected, core.Options{Scale: *scale, Seed: *seed}, *j)
 	if f != nil {
 		// A short file must not hide behind exit status 0.
 		if cerr := f.Close(); err == nil {
@@ -97,15 +105,15 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
+		fmt.Fprintf(stderr, "rcbench: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-// render runs the selected experiments and writes each rendering with its
-// wall clock to w, stopping at the first write error.
-func render(w io.Writer, selected []core.Experiment, opts core.Options, j int) error {
+// render runs the selected experiments and writes each rendering to w and
+// its wall clock to timings, stopping at the first write error to w.
+func render(w, timings io.Writer, selected []core.Experiment, opts core.Options, j int) error {
 	warmable := 0
 	for _, e := range selected {
 		if e.Scenarios != nil {
@@ -114,23 +122,23 @@ func render(w io.Writer, selected []core.Experiment, opts core.Options, j int) e
 	}
 	if j > 1 && warmable > 0 {
 		// Run every scenario of every requested experiment on the worker
-		// pool up front; the per-experiment timings below then measure
-		// rendering against a warm memo (the prewarm line reports the
-		// simulation cost once). Experiments without a scenario grid
-		// (fig10's custom loop) still pay their cost in their own line.
+		// pool up front; the sequential render below then hits a warm memo,
+		// so its output is byte-identical to a -j 1 run, and the
+		// per-experiment timings measure rendering (the prewarm line
+		// reports the simulation cost once). Experiments without a
+		// scenario grid (fig10's custom loop) still pay in their own line.
 		start := time.Now()
 		core.NewRunner(j).Prewarm(selected, opts)
-		if _, err := fmt.Fprintf(w, "(prewarmed %d of %d experiments on %d workers in %.1fs wall clock)\n\n",
-			warmable, len(selected), j, time.Since(start).Seconds()); err != nil {
-			return err
-		}
+		fmt.Fprintf(timings, "(prewarmed %d of %d experiments on %d workers in %.1fs wall clock)\n",
+			warmable, len(selected), j, time.Since(start).Seconds())
 	}
 	for _, e := range selected {
 		start := time.Now()
 		res := e.Run(opts)
-		if _, err := fmt.Fprintf(w, "%s(completed in %.1fs wall clock)\n\n", res.Render(), time.Since(start).Seconds()); err != nil {
+		if _, err := fmt.Fprintln(w, res.Render()); err != nil {
 			return err
 		}
+		fmt.Fprintf(timings, "(%s completed in %.1fs wall clock)\n", e.ID, time.Since(start).Seconds())
 	}
 	return nil
 }

@@ -17,7 +17,8 @@ func TestUnknownExperimentLeavesOutputFile(t *testing.T) {
 		if err := os.WriteFile(out, []byte("earlier results\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if code := run([]string{"-exp", exp, "-o", out}, &bytes.Buffer{}); code != 2 {
+		var stderr bytes.Buffer
+		if code := run([]string{"-exp", exp, "-o", out}, &bytes.Buffer{}, &stderr); code != 2 {
 			t.Fatalf("-exp %s: exit %d, want 2", exp, code)
 		}
 		got, err := os.ReadFile(out)
@@ -27,27 +28,64 @@ func TestUnknownExperimentLeavesOutputFile(t *testing.T) {
 		if string(got) != "earlier results\n" {
 			t.Fatalf("-exp %s: output file now holds %q", exp, got)
 		}
+		if !strings.Contains(stderr.String(), `unknown experiment "typo"`) {
+			t.Fatalf("-exp %s: stderr = %q", exp, stderr.String())
+		}
 	}
 }
 
+// The renderings go to the -o file or to stdout, and nothing else does:
+// the timings go to stderr.
 func TestOutputGoesToFileOrStdout(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "results.txt")
-	var stdout bytes.Buffer
-	if code := run(append([]string{"-exp", "seg", "-o", out}, quick...), &stdout); code != 0 {
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"-exp", "seg", "-o", out}, quick...), &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	got, err := os.ReadFile(out)
+	file, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(got), "(completed in ") || stdout.Len() != 0 {
-		t.Fatalf("file holds %q, stdout %q", got, stdout.String())
+	if len(file) == 0 || strings.Contains(string(file), "(completed in") || stdout.Len() != 0 {
+		t.Fatalf("file holds %q, stdout %q", file, stdout.String())
 	}
-	if code := run(append([]string{"-exp", "seg"}, quick...), &stdout); code != 0 {
+	if !strings.Contains(stderr.String(), "completed in") {
+		t.Fatalf("stderr = %q", stderr.String())
+	}
+
+	stderr.Reset()
+	if code := run(append([]string{"-exp", "seg"}, quick...), &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	if !strings.Contains(stdout.String(), "(completed in ") {
-		t.Fatalf("stdout = %q", stdout.String())
+	if stdout.String() != string(file) {
+		t.Fatalf("stdout differs from the -o file:\n%q\n%q", stdout.String(), file)
+	}
+	if !strings.Contains(stderr.String(), "completed in") {
+		t.Fatalf("stderr = %q", stderr.String())
+	}
+}
+
+// Prewarming on a pool must not change a byte of the renderings, and its
+// report goes to stderr with the other timings.
+func TestStdoutSameAtAnyParallelism(t *testing.T) {
+	args := []string{"-exp", "seg,fig1a", "-scale", "0.02", "-seed", "42"}
+	render := func(j string) (string, string) {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-j", j), &stdout, &stderr); code != 0 {
+			t.Fatalf("-j %s: exit %d, stderr %q", j, code, stderr.String())
+		}
+		return stdout.String(), stderr.String()
+	}
+	serial, _ := render("1")
+	parallel, timings := render("4")
+	if serial != parallel {
+		t.Fatalf("stdout differs between -j 1 and -j 4:\n%s\n---\n%s", serial, parallel)
+	}
+	if strings.Contains(parallel, "wall clock") {
+		t.Fatalf("stdout holds timings: %q", parallel)
+	}
+	if !strings.Contains(timings, "(prewarmed 2 of 2 experiments on 4 workers") {
+		t.Fatalf("stderr = %q", timings)
 	}
 }
 
@@ -56,7 +94,7 @@ func TestWriteFailureExitsNonZero(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
-	if code := run(append([]string{"-exp", "seg", "-o", "/dev/full"}, quick...), &bytes.Buffer{}); code != 1 {
+	if code := run(append([]string{"-exp", "seg", "-o", "/dev/full"}, quick...), &bytes.Buffer{}, &bytes.Buffer{}); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }

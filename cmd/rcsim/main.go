@@ -1,8 +1,9 @@
 // Command rcsim runs one ad-hoc scenario on the simulated RAMCloud
 // cluster and prints a measurement summary: throughput, latency, power,
 // energy efficiency and (optionally) crash-recovery statistics. It can
-// also run any registered experiment by id, shape the offered load over
-// time, and drive clients with open-loop Poisson arrivals.
+// also shape the offered load over time, drive clients with open-loop
+// Poisson arrivals, and sweep seeds. The registered experiments are
+// rendered by cmd/rcbench.
 //
 // Examples:
 //
@@ -10,8 +11,6 @@
 //	rcsim -servers 20 -clients 60 -rf 3 -workload a
 //	rcsim -servers 9 -rf 2 -records 300000 -kill-after 15s
 //	rcsim -arrival open -rate 5000 -shape diurnal
-//	rcsim -experiment loadshape
-//	rcsim -experiment latload -j 8
 //	rcsim -runs 10 -j 8 -servers 10 -clients 30 -workload a
 package main
 
@@ -44,9 +43,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		killAfter  = flag.Duration("kill-after", 0, "kill one server after this virtual time")
 		runs       = flag.Int("runs", 1, "seed-sweep run count (like the paper's 5-run averages)")
-		experiment = flag.String("experiment", "", "run a registered experiment by id (e.g. loadshape, latload, fig1a) and exit")
-		scale      = flag.Float64("scale", 1.0, "experiment scale factor (with -experiment)")
-		j          = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent scenario simulations (experiments and -runs sweeps; 1 = fully serial)")
+		j          = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent seed-sweep simulations (1 = fully serial)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
@@ -62,23 +59,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *experiment != "" {
-		e, ok := core.ByID(*experiment)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "rcsim: unknown experiment %q; registered ids:\n", *experiment)
-			for _, exp := range core.Experiments() {
-				fmt.Fprintf(os.Stderr, "  %-12s %s\n", exp.ID, exp.Title)
-			}
-			os.Exit(2)
-		}
-		opts := core.Options{Scale: *scale, Seed: *seed}
-		if *j > 1 {
-			core.NewRunner(*j).Prewarm([]core.Experiment{e}, opts)
-		}
-		fmt.Print(e.Run(opts).Render())
-		return
 	}
 
 	w, err := ycsb.ByName(*workload, *records, 1024)

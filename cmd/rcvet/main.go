@@ -8,8 +8,7 @@
 // Analyzers: detnow (no wall clock / global randomness in simulation
 // packages), goroutine (no bare go statements in deterministic
 // packages), maporder (no order-dependent work in range-over-map
-// bodies), memokey (the scenario memo key covers every Scenario
-// field), wireexhaustive (sealed wire messages decode and dispatch
+// bodies), wireexhaustive (sealed wire messages decode and dispatch
 // exhaustively).
 package main
 

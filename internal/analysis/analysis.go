@@ -1,4 +1,4 @@
-// Package analysis assembles the rcvet lint suite: custom static
+// Package analysis assembles the rcvet lint suite: four custom static
 // checks that enforce, at vet time, the invariants every rendered
 // figure in this repo rests on — determinism (a scenario replays
 // byte-identically at any seed/-j combination) and the sealed wire
@@ -16,7 +16,6 @@ import (
 	"ramcloud/internal/analysis/framework"
 	"ramcloud/internal/analysis/goroutine"
 	"ramcloud/internal/analysis/maporder"
-	"ramcloud/internal/analysis/memokey"
 	"ramcloud/internal/analysis/wireexhaustive"
 )
 
@@ -26,7 +25,6 @@ func Suite() []*framework.Analyzer {
 		detnow.Analyzer,
 		goroutine.Analyzer,
 		maporder.Analyzer,
-		memokey.Analyzer,
 		wireexhaustive.Analyzer,
 	}
 }

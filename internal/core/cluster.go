@@ -192,11 +192,6 @@ func (c *Cluster) RestartServer(i int) bool {
 	return true
 }
 
-// LiveBytesOn returns the live log bytes held by server index i.
-func (c *Cluster) LiveBytesOn(i int) int64 {
-	return c.Servers[i].Log().LiveBytes()
-}
-
 // EnergyReport aggregates PDU data over seconds [from, to).
 func (c *Cluster) EnergyReport(from, to int, ops int64) energy.Report {
 	return energy.WindowReport(c.PDUs, from, to, ops)

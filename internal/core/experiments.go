@@ -172,10 +172,9 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // The scenario memo lives in runner.go: runMemo is singleflight (the key
-// is the canonical memoKey rendering of the full scenario — every field,
-// including KillTarget, Deadline, groups, phases and the whole Profile —
-// so two scenarios differing anywhere never share a memoized Result,
-// while concurrent requests for the same scenario share one run).
+// is the %#v rendering of the full scenario, derived from its type in
+// memokey.go, so two scenarios differing anywhere never share a memoized
+// Result, while concurrent requests for the same scenario share one run).
 
 // kops formats an ops/s number in Kop/s like the paper.
 func kops(v float64) string { return fmt.Sprintf("%.0fK", v/1000) }

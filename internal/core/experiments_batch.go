@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // This file extends the characterization beyond the paper: the paper's
@@ -92,7 +93,7 @@ func runBatchSweep(o Options) *ExpResult {
 				jPerOp = fmt.Sprintf("%.3f", 1000/r.OpsPerJoule)
 			}
 			t.Rows = append(t.Rows, []string{
-				itoa(bs), kops(r.Throughput),
+				strconv.Itoa(bs), kops(r.Throughput),
 				fmt.Sprintf("%.2fx", r.Throughput/base),
 				fmt.Sprintf("%.1f", r.AvgPowerPerServer),
 				fmt.Sprintf("%.0f", r.OpsPerJoule),
@@ -110,7 +111,7 @@ func runBatchSweep(o Options) *ExpResult {
 	for _, win := range windowSizes {
 		r := windowCell(o, "C", win)
 		tw.Rows = append(tw.Rows, []string{
-			itoa(win), kops(r.Throughput),
+			strconv.Itoa(win), kops(r.Throughput),
 			fmt.Sprintf("%.2fx", r.Throughput/base),
 			fmt.Sprintf("%.0f", r.OpsPerJoule),
 		})

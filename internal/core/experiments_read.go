@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
-	"ramcloud/internal/sim"
 	"ramcloud/internal/ycsb"
 )
 
@@ -72,7 +72,7 @@ func runFig1a(o Options) *ExpResult {
 				paper = fmt.Sprintf("%.0fK", v)
 			}
 			t.Rows = append(t.Rows, []string{
-				itoa(srv), itoa(cl), kops(r.Throughput), paper,
+				strconv.Itoa(srv), strconv.Itoa(cl), kops(r.Throughput), paper,
 			})
 		}
 	}
@@ -97,7 +97,7 @@ func runFig1b(o Options) *ExpResult {
 			r := fig1Cell(o, srv, cl)
 			p := paper[[2]int{srv, cl}]
 			t.Rows = append(t.Rows, []string{
-				itoa(srv), itoa(cl), fmt.Sprintf("%.1fW", r.AvgPowerPerServer), p,
+				strconv.Itoa(srv), strconv.Itoa(cl), fmt.Sprintf("%.1fW", r.AvgPowerPerServer), p,
 			})
 		}
 	}
@@ -121,7 +121,7 @@ func runFig2(o Options) *ExpResult {
 				p = "-"
 			}
 			t.Rows = append(t.Rows, []string{
-				itoa(srv), itoa(cl), fmt.Sprintf("%.0f", r.OpsPerJoule), p,
+				strconv.Itoa(srv), strconv.Itoa(cl), fmt.Sprintf("%.0f", r.OpsPerJoule), p,
 			})
 		}
 	}
@@ -188,7 +188,7 @@ func runTable1(o Options) *ExpResult {
 		Setup: "workload C, RF 0; paper / measured per cell"}
 	t := Table{Header: []string{"clients", "1 server", "5 servers", "10 servers"}}
 	for _, cl := range table1Clients {
-		row := []string{itoa(cl)}
+		row := []string{strconv.Itoa(cl)}
 		for i, srv := range fig1Servers {
 			r := runMemo(table1Scenario(o, srv, cl))
 			var cell string
@@ -252,7 +252,7 @@ func runTable2(o Options) *ExpResult {
 		Setup: fmt.Sprintf("RF 0, 100K records, %d reqs/client; paper / measured", o.requests(20_000))}
 	t := Table{Header: []string{"clients", "A", "B", "C"}}
 	for _, cl := range table2Clients {
-		row := []string{itoa(cl)}
+		row := []string{strconv.Itoa(cl)}
 		for _, wl := range []string{"A", "B", "C"} {
 			r := tableTwoCell(o, 10, cl, wl)
 			row = append(row, paperVs(fmt.Sprintf("%.0fK", paperTable2[wl][cl]), kops(r.Throughput)))
@@ -279,7 +279,7 @@ func runFig3(o Options) *ExpResult {
 		base[wl] = tableTwoCell(o, 10, 10, wl).Throughput
 	}
 	for _, cl := range table2Clients {
-		row := []string{itoa(cl)}
+		row := []string{strconv.Itoa(cl)}
 		for _, wl := range []string{"C", "B", "A"} {
 			r := tableTwoCell(o, 10, cl, wl)
 			row = append(row, fmt.Sprintf("%.2f", r.Throughput/base[wl]))
@@ -332,7 +332,7 @@ func runFig4a(o Options) *ExpResult {
 	}
 	t := Table{Header: []string{"clients", "read-only C", "read-heavy B", "update-heavy A"}}
 	for _, cl := range table2Clients {
-		row := []string{itoa(cl)}
+		row := []string{strconv.Itoa(cl)}
 		for _, wl := range []string{"C", "B", "A"} {
 			r := fig4Cell(o, cl, wl)
 			row = append(row, paperVs(paper[wl][cl], fmt.Sprintf("%.0f", r.AvgPowerPerServer)))
@@ -364,5 +364,3 @@ func runFig4b(o Options) *ExpResult {
 		"paper: B consumes 1.28x the energy of C; A consumes 4.92x (Finding 2)")
 	return res
 }
-
-var _ = sim.Second // keep sim imported for scenario literals in this file

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/metrics"
@@ -148,7 +149,7 @@ func runFig11a(o Options) *ExpResult {
 		if rf1 > 0 {
 			ratio = fmt.Sprintf("%.1fx", float64(r.RecoveryTime)/float64(rf1))
 		}
-		t.Rows = append(t.Rows, []string{itoa(rf), paperFig11a[rf], r.RecoveryTime.String(), ratio})
+		t.Rows = append(t.Rows, []string{strconv.Itoa(rf), paperFig11a[rf], r.RecoveryTime.String(), ratio})
 	}
 	res.Tables = []Table{t}
 	res.Notes = append(res.Notes,
@@ -170,7 +171,7 @@ func runFig11b(o Options) *ExpResult {
 		endSec := killSec + int(int64(r.RecoveryTime)/int64(sim.Second)) + 1
 		joules := r.PowerSeries.Sum(killSec, endSec)
 		watts := r.PowerSeries.Mean(killSec, endSec)
-		t.Rows = append(t.Rows, []string{itoa(rf), paper[rf],
+		t.Rows = append(t.Rows, []string{strconv.Itoa(rf), paper[rf],
 			fmt.Sprintf("%.2fKJ", joules/1000), fmt.Sprintf("%.0fW", watts)})
 	}
 	res.Tables = []Table{t}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"ramcloud/internal/sim"
 	"ramcloud/internal/ycsb"
@@ -92,7 +93,7 @@ func runFig5(o Options) *ExpResult {
 	}
 	t := Table{Header: []string{"rf", "10 clients", "30 clients", "60 clients"}}
 	for rf := 1; rf <= 4; rf++ {
-		row := []string{itoa(rf)}
+		row := []string{strconv.Itoa(rf)}
 		for _, cl := range []int{10, 30, 60} {
 			r := replCell(o, 20, cl, rf)
 			row = append(row, paperVs(paper[cl][rf]+"K", kops(r.Throughput)))
@@ -123,7 +124,7 @@ func runFig6a(o Options) *ExpResult {
 	}
 	t := Table{Header: []string{"servers", "RF1", "RF2", "RF3", "RF4"}}
 	for _, srv := range fig6Servers {
-		row := []string{itoa(srv)}
+		row := []string{strconv.Itoa(srv)}
 		for rf := 1; rf <= 4; rf++ {
 			r := replCell(o, srv, 60, rf)
 			cell := kops(r.Throughput)
@@ -148,7 +149,7 @@ func runFig6b(o Options) *ExpResult {
 		Setup: "update-heavy A"}
 	t := Table{Header: []string{"servers", "RF1", "RF2", "RF3", "RF4"}}
 	for _, srv := range fig6Servers {
-		row := []string{itoa(srv)}
+		row := []string{strconv.Itoa(srv)}
 		for rf := 1; rf <= 4; rf++ {
 			r := replCell(o, srv, 60, rf)
 			if r.Crashed {
@@ -178,7 +179,7 @@ func runFig7(o Options) *ExpResult {
 	t := Table{Header: []string{"rf", "watts/node"}}
 	for rf := 1; rf <= 4; rf++ {
 		r := replCell(o, 40, 60, rf)
-		t.Rows = append(t.Rows, []string{itoa(rf),
+		t.Rows = append(t.Rows, []string{strconv.Itoa(rf),
 			paperVs(paper[rf]+"W", fmt.Sprintf("%.1fW", r.AvgPowerPerServer))})
 	}
 	res.Tables = []Table{t}
@@ -196,7 +197,7 @@ func runFig8(o Options) *ExpResult {
 	}
 	t := Table{Header: []string{"rf", "20 servers", "30 servers", "40 servers"}}
 	for rf := 1; rf <= 4; rf++ {
-		row := []string{itoa(rf)}
+		row := []string{strconv.Itoa(rf)}
 		for _, srv := range []int{20, 30, 40} {
 			r := replCell(o, srv, 60, rf)
 			// The paper's Fig. 8 metric is aggregated throughput divided
@@ -246,7 +247,7 @@ func runFig13(o Options) *ExpResult {
 		Setup: "client-side token pacing; ~20s of paced load per run"}
 	t := Table{Header: []string{"clients", "rate 200/s", "rate 500/s", "ideal 200", "ideal 500"}}
 	for _, cl := range []int{10, 30, 60} {
-		row := []string{itoa(cl)}
+		row := []string{strconv.Itoa(cl)}
 		for _, rate := range []float64{200, 500} {
 			r := runMemo(fig13Scenario(o, cl, rate))
 			row = append(row, fmt.Sprintf("%.0f", r.Throughput))

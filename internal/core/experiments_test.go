@@ -189,12 +189,3 @@ func TestWorkloadForPanicsOnJunk(t *testing.T) {
 	}()
 	workloadFor("zz", 1, 1)
 }
-
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 7: "7", 42: "42", -3: "-3", 1000: "1000"}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
-		}
-	}
-}

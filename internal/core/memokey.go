@@ -1,201 +1,19 @@
 package core
 
-import (
-	"strconv"
+import "fmt"
 
-	"ramcloud/internal/sim"
-	"ramcloud/internal/ycsb"
-)
-
-// This file renders a Scenario into its canonical memo key. The key must
-// be injective — two scenarios differing in ANY field, however nested,
-// must get distinct keys — because the singleflight memo (runner.go)
-// shares one *Result per key across the whole process. It replaces the
-// old fmt.Sprintf("%+v", s) key: reflection formatting allocated ~2 KB
-// per lookup on the hot path and its output is not guaranteed stable
-// across Go releases, which would silently split or merge memo entries.
+// memoKey renders a Scenario into its memo key. Two scenarios must share
+// a key exactly when they are equal, because the singleflight memo
+// (runner.go) shares one *Result per key across the whole process.
 //
-// Injectivity comes from three rules: every field is appended in a fixed
-// order with a terminator, strings are length-prefixed (a Name containing
-// the separator cannot forge field boundaries), and slices are count-
-// prefixed. TestMemoKeyDistinguishesEveryField walks every leaf field by
-// reflection and fails if a perturbation does not change the key, so a
-// field added to Scenario (or any struct it embeds) without a matching
-// line here is caught at test time.
-
-// keyEnc accumulates the canonical encoding.
-type keyEnc struct {
-	b []byte
-}
-
-func (e *keyEnc) str(s string) {
-	e.b = strconv.AppendInt(e.b, int64(len(s)), 10)
-	e.b = append(e.b, ':')
-	e.b = append(e.b, s...)
-	e.b = append(e.b, '|')
-}
-
-func (e *keyEnc) i64(v int64) {
-	e.b = strconv.AppendInt(e.b, v, 10)
-	e.b = append(e.b, '|')
-}
-
-func (e *keyEnc) i(v int) { e.i64(int64(v)) }
-
-func (e *keyEnc) f64(v float64) {
-	e.b = strconv.AppendFloat(e.b, v, 'g', -1, 64)
-	e.b = append(e.b, '|')
-}
-
-func (e *keyEnc) boolean(v bool) {
-	if v {
-		e.b = append(e.b, '1', '|')
-	} else {
-		e.b = append(e.b, '0', '|')
-	}
-}
-
-func (e *keyEnc) dur(d sim.Duration) { e.i64(int64(d)) }
-
-func (e *keyEnc) workload(w ycsb.Workload) {
-	e.str(w.Name)
-	e.f64(w.ReadProp)
-	e.f64(w.UpdateProp)
-	e.i(w.RecordCount)
-	e.i(w.RecordSize)
-	e.i64(int64(w.Dist))
-}
-
-func (e *keyEnc) group(g ClientGroup) {
-	e.str(g.Name)
-	e.i(g.Clients)
-	e.workload(g.Workload)
-	e.i(g.RequestsPerClient)
-	e.i64(int64(g.Arrival))
-	e.f64(g.Rate)
-	e.i(g.BatchSize)
-	e.i(g.Window)
-	e.dur(g.Start)
-	e.dur(g.Stop)
-	e.boolean(g.Warmup)
-}
-
-func (e *keyEnc) fault(f FaultEvent) {
-	e.dur(f.At)
-	e.i64(int64(f.Kind))
-	e.i(f.Target)
-	e.i(len(f.Peers))
-	for _, p := range f.Peers {
-		e.i(p)
-	}
-	e.f64(f.Loss)
-	e.f64(f.Dup)
-	e.dur(f.Jitter)
-	e.dur(f.Until)
-}
-
-func (e *keyEnc) phase(ph LoadPhase) {
-	e.str(ph.Name)
-	e.dur(ph.Duration)
-	e.i64(int64(ph.Shape))
-	e.f64(ph.From)
-	e.f64(ph.To)
-	e.dur(ph.Period)
-	e.i(ph.Steps)
-}
-
-func (e *keyEnc) profile(p Profile) {
-	e.str(p.Machine.Name)
-	e.i(p.Machine.Cores)
-	e.i64(p.Machine.DRAMBytes)
-	e.i64(p.Machine.DiskBytes)
-
-	e.f64(p.Power.IdleWatts)
-	e.f64(p.Power.CPUWatts)
-	e.f64(p.Power.DiskWatts)
-	e.f64(p.Power.NICWatts)
-
-	e.dur(p.Net.PropagationDelay)
-	e.f64(p.Net.Bandwidth)
-
-	e.f64(p.Disk.ReadBandwidth)
-	e.f64(p.Disk.WriteBandwidth)
-	e.dur(p.Disk.SeekPenalty)
-
-	e.i(p.Server.Workers)
-	e.i(p.Server.ReplicationFactor)
-	e.i(p.Server.Log.SegmentBytes)
-	e.i64(p.Server.Log.TotalBytes)
-	e.dur(p.Server.Costs.Dispatch)
-	e.dur(p.Server.Costs.Read)
-	e.dur(p.Server.Costs.WriteBase)
-	e.dur(p.Server.Costs.WriteContention)
-	e.dur(p.Server.Costs.ReplicaAppend)
-	e.dur(p.Server.Costs.PerKByte)
-	e.dur(p.Server.Costs.SendOverhead)
-	e.dur(p.Server.Costs.SegmentOpen)
-	e.dur(p.Server.Costs.ReplayObject)
-	e.dur(p.Server.Costs.SpinTimeout)
-	e.f64(p.Server.Costs.InterferenceFactor)
-	e.dur(p.Server.Costs.RecoveryPenalty)
-	e.dur(p.Server.Costs.RDMAPost)
-	e.dur(p.Server.ReplicationTimeout)
-	e.i(p.Server.ReplayBatch)
-	e.i64(p.Server.PartitionBytes)
-	e.f64(p.Server.CleanerThreshold)
-	e.boolean(p.Server.AsyncReplication)
-	e.boolean(p.Server.FixedBackups)
-	e.boolean(p.Server.RDMAReplication)
-
-	e.dur(p.Client.RPCTimeout)
-	e.dur(p.Client.RetryBackoff)
-	e.dur(p.Client.RecoveringBackoff)
-	e.i(p.Client.MaxRetries)
-	e.dur(p.Client.ReadOverhead)
-	e.dur(p.Client.UpdateOverhead)
-	e.dur(p.Client.BatchItemOverhead)
-	e.dur(p.Client.Backoff.Base)
-	e.dur(p.Client.Backoff.Cap)
-	e.f64(p.Client.Backoff.Multiplier)
-	e.f64(p.Client.Backoff.JitterFrac)
-
-	e.dur(p.Coordinator.PingInterval)
-	e.dur(p.Coordinator.PingTimeout)
-	e.i(p.Coordinator.MissThreshold)
-	e.boolean(p.Coordinator.EnforceDeath)
-}
-
-// memoKey renders the fully-specified scenario — every field, including
-// nested groups, phases and the whole calibration profile — into its
-// canonical key.
-func memoKey(s Scenario) string {
-	e := keyEnc{b: make([]byte, 0, 512)}
-	e.str(s.Name)
-	e.profile(s.Profile)
-	e.i(s.Servers)
-	e.i(s.Clients)
-	e.i(s.RF)
-	e.workload(s.Workload)
-	e.i(s.RequestsPerClient)
-	e.f64(s.Rate)
-	e.i(s.BatchSize)
-	e.i(s.Window)
-	e.i(len(s.Groups))
-	for _, g := range s.Groups {
-		e.group(g)
-	}
-	e.i(len(s.Phases))
-	for _, ph := range s.Phases {
-		e.phase(ph)
-	}
-	e.i64(s.Seed)
-	e.dur(s.KillAfter)
-	e.i(s.KillTarget)
-	e.i(len(s.Faults))
-	for _, f := range s.Faults {
-		e.fault(f)
-	}
-	e.i(s.IdleSeconds)
-	e.dur(s.Deadline)
-	return string(e.b)
-}
+// The key is derived from the type, so a field added to Scenario or to
+// any struct it embeds is covered with no line here. %#v is injective on
+// what Scenario holds — structs, numbers, bools, strings and slices; no
+// pointers, maps, funcs or interfaces, which perturbLeaf in the tests
+// rejects: it names every field, quotes strings and prints floats at
+// shortest round-trip precision. Its format may change between Go
+// releases, but the memo never outlives the process. A nil and an empty
+// slice get different keys, as reflect.DeepEqual tells them apart, so a
+// grid and its render must build each cell the same way
+// (TestPrewarmCoversRender).
+func memoKey(s Scenario) string { return fmt.Sprintf("%#v", s) }

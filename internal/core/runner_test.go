@@ -90,7 +90,7 @@ func TestResetMemoForcesRerun(t *testing.T) {
 // TestPrewarmWarmsTheMemo runs a fake experiment's grid through the pool
 // and asserts the subsequent render path (runMemo per cell) simulates
 // nothing new — the prewarm + singleflight + memo interaction the
-// parallel rcgold render depends on.
+// parallel `rcbench -all` render depends on.
 func TestPrewarmWarmsTheMemo(t *testing.T) {
 	ResetMemo()
 	grid := []Scenario{tinyScenario(21), tinyScenario(22)}
@@ -109,6 +109,29 @@ func TestPrewarmWarmsTheMemo(t *testing.T) {
 	}
 	if runs := MemoRuns() - before; runs != int64(len(grid)) {
 		t.Fatalf("render after prewarm re-simulated: %d runs total, want %d", runs, len(grid))
+	}
+}
+
+// TestPrewarmCoversRender prewarms a registered experiment's declared
+// grid and then renders it: the cells the grid declares and the cells
+// the render asks for must share keys, or a prewarmed cell is simulated
+// a second time.
+func TestPrewarmCoversRender(t *testing.T) {
+	ResetMemo()
+	seg, ok := ByID("seg")
+	if !ok {
+		t.Fatal("seg is not registered")
+	}
+	opts := Options{Scale: 0.02, Seed: 42}
+	before := MemoRuns()
+	NewRunner(2).Prewarm([]Experiment{seg}, opts)
+	if MemoRuns() == before {
+		t.Fatal("prewarm simulated nothing")
+	}
+	before = MemoRuns()
+	seg.Run(opts)
+	if runs := MemoRuns() - before; runs != 0 {
+		t.Fatalf("render after prewarm simulated %d cells again", runs)
 	}
 }
 

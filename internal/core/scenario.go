@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+
 	"ramcloud/internal/metrics"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/ycsb"
@@ -174,7 +176,7 @@ func Run(s Scenario) *Result {
 			wg.Add(1)
 			opts := s.runOptionsFor(g, table, i)
 			wl, start := g.Workload, g.Start
-			eng.Go("client-"+itoa(i), func(p *sim.Proc) {
+			eng.Go("client-"+strconv.Itoa(i), func(p *sim.Proc) {
 				defer wg.Done()
 				p.Sleep(sim.Millisecond) // allow bring-up to settle
 				if start > 0 {
@@ -352,26 +354,4 @@ func Run(s Scenario) *Result {
 	res.Groups = buildGroupResults(cl, groups, groupOf, seriesEnd)
 	res.Phases = buildPhaseResults(s, cl, seriesEnd)
 	return res
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [20]byte
-	pos := len(b)
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		pos--
-		b[pos] = '-'
-	}
-	return string(b[pos:])
 }

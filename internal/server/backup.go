@@ -191,19 +191,6 @@ func (s *Server) ReplicaCount(master int32) int {
 	return n
 }
 
-// DiskBacklog returns how many sealed replicas have not yet been flushed.
-func (s *Server) DiskBacklog() int {
-	n := 0
-	for _, byMaster := range s.sealedReplicas {
-		for _, r := range byMaster {
-			if !r.onDisk {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Fast (zero-time) replica construction for bulk loading -------------------
 
 func (s *Server) fastOpenReplica(backup simnet.NodeID, segment uint64) {

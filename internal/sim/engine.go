@@ -89,8 +89,6 @@ type Engine struct {
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	stopped bool
-
-	eventsRun uint64
 }
 
 // New returns an engine whose randomness is derived entirely from seed.
@@ -107,12 +105,6 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's seeded random source. It must only be used from
 // engine context (callbacks and procs), never from outside Run.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// EventsRun reports how many events the engine has executed.
-func (e *Engine) EventsRun() uint64 { return e.eventsRun }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Schedule runs fn after d of simulated time. Negative durations are
 // clamped to zero.
@@ -384,7 +376,6 @@ func (e *Engine) RunUntil(horizon Time) {
 			ev = event{t: tm.t, seq: tm.seq, p: tm.p}
 		}
 		e.now = ev.t
-		e.eventsRun++
 		if ev.p != nil {
 			ev.p.next()
 		} else {

@@ -21,7 +21,6 @@ type OpKind uint8
 const (
 	OpRead OpKind = iota + 1
 	OpUpdate
-	OpInsert
 )
 
 // Distribution selects keys.
