@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ramcloud/internal/sim"
 	"ramcloud/internal/ycsb"
 )
 
@@ -216,6 +217,38 @@ func TestRunnerPropagatesPanics(t *testing.T) {
 	// more simulation attempt), not by returning a stale nil result.
 	if MemoRuns() != before+1 {
 		t.Fatalf("expected exactly one re-attempt after the dropped entry, got %d", MemoRuns()-before)
+	}
+}
+
+// TestRunAllReplicatedCellsInParallel runs two replicated cells on the
+// pool at once — writes at RF 3, and a master killed and recovered at
+// RF 2 — and checks each against its own run alone. Every backup of both
+// answers with the same shared status-only acks (a sent message is
+// immutable), so under -race a write to one of them is reported here.
+func TestRunAllReplicatedCellsInParallel(t *testing.T) {
+	writes := Scenario{
+		Name: "par-rf3", Profile: smallProfile(), Servers: 4, Clients: 4, RF: 3,
+		Workload: ycsb.WorkloadA(2_000, 512), RequestsPerClient: 400, Seed: 7,
+	}
+	kill := Scenario{
+		Name: "par-kill-rf2", Profile: smallProfile(), Servers: 4, RF: 2,
+		Workload:  ycsb.Workload{RecordCount: 500, RecordSize: 512},
+		KillAfter: 2 * sim.Second, KillTarget: 1, IdleSeconds: 2, Seed: 5,
+	}
+	ResetMemo()
+	rs := NewRunner(2).RunAll([]Scenario{writes, kill})
+	if !rs[1].Recovered {
+		t.Fatal("the killed master's data was not recovered")
+	}
+	for i, s := range []Scenario{writes, kill} {
+		alone := Run(s)
+		got, want := rs[i], alone
+		if got.TotalOps != want.TotalOps || got.Duration != want.Duration ||
+			got.TotalJoules != want.TotalJoules || got.RecoveryTime != want.RecoveryTime {
+			t.Errorf("%s on the pool: ops %d, %v, %v J, recovery %v; alone: ops %d, %v, %v J, recovery %v",
+				s.Name, got.TotalOps, got.Duration, got.TotalJoules, got.RecoveryTime,
+				want.TotalOps, want.Duration, want.TotalJoules, want.RecoveryTime)
+		}
 	}
 }
 

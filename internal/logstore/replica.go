@@ -1,0 +1,42 @@
+package logstore
+
+// Replica is a backup's copy of one segment: the entries its master
+// replicated, in append order, stored the way the segment stores them —
+// the same entry encoding, in blocks cut by the same rule — so a replica
+// holds no pointers and nothing it was handed. What At returns is a view
+// that stays valid for as long as it is held: blocks are never reused,
+// not even after the backup drops the replica.
+//
+// A replica keeps no liveness: a backup does not know which of its
+// entries the master has since overwritten.
+type Replica struct {
+	seg      Segment
+	capacity int // the replicated segment's SegmentBytes
+}
+
+// NewReplica returns an empty replica of a segment of segmentBytes.
+func NewReplica(segmentBytes int) *Replica {
+	return &Replica{capacity: segmentBytes}
+}
+
+// Append copies e to the end of the replica. e.Value is nil (virtual) or
+// e.ValueLen bytes long. The entry is stored as given: its checksum is the
+// master's, not recomputed.
+func (r *Replica) Append(e Entry) {
+	size := e.StorageSize()
+	e.encode(r.seg.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, r.capacity-r.seg.accounted))
+	r.seg.accounted += size
+}
+
+// Len returns the number of entries.
+func (r *Replica) Len() int { return len(r.seg.offs) }
+
+// Bytes returns the accounted bytes appended: what the master's segment
+// accounts for the same entries.
+func (r *Replica) Bytes() int { return r.seg.accounted }
+
+// At returns a view of entry i, 0 <= i < Len().
+func (r *Replica) At(i int) (e Entry) {
+	e.decode(r.seg.bytesAt(i))
+	return e
+}

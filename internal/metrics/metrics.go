@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -140,21 +141,10 @@ func bucketIndex(v int64) int {
 	if v < subBuckets {
 		return int(v) // exact for tiny values
 	}
-	exp := 63 - leadingZeros64(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	base := exp * subBuckets
 	sub := int((v >> (uint(exp) - 4)) & (subBuckets - 1))
 	return base + sub
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // bucketLow returns the lower bound of bucket i.

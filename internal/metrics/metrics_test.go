@@ -201,6 +201,45 @@ func TestBucketIndexInvariants(t *testing.T) {
 	}
 }
 
+// bucketIndexLoop is bucketIndex as it was before math/bits, with its
+// 64-step leading-zero loop: the reference the intrinsic must match.
+func bucketIndexLoop(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	if v < subBuckets {
+		return int(v)
+	}
+	lz := 64
+	for i := 63; i >= 0; i-- {
+		if uint64(v)&(1<<uint(i)) != 0 {
+			lz = 63 - i
+			break
+		}
+	}
+	exp := 63 - lz
+	return exp*subBuckets + int((v>>(uint(exp)-4))&(subBuckets-1))
+}
+
+func TestBucketIndexMatchesLoop(t *testing.T) {
+	check := func(v int64) {
+		t.Helper()
+		if got, want := bucketIndex(v), bucketIndexLoop(v); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, the loop gives %d", v, got, want)
+		}
+	}
+	for v := int64(0); v <= 4096; v++ {
+		check(v)
+	}
+	for e := 0; e < 63; e++ {
+		p := int64(1) << e
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	check(math.MaxInt64)
+}
+
 func TestDistribution(t *testing.T) {
 	var d Distribution
 	if d.Mean() != 0 || d.Median() != 0 || d.Stddev() != 0 {

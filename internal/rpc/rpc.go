@@ -7,6 +7,12 @@
 // (wire.Message.WireSize), so transfer timing matches what a physical
 // network would see. Messages travel the whole path as wire.Message — no
 // `any` boxing, no wrapper allocation per send.
+//
+// A sent message is immutable. The fabric hands the receiver the sender's
+// pointer (twice under a duplication fault), so neither side may write to
+// it after the send. This is what lets a master send one request to every
+// backup of a fan-out, and the backups answer with shared status-only
+// acks.
 package rpc
 
 import (

@@ -3,6 +3,7 @@ package server
 import (
 	"sort"
 
+	"ramcloud/internal/logstore"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
@@ -13,6 +14,19 @@ import (
 // sealed replicas spilled to disk by a flush proc, and the recovery read
 // path. Backup requests run on the same worker pool as client requests —
 // the collocation whose contention the paper measures.
+
+// Status-only acks are shared by every backup of every cluster: a sent
+// message is immutable, and the masters read nothing from these but their
+// arrival. No code may write to them.
+var (
+	openSegmentOK     = &wire.OpenSegmentResp{Status: wire.StatusOK}
+	replicateOK       = &wire.ReplicateResp{Status: wire.StatusOK}
+	replicateError    = &wire.ReplicateResp{Status: wire.StatusError}
+	closeSegmentOK    = &wire.CloseSegmentResp{Status: wire.StatusOK}
+	closeSegmentError = &wire.CloseSegmentResp{Status: wire.StatusError}
+	freeReplicasOK    = &wire.FreeReplicasResp{Status: wire.StatusOK}
+	rdmaWriteOK       = &wire.RDMAWriteResp{Status: wire.StatusOK}
+)
 
 // Registry resolves a fabric address to its server object, used only by
 // the zero-time bulk loader (FastLoad) to build cluster state directly.
@@ -25,44 +39,51 @@ func (s *Server) serveOpenSegment(p *sim.Proc, req rpc.Request, m *wire.OpenSegm
 	s.busy(p, sim.Scale(s.cfg.Costs.SegmentOpen, s.interference()))
 	key := replicaKey{master: m.Master, segment: m.Segment}
 	if _, exists := s.openReplicas[key]; !exists {
-		s.openReplicas[key] = &replica{key: key}
+		s.openReplicas[key] = s.newReplica(key)
 		s.stats.SegmentsOpened.Inc()
 	}
-	s.ep.Reply(req, &wire.OpenSegmentResp{Status: wire.StatusOK})
+	s.ep.Reply(req, openSegmentOK)
 }
 
 func (s *Server) serveReplicate(p *sim.Proc, req rpc.Request, m *wire.ReplicateReq) {
 	key := replicaKey{master: m.Master, segment: m.Segment}
 	r, ok := s.openReplicas[key]
 	if !ok {
-		s.ep.Reply(req, &wire.ReplicateResp{Status: wire.StatusError})
+		s.ep.Reply(req, replicateError)
 		return
 	}
 	var bytes int
 	for i := range m.Objects {
-		bytes += objectStorageBytes(&m.Objects[i])
+		e := objectEntry(&m.Objects[i])
+		bytes += e.StorageSize()
 	}
 	cost := sim.Duration(int64(s.cfg.Costs.ReplicaAppend)*int64(len(m.Objects))) +
 		sim.Scale(s.cfg.Costs.PerKByte, float64(bytes)/1024)
 	s.busy(p, sim.Scale(cost, s.interference()))
-	r.objects = append(r.objects, m.Objects...)
-	r.bytes += bytes
+	r.add(m.Objects)
 	s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
-	s.ep.Reply(req, &wire.ReplicateResp{Status: wire.StatusOK})
+	s.ep.Reply(req, replicateOK)
+}
+
+// add copies objs into the replica.
+func (r *replica) add(objs []wire.Object) {
+	for i := range objs {
+		r.data.Append(objectEntry(&objs[i]))
+	}
 }
 
 func (s *Server) serveCloseSegment(p *sim.Proc, req rpc.Request, m *wire.CloseSegmentReq) {
 	key := replicaKey{master: m.Master, segment: m.Segment}
 	r, ok := s.openReplicas[key]
 	if !ok {
-		s.ep.Reply(req, &wire.CloseSegmentResp{Status: wire.StatusError})
+		s.ep.Reply(req, closeSegmentError)
 		return
 	}
 	delete(s.openReplicas, key)
 	r.sealed = true
 	s.sealReplicaLocked(r)
 	s.flushQ.Push(r)
-	s.ep.Reply(req, &wire.CloseSegmentResp{Status: wire.StatusOK})
+	s.ep.Reply(req, closeSegmentOK)
 }
 
 func (s *Server) sealReplicaLocked(r *replica) {
@@ -85,7 +106,7 @@ func (s *Server) flushLoop(p *sim.Proc) {
 		if r == nil {
 			continue
 		}
-		s.disk.Write(p, int64(r.bytes))
+		s.disk.Write(p, int64(r.data.Bytes()))
 		if s.dead {
 			return
 		}
@@ -107,18 +128,18 @@ func (s *Server) serveFreeReplicas(p *sim.Proc, req rpc.Request, m *wire.FreeRep
 			delete(s.recoveryReads, key)
 		}
 	}
-	s.ep.Reply(req, &wire.FreeReplicasResp{Status: wire.StatusOK})
+	s.ep.Reply(req, freeReplicasOK)
 }
 
 func (s *Server) serveInventory(p *sim.Proc, req rpc.Request, m *wire.SegmentInventoryReq) {
 	s.busy(p, s.cfg.Costs.SegmentOpen)
 	var infos []wire.SegmentInfo
 	for segID, r := range s.sealedReplicas[m.Master] {
-		infos = append(infos, wire.SegmentInfo{Segment: segID, Bytes: uint32(r.bytes)})
+		infos = append(infos, wire.SegmentInfo{Segment: segID, Bytes: uint32(r.data.Bytes())})
 	}
 	for key, r := range s.openReplicas {
 		if key.master == m.Master {
-			infos = append(infos, wire.SegmentInfo{Segment: key.segment, Bytes: uint32(r.bytes)})
+			infos = append(infos, wire.SegmentInfo{Segment: key.segment, Bytes: uint32(r.data.Bytes())})
 		}
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Segment < infos[j].Segment })
@@ -126,9 +147,11 @@ func (s *Server) serveInventory(p *sim.Proc, req rpc.Request, m *wire.SegmentInv
 }
 
 // serveGetRecoveryData returns a crashed master's segment content filtered
-// to a key-hash partition. The replica is read from disk once per recovery
-// and then served from memory for the other partitions' requests, like
-// RAMCloud backups that read each segment once and split it.
+// to a key-hash partition, in append order. The replica is read from disk
+// once per recovery and then served from memory for the other partitions'
+// requests, like RAMCloud backups that read each segment once and split
+// it. The objects are views of the replica's bytes; they keep their block
+// alive after FreeReplicas drops the replica.
 func (s *Server) serveGetRecoveryData(p *sim.Proc, req rpc.Request, m *wire.GetRecoveryDataReq) {
 	key := replicaKey{master: m.Master, segment: m.Segment}
 	r := s.findReplica(key)
@@ -137,7 +160,7 @@ func (s *Server) serveGetRecoveryData(p *sim.Proc, req rpc.Request, m *wire.GetR
 		return
 	}
 	if r.onDisk && !s.recoveryReads[key] {
-		s.disk.Read(p, int64(r.bytes))
+		s.disk.Read(p, int64(r.data.Bytes()))
 		if s.dead {
 			return
 		}
@@ -145,17 +168,17 @@ func (s *Server) serveGetRecoveryData(p *sim.Proc, req rpc.Request, m *wire.GetR
 	}
 	var objs []wire.Object
 	var filtered int
-	for i := range r.objects {
-		o := &r.objects[i]
-		if o.KeyHash >= m.FirstHash && o.KeyHash <= m.LastHash {
-			objs = append(objs, *o)
-			filtered += objectStorageBytes(o)
+	for i := 0; i < r.data.Len(); i++ {
+		e := r.data.At(i)
+		if e.KeyHash >= m.FirstHash && e.KeyHash <= m.LastHash {
+			objs = append(objs, entryToObject(e))
+			filtered += e.StorageSize()
 		}
 	}
 	s.busy(p, sim.Scale(s.cfg.Costs.PerKByte, float64(filtered)/1024))
 	s.ep.Reply(req, &wire.GetRecoveryDataResp{
 		Status:       wire.StatusOK,
-		SegmentBytes: uint32(r.bytes),
+		SegmentBytes: uint32(r.data.Bytes()),
 		Objects:      objs,
 	})
 }
@@ -170,13 +193,6 @@ func (s *Server) findReplica(key replicaKey) *replica {
 		}
 	}
 	return nil
-}
-
-// objectStorageBytes mirrors logstore's accounted entry size for a wire
-// object.
-func objectStorageBytes(o *wire.Object) int {
-	const header = 45 // logstore entryHeaderBytes
-	return header + len(o.Key) + int(o.ValueLen)
 }
 
 // ReplicaCount reports how many replicas (open + sealed) this backup holds
@@ -196,19 +212,18 @@ func (s *Server) ReplicaCount(master int32) int {
 func (s *Server) fastOpenReplica(backup simnet.NodeID, segment uint64) {
 	b := s.registry(backup)
 	key := replicaKey{master: s.id, segment: segment}
-	b.openReplicas[key] = &replica{key: key}
+	b.openReplicas[key] = b.newReplica(key)
 	b.stats.SegmentsOpened.Inc()
 }
 
-func (s *Server) fastAppendReplica(backup simnet.NodeID, segment uint64, obj wire.Object) {
+func (s *Server) fastAppendReplica(backup simnet.NodeID, segment uint64, e logstore.Entry) {
 	b := s.registry(backup)
 	key := replicaKey{master: s.id, segment: segment}
 	r, ok := b.openReplicas[key]
 	if !ok {
 		return
 	}
-	r.objects = append(r.objects, obj)
-	r.bytes += objectStorageBytes(&obj)
+	r.data.Append(e)
 	b.stats.ReplicaAppends.Inc()
 }
 
@@ -242,9 +257,6 @@ func (s *Server) applyRDMAWrite(m *wire.RDMAWriteReq) {
 		// like a one-sided write to an unregistered region.
 		return
 	}
-	for i := range m.Objects {
-		r.bytes += objectStorageBytes(&m.Objects[i])
-	}
-	r.objects = append(r.objects, m.Objects...)
+	r.add(m.Objects)
 	s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
 }

@@ -333,25 +333,17 @@ func (s *Server) rollLocked(p *sim.Proc) {
 		return
 	}
 	if sealed != nil {
+		closeReq := &wire.CloseSegmentReq{Master: s.id, Segment: sealed.ID(), SegmentBytes: uint32(sealed.Accounted())}
 		for _, b := range s.replicas[sealed.ID()] {
-			s.ep.AsyncCall(b, &wire.CloseSegmentReq{
-				Master: s.id, Segment: sealed.ID(), SegmentBytes: uint32(sealed.Accounted()),
-			})
+			s.ep.AsyncCall(b, closeReq)
 		}
 		s.stats.SegmentsSealed.Inc()
 	}
 	backups := s.chooseBackups(rf)
 	s.replicas[head.ID()] = backups
-	futures := make([]*sim.Future[wire.Message], 0, len(backups))
-	for _, b := range backups {
-		s.busy(p, s.cfg.Costs.SendOverhead)
-		futures = append(futures, s.ep.AsyncCall(b, &wire.OpenSegmentReq{Master: s.id, Segment: head.ID()}))
-	}
-	for i, f := range futures {
-		if _, ok := f.GetTimeout(p, s.cfg.ReplicationTimeout); !ok {
-			s.handleBackupFailure(p, backups[i], head.ID())
-		}
-	}
+	var buf [inlineAcks]pendingAck
+	acks := s.fanOut(p, buf[:0], backups, &wire.OpenSegmentReq{Master: s.id, Segment: head.ID()}, s.cfg.Costs.SendOverhead)
+	s.awaitAcks(p, acks, head.ID())
 	// Update the will: the partition layout depends on data volume.
 	s.sendWill()
 }
@@ -384,45 +376,54 @@ func (s *Server) chooseBackups(rf int) []simnet.NodeID {
 // segment and waits for every ack — the synchronous path that provides
 // strong consistency and costs Finding 3's throughput.
 func (s *Server) replicateObject(p *sim.Proc, segment uint64, obj wire.Object) {
-	rf := s.cfg.ReplicationFactor
-	if rf <= 0 {
-		return
-	}
-	backups := s.replicas[segment]
-	futures := make([]*sim.Future[wire.Message], 0, len(backups))
-	for _, b := range backups {
-		s.busy(p, s.replicationPostCost())
-		futures = append(futures, s.ep.AsyncCall(b, s.replicationMsg(segment, []wire.Object{obj})))
-	}
-	if s.cfg.AsyncReplication {
-		return // relaxed consistency: do not wait for backup acks
-	}
-	for i, f := range futures {
-		if _, ok := f.GetTimeout(p, s.cfg.ReplicationTimeout); !ok {
-			s.handleBackupFailure(p, backups[i], segment)
-		}
+	if s.cfg.ReplicationFactor > 0 {
+		s.replicateBatch(p, segment, []wire.Object{obj})
 	}
 }
 
-// replicateBatch sends a batch of replayed objects to the given segment's
-// backups and waits for acks.
+// replicateBatch sends objs to the backups of their segment, one request
+// for the whole fan-out, and waits for every ack.
 func (s *Server) replicateBatch(p *sim.Proc, segment uint64, objs []wire.Object) {
-	rf := s.cfg.ReplicationFactor
-	if rf <= 0 || len(objs) == 0 {
+	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
 		return
 	}
-	backups := s.replicas[segment]
-	futures := make([]*sim.Future[wire.Message], 0, len(backups))
-	for _, b := range backups {
-		s.busy(p, s.replicationPostCost())
-		futures = append(futures, s.ep.AsyncCall(b, s.replicationMsg(segment, objs)))
-	}
+	var buf [inlineAcks]pendingAck
+	acks := s.fanOut(p, buf[:0], s.replicas[segment], s.replicationMsg(segment, objs), s.replicationPostCost())
 	if s.cfg.AsyncReplication {
-		return
+		return // relaxed consistency: do not wait for backup acks
 	}
-	for i, f := range futures {
-		if _, ok := f.GetTimeout(p, s.cfg.ReplicationTimeout); !ok {
-			s.handleBackupFailure(p, backups[i], segment)
+	s.awaitAcks(p, acks, segment)
+}
+
+// pendingAck is one backup's outstanding acknowledgement in a fan-out.
+type pendingAck struct {
+	backup simnet.NodeID
+	f      *sim.Future[wire.Message]
+}
+
+// inlineAcks is how many pending acks a fan-out keeps on its stack; a
+// larger replica set spills to the heap.
+const inlineAcks = 8
+
+// fanOut sends msg to every backup, paying post before each send, and
+// appends the pending acks to acks. Every backup gets the same message: a
+// sent message is immutable.
+func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []simnet.NodeID, msg wire.Message, post sim.Duration) []pendingAck {
+	for _, b := range backups {
+		s.busy(p, post)
+		acks = append(acks, pendingAck{backup: b, f: s.ep.AsyncCall(b, msg)})
+	}
+	return acks
+}
+
+// awaitAcks waits for every ack and replaces each backup that missed its
+// deadline. It names a backup by the id captured at its send, not by its
+// index in the segment's backup set: handleBackupFailure rewrites that set
+// in place, so an index may already name the substitute.
+func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
+	for _, a := range acks {
+		if _, ok := a.f.GetTimeout(p, s.cfg.ReplicationTimeout); !ok {
+			s.handleBackupFailure(p, a.backup, segment)
 		}
 	}
 }
@@ -516,6 +517,24 @@ func entryToObject(e logstore.Entry) wire.Object {
 		Version:   e.Version,
 		Tombstone: e.Type == logstore.EntryTombstone,
 	}
+}
+
+// objectEntry is entryToObject's inverse: the log entry a wire object
+// describes, its key and value still the object's.
+func objectEntry(o *wire.Object) logstore.Entry {
+	e := logstore.Entry{
+		Type:     logstore.EntryObject,
+		Table:    o.Table,
+		KeyHash:  o.KeyHash,
+		Key:      o.Key,
+		ValueLen: o.ValueLen,
+		Value:    o.Value,
+		Version:  o.Version,
+	}
+	if o.Tombstone {
+		e.Type = logstore.EntryTombstone
+	}
+	return e
 }
 
 // sendWill pushes an updated recovery will to the coordinator: the owned
@@ -619,9 +638,8 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 		return err
 	}
 	if s.cfg.ReplicationFactor > 0 {
-		obj := entryToObject(entry)
 		for _, b := range s.replicas[ref.Segment] {
-			s.fastAppendReplica(b, ref.Segment, obj)
+			s.fastAppendReplica(b, ref.Segment, entry)
 		}
 	}
 	return nil

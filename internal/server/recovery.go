@@ -102,17 +102,8 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 // that key is skipped. Returns the segment the entry landed in.
 func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 	s.busy(p, s.cfg.Costs.ReplayObject)
-	entry := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    obj.Table,
-		KeyHash:  obj.KeyHash,
-		Key:      obj.Key,
-		ValueLen: obj.ValueLen,
-		Value:    obj.Value,
-		Version:  obj.Version,
-	}
+	entry := objectEntry(obj)
 	if obj.Tombstone {
-		entry.Type = logstore.EntryTombstone
 		entry.ValueLen = 0
 		entry.Value = nil
 	}
@@ -142,10 +133,14 @@ func (s *Server) replicateReplaySerial(p *sim.Proc, segment uint64, objs []wire.
 	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
 		return
 	}
-	backups := s.replicas[segment]
-	for _, b := range backups {
+	msg := s.replicationMsg(segment, objs)
+	// The chain reads the live backup set, which handleBackupFailure
+	// rewrites in place, so the backup after a failed one is skipped
+	// (TestReplayChainReachesEveryBackup). Walking a copy moves the
+	// recovery renderings, so the fix waits for their re-baseline.
+	for _, b := range s.replicas[segment] {
 		s.busy(p, s.replicationPostCost())
-		resp, ok := s.ep.CallTimeout(p, b, s.replicationMsg(segment, objs), s.cfg.ReplicationTimeout)
+		resp, ok := s.ep.CallTimeout(p, b, msg, s.cfg.ReplicationTimeout)
 		if !ok || resp == nil {
 			s.handleBackupFailure(p, b, segment)
 		}

@@ -90,13 +90,17 @@ type replicaKey struct {
 	segment uint64
 }
 
-// replica is one segment replica held by the backup role.
+// replica is one segment replica held by the backup role. Its entries are
+// bytes the backup copied in, never a reference into a request.
 type replica struct {
-	key     replicaKey
-	objects []wire.Object
-	bytes   int
-	sealed  bool
-	onDisk  bool
+	key    replicaKey
+	data   *logstore.Replica
+	sealed bool
+	onDisk bool
+}
+
+func (s *Server) newReplica(key replicaKey) *replica {
+	return &replica{key: key, data: logstore.NewReplica(s.cfg.Log.SegmentBytes)}
 }
 
 // New creates a server on the given node and attaches it to the fabric.
@@ -219,7 +223,7 @@ func (s *Server) dispatchLoop(p *sim.Proc) {
 			// replica buffer with no thread involvement; the completion
 			// is generated immediately (Sec. IX.B proposal).
 			s.applyRDMAWrite(m)
-			s.ep.Reply(req, &wire.RDMAWriteResp{Status: wire.StatusOK})
+			s.ep.Reply(req, rdmaWriteOK)
 		default:
 			s.backupQ.Push(req)
 		}
