@@ -1,8 +1,12 @@
-// Command rcserver runs one real-transport master: the log-structured
-// store (hashtable index over an append-only log) behind a TCP listener,
-// enlisted with an rccoord coordinator. Tablets are assigned by the
-// coordinator; the server answers read/write/delete/multi-op requests
-// for the ranges it owns and StatusWrongServer for everything else.
+// Command rcserver runs one real-transport storage server: the
+// log-structured store (hashtable index over an append-only log) behind a
+// TCP listener, enlisted with an rccoord coordinator. Tablets are assigned
+// by the coordinator; the server answers read/write/delete/multi-op
+// requests for the ranges it owns and StatusWrongServer for everything
+// else. It is also a backup: it answers the backup protocol (open,
+// replicate, close and free a segment replica, the inventory, and the
+// recovery fetch by key-hash range) from replicas it holds in memory,
+// though no master replicates to it yet.
 //
 // Example:
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simdisk"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/transport"
 	"ramcloud/internal/wire"
 )
@@ -69,26 +71,7 @@ func TestMastersAgree(t *testing.T) {
 		&wire.MultiReadReq{Items: []wire.MultiReadItem{{Table: 1, Key: c}}},
 	}
 
-	eng := sim.New(1)
-	net := simnet.New(eng, simnet.DefaultConfig())
-	coord := rpc.NewEndpoint(eng, net, simnet.NodeID(-1)) // swallows the master's wills
-	cfg := server.DefaultConfig()
-	cfg.ReplicationFactor = 0
-	simMaster := server.New(eng, machine.NewNode(eng, 1, machine.Grid5000Nancy()), net,
-		simdisk.New(eng, simdisk.DefaultConfig()), coord.Node(), cfg)
-	simMaster.SetPeers([]simnet.NodeID{simMaster.Addr()})
-	simMaster.AssignTablet(owned)
-	simMaster.Start()
-	client := rpc.NewEndpoint(eng, net, simnet.NodeID(999))
-	fromSim := make([]wire.Message, 0, len(script))
-	eng.Go("client", func(p *sim.Proc) {
-		for _, req := range script {
-			fromSim = append(fromSim, client.Call(p, simMaster.Addr(), req))
-		}
-		eng.Stop()
-	})
-	eng.Run()
-	eng.Shutdown()
+	fromSim := simAnswers(script, owned)
 
 	realMaster := NewServer(nil, "", ServerConfig{}) // never started: the handler is called directly
 	realMaster.serve("", &wire.AssignTabletsReq{Tablets: []wire.Tablet{owned}})
@@ -96,6 +79,122 @@ func TestMastersAgree(t *testing.T) {
 		got := realMaster.serve("", req)
 		if !reflect.DeepEqual(got, fromSim[i]) {
 			t.Errorf("step %d, %T:\n  real master: %+v\n  simulated:   %+v", i, req, got, fromSim[i])
+		}
+	}
+}
+
+// simAnswers sends script, in order, to a one-server simulated cluster with
+// no replication whose master owns tablets, and returns its answers.
+func simAnswers(script []wire.Message, tablets ...wire.Tablet) []wire.Message {
+	eng := sim.New(1)
+	net := simnet.New(eng, simnet.DefaultConfig())
+	coord := rpc.NewEndpoint(eng, net, simnet.NodeID(-1)) // swallows the master's wills
+	cfg := server.DefaultConfig()
+	cfg.ReplicationFactor = 0
+	srv := server.New(eng, machine.NewNode(eng, 1, machine.Grid5000Nancy()), net,
+		simdisk.New(eng, simdisk.DefaultConfig()), coord.Node(), cfg)
+	srv.SetPeers([]simnet.NodeID{srv.Addr()})
+	for _, t := range tablets {
+		srv.AssignTablet(t)
+	}
+	srv.Start()
+	client := rpc.NewEndpoint(eng, net, simnet.NodeID(999))
+	answers := make([]wire.Message, 0, len(script))
+	eng.Go("client", func(p *sim.Proc) {
+		for _, req := range script {
+			answers = append(answers, client.Call(p, srv.Addr(), req))
+		}
+		eng.Stop()
+	})
+	eng.Run()
+	eng.Shutdown()
+	return answers
+}
+
+// TestBackupsAgree sends one scripted backup conversation to the simulated
+// server's backup (its service thread, flush and disk read on the way) and
+// to the real server's handler, and requires the same answers, field for
+// field, and the answers the script states: the two serve from one
+// store.Backups, so agreeing alone would pass a rule both got wrong.
+func TestBackupsAgree(t *testing.T) {
+	const m1, m2 = 7, 8
+	obj := func(key string, version uint64, value string) wire.Object {
+		return wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, []byte(key)), Key: []byte(key),
+			ValueLen: uint32(len(value)), Value: []byte(value), Version: version}
+	}
+	a, b, c := obj("a", 1, "alpha"), obj("b", 2, strings.Repeat("b", 300)), obj("", 4, "empty key")
+	tomb := wire.Object{Table: 1, KeyHash: a.KeyHash, Key: a.Key, Version: 3, Tombstone: true}
+	x := obj("x", 1, "the other master")
+	bytesOf := func(objs ...wire.Object) uint32 {
+		n := 0
+		for i := range objs {
+			e := store.EntryOf(&objs[i])
+			n += e.StorageSize()
+		}
+		return uint32(n)
+	}
+	seg1 := []wire.Object{a, b, tomb, c} // m1's segment 1, in append order
+	// Two disjoint ranges that split segment 1, and one inside a gap
+	// between its key hashes that matches nothing.
+	hashes := []uint64{a.KeyHash, b.KeyHash, c.KeyHash}
+	slices.Sort(hashes)
+	mid, gap := hashes[1], hashes[0]+1
+	in := func(first, last uint64) (objs []wire.Object) {
+		for _, o := range seg1 {
+			if o.KeyHash >= first && o.KeyHash <= last {
+				objs = append(objs, o)
+			}
+		}
+		return objs
+	}
+	recovery := func(master int32, segment, first, last uint64) *wire.GetRecoveryDataReq {
+		return &wire.GetRecoveryDataReq{Master: master, Segment: segment, FirstHash: first, LastHash: last}
+	}
+	ok := wire.StatusOK
+	steps := []struct {
+		req  wire.Message
+		want wire.Message
+	}{
+		{&wire.OpenSegmentReq{Master: m1, Segment: 1}, &wire.OpenSegmentResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m1, Segment: 1, Objects: []wire.Object{a, b}}, &wire.ReplicateResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m1, Segment: 1, Objects: []wire.Object{tomb}}, &wire.ReplicateResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m1, Segment: 1, Objects: []wire.Object{c}}, &wire.ReplicateResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m1, Segment: 9, Objects: []wire.Object{a}}, &wire.ReplicateResp{Status: wire.StatusError}},
+		{&wire.OpenSegmentReq{Master: m1, Segment: 2}, &wire.OpenSegmentResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m1, Segment: 2, Objects: []wire.Object{b}}, &wire.ReplicateResp{Status: ok}},
+		{&wire.CloseSegmentReq{Master: m1, Segment: 1, SegmentBytes: bytesOf(seg1...)}, &wire.CloseSegmentResp{Status: ok}},
+		{&wire.CloseSegmentReq{Master: m1, Segment: 9}, &wire.CloseSegmentResp{Status: wire.StatusError}},
+		{&wire.OpenSegmentReq{Master: m2, Segment: 1}, &wire.OpenSegmentResp{Status: ok}},
+		{&wire.ReplicateReq{Master: m2, Segment: 1, Objects: []wire.Object{x}}, &wire.ReplicateResp{Status: ok}},
+		{&wire.SegmentInventoryReq{Master: m1}, &wire.SegmentInventoryResp{Status: ok,
+			Segments: []wire.SegmentInfo{{Segment: 1, Bytes: bytesOf(seg1...)}, {Segment: 2, Bytes: bytesOf(b)}}}},
+		{&wire.SegmentInventoryReq{Master: m2}, &wire.SegmentInventoryResp{Status: ok,
+			Segments: []wire.SegmentInfo{{Segment: 1, Bytes: bytesOf(x)}}}},
+		{recovery(m1, 1, 0, mid), &wire.GetRecoveryDataResp{Status: ok, SegmentBytes: bytesOf(seg1...), Objects: in(0, mid)}},
+		{recovery(m1, 1, mid+1, ^uint64(0)), &wire.GetRecoveryDataResp{Status: ok, SegmentBytes: bytesOf(seg1...), Objects: in(mid+1, ^uint64(0))}},
+		{recovery(m1, 1, gap, gap), &wire.GetRecoveryDataResp{Status: ok, SegmentBytes: bytesOf(seg1...)}},
+		{&wire.FreeReplicasReq{Master: m1}, &wire.FreeReplicasResp{Status: ok}},
+		{&wire.SegmentInventoryReq{Master: m1}, &wire.SegmentInventoryResp{Status: ok}},
+		{recovery(m1, 1, 0, ^uint64(0)), &wire.GetRecoveryDataResp{Status: wire.StatusError}},
+		{recovery(m2, 1, 0, ^uint64(0)), &wire.GetRecoveryDataResp{Status: ok, SegmentBytes: bytesOf(x), Objects: []wire.Object{x}}},
+	}
+	if len(in(gap, gap)) != 0 || len(in(0, mid)) == 0 || len(in(mid+1, ^uint64(0))) == 0 {
+		t.Fatal("the script's hash ranges do not split segment 1 as intended")
+	}
+	script := make([]wire.Message, len(steps))
+	for i := range steps {
+		script[i] = steps[i].req
+	}
+	fromSim := simAnswers(script)
+
+	realServer := NewServer(nil, "", ServerConfig{}) // never started: the handler is called directly
+	for i, step := range steps {
+		got := realServer.serve("", step.req)
+		if !reflect.DeepEqual(got, fromSim[i]) {
+			t.Errorf("step %d, %T:\n  real backup: %+v\n  simulated:   %+v", i, step.req, got, fromSim[i])
+		}
+		if !reflect.DeepEqual(got, step.want) {
+			t.Errorf("step %d, %T:\n  answered %+v\n  want     %+v", i, step.req, got, step.want)
 		}
 	}
 }

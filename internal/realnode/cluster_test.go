@@ -2,6 +2,7 @@ package realnode
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"ramcloud/internal/hashtable"
 	"ramcloud/internal/transport"
+	"ramcloud/internal/wire"
 	"ramcloud/internal/ycsb"
 )
 
@@ -466,5 +469,180 @@ func TestClusterPutsSurviveFrameReuse(t *testing.T) {
 		if r.Err != nil || !bytes.Equal(r.Value, value(i)) {
 			t.Fatalf("multi-read %d: err %v, value %.16q…", i, r.Err, r.Value)
 		}
+	}
+}
+
+// backupCall makes one backup-protocol call over conn.
+func backupCall(conn transport.Conn, req wire.Message) (wire.Message, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return conn.Call(ctx, req)
+}
+
+// replicateRecords opens the master's segment on conn's backup and
+// replicates record(i), i in [0, n), one object per request, requiring
+// every ack to be StatusOK.
+func replicateRecords(conn transport.Conn, master int32, segment uint64, n int, record func(int) wire.Object) error {
+	if resp, err := backupCall(conn, &wire.OpenSegmentReq{Master: master, Segment: segment}); err != nil || resp.(*wire.OpenSegmentResp).Status != wire.StatusOK {
+		return fmt.Errorf("open segment %d: %v %+v", segment, err, resp)
+	}
+	for i := 0; i < n; i++ {
+		resp, err := backupCall(conn, &wire.ReplicateReq{Master: master, Segment: segment, Objects: []wire.Object{record(i)}})
+		if err != nil || resp.(*wire.ReplicateResp).Status != wire.StatusOK {
+			return fmt.Errorf("replicate %d to segment %d: %v %+v", i, segment, err, resp)
+		}
+	}
+	return nil
+}
+
+// recoverAll fetches the whole of a replica through conn's backup and
+// checks it holds record(i), i in [0, n), in append order.
+func recoverAll(conn transport.Conn, master int32, segment uint64, n int, record func(int) wire.Object) (*wire.GetRecoveryDataResp, error) {
+	resp, err := backupCall(conn, &wire.GetRecoveryDataReq{Master: master, Segment: segment, LastHash: ^uint64(0)})
+	if err != nil {
+		return nil, err
+	}
+	r := resp.(*wire.GetRecoveryDataResp)
+	if r.Status != wire.StatusOK || len(r.Objects) != n {
+		return nil, fmt.Errorf("recovery data of segment %d: status %v, %d objects, want %d", segment, r.Status, len(r.Objects), n)
+	}
+	return r, sameObjects(r.Objects, record)
+}
+
+func sameObjects(objs []wire.Object, record func(int) wire.Object) error {
+	for i, got := range objs {
+		want := record(i)
+		if !bytes.Equal(got.Key, want.Key) || got.KeyHash != want.KeyHash || got.Version != want.Version ||
+			got.ValueLen != want.ValueLen || !bytes.Equal(got.Value, want.Value) {
+			return fmt.Errorf("object %d is key %q version %d value %.16q…, want key %q version %d value %.16q…",
+				i, got.Key, got.Version, got.Value, want.Key, want.Version, want.Value)
+		}
+	}
+	return nil
+}
+
+// backupRecord is object i of a replica, a distinct 1 KiB value that
+// names it.
+func backupRecord(fill int) func(int) wire.Object {
+	return func(i int) wire.Object {
+		key := ycsb.Key(i)
+		v := bytes.Repeat([]byte{byte(i + fill)}, 1024)
+		copy(v, fmt.Sprintf("value-%d-%04d", fill, i))
+		return wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 1024, Value: v, Version: uint64(i + 1)}
+	}
+}
+
+// TestClusterBackupSurvivesFrameReuse: replicated keys and values reach
+// the backup as views of a pooled frame buffer and are copied once, into
+// the replica. 500 distinct values over one connection recycle those
+// buffers hundreds of times; the recovery fetch must return every one byte
+// for byte, and what it returned must stay intact after the replicas are
+// freed and a new segment fills the backup.
+func TestClusterBackupSurvivesFrameReuse(t *testing.T) {
+	_, servers, _ := bootCluster(t, 1)
+	conn, err := (&transport.TCP{}).Dial(servers[0].Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	const master, records = 42, 500
+	first, second := backupRecord(0), backupRecord(1)
+	if err := replicateRecords(conn, master, 1, records, first); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := backupCall(conn, &wire.CloseSegmentReq{Master: master, Segment: 1}); err != nil || resp.(*wire.CloseSegmentResp).Status != wire.StatusOK {
+		t.Fatalf("close: %v %+v", err, resp)
+	}
+	got, err := recoverAll(conn, master, 1, records, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := backupCall(conn, &wire.FreeReplicasReq{Master: master}); err != nil || resp.(*wire.FreeReplicasResp).Status != wire.StatusOK {
+		t.Fatalf("free: %v %+v", err, resp)
+	}
+	if err := replicateRecords(conn, master, 2, records, second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recoverAll(conn, master, 2, records, second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameObjects(got.Objects, first); err != nil {
+		t.Fatalf("after the free and a second segment: %v", err)
+	}
+}
+
+// TestClusterBackupUnderLoad: one connection replicates to segment A while
+// another fetches sealed segment B and the inventory, and YCSB-A runs
+// against the same server throughout. Every ack is StatusOK and every
+// fetch whole; under -race this is also the check that backup traffic,
+// whose lock is its own, shares nothing unguarded with the master's.
+func TestClusterBackupUnderLoad(t *testing.T) {
+	_, servers, client := bootCluster(t, 1)
+	table, err := client.CreateTable("usertable", 1)
+	if err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	dial := func() transport.Conn {
+		conn, err := (&transport.TCP{}).Dial(servers[0].Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	writer, reader := dial(), dial()
+	const master = 42
+	a, b := backupRecord(0), backupRecord(1)
+	if err := replicateRecords(reader, master, 2, 50, b); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := backupCall(reader, &wire.CloseSegmentReq{Master: master, Segment: 2}); err != nil || resp.(*wire.CloseSegmentResp).Status != wire.StatusOK {
+		t.Fatalf("close: %v %+v", err, resp)
+	}
+
+	done := make(chan struct{})
+	var load, backup sync.WaitGroup
+	load.Add(1)
+	go func() {
+		defer load.Done()
+		for round := int64(0); ; round++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			res, err := RunYCSB(client, table, ycsb.WorkloadA(200, 100), LoadOptions{Clients: 2, Ops: 200, Seed: round, Load: round == 0})
+			if err != nil || res.Errors != 0 {
+				t.Errorf("ycsb round %d: %v, %d errors", round, err, res.Errors)
+				return
+			}
+		}
+	}()
+	backup.Add(2)
+	go func() {
+		defer backup.Done()
+		if err := replicateRecords(writer, master, 1, 300, a); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer backup.Done()
+		for i := 0; i < 100; i++ {
+			if _, err := recoverAll(reader, master, 2, 50, b); err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := backupCall(reader, &wire.SegmentInventoryReq{Master: master})
+			if err != nil || resp.(*wire.SegmentInventoryResp).Status != wire.StatusOK {
+				t.Errorf("inventory: %v %+v", err, resp)
+				return
+			}
+		}
+	}()
+	backup.Wait()
+	close(done)
+	load.Wait()
+	if _, err := recoverAll(reader, master, 1, 300, a); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,20 +1,21 @@
 // Package realnode hosts the storage system on a real transport: a
-// coordinator, masters and a client that speak the same wire protocol as
+// coordinator, servers and a client that speak the same wire protocol as
 // the simulated cluster but run as ordinary goroutine-based services over
 // transport.Interface (normally transport.TCP), so the system boots as a
 // multi-process localhost cluster via cmd/rccoord, cmd/rcserver and
-// cmd/rcclient. A master serves from internal/store, the very store the
-// simulated master serves from, and the client decides by the store's
+// cmd/rcclient. A server's master and its backup both serve from
+// internal/store, the very rules the simulated server serves by
+// (store.Store and store.Backups), and the client decides by the store's
 // client rules (store.Judge, store.Group) as the simulated client does:
-// only its waiting — wall-clock pauses, pooled deadlines, pipelined
-// attempts — is its own. The coordinator is this package's own.
+// only the locking and waiting — mutexes, wall-clock pauses, pooled
+// deadlines, pipelined attempts — is this package's own. So is the
+// coordinator.
 //
-// The real path deliberately carries no replication or crash recovery:
+// No master replicates to a backup yet, and there is no crash recovery:
 // when the coordinator declares a master dead it reassigns the dead
 // server's tablets to survivors and the objects stored there are LOST
-// (reads return not-found until rewritten). This keeps the real cluster a
-// transport/protocol exercise; durability modeling stays in the simulated
-// path where the paper's figures live.
+// (reads return not-found until rewritten). Durability modeling stays in
+// the simulated path, where the paper's figures live.
 //
 // Like internal/transport, this package legitimately uses wall-clock
 // time, bare goroutines and map iteration; rcvet's determinism analyzers

@@ -43,14 +43,16 @@ func (c ServerConfig) enlistBackoff() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// Server is a real-transport master: the store.Store the simulated master
-// serves from (hashtable index over an append-only log, one set of
-// ownership, version and tombstone rules), but serialized behind a sync
-// mutex instead of sim time, and carrying real value bytes — virtual
-// (length-only) payloads cannot cross a real wire. A request is valid only
-// until its handler returns (transport.Handler), and the handlers keep
-// none of it: the one copy of a written key and value is the log's, made
-// by the store's Put.
+// Server is a real-transport storage server. Its master is the
+// store.Store the simulated master serves from (hashtable index over an
+// append-only log, one set of ownership, version and tombstone rules), but
+// serialized behind a sync mutex instead of sim time, and carrying real
+// value bytes — virtual (length-only) payloads cannot cross a real wire.
+// Its backup is the simulated backup's store.Backups, behind a mutex of
+// its own. A request is valid only until its handler returns
+// (transport.Handler), and the handlers keep none of it: the one copy of a
+// written key and value is the log's, made by the store's Put, and of a
+// replicated one the replica's.
 type Server struct {
 	tr        transport.Interface
 	cfg       ServerConfig
@@ -64,6 +66,9 @@ type Server struct {
 
 	readsOK, writesOK, deletesOK uint64
 	wrongServer                  uint64
+
+	backupMu sync.Mutex // backup traffic never waits on the master's mu
+	backups  store.Backups
 }
 
 // NewServer creates a master (not yet listening or enlisted).
@@ -73,6 +78,7 @@ func NewServer(tr transport.Interface, coordAddr string, cfg ServerConfig) *Serv
 		cfg:       cfg,
 		coordAddr: coordAddr,
 		st:        store.New(logstore.DefaultConfig(), 1<<12),
+		backups:   store.NewBackups(logstore.DefaultConfig().SegmentBytes),
 	}
 }
 
@@ -119,7 +125,8 @@ func (s *Server) Addr() string { return s.ln.Addr() }
 func (s *Server) ID() int32 { return s.id }
 
 // Stop severs the listener; in-flight peers see connection loss. The
-// store is discarded with the process — there is no recovery path.
+// store and the replicas the backup holds are discarded with the process —
+// there is no recovery path.
 func (s *Server) Stop() { s.ln.Close() }
 
 func (s *Server) serve(remote string, msg wire.Message) wire.Message {
@@ -138,6 +145,36 @@ func (s *Server) serve(remote string, msg wire.Message) wire.Message {
 		return s.serveAssign(m)
 	case *wire.PingReq:
 		return &wire.PingResp{Seq: m.Seq}
+	case *wire.OpenSegmentReq:
+		s.backupMu.Lock()
+		resp := s.backups.Open(m)
+		s.backupMu.Unlock()
+		return resp
+	case *wire.ReplicateReq:
+		s.backupMu.Lock()
+		resp, _ := s.backups.Replicate(m)
+		s.backupMu.Unlock()
+		return resp
+	case *wire.CloseSegmentReq:
+		s.backupMu.Lock()
+		resp, _ := s.backups.Close(m)
+		s.backupMu.Unlock()
+		return resp
+	case *wire.FreeReplicasReq:
+		s.backupMu.Lock()
+		resp := s.backups.Free(m)
+		s.backupMu.Unlock()
+		return resp
+	case *wire.SegmentInventoryReq:
+		s.backupMu.Lock()
+		resp := s.backups.Inventory(m)
+		s.backupMu.Unlock()
+		return resp
+	case *wire.GetRecoveryDataReq:
+		s.backupMu.Lock()
+		resp, _, _ := s.backups.RecoveryData(m)
+		s.backupMu.Unlock()
+		return resp
 	default:
 		return nil // unknown request: drop, peer times out
 	}

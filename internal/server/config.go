@@ -161,7 +161,6 @@ type Stats struct {
 	DeletesOK      metrics.Counter
 	WrongServer    metrics.Counter
 	ReplicaAppends metrics.Counter
-	SegmentsOpened metrics.Counter
 	SegmentsSealed metrics.Counter
 	SegmentsFlush  metrics.Counter
 	ReplaysDone    metrics.Counter

@@ -8,6 +8,7 @@ import (
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -488,7 +489,7 @@ func (s *Server) handleBackupFailure(p *sim.Proc, failed simnet.NodeID, segment 
 		if err != nil {
 			continue
 		}
-		objs = append(objs, entryToObject(e))
+		objs = append(objs, store.ObjectOf(e))
 	}
 	if _, ok := s.ep.CallTimeout(p, sub, &wire.ReplicateReq{Master: s.id, Segment: segment, Objects: objs}, s.cfg.ReplicationTimeout); !ok {
 		return
@@ -505,36 +506,6 @@ func (s *Server) removeReplica(segment uint64, backup simnet.NodeID) {
 		}
 	}
 	s.replicas[segment] = out
-}
-
-func entryToObject(e logstore.Entry) wire.Object {
-	return wire.Object{
-		Table:     e.Table,
-		KeyHash:   e.KeyHash,
-		Key:       e.Key,
-		ValueLen:  e.ValueLen,
-		Value:     e.Value,
-		Version:   e.Version,
-		Tombstone: e.Type == logstore.EntryTombstone,
-	}
-}
-
-// objectEntry is entryToObject's inverse: the log entry a wire object
-// describes, its key and value still the object's.
-func objectEntry(o *wire.Object) logstore.Entry {
-	e := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    o.Table,
-		KeyHash:  o.KeyHash,
-		Key:      o.Key,
-		ValueLen: o.ValueLen,
-		Value:    o.Value,
-		Version:  o.Version,
-	}
-	if o.Tombstone {
-		e.Type = logstore.EntryTombstone
-	}
-	return e
 }
 
 // sendWill pushes an updated recovery will to the coordinator: the owned
@@ -621,15 +592,13 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 	}
 	if s.st.Log.NeedsRoll(entry.StorageSize()) {
 		sealed, head := s.st.Log.Roll()
-		rf := s.cfg.ReplicationFactor
-		if rf > 0 {
+		if rf := s.cfg.ReplicationFactor; rf > 0 {
 			if sealed != nil {
-				s.fastSealReplicas(sealed)
+				s.fastSealReplicas(sealed.ID())
 			}
-			backups := s.chooseBackups(rf)
-			s.replicas[head.ID()] = backups
-			for _, b := range backups {
-				s.fastOpenReplica(b, head.ID())
+			s.replicas[head.ID()] = s.chooseBackups(rf)
+			for _, b := range s.replicas[head.ID()] {
+				s.registry(b).backups.Open(&wire.OpenSegmentReq{Master: s.id, Segment: head.ID()})
 			}
 		}
 	}
@@ -639,7 +608,9 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 	}
 	if s.cfg.ReplicationFactor > 0 {
 		for _, b := range s.replicas[ref.Segment] {
-			s.fastAppendReplica(b, ref.Segment, entry)
+			if backup := s.registry(b); backup.backups.Append(s.id, ref.Segment, entry) {
+				backup.stats.ReplicaAppends.Inc()
+			}
 		}
 	}
 	return nil

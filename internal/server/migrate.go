@@ -121,7 +121,7 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 			if !s.st.IsLive(ref, e) {
 				continue
 			}
-			objs = append(objs, entryToObject(e))
+			objs = append(objs, store.ObjectOf(e))
 			refs = append(refs, ref)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -102,7 +103,7 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 // that key is skipped. Returns the segment the entry landed in.
 func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 	s.busy(p, s.cfg.Costs.ReplayObject)
-	entry := objectEntry(obj)
+	entry := store.EntryOf(obj)
 	if obj.Tombstone {
 		entry.ValueLen = 0
 		entry.Value = nil

@@ -70,11 +70,9 @@ type Server struct {
 	// node, which is the contention the paper measures (Finding 3).
 	backupQ *sim.Queue[rpc.Request]
 
-	// Backup state.
-	openReplicas   map[replicaKey]*replica
-	sealedReplicas map[int32]map[uint64]*replica
-	flushQ         *sim.Queue[*replica]
-	recoveryReads  map[replicaKey]bool // segments already read from disk this recovery
+	// Backup state: the replicas held, and those sealed but not yet on disk.
+	backups store.Backups
+	flushQ  *sim.Queue[*store.Replica]
 
 	// recoveryActive > 0 while this node replays a partition.
 	recoveryActive int
@@ -83,24 +81,6 @@ type Server struct {
 	registry Registry
 
 	stats Stats
-}
-
-type replicaKey struct {
-	master  int32
-	segment uint64
-}
-
-// replica is one segment replica held by the backup role. Its entries are
-// bytes the backup copied in, never a reference into a request.
-type replica struct {
-	key    replicaKey
-	data   *logstore.Replica
-	sealed bool
-	onDisk bool
-}
-
-func (s *Server) newReplica(key replicaKey) *replica {
-	return &replica{key: key, data: logstore.NewReplica(s.cfg.Log.SegmentBytes)}
 }
 
 // New creates a server on the given node and attaches it to the fabric.
@@ -114,21 +94,19 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		panic(fmt.Sprintf("server: %d workers + dispatch exceed %d cores", cfg.Workers, node.Spec.Cores))
 	}
 	s := &Server{
-		id:             int32(node.ID),
-		eng:            e,
-		node:           node,
-		net:            net,
-		disk:           disk,
-		cfg:            cfg,
-		coordinator:    coordinator,
-		deadPeers:      make(map[simnet.NodeID]bool),
-		st:             store.New(cfg.Log, 1<<16),
-		logMu:          sim.NewMutex(e),
-		replicas:       make(map[uint64][]simnet.NodeID),
-		openReplicas:   make(map[replicaKey]*replica),
-		sealedReplicas: make(map[int32]map[uint64]*replica),
-		flushQ:         sim.NewQueue[*replica](e),
-		recoveryReads:  make(map[replicaKey]bool),
+		id:          int32(node.ID),
+		eng:         e,
+		node:        node,
+		net:         net,
+		disk:        disk,
+		cfg:         cfg,
+		coordinator: coordinator,
+		deadPeers:   make(map[simnet.NodeID]bool),
+		st:          store.New(cfg.Log, 1<<16),
+		logMu:       sim.NewMutex(e),
+		replicas:    make(map[uint64][]simnet.NodeID),
+		backups:     store.NewBackups(cfg.Log.SegmentBytes),
+		flushQ:      sim.NewQueue[*store.Replica](e),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workQs = append(s.workQs, sim.NewQueue[rpc.Request](e))
@@ -220,10 +198,14 @@ func (s *Server) dispatchLoop(p *sim.Proc) {
 			s.workQs[connWorker(req.From, len(s.workQs))].Push(req)
 		case *wire.RDMAWriteReq:
 			// One-sided RDMA write: the NIC deposits the objects into the
-			// replica buffer with no thread involvement; the completion
-			// is generated immediately (Sec. IX.B proposal).
-			s.applyRDMAWrite(m)
-			s.ep.Reply(req, rdmaWriteOK)
+			// replica buffer with no thread involvement and no CPU charged;
+			// the completion is generated immediately (Sec. IX.B proposal,
+			// the zero-CPU replication path).
+			resp, bytes := s.backups.RDMAWrite(m)
+			if bytes > 0 {
+				s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
+			}
+			s.ep.Reply(req, resp)
 		default:
 			s.backupQ.Push(req)
 		}
@@ -314,15 +296,18 @@ func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	case *wire.MultiWriteReq:
 		s.serveMultiWrite(p, req, m)
 	case *wire.OpenSegmentReq:
-		s.serveOpenSegment(p, req, m)
+		s.busy(p, sim.Scale(s.cfg.Costs.SegmentOpen, s.interference()))
+		s.ep.Reply(req, s.backups.Open(m))
 	case *wire.ReplicateReq:
 		s.serveReplicate(p, req, m)
 	case *wire.CloseSegmentReq:
 		s.serveCloseSegment(p, req, m)
 	case *wire.FreeReplicasReq:
-		s.serveFreeReplicas(p, req, m)
+		s.busy(p, s.cfg.Costs.SegmentOpen)
+		s.ep.Reply(req, s.backups.Free(m))
 	case *wire.SegmentInventoryReq:
-		s.serveInventory(p, req, m)
+		s.busy(p, s.cfg.Costs.SegmentOpen)
+		s.ep.Reply(req, s.backups.Inventory(m))
 	case *wire.GetRecoveryDataReq:
 		s.serveGetRecoveryData(p, req, m)
 	case *wire.RecoverReq:

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ramcloud/internal/hashtable"
-	"ramcloud/internal/logstore"
 	"ramcloud/internal/machine"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
@@ -253,16 +252,16 @@ func TestReplicationWaitsForAllBackups(t *testing.T) {
 	}
 	// Every backup's replica reads back the written keys and versions in
 	// write order.
-	head := replicaKey{master: rig.servers[0].ID(), segment: rig.servers[0].Log().Head().ID()}
+	head := &wire.GetRecoveryDataReq{Master: rig.servers[0].ID(), Segment: rig.servers[0].Log().Head().ID(), LastHash: ^uint64(0)}
 	for _, s := range rig.servers[1:] {
-		r := s.findReplica(head)
-		if r == nil || r.data.Len() != 50 {
+		resp, _, _ := s.backups.RecoveryData(head)
+		if resp.Status != wire.StatusOK || len(resp.Objects) != 50 {
 			t.Fatalf("backup %d holds no 50-entry replica of the head segment", s.ID())
 		}
-		for i := 0; i < 50; i++ {
-			if e := r.data.At(i); !bytes.Equal(e.Key, []byte{byte(i)}) || e.Version != uint64(i+1) || e.ValueLen != 64 {
+		for i, o := range resp.Objects {
+			if !bytes.Equal(o.Key, []byte{byte(i)}) || o.Version != uint64(i+1) || o.ValueLen != 64 {
 				t.Fatalf("backup %d entry %d: key %v version %d ValueLen %d, want key [%d] version %d ValueLen 64",
-					s.ID(), i, e.Key, e.Version, e.ValueLen, i, i+1)
+					s.ID(), i, o.Key, o.Version, o.ValueLen, i, i+1)
 			}
 		}
 	}
@@ -586,24 +585,5 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 	if cfg.Costs.InterferenceFactor < 1 {
 		t.Fatal("interference factor must be >= 1")
-	}
-}
-
-func TestEntryToObject(t *testing.T) {
-	e := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    3,
-		KeyHash:  hashtable.HashKey(3, []byte("kk")),
-		Key:      []byte("kk"),
-		ValueLen: 77,
-		Version:  9,
-	}
-	o := entryToObject(e)
-	if o.Table != 3 || o.ValueLen != 77 || o.Version != 9 || o.Tombstone {
-		t.Fatalf("object = %+v", o)
-	}
-	e.Type = logstore.EntryTombstone
-	if !entryToObject(e).Tombstone {
-		t.Fatal("tombstone flag lost")
 	}
 }

@@ -1,0 +1,208 @@
+package store
+
+import (
+	"sort"
+
+	"ramcloud/internal/logstore"
+	"ramcloud/internal/wire"
+)
+
+// Status-only acks are shared by every backup of every cluster: a sent
+// message is immutable, and the masters read nothing from these but their
+// arrival. No code may write to them.
+var (
+	openSegmentOK     = &wire.OpenSegmentResp{Status: wire.StatusOK}
+	replicateOK       = &wire.ReplicateResp{Status: wire.StatusOK}
+	replicateError    = &wire.ReplicateResp{Status: wire.StatusError}
+	closeSegmentOK    = &wire.CloseSegmentResp{Status: wire.StatusOK}
+	closeSegmentError = &wire.CloseSegmentResp{Status: wire.StatusError}
+	freeReplicasOK    = &wire.FreeReplicasResp{Status: wire.StatusOK}
+	rdmaWriteOK       = &wire.RDMAWriteResp{Status: wire.StatusOK}
+)
+
+type replicaKey struct {
+	master  int32
+	segment uint64
+}
+
+// Replica is one segment replica a backup holds: bytes the backup copied
+// in, never a reference into a request.
+type Replica struct {
+	data   *logstore.Replica
+	onDisk bool
+}
+
+// Bytes returns the accounted bytes replicated: what a flush writes.
+func (r *Replica) Bytes() int { return r.data.Bytes() }
+
+// Flushed records that the replica is on disk.
+func (r *Replica) Flushed() { r.onDisk = true }
+
+// Backups is one backup's replicas, of every master that replicates to it.
+type Backups struct {
+	segmentBytes int
+	open         map[replicaKey]*Replica
+	sealed       map[int32]map[uint64]*Replica
+	read         map[replicaKey]bool // replicas read from disk since their master's last free
+}
+
+// NewBackups returns a backup holding no replicas, for masters whose
+// segments are segmentBytes long. It is a value, for its server to hold
+// without one more allocation.
+func NewBackups(segmentBytes int) Backups {
+	return Backups{
+		segmentBytes: segmentBytes,
+		open:         make(map[replicaKey]*Replica),
+		sealed:       make(map[int32]map[uint64]*Replica),
+		read:         make(map[replicaKey]bool),
+	}
+}
+
+// Open opens an empty replica of the master's segment, unless it is open
+// already.
+func (b *Backups) Open(m *wire.OpenSegmentReq) *wire.OpenSegmentResp {
+	key := replicaKey{m.Master, m.Segment}
+	if _, ok := b.open[key]; !ok {
+		b.open[key] = &Replica{data: logstore.NewReplica(b.segmentBytes)}
+	}
+	return openSegmentOK
+}
+
+// Replicate copies m's objects to the end of their open replica and
+// returns the storage bytes appended; none when the replica is not open.
+func (b *Backups) Replicate(m *wire.ReplicateReq) (*wire.ReplicateResp, int) {
+	r, ok := b.open[replicaKey{m.Master, m.Segment}]
+	if !ok {
+		return replicateError, 0
+	}
+	bytes := 0
+	for i := range m.Objects {
+		e := EntryOf(&m.Objects[i])
+		r.data.Append(e)
+		bytes += e.StorageSize()
+	}
+	return replicateOK, bytes
+}
+
+// Append is Replicate of one entry, for a master's bulk load: it reports
+// whether the replica was open to take it.
+func (b *Backups) Append(master int32, segment uint64, e logstore.Entry) bool {
+	r, ok := b.open[replicaKey{master, segment}]
+	if ok {
+		r.data.Append(e)
+	}
+	return ok
+}
+
+// RDMAWrite is Replicate as a one-sided write: one to a replica that is
+// not open is dropped, like a write to an unregistered region, and
+// completes all the same.
+func (b *Backups) RDMAWrite(m *wire.RDMAWriteReq) (*wire.RDMAWriteResp, int) {
+	_, bytes := b.Replicate((*wire.ReplicateReq)(m)) // the same fields
+	return rdmaWriteOK, bytes
+}
+
+// Close seals the open replica and returns it, for the caller to flush;
+// nil when it is not open.
+func (b *Backups) Close(m *wire.CloseSegmentReq) (*wire.CloseSegmentResp, *Replica) {
+	key := replicaKey{m.Master, m.Segment}
+	r, ok := b.open[key]
+	if !ok {
+		return closeSegmentError, nil
+	}
+	delete(b.open, key)
+	if b.sealed[m.Master] == nil {
+		b.sealed[m.Master] = make(map[uint64]*Replica)
+	}
+	b.sealed[m.Master][m.Segment] = r
+	return closeSegmentOK, r
+}
+
+// Free drops every replica of the master, open or sealed.
+func (b *Backups) Free(m *wire.FreeReplicasReq) *wire.FreeReplicasResp {
+	delete(b.sealed, m.Master)
+	for key := range b.open {
+		if key.master == m.Master {
+			delete(b.open, key)
+		}
+	}
+	for key := range b.read {
+		if key.master == m.Master {
+			delete(b.read, key)
+		}
+	}
+	return freeReplicasOK
+}
+
+// Inventory lists the master's replicas, open and sealed, by segment.
+func (b *Backups) Inventory(m *wire.SegmentInventoryReq) *wire.SegmentInventoryResp {
+	var infos []wire.SegmentInfo
+	for segID, r := range b.sealed[m.Master] {
+		infos = append(infos, wire.SegmentInfo{Segment: segID, Bytes: uint32(r.Bytes())})
+	}
+	for key, r := range b.open {
+		if key.master == m.Master {
+			infos = append(infos, wire.SegmentInfo{Segment: key.segment, Bytes: uint32(r.Bytes())})
+		}
+	}
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Segment < infos[j].Segment })
+	return &wire.SegmentInventoryResp{Status: wire.StatusOK, Segments: infos}
+}
+
+// RecoveryData returns a crashed master's replica filtered to a key-hash
+// partition, in append order, and the storage bytes filtered. firstRead
+// is true when the replica is on disk and has not been read since its
+// master's last free: a backup reads each segment once per recovery and
+// splits it from memory, as RAMCloud's do. The objects are views of the
+// replica's bytes, which outlive a Free.
+func (b *Backups) RecoveryData(m *wire.GetRecoveryDataReq) (resp *wire.GetRecoveryDataResp, filtered int, firstRead bool) {
+	key := replicaKey{m.Master, m.Segment}
+	r, ok := b.open[key]
+	if !ok {
+		if r, ok = b.sealed[m.Master][m.Segment]; !ok {
+			return &wire.GetRecoveryDataResp{Status: wire.StatusError}, 0, false
+		}
+	}
+	if r.onDisk && !b.read[key] {
+		b.read[key], firstRead = true, true
+	}
+	var objs []wire.Object
+	for i := 0; i < r.data.Len(); i++ {
+		if e := r.data.At(i); e.KeyHash >= m.FirstHash && e.KeyHash <= m.LastHash {
+			objs = append(objs, ObjectOf(e))
+			filtered += e.StorageSize()
+		}
+	}
+	return &wire.GetRecoveryDataResp{Status: wire.StatusOK, SegmentBytes: uint32(r.Bytes()), Objects: objs}, filtered, firstRead
+}
+
+// ObjectOf returns the wire object a log entry describes, its key and
+// value still the entry's.
+func ObjectOf(e logstore.Entry) wire.Object {
+	return wire.Object{
+		Table:     e.Table,
+		KeyHash:   e.KeyHash,
+		Key:       e.Key,
+		ValueLen:  e.ValueLen,
+		Value:     e.Value,
+		Version:   e.Version,
+		Tombstone: e.Type == logstore.EntryTombstone,
+	}
+}
+
+// EntryOf is ObjectOf's inverse, its key and value still the object's.
+func EntryOf(o *wire.Object) logstore.Entry {
+	e := logstore.Entry{
+		Type:     logstore.EntryObject,
+		Table:    o.Table,
+		KeyHash:  o.KeyHash,
+		Key:      o.Key,
+		ValueLen: o.ValueLen,
+		Value:    o.Value,
+		Version:  o.Version,
+	}
+	if o.Tombstone {
+		e.Type = logstore.EntryTombstone
+	}
+	return e
+}

@@ -11,6 +11,13 @@
 // response status asks of an operation (Judge, Round) and how a batch is
 // split by owner (Group), with the tablet lookup (Find) they route by.
 //
+// And it holds the backup's rules both servers answer by (backup.go):
+// Backups keeps each master's segment replicas as bytes copied out of the
+// requests, and answers open, replicate, close, free, the inventory and
+// the recovery fetch by key-hash range. With each answer it returns what
+// the simulated backup charges for it (bytes appended or filtered, a
+// first disk read); the real backup only holds its lock around the call.
+//
 // The store knows nothing about time, threads or networks. Rolling the
 // head stays with the caller (if st.Log.NeedsRoll(size) { ... }) because
 // the simulated master opens and closes backup replicas across a roll;

@@ -330,3 +330,25 @@ func BenchmarkStorePutLookup(b *testing.B) {
 		}
 	}
 }
+
+func TestEntryToObject(t *testing.T) {
+	e := logstore.Entry{
+		Type:     logstore.EntryObject,
+		Table:    3,
+		KeyHash:  hashtable.HashKey(3, []byte("kk")),
+		Key:      []byte("kk"),
+		ValueLen: 77,
+		Version:  9,
+	}
+	o := ObjectOf(e)
+	if o.Table != 3 || o.ValueLen != 77 || o.Version != 9 || o.Tombstone {
+		t.Fatalf("object = %+v", o)
+	}
+	if back := EntryOf(&o); back.Type != e.Type || back.KeyHash != e.KeyHash || string(back.Key) != "kk" || back.Version != 9 {
+		t.Fatalf("entry = %+v, want %+v", back, e)
+	}
+	e.Type = logstore.EntryTombstone
+	if o := ObjectOf(e); !o.Tombstone || EntryOf(&o).Type != logstore.EntryTombstone {
+		t.Fatal("tombstone flag lost")
+	}
+}
