@@ -2,9 +2,9 @@ package hashtable
 
 import "testing"
 
-// Benchmarks of the master's object index. Lookup and Insert are on the
-// read and write hot paths respectively; HashKey runs once per client
-// operation on both client and server.
+// Benchmarks of the master's object index. Lookup is on the read hot
+// path and Put on the write one; HashKey runs once per client operation
+// on both client and server.
 
 const benchN = 1 << 16
 
@@ -50,6 +50,35 @@ func BenchmarkInsertDelete(b *testing.B) {
 		}
 		t.Insert(h, uint64(i))
 	}
+}
+
+// BenchmarkPut is the master's write: a Put of a held key (one probe that
+// replaces) and of a key just deleted (one probe that fills a slot).
+func BenchmarkPut(b *testing.B) {
+	b.Run("replace", func(b *testing.B) {
+		t, hashes := benchTable(benchN)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := t.Put(hashes[i&(benchN-1)], nil, uint64(i)); !ok {
+				b.Fatal("missing key")
+			}
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		t, hashes := benchTable(benchN)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := hashes[i&(benchN-1)]
+			if _, ok := t.Delete(h, nil); !ok {
+				b.Fatal("missing key")
+			}
+			if _, ok := t.Put(h, nil, uint64(i)); ok {
+				b.Fatal("deleted key still held")
+			}
+		}
+	})
 }
 
 var sinkU64 uint64

@@ -115,22 +115,22 @@ func (e *Entry) StorageSize() int {
 // hash bytes it does not materialize, but a length change still alters the
 // sum).
 //
-// Every append on both halves computes one, so it must not allocate: the
-// header bytes are folded with the table here (handing the array to
-// crc32.Update, or to a hash.Hash32, moves it to the heap), and only the
-// key and value, heap slices already, go through crc32.Update.
+// The content is a 33-byte header — type, table, key hash, version, value
+// length, key length, little-endian — then the key and the value. Every
+// append on both halves computes one, so it must not allocate, and the
+// header is never written out: handing a header array to crc32.Update, or
+// to a hash.Hash32, moves it to the heap. The type byte is folded with
+// one table lookup and the rest of the header as four 64-bit words, each
+// eight lookups into the slicing-by-8 tables (table, key hash, version,
+// then both lengths in one word). Only the key and the value, heap slices
+// already, go through crc32.Update and its hardware instruction.
 func (e *Entry) ComputeChecksum() uint32 {
-	var hdr [33]byte
-	hdr[0] = byte(e.Type)
-	putU64(hdr[1:], e.Table)
-	putU64(hdr[9:], e.KeyHash)
-	putU64(hdr[17:], e.Version)
-	putU32(hdr[25:], e.ValueLen)
-	putU32(hdr[29:], uint32(len(e.Key)))
 	sum := ^uint32(0)
-	for _, b := range hdr {
-		sum = castagnoli[byte(sum)^b] ^ sum>>8
-	}
+	sum = castagnoli8[0][byte(sum)^byte(e.Type)] ^ sum>>8
+	sum = foldWord(sum, e.Table)
+	sum = foldWord(sum, e.KeyHash)
+	sum = foldWord(sum, e.Version)
+	sum = foldWord(sum, uint64(e.ValueLen)|uint64(len(e.Key))<<32)
 	sum = crc32.Update(^sum, castagnoli, e.Key)
 	if e.Value != nil {
 		sum = crc32.Update(sum, castagnoli, e.Value)
@@ -140,16 +140,27 @@ func (e *Entry) ComputeChecksum() uint32 {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+// castagnoli8 are the slicing-by-8 tables of CRC-32C: castagnoli8[k][b] is
+// the register after byte b is followed by k zero bytes.
+var castagnoli8 = func() (t [8][256]uint32) {
+	t[0] = *castagnoli
+	for b := range 256 {
+		for k := 1; k < 8; k++ {
+			prev := t[k-1][b]
+			t[k][b] = t[0][byte(prev)] ^ prev>>8
+		}
 	}
-}
+	return t
+}()
 
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+// foldWord advances the (inverted) CRC-32C register sum over the eight
+// little-endian bytes of w.
+func foldWord(sum uint32, w uint64) uint32 {
+	lo := uint32(w) ^ sum
+	hi := uint32(w >> 32)
+	t := &castagnoli8
+	return t[7][byte(lo)] ^ t[6][byte(lo>>8)] ^ t[5][byte(lo>>16)] ^ t[4][lo>>24] ^
+		t[3][byte(hi)] ^ t[2][byte(hi>>8)] ^ t[1][byte(hi>>16)] ^ t[0][hi>>24]
 }
 
 // Seal protects the entry with its checksum.

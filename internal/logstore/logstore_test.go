@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -202,11 +203,12 @@ func referenceChecksum(e *Entry) uint32 {
 	h := crc32.New(castagnoli)
 	var hdr [33]byte
 	hdr[0] = byte(e.Type)
-	putU64(hdr[1:], e.Table)
-	putU64(hdr[9:], e.KeyHash)
-	putU64(hdr[17:], e.Version)
-	putU32(hdr[25:], e.ValueLen)
-	putU32(hdr[29:], uint32(len(e.Key)))
+	le := binary.LittleEndian
+	le.PutUint64(hdr[1:], e.Table)
+	le.PutUint64(hdr[9:], e.KeyHash)
+	le.PutUint64(hdr[17:], e.Version)
+	le.PutUint32(hdr[25:], e.ValueLen)
+	le.PutUint32(hdr[29:], uint32(len(e.Key)))
 	h.Write(hdr[:])
 	h.Write(e.Key)
 	if e.Value != nil {
@@ -241,6 +243,48 @@ func TestChecksumMatchesReferenceAndDoesNotAllocate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChecksumByteLanes checks the word-at-a-time header fold lane by
+// lane against the byte-wise reference: every byte of the table, the key
+// hash and the version nonzero, value lengths that fill all four bytes,
+// and key lengths on both sides of a word.
+func TestChecksumByteLanes(t *testing.T) {
+	big := make([]byte, 1<<24+3)
+	for i := range big {
+		big[i] = byte(i*7 + 1)
+	}
+	values := []struct {
+		n    uint32
+		real []byte
+	}{
+		{1 << 24, nil},
+		{1<<32 - 1, nil},
+		{0x01020304, nil},
+		{uint32(len(big)), big},
+		{3, big[:3]},
+		{0, []byte{}},
+	}
+	for _, keyLen := range []int{0, 1, 7, 8, 9} {
+		key := bytes.Repeat([]byte{0xc3}, keyLen)
+		for _, v := range values {
+			for _, typ := range []EntryType{EntryObject, EntryTombstone} {
+				e := Entry{
+					Type:     typ,
+					Table:    0x0102030405060708,
+					KeyHash:  0xf1e2d3c4b5a69788,
+					Version:  0x1122334455667788,
+					Key:      key,
+					ValueLen: v.n,
+					Value:    v.real,
+				}
+				if got, want := e.ComputeChecksum(), referenceChecksum(&e); got != want {
+					t.Errorf("type %d key %d value %d (real %v): checksum %#08x, reference %#08x",
+						typ, keyLen, v.n, v.real != nil, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func NewServer(tr transport.Interface, coordAddr string, cfg ServerConfig) *Serv
 		tr:        tr,
 		cfg:       cfg,
 		coordAddr: coordAddr,
-		st:        store.New(logstore.DefaultConfig(), 1<<12),
+		st:        store.New(logstore.DefaultConfig()),
 		backups:   store.NewBackups(logstore.DefaultConfig().SegmentBytes),
 	}
 }

@@ -102,7 +102,7 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		cfg:         cfg,
 		coordinator: coordinator,
 		deadPeers:   make(map[simnet.NodeID]bool),
-		st:          store.New(cfg.Log, 1<<16),
+		st:          store.New(cfg.Log),
 		logMu:       sim.NewMutex(e),
 		replicas:    make(map[uint64][]simnet.NodeID),
 		backups:     store.NewBackups(cfg.Log.SegmentBytes),

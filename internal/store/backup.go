@@ -20,16 +20,12 @@ var (
 	rdmaWriteOK       = &wire.RDMAWriteResp{Status: wire.StatusOK}
 )
 
-type replicaKey struct {
-	master  int32
-	segment uint64
-}
-
 // Replica is one segment replica a backup holds: bytes the backup copied
 // in, never a reference into a request.
 type Replica struct {
 	data   *logstore.Replica
 	onDisk bool
+	read   bool // read from disk by a recovery; freed with the replica
 }
 
 // Bytes returns the accounted bytes replicated: what a flush writes.
@@ -38,12 +34,13 @@ func (r *Replica) Bytes() int { return r.data.Bytes() }
 // Flushed records that the replica is on disk.
 func (r *Replica) Flushed() { r.onDisk = true }
 
-// Backups is one backup's replicas, of every master that replicates to it.
+// Backups is one backup's replicas, of every master that replicates to it,
+// by master and then by segment, so that an append hashes one word and a
+// free drops a master's replicas without a scan.
 type Backups struct {
 	segmentBytes int
-	open         map[replicaKey]*Replica
+	open         map[int32]map[uint64]*Replica
 	sealed       map[int32]map[uint64]*Replica
-	read         map[replicaKey]bool // replicas read from disk since their master's last free
 }
 
 // NewBackups returns a backup holding no replicas, for masters whose
@@ -52,18 +49,27 @@ type Backups struct {
 func NewBackups(segmentBytes int) Backups {
 	return Backups{
 		segmentBytes: segmentBytes,
-		open:         make(map[replicaKey]*Replica),
+		open:         make(map[int32]map[uint64]*Replica),
 		sealed:       make(map[int32]map[uint64]*Replica),
-		read:         make(map[replicaKey]bool),
 	}
+}
+
+// segments returns the master's replicas in byMaster, made on first use.
+func segments(byMaster map[int32]map[uint64]*Replica, master int32) map[uint64]*Replica {
+	m := byMaster[master]
+	if m == nil {
+		m = make(map[uint64]*Replica)
+		byMaster[master] = m
+	}
+	return m
 }
 
 // Open opens an empty replica of the master's segment, unless it is open
 // already.
 func (b *Backups) Open(m *wire.OpenSegmentReq) *wire.OpenSegmentResp {
-	key := replicaKey{m.Master, m.Segment}
-	if _, ok := b.open[key]; !ok {
-		b.open[key] = &Replica{data: logstore.NewReplica(b.segmentBytes)}
+	open := segments(b.open, m.Master)
+	if _, ok := open[m.Segment]; !ok {
+		open[m.Segment] = &Replica{data: logstore.NewReplica(b.segmentBytes)}
 	}
 	return openSegmentOK
 }
@@ -71,7 +77,7 @@ func (b *Backups) Open(m *wire.OpenSegmentReq) *wire.OpenSegmentResp {
 // Replicate copies m's objects to the end of their open replica and
 // returns the storage bytes appended; none when the replica is not open.
 func (b *Backups) Replicate(m *wire.ReplicateReq) (*wire.ReplicateResp, int) {
-	r, ok := b.open[replicaKey{m.Master, m.Segment}]
+	r, ok := b.open[m.Master][m.Segment]
 	if !ok {
 		return replicateError, 0
 	}
@@ -87,7 +93,7 @@ func (b *Backups) Replicate(m *wire.ReplicateReq) (*wire.ReplicateResp, int) {
 // Append is Replicate of one entry, for a master's bulk load: it reports
 // whether the replica was open to take it.
 func (b *Backups) Append(master int32, segment uint64, e logstore.Entry) bool {
-	r, ok := b.open[replicaKey{master, segment}]
+	r, ok := b.open[master][segment]
 	if ok {
 		r.data.Append(e)
 	}
@@ -105,32 +111,20 @@ func (b *Backups) RDMAWrite(m *wire.RDMAWriteReq) (*wire.RDMAWriteResp, int) {
 // Close seals the open replica and returns it, for the caller to flush;
 // nil when it is not open.
 func (b *Backups) Close(m *wire.CloseSegmentReq) (*wire.CloseSegmentResp, *Replica) {
-	key := replicaKey{m.Master, m.Segment}
-	r, ok := b.open[key]
+	r, ok := b.open[m.Master][m.Segment]
 	if !ok {
 		return closeSegmentError, nil
 	}
-	delete(b.open, key)
-	if b.sealed[m.Master] == nil {
-		b.sealed[m.Master] = make(map[uint64]*Replica)
-	}
-	b.sealed[m.Master][m.Segment] = r
+	delete(b.open[m.Master], m.Segment)
+	segments(b.sealed, m.Master)[m.Segment] = r
 	return closeSegmentOK, r
 }
 
-// Free drops every replica of the master, open or sealed.
+// Free drops every replica of the master, open or sealed, and with them
+// the record of which were read.
 func (b *Backups) Free(m *wire.FreeReplicasReq) *wire.FreeReplicasResp {
+	delete(b.open, m.Master)
 	delete(b.sealed, m.Master)
-	for key := range b.open {
-		if key.master == m.Master {
-			delete(b.open, key)
-		}
-	}
-	for key := range b.read {
-		if key.master == m.Master {
-			delete(b.read, key)
-		}
-	}
 	return freeReplicasOK
 }
 
@@ -140,10 +134,8 @@ func (b *Backups) Inventory(m *wire.SegmentInventoryReq) *wire.SegmentInventoryR
 	for segID, r := range b.sealed[m.Master] {
 		infos = append(infos, wire.SegmentInfo{Segment: segID, Bytes: uint32(r.Bytes())})
 	}
-	for key, r := range b.open {
-		if key.master == m.Master {
-			infos = append(infos, wire.SegmentInfo{Segment: key.segment, Bytes: uint32(r.Bytes())})
-		}
+	for segID, r := range b.open[m.Master] {
+		infos = append(infos, wire.SegmentInfo{Segment: segID, Bytes: uint32(r.Bytes())})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Segment < infos[j].Segment })
 	return &wire.SegmentInventoryResp{Status: wire.StatusOK, Segments: infos}
@@ -156,15 +148,14 @@ func (b *Backups) Inventory(m *wire.SegmentInventoryReq) *wire.SegmentInventoryR
 // splits it from memory, as RAMCloud's do. The objects are views of the
 // replica's bytes, which outlive a Free.
 func (b *Backups) RecoveryData(m *wire.GetRecoveryDataReq) (resp *wire.GetRecoveryDataResp, filtered int, firstRead bool) {
-	key := replicaKey{m.Master, m.Segment}
-	r, ok := b.open[key]
+	r, ok := b.open[m.Master][m.Segment]
 	if !ok {
 		if r, ok = b.sealed[m.Master][m.Segment]; !ok {
 			return &wire.GetRecoveryDataResp{Status: wire.StatusError}, 0, false
 		}
 	}
-	if r.onDisk && !b.read[key] {
-		b.read[key], firstRead = true, true
+	if r.onDisk && !r.read {
+		r.read, firstRead = true, true
 	}
 	var objs []wire.Object
 	for i := 0; i < r.data.Len(); i++ {

@@ -42,10 +42,11 @@ type Store struct {
 	nextVersion uint64
 }
 
-// New returns an empty store over a log of the given geometry, its index
-// sized for sizeHint objects.
-func New(cfg logstore.Config, sizeHint int) *Store {
-	return &Store{Log: logstore.NewLog(cfg), ht: hashtable.New(sizeHint)}
+// New returns an empty store over a log of the given geometry. Its index
+// starts at the smallest directory and doubles with what it holds: no
+// master knows in advance how many objects it will be given.
+func New(cfg logstore.Config) *Store {
+	return &Store{Log: logstore.NewLog(cfg), ht: hashtable.New(0)}
 }
 
 // Find returns the tablet of tablets that covers (table, keyHash), or nil.
@@ -137,10 +138,8 @@ func (s *Store) Put(entry logstore.Entry) (logstore.Ref, error) {
 		}
 		return ref, nil
 	}
-	if old, ok := s.ht.Replace(entry.KeyHash, eq, ref.Packed()); ok {
+	if old, ok := s.ht.Put(entry.KeyHash, eq, ref.Packed()); ok {
 		_ = s.Log.MarkDead(logstore.UnpackRef(old)) // as above
-	} else {
-		s.ht.Insert(entry.KeyHash, ref.Packed())
 	}
 	return ref, nil
 }

@@ -225,7 +225,7 @@ func TestStoreAgainstModel(t *testing.T) {
 			t:   t,
 			rng: rand.New(rand.NewSource(seed)),
 			// Segments of a few entries, so a sequence rolls and cleans.
-			st:   New(logstore.Config{SegmentBytes: 400, TotalBytes: 1 << 20}, 0),
+			st:   New(logstore.Config{SegmentBytes: 400, TotalBytes: 1 << 20}),
 			objs: make(map[modelKey]modelObj),
 		}
 		for i := 0; i < 80; i++ {
@@ -298,7 +298,7 @@ var sinkEntry logstore.Entry
 // put, look up.
 func BenchmarkStorePutLookup(b *testing.B) {
 	const keys = 4096
-	st := New(logstore.DefaultConfig(), keys)
+	st := New(logstore.DefaultConfig())
 	key := make([][]byte, keys)
 	hash := make([]uint64, keys)
 	for i := range key {
