@@ -1,7 +1,8 @@
 // Command rccoord runs the real-transport cluster coordinator: servers
 // enlist with it over TCP, clients fetch the tablet map and server list
-// from it, and it probes servers for liveness, reassigning a dead
-// server's tablets to survivors (without recovery — see internal/realnode).
+// from it, and it probes servers for liveness, splitting a dead server's
+// tablets across the survivors as the simulator's recovery does, with
+// nothing to replay (see internal/realnode).
 //
 // Example:
 //

@@ -1,6 +1,11 @@
-// Package coordinator implements the RAMCloud coordinator: cluster
-// membership, the table/tablet map, wills, ping-based failure detection
-// and crash-recovery orchestration.
+// Package coordinator runs the RAMCloud coordinator on the simulator. What
+// it decides — cluster membership, the tables and tablet map, wills, when
+// missed pings declare a death, how a dead master's tablets are split into
+// recovery partitions and to whom each goes, which tablet a rejoined
+// server takes — is store.Membership, which the real coordinator
+// (realnode.Coordinator) decides by too. This package does the rest as
+// simulated I/O: the pings and their timeouts, the segment inventory and
+// the replays, the migrations, enforced deaths and the recovery records.
 //
 // The coordinator runs on its own node, which — like in the paper's
 // deployment — is not power-metered (the 40 PDU-equipped nodes run only
@@ -9,7 +14,6 @@ package coordinator
 
 import (
 	"fmt"
-	"sort"
 
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/server"
@@ -43,29 +47,6 @@ func DefaultConfig() Config {
 	}
 }
 
-type serverInfo struct {
-	id     int32
-	addr   simnet.NodeID
-	alive  bool
-	misses int
-	will   []wire.WillPartition
-}
-
-type partitionState struct {
-	rng    wire.WillPartition
-	master int32 // recovery master
-	done   bool
-	ok     bool
-}
-
-type recoveryState struct {
-	crashed    int32
-	partitions []*partitionState
-	pending    int
-	detectedAt sim.Time
-	locs       []wire.SegmentLoc // where the lost segments live
-}
-
 // RecoveryRecord summarizes one completed crash recovery.
 type RecoveryRecord struct {
 	Crashed    int32
@@ -75,23 +56,19 @@ type RecoveryRecord struct {
 	AllOK      bool
 }
 
-// Coordinator is the cluster's configuration and recovery manager.
+// Coordinator is the cluster's configuration and recovery manager: the
+// membership, tables and tablet map are a store.Membership, and the
+// coordinator runs its decisions as simulated RPCs and procs.
 type Coordinator struct {
 	eng *sim.Engine
 	net *simnet.Network
 	ep  *rpc.Endpoint
 	cfg Config
 
-	servers map[int32]*serverInfo
-	order   []int32 // deterministic iteration
-
+	m        *store.Membership
 	registry map[int32]*server.Server
 
-	tables      map[string]uint64
-	tablets     map[uint64][]wire.Tablet // table id -> tablets
-	nextTableID uint64
-
-	recoveries map[int32]*recoveryState
+	detectedAt map[*store.Recovery]sim.Time // open recoveries
 	records    []RecoveryRecord
 
 	// Detector bookkeeping: every ping miss is a suspicion; a death
@@ -113,11 +90,9 @@ func New(e *sim.Engine, net *simnet.Network, addr simnet.NodeID, cfg Config) *Co
 		eng:        e,
 		net:        net,
 		cfg:        cfg,
-		servers:    make(map[int32]*serverInfo),
+		m:          store.NewMembership(cfg.MissThreshold),
 		registry:   make(map[int32]*server.Server),
-		tables:     make(map[string]uint64),
-		tablets:    make(map[uint64][]wire.Tablet),
-		recoveries: make(map[int32]*recoveryState),
+		detectedAt: make(map[*store.Recovery]sim.Time),
 	}
 	c.ep = rpc.NewEndpoint(e, net, addr)
 	return c
@@ -149,12 +124,12 @@ func (c *Coordinator) TabletsMigrated() int64 { return c.tabletsMigrated }
 // AddServer registers a server with the coordinator's configuration plane
 // (the equivalent of server enlistment at cluster bring-up).
 func (c *Coordinator) AddServer(s *server.Server) {
-	info := &serverInfo{id: s.ID(), addr: s.Addr(), alive: true}
-	c.servers[s.ID()] = info
 	c.registry[s.ID()] = s
-	c.order = append(c.order, s.ID())
-	sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
+	c.m.Enlist(s.ID())
 }
+
+// addr returns server id's fabric address.
+func (c *Coordinator) addr(id int32) simnet.NodeID { return c.registry[id].Addr() }
 
 // Registry returns the server lookup used for zero-time bulk loading.
 func (c *Coordinator) Registry() server.Registry {
@@ -166,22 +141,13 @@ func (c *Coordinator) Registry() server.Registry {
 // Start launches the coordinator's service loop and one pinger per server.
 func (c *Coordinator) Start() {
 	c.eng.Go("coord-service", c.serviceLoop)
-	for _, id := range c.order {
-		id := id
+	for _, id := range c.m.Alive() {
 		c.eng.Go(fmt.Sprintf("coord-ping-%d", id), func(p *sim.Proc) { c.pingLoop(p, id) })
 	}
 }
 
 // AliveServers returns the ids of servers currently believed alive.
-func (c *Coordinator) AliveServers() []int32 {
-	var out []int32
-	for _, id := range c.order {
-		if c.servers[id].alive {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func (c *Coordinator) AliveServers() []int32 { return c.m.Alive() }
 
 // serviceLoop handles control-plane RPCs. Coordinator CPU is not modeled:
 // it is never the measured bottleneck in the paper's experiments.
@@ -199,9 +165,7 @@ func (c *Coordinator) serviceLoop(p *sim.Proc) {
 		case *wire.EnlistReq:
 			c.ep.Reply(req, &wire.EnlistResp{Status: wire.StatusOK, ServerID: m.Node})
 		case *wire.SetWillReq:
-			if info, ok := c.servers[m.Master]; ok {
-				info.will = m.Partitions
-			}
+			c.m.SetWill(m.Master, m.Partitions)
 			c.ep.Reply(req, &wire.SetWillResp{Status: wire.StatusOK})
 		case *wire.RecoveryDoneReq:
 			c.serveRecoveryDone(req, m)
@@ -233,56 +197,22 @@ func (c *Coordinator) CreateTableDirect(name string, serverSpan int) uint64 {
 }
 
 // TabletMapDirect returns a snapshot of the full tablet map.
-func (c *Coordinator) TabletMapDirect() []wire.Tablet {
-	var all []wire.Tablet
-	for _, id := range c.sortedTableIDs() {
-		all = append(all, c.tablets[id]...)
-	}
-	return all
-}
-
-// sortedTableIDs returns the table IDs in ascending order; every walk of
-// c.tablets that can reach rendered output or the wire must use it.
-func (c *Coordinator) sortedTableIDs() []uint64 {
-	ids := make([]uint64, 0, len(c.tablets))
-	for id := range c.tablets {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+func (c *Coordinator) TabletMapDirect() []wire.Tablet { return c.m.Tablets() }
 
 func (c *Coordinator) createTable(name string, span int) (uint64, bool) {
-	if id, exists := c.tables[name]; exists {
-		return id, true
-	}
-	alive := c.AliveServers()
-	if len(alive) == 0 {
-		return 0, false
-	}
-	if span <= 0 || span > len(alive) {
-		span = len(alive)
-	}
-	c.nextTableID++
-	id := c.nextTableID
-	c.tables[name] = id
-
-	tablets := store.SplitHashSpace(id, span, alive)
-	for _, t := range tablets {
+	id, created, ok := c.m.CreateTable(name, span)
+	for _, t := range created {
 		c.registry[t.Master].AssignTablet(t)
 	}
-	c.tablets[id] = tablets
-	return id, true
+	return id, ok
 }
 
 func (c *Coordinator) serveDropTable(req rpc.Request, m *wire.DropTableReq) {
-	id, ok := c.tables[m.Name]
+	id, ok := c.m.DropTable(m.Name)
 	if !ok {
 		c.ep.Reply(req, &wire.DropTableResp{Status: wire.StatusUnknownTable})
 		return
 	}
-	delete(c.tables, m.Name)
-	delete(c.tablets, id)
 	for _, s := range c.registry {
 		s.DropTablets(id)
 	}
@@ -290,31 +220,23 @@ func (c *Coordinator) serveDropTable(req rpc.Request, m *wire.DropTableReq) {
 }
 
 func (c *Coordinator) serveTabletMap(req rpc.Request) {
-	var all []wire.Tablet
-	for _, id := range c.sortedTableIDs() {
-		all = append(all, c.tablets[id]...)
-	}
-	c.ep.Reply(req, &wire.GetTabletMapResp{Status: wire.StatusOK, Tablets: all})
+	c.ep.Reply(req, &wire.GetTabletMapResp{Status: wire.StatusOK, Tablets: c.m.Tablets()})
 }
 
 // pingLoop probes one server until it is declared dead.
 func (c *Coordinator) pingLoop(p *sim.Proc, id int32) {
-	info := c.servers[id]
 	seq := uint64(0)
-	for info.alive {
+	for c.m.IsAlive(id) {
 		p.Sleep(c.cfg.PingInterval)
-		if !info.alive {
+		if !c.m.IsAlive(id) {
 			return
 		}
 		seq++
-		_, ok := c.ep.CallTimeout(p, info.addr, &wire.PingReq{Seq: seq}, c.cfg.PingTimeout)
-		if ok {
-			info.misses = 0
-			continue
+		_, ok := c.ep.CallTimeout(p, c.addr(id), &wire.PingReq{Seq: seq}, c.cfg.PingTimeout)
+		if !ok {
+			c.suspicions++
 		}
-		info.misses++
-		c.suspicions++
-		if info.misses >= c.cfg.MissThreshold {
+		if c.m.Pinged(id, ok) {
 			c.declareDead(id)
 			return
 		}

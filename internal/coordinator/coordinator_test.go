@@ -11,7 +11,6 @@ import (
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simdisk"
 	"ramcloud/internal/simnet"
-	"ramcloud/internal/wire"
 )
 
 type rig struct {
@@ -193,63 +192,5 @@ func TestClientRetriesThroughRecovery(t *testing.T) {
 	}
 	if c.Stats().Timeouts.Value() == 0 && c.Stats().Retries.Value() == 0 {
 		t.Fatal("client should have retried through the crash")
-	}
-}
-
-func TestSplitRangesUsedForWill(t *testing.T) {
-	parts := server.SplitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 8)
-	if len(parts) != 8 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	if parts[7].LastHash != ^uint64(0) {
-		t.Fatal("last partition must end at max hash")
-	}
-}
-
-func TestFillWillGaps(t *testing.T) {
-	owned := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: 999}}
-	// Stale will covers only [100..399] and [600..899].
-	will := []wire.WillPartition{{FirstHash: 100, LastHash: 399}, {FirstHash: 600, LastHash: 899}}
-	got := fillWillGaps(owned, will)
-	// Expect the original two plus gaps [0..99], [400..599], [900..999].
-	if len(got) != 5 {
-		t.Fatalf("partitions = %d (%+v), want 5", len(got), got)
-	}
-	// Verify full coverage with no overlap gaps.
-	covered := make([]bool, 1000)
-	for _, w := range got {
-		for h := w.FirstHash; h <= w.LastHash && h < 1000; h++ {
-			covered[h] = true
-		}
-	}
-	for h, ok := range covered {
-		if !ok {
-			t.Fatalf("hash %d not covered", h)
-		}
-	}
-}
-
-func TestFillWillGapsFullCoverageUnchanged(t *testing.T) {
-	owned := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}
-	will := server.SplitRanges(owned, 8)
-	got := fillWillGaps(owned, will)
-	if len(got) != len(will) {
-		t.Fatalf("complete will gained gap partitions: %d -> %d", len(will), len(got))
-	}
-}
-
-func TestFillWillGapsEmptyWill(t *testing.T) {
-	owned := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: 10}}
-	if got := fillWillGaps(owned, nil); got != nil {
-		t.Fatalf("empty will should stay empty (fallback path), got %+v", got)
-	}
-}
-
-func TestFillWillGapsMaxHashBoundary(t *testing.T) {
-	owned := []wire.Tablet{{Table: 1, StartHash: ^uint64(0) - 10, EndHash: ^uint64(0)}}
-	will := []wire.WillPartition{{FirstHash: 0, LastHash: ^uint64(0)}}
-	got := fillWillGaps(owned, will)
-	if len(got) != 1 {
-		t.Fatalf("full-range will must not grow: %+v", got)
 	}
 }

@@ -5,25 +5,21 @@ import (
 	"sort"
 
 	"ramcloud/internal/rpc"
-	"ramcloud/internal/server"
 	"ramcloud/internal/sim"
+	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
-// This file implements crash-recovery orchestration: on a declared death
-// the coordinator collects the crashed master's segment inventory from all
-// backups, splits the lost key space per the master's will, assigns the
-// partitions to recovery masters and tracks completion. Tablets flip to
-// their new owners partition by partition; lost data stays unavailable
-// (clients see Recovering) until its partition finishes — the paper's
-// Fig. 10 blocked-client behaviour.
+// This file runs crash recovery: on a declared death the membership splits
+// the crashed master's tablets into recovering partitions; the coordinator
+// collects the crashed master's segment inventory from all backups, has
+// the membership assign the partitions to recovery masters and starts
+// their replays. Tablets flip to their new owners partition by partition;
+// lost data stays unavailable (clients see Recovering) until its partition
+// finishes — the paper's Fig. 10 blocked-client behaviour.
 
 func (c *Coordinator) declareDead(id int32) {
-	info := c.servers[id]
-	if info == nil || !info.alive {
-		return
-	}
-	info.alive = false
+	rec, restarts := c.m.DeclareDead(id)
 	// Declaring a live server dead is a detector false positive. With
 	// EnforceDeath the coordinator also kills the process (RAMCloud's
 	// "server is dead once we say so" rule — no split-brain); without it
@@ -40,98 +36,49 @@ func (c *Coordinator) declareDead(id int32) {
 		c.onDeath(id)
 	}
 	// If the deceased was acting as a recovery master, its unfinished
-	// partitions must be restarted on a survivor (RAMCloud restarts the
-	// recovery; replayed-but-unflipped data on the dead node is garbage).
-	c.reassignPartitions(id)
-	if _, already := c.recoveries[id]; already {
+	// partitions restart on a survivor (RAMCloud restarts the recovery;
+	// replayed-but-unflipped data on the dead node is garbage).
+	for _, r := range restarts {
+		c.eng.Go(fmt.Sprintf("coord-rerecover-%d-%x", r.Rec.Crashed, r.Part.Range.FirstHash), func(p *sim.Proc) {
+			if !c.startReplay(p, r.Rec, r.Part) && c.m.Abandon(r.Rec, r.Part) {
+				c.finish(r.Rec)
+			}
+		})
+	}
+	if rec == nil {
 		return
 	}
-
-	// Mark the dead master's tablets as recovering, fragmented along the
-	// will's partition boundaries so each fragment can flip independently.
-	// Without a stored will (e.g. a bulk-loaded cluster that never rolled
-	// a segment over RPC), split across every survivor — RAMCloud's goal
-	// of "as many machines performing the crash-recovery as possible".
-	// A stored will can also be stale: ranges the master acquired through
-	// an earlier recovery may be missing, so gaps are filled from the
-	// master's actual tablets — otherwise that data would silently drop
-	// out of the tablet map.
-	owned := c.deadTablets(id)
-	will := fillWillGaps(owned, info.will)
-	if len(will) == 0 {
-		will = server.SplitRanges(owned, len(c.AliveServers()))
-	}
-	if len(will) == 0 {
-		return // master owned nothing; nothing to recover
-	}
-	c.fragmentTablets(id, will)
-
-	rec := &recoveryState{crashed: id, detectedAt: c.eng.Now()}
-	for _, w := range will {
-		rec.partitions = append(rec.partitions, &partitionState{rng: w})
-	}
-	rec.pending = len(rec.partitions)
-	c.recoveries[id] = rec
-
+	c.detectedAt[rec] = c.eng.Now()
 	c.eng.Go(fmt.Sprintf("coord-recover-%d", id), func(p *sim.Proc) {
 		c.runRecovery(p, rec)
 	})
 }
 
-// deadTablets returns the tablets owned by a master, in table-ID order
-// so the RecoverReq tablet list is the same every run.
-func (c *Coordinator) deadTablets(id int32) []wire.Tablet {
-	var out []wire.Tablet
-	for _, tableID := range c.sortedTableIDs() {
-		for _, t := range c.tablets[tableID] {
-			if t.Master == id {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
-// fragmentTablets splits every tablet of the dead master along partition
-// boundaries and marks the fragments recovering.
-func (c *Coordinator) fragmentTablets(dead int32, will []wire.WillPartition) {
-	for tableID, ts := range c.tablets {
-		var out []wire.Tablet
-		for _, t := range ts {
-			if t.Master != dead {
-				out = append(out, t)
-				continue
-			}
-			for _, w := range will {
-				lo := max64(t.StartHash, w.FirstHash)
-				hi := min64(t.EndHash, w.LastHash)
-				if lo > hi {
-					continue
-				}
-				out = append(out, wire.Tablet{
-					Table: tableID, StartHash: lo, EndHash: hi,
-					Master: dead, Recovering: true,
-				})
-			}
-		}
-		c.tablets[tableID] = out
-	}
+// startReplay asks part's recovery master to replay it, and reports
+// whether it accepted.
+func (c *Coordinator) startReplay(p *sim.Proc, rec *store.Recovery, part *store.Partition) bool {
+	_, ok := c.ep.CallTimeout(p, c.addr(part.Master), &wire.RecoverReq{
+		Crashed:   rec.Crashed,
+		FirstHash: part.Range.FirstHash,
+		LastHash:  part.Range.LastHash,
+		Segments:  rec.Segments,
+	}, 2*sim.Second)
+	return ok
 }
 
 // runRecovery drives one crashed master's recovery to completion.
-func (c *Coordinator) runRecovery(p *sim.Proc, rec *recoveryState) {
+func (c *Coordinator) runRecovery(p *sim.Proc, rec *store.Recovery) {
 	// Phase 1: find the lost segments on the surviving backups.
 	type holder struct {
 		backup int32
 		bytes  uint32
 	}
 	segs := make(map[uint64]holder)
-	for _, id := range c.order {
-		info := c.servers[id]
-		if !info.alive {
-			continue
+	for _, id := range c.m.Servers() {
+		if !c.m.IsAlive(id) {
+			continue // checked as the phase goes: a backup may die meanwhile
 		}
-		resp, ok := c.ep.CallTimeout(p, info.addr, &wire.SegmentInventoryReq{Master: rec.crashed}, 2*sim.Second)
+		resp, ok := c.ep.CallTimeout(p, c.addr(id), &wire.SegmentInventoryReq{Master: rec.Crashed}, 2*sim.Second)
 		if !ok {
 			continue
 		}
@@ -153,220 +100,74 @@ func (c *Coordinator) runRecovery(p *sim.Proc, rec *recoveryState) {
 		h := segs[sid]
 		locs = append(locs, wire.SegmentLoc{Segment: sid, Backup: h.backup, Bytes: h.bytes})
 	}
-	rec.locs = locs
+	rec.Segments = locs
 
 	// Phase 2: assign partitions to recovery masters round-robin.
-	alive := c.AliveServers()
-	if len(alive) == 0 {
+	tries := len(c.m.Alive()) + 1
+	if !c.m.Assign(rec) {
 		return // total cluster loss; nothing to do
-	}
-	for i, part := range rec.partitions {
-		part.master = alive[i%len(alive)]
 	}
 
 	// Phase 3: start the replays. A recovery master that fails to accept
 	// is replaced by the next alive candidate before giving up.
-	for _, part := range rec.partitions {
+	for _, part := range rec.Partitions {
 		started := false
-		for attempt := 0; attempt < len(alive)+1 && !started; attempt++ {
-			info := c.servers[part.master]
-			if info == nil || !info.alive {
-				cand := c.AliveServers()
-				if len(cand) == 0 {
+		for attempt := 0; attempt < tries && !started; attempt++ {
+			if !c.m.IsAlive(part.Master) {
+				if !c.m.Retarget(part, attempt) {
 					break
 				}
-				part.master = cand[attempt%len(cand)]
 				continue
 			}
-			_, started = c.ep.CallTimeout(p, info.addr, &wire.RecoverReq{
-				Crashed:   rec.crashed,
-				FirstHash: part.rng.FirstHash,
-				LastHash:  part.rng.LastHash,
-				Segments:  locs,
-			}, 2*sim.Second)
-			if !started {
-				cand := c.AliveServers()
-				if len(cand) == 0 {
-					break
-				}
-				part.master = cand[attempt%len(cand)]
+			started = c.startReplay(p, rec, part)
+			if !started && !c.m.Retarget(part, attempt) {
+				break
 			}
 		}
-		if !started && !part.done {
-			part.done = true
-			part.ok = false
-			rec.pending--
+		if !started {
+			c.m.Abandon(rec, part)
 		}
 	}
-	c.maybeFinishRecovery(rec)
+	c.finish(rec)
 }
 
 // serveRecoveryDone flips the finished partition's tablets to the recovery
 // master and closes the recovery when the last partition completes.
 func (c *Coordinator) serveRecoveryDone(req rpc.Request, m *wire.RecoveryDoneReq) {
 	defer c.ep.Reply(req, &wire.RecoveryDoneResp{Status: wire.StatusOK})
-	rec, ok := c.recoveries[m.Crashed]
-	if !ok {
+	rec, flipped := c.m.Recovered(m.Crashed, m.FirstHash, m.Ok)
+	if rec == nil {
 		return
 	}
-	for _, part := range rec.partitions {
-		if part.rng.FirstHash != m.FirstHash || part.done {
-			continue
-		}
-		part.done = true
-		part.ok = m.Ok
-		rec.pending--
-		c.flipPartition(rec.crashed, part)
-	}
-	c.maybeFinishRecovery(rec)
-}
-
-// flipPartition transfers ownership of a recovered hash range from the
-// crashed master to its recovery master, both in the coordinator map and
-// on the recovery master itself.
-func (c *Coordinator) flipPartition(crashed int32, part *partitionState) {
-	newOwner := c.registry[part.master]
-	for tableID, ts := range c.tablets {
-		for i := range ts {
-			t := &ts[i]
-			if t.Master != crashed || !t.Recovering {
-				continue
-			}
-			if t.StartHash >= part.rng.FirstHash && t.EndHash <= part.rng.LastHash {
-				t.Master = part.master
-				t.Recovering = false
-				if newOwner != nil {
-					newOwner.AssignTablet(wire.Tablet{
-						Table: tableID, StartHash: t.StartHash, EndHash: t.EndHash,
-					})
-				}
-			}
+	for _, t := range flipped {
+		if owner := c.registry[t.Master]; owner != nil {
+			owner.AssignTablet(wire.Tablet{Table: t.Table, StartHash: t.StartHash, EndHash: t.EndHash})
 		}
 	}
+	c.finish(rec)
 }
 
-// maybeFinishRecovery closes the recovery once every partition reported:
-// old replicas are freed cluster-wide and the record is logged.
-func (c *Coordinator) maybeFinishRecovery(rec *recoveryState) {
-	if rec.pending > 0 {
+// finish closes the recovery once every partition reported: old replicas
+// are freed cluster-wide and the record is logged.
+func (c *Coordinator) finish(rec *store.Recovery) {
+	if !c.m.Close(rec) {
 		return
 	}
-	if _, open := c.recoveries[rec.crashed]; !open {
-		return
-	}
-	delete(c.recoveries, rec.crashed)
 	allOK := true
-	for _, part := range rec.partitions {
-		if !part.ok {
+	for _, part := range rec.Partitions {
+		if !part.OK {
 			allOK = false
 		}
 	}
 	c.records = append(c.records, RecoveryRecord{
-		Crashed:    rec.crashed,
-		DetectedAt: rec.detectedAt,
+		Crashed:    rec.Crashed,
+		DetectedAt: c.detectedAt[rec],
 		DoneAt:     c.eng.Now(),
-		Partitions: len(rec.partitions),
+		Partitions: len(rec.Partitions),
 		AllOK:      allOK,
 	})
-	for _, id := range c.order {
-		info := c.servers[id]
-		if info.alive {
-			c.ep.AsyncCall(info.addr, &wire.FreeReplicasReq{Master: rec.crashed})
-		}
+	delete(c.detectedAt, rec)
+	for _, id := range c.m.Alive() {
+		c.ep.AsyncCall(c.addr(id), &wire.FreeReplicasReq{Master: rec.Crashed})
 	}
-}
-
-// reassignPartitions restarts, on a survivor, every unfinished recovery
-// partition whose recovery master just died. Recoveries are visited in
-// crashed-ID order: the replacement master round-robin and the spawn
-// order of the re-recovery procs must not depend on map iteration.
-func (c *Coordinator) reassignPartitions(dead int32) {
-	crashed := make([]int32, 0, len(c.recoveries))
-	for id := range c.recoveries {
-		crashed = append(crashed, id)
-	}
-	sort.Slice(crashed, func(i, j int) bool { return crashed[i] < crashed[j] })
-	for _, id := range crashed {
-		rec := c.recoveries[id]
-		alive := c.AliveServers()
-		if len(alive) == 0 {
-			continue
-		}
-		next := 0
-		for _, part := range rec.partitions {
-			if part.done || part.master != dead {
-				continue
-			}
-			part.master = alive[next%len(alive)]
-			next++
-			rec, part := rec, part
-			c.eng.Go(fmt.Sprintf("coord-rerecover-%d-%x", rec.crashed, part.rng.FirstHash), func(p *sim.Proc) {
-				info := c.servers[part.master]
-				_, ok := c.ep.CallTimeout(p, info.addr, &wire.RecoverReq{
-					Crashed:   rec.crashed,
-					FirstHash: part.rng.FirstHash,
-					LastHash:  part.rng.LastHash,
-					Segments:  rec.locs,
-				}, 2*sim.Second)
-				if !ok && !part.done {
-					part.done = true
-					part.ok = false
-					rec.pending--
-					c.maybeFinishRecovery(rec)
-				}
-			})
-		}
-	}
-}
-
-// fillWillGaps returns the will extended with one partition per hash
-// range that the owned tablets cover but the will does not.
-func fillWillGaps(owned []wire.Tablet, will []wire.WillPartition) []wire.WillPartition {
-	if len(will) == 0 {
-		return nil
-	}
-	out := append([]wire.WillPartition(nil), will...)
-	for _, t := range owned {
-		var ivs []wire.WillPartition
-		for _, w := range will {
-			lo := max64(t.StartHash, w.FirstHash)
-			hi := min64(t.EndHash, w.LastHash)
-			if lo <= hi {
-				ivs = append(ivs, wire.WillPartition{FirstHash: lo, LastHash: hi})
-			}
-		}
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].FirstHash < ivs[j].FirstHash })
-		cur := t.StartHash
-		covered := false
-		for _, iv := range ivs {
-			if iv.FirstHash > cur {
-				out = append(out, wire.WillPartition{FirstHash: cur, LastHash: iv.FirstHash - 1})
-			}
-			if iv.LastHash >= t.EndHash {
-				covered = true
-				break
-			}
-			if iv.LastHash+1 > cur {
-				cur = iv.LastHash + 1
-			}
-		}
-		if !covered && cur <= t.EndHash {
-			out = append(out, wire.WillPartition{FirstHash: cur, LastHash: t.EndHash})
-		}
-	}
-	return out
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

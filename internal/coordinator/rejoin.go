@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"fmt"
-	"sort"
 
 	"ramcloud/internal/server"
 	"ramcloud/internal/sim"
@@ -24,27 +23,14 @@ const migrateTimeout = 30 * sim.Second
 // immediately, so a caller observing Readmit's return can wait on it.
 func (c *Coordinator) Readmit(s *server.Server) {
 	id := s.ID()
-	info := c.servers[id]
-	if info == nil {
-		c.AddServer(s)
-		info = c.servers[id]
-	} else {
-		c.registry[id] = s
-		info.addr = s.Addr()
-	}
-	info.will = nil // the old will described data the restart lost
-	info.misses = 0
-	if !info.alive {
-		info.alive = true
+	c.registry[id] = s
+	if c.m.Enlist(id) {
 		c.eng.Go(fmt.Sprintf("coord-ping-%d", id), func(p *sim.Proc) { c.pingLoop(p, id) })
 	}
 	// Peers that saw replication timeouts while the server was down hold a
 	// permanent dead mark; clear it so the newcomer hosts replicas again.
-	for _, sid := range c.order {
-		if sid == id {
-			continue
-		}
-		if peer := c.registry[sid]; peer != nil && c.servers[sid].alive {
+	for _, sid := range c.m.Alive() {
+		if peer := c.registry[sid]; sid != id && peer != nil {
 			peer.PeerRejoined(s.Addr())
 		}
 	}
@@ -55,76 +41,19 @@ func (c *Coordinator) Readmit(s *server.Server) {
 	})
 }
 
-// rebalanceToward migrates tablets from the most-loaded masters to target
-// until target holds at least the floor of a fair share. One tablet moves
-// at a time; state is recomputed between moves because recoveries and
-// client-driven table changes may run concurrently.
+// rebalanceToward migrates the tablets the membership picks to target, one
+// at a time: recoveries and client-driven table changes may run between
+// moves.
 func (c *Coordinator) rebalanceToward(p *sim.Proc, target int32) {
 	for {
-		tableIDs := make([]uint64, 0, len(c.tablets))
-		for tid := range c.tablets {
-			tableIDs = append(tableIDs, tid)
-		}
-		sort.Slice(tableIDs, func(i, j int) bool { return tableIDs[i] < tableIDs[j] })
-
-		counts := make(map[int32]int)
-		total := 0
-		for _, tid := range tableIDs {
-			for _, t := range c.tablets[tid] {
-				if t.Recovering {
-					continue
-				}
-				counts[t.Master]++
-				total++
-			}
-		}
-		alive := c.AliveServers()
-		if len(alive) == 0 || total == 0 {
+		donor, t, ok := c.m.NextMove(target)
+		if !ok {
 			return
 		}
-		fair := total / len(alive)
-		if counts[target] >= fair || fair == 0 {
-			return
-		}
-
-		// Donor: most tablets, lowest id on ties. Must be alive, not the
-		// target, and have something to spare.
-		var donor int32 = -1
-		for _, id := range alive {
-			if id == target {
-				continue
-			}
-			if donor < 0 || counts[id] > counts[donor] {
-				donor = id
-			}
-		}
-		if donor < 0 || counts[donor] <= counts[target]+1 {
-			return // moving one more would just swap the imbalance
-		}
-
-		// First donor-owned tablet in deterministic map order.
-		var pickTable uint64
-		var pick *wire.Tablet
-		for _, tid := range tableIDs {
-			ts := c.tablets[tid]
-			for i := range ts {
-				if ts[i].Master == donor && !ts[i].Recovering {
-					pickTable, pick = tid, &ts[i]
-					break
-				}
-			}
-			if pick != nil {
-				break
-			}
-		}
-		if pick == nil {
-			return
-		}
-		rng := *pick // the slice may be reallocated while we wait
-		resp, ok := c.ep.CallTimeout(p, c.servers[donor].addr, &wire.MigrateTabletReq{
-			Table:     rng.Table,
-			FirstHash: rng.StartHash,
-			LastHash:  rng.EndHash,
+		resp, ok := c.ep.CallTimeout(p, c.addr(donor), &wire.MigrateTabletReq{
+			Table:     t.Table,
+			FirstHash: t.StartHash,
+			LastHash:  t.EndHash,
 			Dst:       target,
 		}, migrateTimeout)
 		if !ok {
@@ -137,15 +66,9 @@ func (c *Coordinator) rebalanceToward(p *sim.Proc, target int32) {
 		// The source has dropped the range; hand it to the target and flip
 		// the map so client refreshes re-route.
 		if dst := c.registry[target]; dst != nil {
-			dst.AssignTablet(wire.Tablet{Table: pickTable, StartHash: rng.StartHash, EndHash: rng.EndHash})
+			dst.AssignTablet(wire.Tablet{Table: t.Table, StartHash: t.StartHash, EndHash: t.EndHash})
 		}
-		for i := range c.tablets[pickTable] {
-			t := &c.tablets[pickTable][i]
-			if t.StartHash == rng.StartHash && t.EndHash == rng.EndHash && t.Master == donor {
-				t.Master = target
-				break
-			}
-		}
+		c.m.Moved(t, target)
 		c.tabletsMigrated++
 	}
 }

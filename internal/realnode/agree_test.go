@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ramcloud/internal/client"
+	"ramcloud/internal/core"
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/machine"
 	"ramcloud/internal/rpc"
@@ -521,4 +522,121 @@ func TestClientsAgree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoordinatorsAgree runs one script through the simulated coordinator
+// and the real one, four masters each: create a table at span 2, two at
+// span 4, drop the last, let one master die and its recovery finish (the
+// simulator's replays, the real coordinator's flip at once), and readmit
+// it. After each step the two tablet maps must be equal, server ids
+// numbered by enlist order. The simulator then re-spreads tablets onto the
+// readmitted master by migration, which the real masters cannot do; the
+// last map is taken before that starts.
+func TestCoordinatorsAgree(t *testing.T) {
+	const dead = 1 // the master that dies, by enlist order
+	fromSim := simCoordinatorMaps(t, dead)
+
+	// Slower pings than bootCluster's, so that a loaded machine does not
+	// miss three in a row from a live master and fail it over as well.
+	coord, servers, _ := bootClusterPinging(t, 4, 100*time.Millisecond)
+	var fromReal [][]wire.Tablet
+	snap := func() {
+		resp := coord.serve("", &wire.GetTabletMapReq{}).(*wire.GetTabletMapResp)
+		fromReal = append(fromReal, byEnlistOrder(resp.Tablets, servers[0].ID(), servers[1].ID(), servers[2].ID(), servers[3].ID()))
+	}
+	for _, c := range []struct {
+		name string
+		span uint32
+	}{{"a", 2}, {"b", 4}, {"gone", 4}} {
+		if resp := coord.serve("", &wire.CreateTableReq{Name: c.name, ServerSpan: c.span}).(*wire.CreateTableResp); resp.Status != wire.StatusOK {
+			t.Fatalf("create %s: %v", c.name, resp.Status)
+		}
+		snap()
+	}
+	if resp := coord.serve("", &wire.DropTableReq{Name: "gone"}).(*wire.DropTableResp); resp.Status != wire.StatusOK {
+		t.Fatalf("drop: %v", resp.Status)
+	}
+	snap()
+
+	addr := servers[dead].Addr()
+	servers[dead].Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(coord.Servers()) != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("death not detected: %d servers", len(coord.Servers()))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	snap()
+
+	tr := &transport.TCP{RedialBase: 2 * time.Millisecond, RedialCap: 50 * time.Millisecond}
+	fresh := NewServer(tr, coord.Addr(), ServerConfig{EnlistBackoff: 10 * time.Millisecond})
+	if err := fresh.Start(addr); err != nil {
+		t.Fatalf("restart at %s: %v", addr, err)
+	}
+	t.Cleanup(fresh.Stop)
+	snap()
+
+	steps := []string{"create a", "create b", "create gone", "drop gone", "recover", "readmit"}
+	for i, step := range steps {
+		if !reflect.DeepEqual(fromReal[i], fromSim[i]) {
+			t.Errorf("after %s:\n  real:      %v\n  simulated: %v", step, fromReal[i], fromSim[i])
+		}
+	}
+	if recovered := fromReal[4]; len(recovered) != 2+4+2 { // the dead master's two tablets, in two partitions each
+		t.Errorf("after the recovery, %d tablets: %v", len(recovered), recovered)
+	}
+}
+
+// simCoordinatorMaps runs TestCoordinatorsAgree's script on a simulated
+// four-server cluster and returns the tablet map after each step.
+func simCoordinatorMaps(t *testing.T, dead int) [][]wire.Tablet {
+	eng := sim.New(1)
+	cluster := core.NewCluster(eng, core.DefaultProfile(), 4, 0)
+	cluster.Start()
+	ids := make([]int32, len(cluster.Servers))
+	for i, s := range cluster.Servers {
+		ids[i] = s.ID()
+	}
+	var maps [][]wire.Tablet
+	snap := func() { maps = append(maps, byEnlistOrder(cluster.Coord.TabletMapDirect(), ids...)) }
+	cl := cluster.NewClient()
+	eng.Go("script", func(p *sim.Proc) {
+		defer eng.Stop()
+		cluster.Coord.CreateTableDirect("a", 2)
+		snap()
+		cluster.Coord.CreateTableDirect("b", 4)
+		snap()
+		cluster.Coord.CreateTableDirect("gone", 4)
+		snap()
+		if err := cl.DropTable(p, "gone"); err != nil {
+			t.Errorf("drop: %v", err)
+			return
+		}
+		snap()
+		cluster.KillServer(dead)
+		for len(cluster.Coord.Records()) == 0 {
+			if p.Now() > sim.Time(sim.Minute) {
+				t.Error("the recovery never finished")
+				return
+			}
+			p.Sleep(100 * sim.Millisecond)
+		}
+		snap()
+		cluster.RestartServer(dead)
+		snap()
+	})
+	eng.Run()
+	eng.Shutdown()
+	return maps
+}
+
+// byEnlistOrder returns tablets with each master renamed to its index in
+// ids, the servers in the order they enlisted.
+func byEnlistOrder(tablets []wire.Tablet, ids ...int32) []wire.Tablet {
+	out := slices.Clone(tablets)
+	for i := range out {
+		out[i].Master = int32(slices.Index(ids, out[i].Master))
+	}
+	return out
 }

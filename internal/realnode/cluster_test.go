@@ -20,11 +20,17 @@ import (
 // loopback ephemeral ports and returns them with a connected client.
 func bootCluster(t *testing.T, n int) (*Coordinator, []*Server, *Client) {
 	t.Helper()
+	return bootClusterPinging(t, n, 20*time.Millisecond)
+}
+
+// bootClusterPinging is bootCluster with the coordinator probing each
+// master every interval.
+func bootClusterPinging(t *testing.T, n int, interval time.Duration) (*Coordinator, []*Server, *Client) {
+	t.Helper()
 	tr := &transport.TCP{RedialBase: 2 * time.Millisecond, RedialCap: 50 * time.Millisecond}
 	coord := NewCoordinator(tr, CoordConfig{
-		PingInterval:  20 * time.Millisecond,
+		PingInterval:  interval,
 		MissThreshold: 3,
-		RPCTimeout:    time.Second,
 	})
 	if err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -324,6 +330,60 @@ func TestMultiOpAfterMasterRestart(t *testing.T) {
 		t.Fatalf("the restarted master, which owns nothing, holds %d objects", fresh.Objects())
 	}
 	t.Logf("%v, %d refreshes", took, client.Stats().Refreshes.Load()-refreshes)
+}
+
+// TestClusterFastRestartSameAddress: a master stops and a fresh process
+// enlists at its address before the detector has missed enough pings to
+// declare it dead, so it keeps its id and the map still routes the old
+// process's ranges to it. The coordinator must tell the new process what
+// it owns; otherwise every key there is answered WrongServer until the
+// client gives up. What the old process held is gone and reads not-found.
+func TestClusterFastRestartSameAddress(t *testing.T) {
+	coord, servers, client := bootClusterPinging(t, 2, 2*time.Second)
+	table, err := client.CreateTable("usertable", 2)
+	if err != nil {
+		t.Fatalf("create table: %v", err)
+	}
+	const records = 2000
+	for i := 0; i < records; i++ {
+		if _, err := client.Put(table, ycsb.Key(i), []byte("old")); err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+	}
+
+	addr, id := servers[0].Addr(), servers[0].ID()
+	servers[0].Stop()
+	tr := &transport.TCP{RedialBase: 2 * time.Millisecond, RedialCap: 50 * time.Millisecond}
+	fresh := NewServer(tr, coord.Addr(), ServerConfig{EnlistBackoff: 10 * time.Millisecond})
+	if err := fresh.Start(addr); err != nil {
+		t.Fatalf("restart at %s: %v", addr, err)
+	}
+	t.Cleanup(fresh.Stop)
+	if fresh.ID() != id || len(coord.Servers()) != 2 {
+		t.Fatalf("restarted as %d with %d servers alive; want the old id %d and no death declared", fresh.ID(), len(coord.Servers()), id)
+	}
+
+	lost := 0
+	for i := 0; i < records; i++ {
+		_, _, err := client.Get(table, ycsb.Key(i))
+		switch {
+		case errors.Is(err, ErrNotFound):
+			lost++
+		case err != nil:
+			t.Fatalf("get %d: %v", i, err)
+		}
+	}
+	if lost == 0 || lost == records {
+		t.Fatalf("%d of %d keys lost; want those of the stopped master only", lost, records)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := client.Put(table, ycsb.Key(i), []byte("new")); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if fresh.Objects() == 0 {
+		t.Fatal("the restarted master took no writes")
+	}
 }
 
 // TestRunYCSB exercises the exported load driver end to end.

@@ -8,14 +8,18 @@
 // (store.Store and store.Backups), and the client decides by the store's
 // client rules (store.Judge, store.Group) as the simulated client does:
 // only the locking and waiting — mutexes, wall-clock pauses, pooled
-// deadlines, pipelined attempts — is this package's own. So is the
-// coordinator.
+// deadlines, pipelined attempts — is this package's own, and the
+// coordinator's connections, pinger and ownership pushes.
 //
-// No master replicates to a backup yet, and there is no crash recovery:
-// when the coordinator declares a master dead it reassigns the dead
-// server's tablets to survivors and the objects stored there are LOST
-// (reads return not-found until rewritten). Durability modeling stays in
-// the simulated path, where the paper's figures live.
+// The coordinator keeps membership, tables and the tablet map in a
+// store.Membership, the simulated coordinator's state machine: a death
+// splits the dead master's tablets into partitions across the survivors,
+// as the simulator's recovery does. No master replicates to a backup yet,
+// so there is nothing to replay: each partition flips to its recovery
+// master at once, and the objects the dead master stored are LOST (reads
+// return not-found until rewritten). A master that restarts at its address
+// keeps its id and is sent what it owns when it enlists. Durability
+// modeling stays in the simulated path, where the paper's figures live.
 //
 // Like internal/transport, this package legitimately uses wall-clock
 // time, bare goroutines and map iteration; rcvet's determinism analyzers
@@ -23,8 +27,7 @@
 package realnode
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,8 +43,6 @@ type CoordConfig struct {
 	// MissThreshold is how many consecutive failed pings declare a
 	// server dead. Default 3.
 	MissThreshold int
-	// RPCTimeout bounds each control-plane call. Default 1s.
-	RPCTimeout time.Duration
 }
 
 func (c CoordConfig) pingInterval() time.Duration {
@@ -58,36 +59,29 @@ func (c CoordConfig) missThreshold() int {
 	return 3
 }
 
-func (c CoordConfig) rpcTimeout() time.Duration {
-	if c.RPCTimeout > 0 {
-		return c.RPCTimeout
-	}
-	return time.Second
-}
+// pushTimeout bounds one ownership push to a master.
+const pushTimeout = time.Second
 
+// coordServer is how the coordinator reaches one enlisted master.
 type coordServer struct {
-	id     int32
-	addr   string
-	alive  bool
-	missed int
-	conn   transport.Conn
+	addr string
+	conn transport.Conn
 }
 
-// Coordinator is the real-transport cluster coordinator: enlistment,
-// table creation with hash-range splitting, the tablet map, and
-// ping-based failure detection with tablet reassignment.
+// Coordinator is the real-transport cluster coordinator. Its membership,
+// tables and tablet map are a store.Membership, the simulated
+// coordinator's; it adds the locking, the connections to the masters, the
+// pinger and the ownership pushes.
 type Coordinator struct {
 	tr  transport.Interface
 	cfg CoordConfig
 	ln  transport.Listener
 
-	mu          sync.Mutex
-	servers     map[int32]*coordServer
-	byAddr      map[string]int32
-	tables      map[string]uint64
-	tablets     map[uint64][]wire.Tablet
-	nextID      int32
-	nextTableID uint64
+	mu      sync.Mutex
+	m       *store.Membership
+	servers map[int32]*coordServer
+	byAddr  map[string]int32
+	nextID  int32
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -98,10 +92,9 @@ func NewCoordinator(tr transport.Interface, cfg CoordConfig) *Coordinator {
 	return &Coordinator{
 		tr:      tr,
 		cfg:     cfg,
+		m:       store.NewMembership(cfg.missThreshold()),
 		servers: make(map[int32]*coordServer),
 		byAddr:  make(map[string]int32),
-		tables:  make(map[string]uint64),
-		tablets: make(map[uint64][]wire.Tablet),
 		stop:    make(chan struct{}),
 	}
 }
@@ -154,22 +147,25 @@ func (c *Coordinator) serve(remote string, msg wire.Message) wire.Message {
 	}
 }
 
-// serveEnlist registers (or re-registers) a master by its dial address.
-// An address that re-enlists keeps its server id, so a restarted process
-// is the same logical server with an empty store.
+// serveEnlist registers (or readmits) a master by its dial address. An
+// address that re-enlists keeps its server id, so a restarted process is
+// the same logical server with an empty store. Before the answer, the
+// process is sent what the map says that id owns (nothing, unless it came
+// back before the detector declared it dead): a map that routes ranges to
+// a process that does not know it owns them answers WrongServer forever.
 func (c *Coordinator) serveEnlist(m *wire.EnlistAddrReq) wire.Message {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	id, ok := c.byAddr[m.Addr]
 	if !ok {
 		c.nextID++
 		id = c.nextID
 		c.byAddr[m.Addr] = id
-		c.servers[id] = &coordServer{id: id, addr: m.Addr}
+		c.servers[id] = &coordServer{addr: m.Addr}
 	}
-	s := c.servers[id]
-	s.alive = true
-	s.missed = 0
+	c.m.Enlist(id)
+	c.dropConnLocked(id) // the old process's, if any
+	c.mu.Unlock()
+	c.pushAssignment(id)
 	return &wire.EnlistAddrResp{Status: wire.StatusOK, ServerID: id}
 }
 
@@ -177,59 +173,29 @@ func (c *Coordinator) serveServerList() wire.Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp := &wire.ServerListResp{Status: wire.StatusOK}
-	for id, s := range c.servers {
-		if s.alive {
-			resp.Servers = append(resp.Servers, wire.ServerAddr{ID: id, Addr: s.addr})
-		}
+	for _, id := range c.m.Alive() {
+		resp.Servers = append(resp.Servers, wire.ServerAddr{ID: id, Addr: c.servers[id].addr})
 	}
-	sort.Slice(resp.Servers, func(i, j int) bool { return resp.Servers[i].ID < resp.Servers[j].ID })
 	return resp
 }
 
 func (c *Coordinator) serveTabletMap() wire.Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp := &wire.GetTabletMapResp{Status: wire.StatusOK}
-	ids := make([]uint64, 0, len(c.tablets))
-	for id := range c.tablets {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		resp.Tablets = append(resp.Tablets, c.tablets[id]...)
-	}
-	return resp
+	return &wire.GetTabletMapResp{Status: wire.StatusOK, Tablets: c.m.Tablets()}
 }
 
-// serveCreateTable splits the hash space into span uniform ranges and
-// assigns them round-robin over alive servers — the same layout the
-// simulated coordinator produces — then pushes each owner's full
-// assignment before replying, so a client that reads the map immediately
-// afterward routes to servers that already own their ranges.
+// serveCreateTable pushes each owner's full assignment before replying, so
+// a client that reads the map immediately afterward routes to servers that
+// already own their ranges.
 func (c *Coordinator) serveCreateTable(m *wire.CreateTableReq) wire.Message {
 	c.mu.Lock()
-	if id, exists := c.tables[m.Name]; exists {
-		c.mu.Unlock()
-		return &wire.CreateTableResp{Status: wire.StatusOK, Table: id}
-	}
-	alive := c.aliveLocked()
-	if len(alive) == 0 {
-		c.mu.Unlock()
+	id, created, ok := c.m.CreateTable(m.Name, int(m.ServerSpan))
+	c.mu.Unlock()
+	if !ok {
 		return &wire.CreateTableResp{Status: wire.StatusRetry}
 	}
-	span := int(m.ServerSpan)
-	if span <= 0 || span > len(alive) {
-		span = len(alive)
-	}
-	c.nextTableID++
-	id := c.nextTableID
-	c.tables[m.Name] = id
-	tablets := store.SplitHashSpace(id, span, alive)
-	c.tablets[id] = tablets
-	owners := ownersOf(tablets)
-	c.mu.Unlock()
-
-	for _, owner := range owners {
+	for _, owner := range owners(created) {
 		c.pushAssignment(owner)
 	}
 	return &wire.CreateTableResp{Status: wire.StatusOK, Table: id}
@@ -237,94 +203,50 @@ func (c *Coordinator) serveCreateTable(m *wire.CreateTableReq) wire.Message {
 
 func (c *Coordinator) serveDropTable(m *wire.DropTableReq) wire.Message {
 	c.mu.Lock()
-	id, ok := c.tables[m.Name]
+	_, ok := c.m.DropTable(m.Name)
+	alive := c.m.Alive()
+	c.mu.Unlock()
 	if !ok {
-		c.mu.Unlock()
 		return &wire.DropTableResp{Status: wire.StatusUnknownTable}
 	}
-	delete(c.tables, m.Name)
-	delete(c.tablets, id)
-	owners := c.allOwnersLocked()
-	c.mu.Unlock()
-	for _, owner := range owners {
-		c.pushAssignment(owner)
+	for _, id := range alive {
+		c.pushAssignment(id)
 	}
 	return &wire.DropTableResp{Status: wire.StatusOK}
 }
 
-func (c *Coordinator) aliveLocked() []int32 {
-	var ids []int32
-	for id, s := range c.servers {
-		if s.alive {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func ownersOf(tablets []wire.Tablet) []int32 {
-	seen := make(map[int32]bool)
+// owners returns the masters of tablets, ascending, each once.
+func owners(tablets []wire.Tablet) []int32 {
 	var out []int32
 	for _, t := range tablets {
-		if !seen[t.Master] {
-			seen[t.Master] = true
-			out = append(out, t.Master)
-		}
+		out = append(out, t.Master)
 	}
-	return out
-}
-
-func (c *Coordinator) allOwnersLocked() []int32 {
-	seen := make(map[int32]bool)
-	var out []int32
-	for _, tablets := range c.tablets {
-		for _, t := range tablets {
-			if !seen[t.Master] {
-				seen[t.Master] = true
-				out = append(out, t.Master)
-			}
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // pushAssignment sends a server its complete current ownership
 // (replace-all semantics, so a duplicate or stale push is idempotent).
-func (c *Coordinator) pushAssignment(owner int32) {
+func (c *Coordinator) pushAssignment(id int32) {
 	c.mu.Lock()
-	s, ok := c.servers[owner]
-	if !ok || !s.alive {
+	if !c.m.IsAlive(id) {
 		c.mu.Unlock()
 		return
 	}
-	req := &wire.AssignTabletsReq{}
-	for _, tablets := range c.tablets {
-		for _, t := range tablets {
-			if t.Master == owner {
-				req.Tablets = append(req.Tablets, t)
-			}
-		}
-	}
-	sort.Slice(req.Tablets, func(i, j int) bool {
-		a, b := req.Tablets[i], req.Tablets[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		return a.StartHash < b.StartHash
-	})
-	conn, err := c.connLocked(s)
+	req := &wire.AssignTabletsReq{Tablets: c.m.Owned(id)}
+	conn, err := c.connLocked(id)
 	c.mu.Unlock()
 	if err != nil {
 		return // pinger will retry via miss accounting
 	}
-	ctx := newDeadline(c.cfg.rpcTimeout())
+	ctx := newDeadline(pushTimeout)
 	defer ctx.release()
 	_, _ = conn.Call(ctx, req) // best-effort: a miss shows up as WrongServer and a later re-push
 }
 
-// connLocked returns (dialing lazily) the coordinator's connection to s.
-func (c *Coordinator) connLocked(s *coordServer) (transport.Conn, error) {
+// connLocked returns (dialing lazily) the coordinator's connection to id.
+func (c *Coordinator) connLocked(id int32) (transport.Conn, error) {
+	s := c.servers[id]
 	if s.conn != nil {
 		return s.conn, nil
 	}
@@ -336,8 +258,16 @@ func (c *Coordinator) connLocked(s *coordServer) (transport.Conn, error) {
 	return conn, nil
 }
 
+// dropConnLocked closes the coordinator's connection to id, if open.
+func (c *Coordinator) dropConnLocked(id int32) {
+	if s := c.servers[id]; s.conn != nil {
+		s.conn.Close()
+		s.conn = nil
+	}
+}
+
 // pinger probes every alive server each interval; MissThreshold
-// consecutive failures declare it dead and trigger reassignment.
+// consecutive failures declare it dead and fail it over.
 func (c *Coordinator) pinger() {
 	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.pingInterval())
@@ -351,95 +281,52 @@ func (c *Coordinator) pinger() {
 		}
 		seq++
 		c.mu.Lock()
-		targets := make([]*coordServer, 0, len(c.servers))
-		for _, s := range c.servers {
-			if s.alive {
-				targets = append(targets, s)
-			}
-		}
-		sort.Slice(targets, func(i, j int) bool { return targets[i].id < targets[j].id })
+		targets := c.m.Alive()
 		c.mu.Unlock()
 
-		for _, s := range targets {
+		for _, id := range targets {
 			c.mu.Lock()
-			conn, err := c.connLocked(s)
+			conn, err := c.connLocked(id)
 			c.mu.Unlock()
-			var dead bool
-			if err != nil {
-				dead = c.miss(s)
-			} else {
+			if err == nil {
 				ctx := newDeadline(c.cfg.pingInterval())
 				_, err = conn.Call(ctx, &wire.PingReq{Seq: seq})
 				ctx.release()
-				if err != nil {
-					dead = c.miss(s)
-				} else {
-					c.mu.Lock()
-					s.missed = 0
-					c.mu.Unlock()
-				}
 			}
-			if dead {
-				c.declareDead(s.id)
+			var moved []int32
+			c.mu.Lock()
+			if c.m.Pinged(id, err == nil) {
+				moved = c.failoverLocked(id)
+			}
+			c.mu.Unlock()
+			for _, owner := range moved {
+				c.pushAssignment(owner)
 			}
 		}
 	}
 }
 
-// miss records one failed probe; true once the threshold is crossed.
-func (c *Coordinator) miss(s *coordServer) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s.missed++
-	return s.missed >= c.cfg.missThreshold() && s.alive
-}
-
-// declareDead reassigns every tablet owned by id to the surviving
-// servers round-robin and pushes the updated ownership. The dead
-// server's objects are gone: this is failover without recovery, by
-// design (see the package comment).
-func (c *Coordinator) declareDead(id int32) {
-	c.mu.Lock()
-	s, ok := c.servers[id]
-	if !ok || !s.alive {
-		c.mu.Unlock()
-		return
+// failoverLocked declares id dead and runs its recovery with nothing to
+// replay, the simulator's recovery less the replay: the partitions get
+// their recovery masters and each flips at once, under c.mu, so no client
+// ever sees a Recovering tablet. The dead server's objects are gone (see
+// the package comment). It returns the masters whose ownership changed.
+// Caller holds c.mu.
+func (c *Coordinator) failoverLocked(id int32) []int32 {
+	c.dropConnLocked(id)
+	// No recovery stays open here, so no partition waits on the dead
+	// server and none restarts.
+	rec, _ := c.m.DeclareDead(id)
+	if rec == nil || !c.m.Assign(rec) {
+		return nil
 	}
-	s.alive = false
-	if s.conn != nil {
-		s.conn.Close()
-		s.conn = nil
+	var flipped []wire.Tablet
+	for _, p := range rec.Partitions {
+		_, ts := c.m.Recovered(id, p.Range.FirstHash, true)
+		flipped = append(flipped, ts...)
 	}
-	alive := c.aliveLocked()
-	touched := make(map[int32]bool)
-	if len(alive) > 0 {
-		i := 0
-		tids := make([]uint64, 0, len(c.tablets))
-		for tid := range c.tablets {
-			tids = append(tids, tid)
-		}
-		sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
-		for _, tid := range tids {
-			tablets := c.tablets[tid]
-			for j := range tablets {
-				if tablets[j].Master == id {
-					tablets[j].Master = alive[i%len(alive)]
-					touched[tablets[j].Master] = true
-					i++
-				}
-			}
-		}
-	}
-	owners := make([]int32, 0, len(touched))
-	for o := range touched {
-		owners = append(owners, o)
-	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	c.mu.Unlock()
-
-	for _, o := range owners {
-		c.pushAssignment(o)
-	}
+	c.m.Close(rec)
+	return owners(flipped)
 }
 
 // Servers returns the ids of currently-alive servers (for tests and the
@@ -447,12 +334,5 @@ func (c *Coordinator) declareDead(id int32) {
 func (c *Coordinator) Servers() []int32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.aliveLocked()
-}
-
-// String summarizes the coordinator state for logs.
-func (c *Coordinator) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return fmt.Sprintf("coordinator{servers=%d tables=%d}", len(c.aliveLocked()), len(c.tables))
+	return c.m.Alive()
 }

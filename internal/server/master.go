@@ -527,50 +527,7 @@ func (s *Server) computeWill() []wire.WillPartition {
 	if nParts > 64 {
 		nParts = 64
 	}
-	return SplitRanges(s.st.Tablets, nParts)
-}
-
-// SplitRanges cuts the union of tablet hash ranges into n partitions of
-// roughly equal hash-space size. Exported for the coordinator and tests.
-func SplitRanges(tablets []wire.Tablet, n int) []wire.WillPartition {
-	if len(tablets) == 0 || n <= 0 {
-		return nil
-	}
-	var total uint64
-	for _, t := range tablets {
-		total += t.EndHash - t.StartHash + 1
-	}
-	if n > len(tablets) {
-		// Split each tablet proportionally to reach ~n partitions.
-		perTablet := (n + len(tablets) - 1) / len(tablets)
-		var out []wire.WillPartition
-		for _, t := range tablets {
-			span := t.EndHash - t.StartHash + 1
-			step := span / uint64(perTablet)
-			if step == 0 {
-				step = 1
-			}
-			start := t.StartHash
-			for i := 0; i < perTablet; i++ {
-				end := start + step - 1
-				if i == perTablet-1 || end > t.EndHash || end < start {
-					end = t.EndHash
-				}
-				out = append(out, wire.WillPartition{FirstHash: start, LastHash: end})
-				if end == t.EndHash {
-					break
-				}
-				start = end + 1
-			}
-		}
-		return out
-	}
-	// n <= tablets: one partition per tablet (coarse but correct).
-	out := make([]wire.WillPartition, 0, len(tablets))
-	for _, t := range tablets {
-		out = append(out, wire.WillPartition{FirstHash: t.StartHash, LastHash: t.EndHash})
-	}
-	return out
+	return store.SplitRanges(s.st.Tablets, nParts)
 }
 
 // FastLoad inserts a record directly into the master's log, hash table and

@@ -533,26 +533,6 @@ func TestCleanerReclaimsUnderPressure(t *testing.T) {
 	}
 }
 
-func TestSplitRanges(t *testing.T) {
-	tablets := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: 999}}
-	parts := SplitRanges(tablets, 4)
-	if len(parts) != 4 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	// Contiguous, non-overlapping, full coverage.
-	if parts[0].FirstHash != 0 || parts[len(parts)-1].LastHash != 999 {
-		t.Fatalf("bad bounds: %+v", parts)
-	}
-	for i := 1; i < len(parts); i++ {
-		if parts[i].FirstHash != parts[i-1].LastHash+1 {
-			t.Fatalf("gap between %d and %d: %+v", i-1, i, parts)
-		}
-	}
-	if got := SplitRanges(nil, 3); got != nil {
-		t.Fatal("nil tablets should give nil will")
-	}
-}
-
 func TestKillReleasesPinnedCores(t *testing.T) {
 	rig := newRig(t, 1, smallCfg(0))
 	s := rig.servers[0]

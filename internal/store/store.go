@@ -18,6 +18,11 @@
 // the simulated backup charges for it (bytes appended or filtered, a
 // first disk read); the real backup only holds its lock around the call.
 //
+// And it holds the coordinator's state both coordinators decide by
+// (membership.go): Membership keeps the servers and their liveness, the
+// tables and the tablet map, and splits a dead master's tablets into
+// recovery partitions.
+//
 // The store knows nothing about time, threads or networks. Rolling the
 // head stays with the caller (if st.Log.NeedsRoll(size) { ... }) because
 // the simulated master opens and closes backup replicas across a roll;
@@ -78,6 +83,47 @@ func SplitHashSpace(table uint64, span int, owners []int32) []wire.Tablet {
 		start = end + 1
 	}
 	return tablets
+}
+
+// SplitRanges cuts tablets' hash ranges into about n partitions, each
+// tablet into the same number of equal parts (one when n is at most the
+// number of tablets): a master's will, or the coordinator's split of a
+// dead master that left none.
+func SplitRanges(tablets []wire.Tablet, n int) []wire.WillPartition {
+	if len(tablets) == 0 || n <= 0 {
+		return nil
+	}
+	if n > len(tablets) {
+		// Split each tablet proportionally to reach ~n partitions.
+		perTablet := (n + len(tablets) - 1) / len(tablets)
+		var out []wire.WillPartition
+		for _, t := range tablets {
+			span := t.EndHash - t.StartHash + 1
+			step := span / uint64(perTablet)
+			if step == 0 {
+				step = 1
+			}
+			start := t.StartHash
+			for i := 0; i < perTablet; i++ {
+				end := start + step - 1
+				if i == perTablet-1 || end > t.EndHash || end < start {
+					end = t.EndHash
+				}
+				out = append(out, wire.WillPartition{FirstHash: start, LastHash: end})
+				if end == t.EndHash {
+					break
+				}
+				start = end + 1
+			}
+		}
+		return out
+	}
+	// n <= tablets: one partition per tablet (coarse but correct).
+	out := make([]wire.WillPartition, 0, len(tablets))
+	for _, t := range tablets {
+		out = append(out, wire.WillPartition{FirstHash: t.StartHash, LastHash: t.EndHash})
+	}
+	return out
 }
 
 // Owns reports whether (table, keyHash) falls in an owned tablet.
