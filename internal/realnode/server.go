@@ -200,12 +200,13 @@ func (s *Server) putLocked(entry logstore.Entry) error {
 }
 
 // readLocked looks (table, key) up for a read. The result's Value is a
-// VIEW of the log's bytes: the caller copies it after releasing s.mu, so a
-// read holds the master mutex for the lookup only. That is safe because
-// the bytes of an appended entry are never written again — later appends
-// fill the block behind them — and a segment's blocks are never reused,
-// so whoever frees a segment leaves this view to the collector. Caller
-// holds s.mu.
+// VIEW of the log's bytes, and the response carries it as is: the
+// transport encodes it after s.mu is released (transport.Handler), so a
+// read holds the master mutex for the lookup only and copies nothing.
+// That is safe because the bytes of an appended entry are never written
+// again — later appends fill the block behind them — and a segment's
+// blocks are never reused, so whoever frees a segment leaves this view to
+// the collector. Caller holds s.mu.
 func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
 	if !s.st.Owns(table, keyHash) {
 		s.wrongServer++
@@ -229,15 +230,7 @@ func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
 	s.mu.Lock()
 	r := s.readLocked(m.Table, m.Key, keyHash)
 	s.mu.Unlock()
-	if r.Status != wire.StatusOK {
-		return &wire.ReadResp{Status: r.Status}
-	}
-	return &wire.ReadResp{
-		Status:   wire.StatusOK,
-		Version:  r.Version,
-		ValueLen: r.ValueLen,
-		Value:    append([]byte(nil), r.Value...),
-	}
+	return &wire.ReadResp{Status: r.Status, Version: r.Version, ValueLen: r.ValueLen, Value: r.Value}
 }
 
 func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
@@ -291,11 +284,6 @@ func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 		items[i] = s.readLocked(it.Table, it.Key, hashtable.HashKey(it.Table, it.Key))
 	}
 	s.mu.Unlock()
-	for i := range items {
-		if items[i].Status == wire.StatusOK {
-			items[i].Value = append([]byte(nil), items[i].Value...)
-		}
-	}
 	return &wire.MultiReadResp{Status: wire.StatusOK, Items: items}
 }
 

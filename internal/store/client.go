@@ -51,12 +51,27 @@ func Judge(st wire.Status, write bool) Verdict {
 // results are appended to ownerBuf and groupBuf, which a caller may keep
 // on its stack. unroutable lists the items no tablet covers; recovering
 // reports whether any item's tablet is being recovered.
+//
+// It routes each item once, noting its group and counting each group,
+// then carves every group out of one slice of the routable items: one
+// allocation per call, and none for the bookkeeping of a batch of up to
+// groupStack items.
 func Group(tablets []wire.Tablet, table uint64, hash func(i int) uint64, pending []int, ownerBuf []int32, groupBuf [][]int) (owners []int32, groups [][]int, unroutable []int, recovering bool) {
-	owners, groups = ownerBuf, groupBuf
-	for _, i := range pending {
+	owners = ownerBuf
+	var stack [2 * groupStack]int32
+	scratch := stack[:]
+	if len(pending) > groupStack {
+		scratch = make([]int32, 2*len(pending))
+	}
+	// of[k] is pending[k]'s group, or -1 if no tablet covers it. slot[g]
+	// first counts group g, then is where its next item goes in all, and
+	// at the end is where it ends.
+	of, slot := scratch[:len(pending)], scratch[len(pending):2*len(pending)]
+	for k, i := range pending {
 		t := Find(tablets, table, hash(i))
 		if t == nil {
 			unroutable = append(unroutable, i)
+			of[k] = -1
 			continue
 		}
 		recovering = recovering || t.Recovering
@@ -66,12 +81,32 @@ func Group(tablets []wire.Tablet, table uint64, hash func(i int) uint64, pending
 		}
 		if g == len(owners) {
 			owners = append(owners, t.Master)
-			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], i)
+		of[k] = int32(g)
+		slot[g]++
+	}
+	all := make([]int, len(pending)-len(unroutable))
+	at := int32(0)
+	for g := range owners {
+		at, slot[g] = at+slot[g], at
+	}
+	for k, i := range pending {
+		if g := of[k]; g >= 0 {
+			all[slot[g]] = i
+			slot[g]++
+		}
+	}
+	at, groups = 0, groupBuf
+	for g := range owners {
+		groups = append(groups, all[at:slot[g]:slot[g]])
+		at = slot[g]
 	}
 	return owners, groups, unroutable, recovering
 }
+
+// groupStack is the largest batch Group sorts without allocating its
+// bookkeeping.
+const groupStack = 64
 
 // Round gathers the verdicts of one multi-op round: the items to try
 // again, and what the next round must do first.

@@ -31,6 +31,8 @@
 package store
 
 import (
+	"math/bits"
+
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/logstore"
 	"ramcloud/internal/wire"
@@ -100,7 +102,11 @@ func SplitRanges(tablets []wire.Tablet, n int) []wire.WillPartition {
 		for _, t := range tablets {
 			span := t.EndHash - t.StartHash + 1
 			step := span / uint64(perTablet)
-			if step == 0 {
+			if span == 0 {
+				// The whole hash space: 2^64 wrapped to 0. perTablet is at
+				// least 2, so 2^64/perTablet fits.
+				step, _ = bits.Div64(1, 0, uint64(perTablet))
+			} else if step == 0 {
 				step = 1
 			}
 			start := t.StartHash

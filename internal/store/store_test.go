@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -370,5 +371,20 @@ func TestSplitRanges(t *testing.T) {
 	}
 	if got := SplitRanges(nil, 3); got != nil {
 		t.Fatal("nil tablets should give nil will")
+	}
+
+	// A tablet over the whole hash space (a span-1 table): its 2^64 hashes
+	// do not fit in a uint64, and it still splits into equal quarters that
+	// tile the space.
+	const quarter = uint64(1) << 62
+	full := SplitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 4)
+	want := []wire.WillPartition{
+		{FirstHash: 0, LastHash: quarter - 1},
+		{FirstHash: quarter, LastHash: 2*quarter - 1},
+		{FirstHash: 2 * quarter, LastHash: 3*quarter - 1},
+		{FirstHash: 3 * quarter, LastHash: ^uint64(0)},
+	}
+	if !reflect.DeepEqual(full, want) {
+		t.Fatalf("full range into 4: %+v, want %+v", full, want)
 	}
 }

@@ -482,7 +482,8 @@ func (l *tcpListener) worker() {
 // teardown is underway; the response is dropped like the request never
 // arrived. The request is a view of req.buf, and the response may be too
 // (an echo), so the buffer goes back to the pool only here, once enqueue
-// has encoded the response.
+// has encoded the response; a response that views the handler's own state
+// (a master's log) is encoded there too, before anything else sees it.
 func (l *tcpListener) serve(req srvReq, inline bool) {
 	if resp := l.h.ServeRPC(req.sc.remote, req.env.Msg); resp != nil {
 		_ = req.sc.w.enqueue(req.env.RPCID, resp, inline)

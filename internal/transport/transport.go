@@ -32,19 +32,24 @@ var (
 
 // Handler services one inbound request. remote identifies the peer (a
 // host:port for TCP). A nil response drops the request without replying —
-// the peer sees a timeout, exactly like a lost datagram. The TCP backend may run a data-path request (read,
-// write, delete, multi-read, multi-write) on its connection's reader, so
-// serving one must not wait for a later request of the same connection;
-// every other request runs on a pool worker and may block (see
-// TCP.Listen).
+// the peer sees a timeout, exactly like a lost datagram. The TCP backend
+// may run a data-path request (read, write, delete, multi-read,
+// multi-write) on its connection's reader, so serving one must not wait
+// for a later request of the same connection; every other request runs on
+// a pool worker and may block (see TCP.Listen).
 //
 // A handler keeps nothing it was handed. On the TCP backend msg is a view
 // of the frame it arrived in: the message and every byte slice in it are
 // valid only until ServeRPC returns, after which the frame's buffer is
 // reused for another request. What must outlive the call is copied by the
-// handler (the master copies a written value once, into its log). The
-// response may alias the request: it is encoded before the buffer is
-// released.
+// handler (the master copies a written value once, into its log).
+//
+// The response is the transport's to encode, not to keep. It may alias
+// the request, and it may alias state the handler never rewrites (a
+// master's read answers with a view of its log). The TCP listener
+// encodes it into the connection's write buffer as soon as ServeRPC
+// returns, so nothing else ever sees the view; a transport that hands a
+// response over by reference must copy the byte fields it hands over.
 type Handler interface {
 	ServeRPC(remote string, msg wire.Message) wire.Message
 }

@@ -14,14 +14,15 @@ type Envelope struct {
 
 // codec is the one walker every message's walk drives. Encoding, it
 // appends each field to b; decoding, it reads each field from b at off,
-// as a copy or, with view set, as a capacity-clipped sub-slice of b. The
-// first failure sticks (ErrVirtualValue encoding, ErrTruncated decoding),
-// the walk runs on, and its result is discarded.
+// as a capacity-clipped sub-slice of slab (a copy) or, with view set, of
+// b. The first failure sticks (ErrVirtualValue encoding, ErrTruncated
+// decoding), the walk runs on, and its result is discarded.
 type codec struct {
 	b    []byte
 	off  int
 	dec  bool
 	view bool
+	slab []byte // copying decode: every byte field's copy, one allocation
 	err  error
 }
 
@@ -104,7 +105,11 @@ func (c *codec) take() []byte {
 }
 
 // bytes walks a length-prefixed byte field. A decoded one is a copy unless
-// the codec is a view.
+// the codec is a view. The copies share one slab, allocated at the
+// message's first non-empty byte field and sized by what is left of the
+// input from that field on, which bounds every byte field still to come:
+// it never grows, and a field at the end of a frame gets exactly its own
+// bytes. An empty field decodes to an empty, non-nil slice.
 func (c *codec) bytes(v *[]byte) {
 	if !c.dec {
 		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(len(*v)))
@@ -112,8 +117,17 @@ func (c *codec) bytes(v *[]byte) {
 		return
 	}
 	p := c.take()
-	if !c.view && p != nil {
-		p = append(make([]byte, 0, len(p)), p...)
+	switch {
+	case c.view || p == nil: // a view, or past a failure: as taken
+	case len(p) == 0:
+		p = []byte{}
+	default:
+		if c.slab == nil {
+			c.slab = make([]byte, 0, len(c.b)-c.off+len(p))
+		}
+		n := len(c.slab)
+		c.slab = append(c.slab, p...)
+		p = c.slab[n:len(c.slab):len(c.slab)]
 	}
 	*v = p
 }
@@ -234,7 +248,10 @@ func AppendEnvelope(dst []byte, env Envelope) ([]byte, error) {
 // ErrTooLarge, ErrBadLength, ErrUnknownOp) before any message-body
 // decoding, so a transport facing network bytes can log-and-drop
 // without allocating for hostile frames. The decoded message owns its
-// bytes: b may be reused immediately.
+// bytes: b may be reused immediately. Its byte fields share one
+// allocation, so holding on to one of them (one value of a multi-read)
+// keeps its siblings alive too; each is capacity-clipped, so appending to
+// one never writes over the next.
 func Unmarshal(b []byte) (Envelope, error) { return unmarshal(b, false) }
 
 // UnmarshalView decodes like Unmarshal — same accepted inputs, same

@@ -463,8 +463,8 @@ func multiReadResp(n, valueLen int) *MultiReadResp {
 }
 
 // TestDecodeAllocations pins what decoding a counted list costs: the
-// message, its list made once at its final length, and (copying) each
-// item's value. Nothing grows while the list is read.
+// message, its list made once at its final length, and (copying) one slab
+// for all the items' values. Nothing grows while the list is read.
 func TestDecodeAllocations(t *testing.T) {
 	req := &MultiReadReq{Items: make([]MultiReadItem, 14)}
 	for i := range req.Items {
@@ -476,7 +476,7 @@ func TestDecodeAllocations(t *testing.T) {
 		msg    Message
 		want   float64
 	}{
-		{"Unmarshal(MultiReadResp/14 x 1 KiB)", Unmarshal, multiReadResp(14, 1024), 16},
+		{"Unmarshal(MultiReadResp/14 x 1 KiB)", Unmarshal, multiReadResp(14, 1024), 3},
 		{"UnmarshalView(MultiReadReq/14)", UnmarshalView, req, 2},
 	} {
 		b, err := Marshal(Envelope{RPCID: 1, Msg: c.msg})
@@ -489,6 +489,80 @@ func TestDecodeAllocations(t *testing.T) {
 			}
 		}); got != c.want {
 			t.Errorf("%s allocates %v objects, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestUnmarshalSlab: a copying decode puts every byte field of a message
+// in one slab, no larger than the frame, and clips each field so that an
+// append to one cannot reach the next.
+func TestUnmarshalSlab(t *testing.T) {
+	msg := multiReadResp(11, 1024)
+	for i := range msg.Items {
+		msg.Items[i].Value[0] = byte(i)
+	}
+	msg.Items = append(msg.Items,
+		MultiReadResult{Status: StatusUnknownKey},                       // nil value
+		MultiReadResult{Status: StatusOK, Version: 12, Value: []byte{}}) // empty value
+	b, err := Marshal(Envelope{RPCID: 1, Msg: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The message, its list, and one slab for all eleven values.
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := Unmarshal(b); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 3 {
+		t.Errorf("Unmarshal(MultiReadResp/11 x 1 KiB) allocates %v objects, want 3", got)
+	}
+
+	env, err := Unmarshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := env.Msg.(*MultiReadResp).Items
+	for i, it := range items[:11] {
+		if len(it.Value) != 1024 || cap(it.Value) != 1024 || it.Value[0] != byte(i) {
+			t.Fatalf("item %d: value len %d cap %d first byte %d", i, len(it.Value), cap(it.Value), it.Value[0])
+		}
+	}
+	before := append([]byte(nil), items[1].Value...)
+	grown := append(items[0].Value, bytes.Repeat([]byte{0xEE}, 64)...)
+	if !bytes.Equal(items[1].Value, before) || &grown[0] == &items[0].Value[0] {
+		t.Fatal("appending to item 0's value wrote over item 1's")
+	}
+	for _, i := range []int{11, 12} {
+		if v := items[i].Value; v == nil || len(v) != 0 || items[i].ValueLen != 0 {
+			t.Errorf("item %d: value %#v (ValueLen %d), want empty and non-nil as before", i, v, items[i].ValueLen)
+		}
+	}
+
+	// The slab never exceeds its frame, and a value at a frame's end (a
+	// ReadResp's) gets exactly its own bytes.
+	read, err := Marshal(Envelope{RPCID: 1, Msg: &ReadResp{Status: StatusOK, ValueLen: 100, Value: make([]byte, 100)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := [][]byte{b, read}
+	for _, m := range allMessages() {
+		f, err := Marshal(Envelope{RPCID: 1, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	for _, f := range frames {
+		c := &codec{b: f, dec: true}
+		env, err := unmarshalBody(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.slab) > len(f) {
+			t.Errorf("%T: slab cap %d exceeds its %d-byte frame", env.Msg, cap(c.slab), len(f))
+		}
+		if r, ok := env.Msg.(*ReadResp); ok && cap(c.slab) != len(r.Value) {
+			t.Errorf("ReadResp: slab cap %d for a %d-byte value", cap(c.slab), len(r.Value))
 		}
 	}
 }
