@@ -71,7 +71,7 @@ func ExampleExperimentIDs() {
 // master, MultiRead fetches one the same way. Absent keys fail
 // individually without failing the batch.
 func ExampleClient_MultiRead() {
-	sim := ramcloud.NewSimulation(ramcloud.Options{Servers: 4, Seed: 8, RealPayloads: true})
+	sim := ramcloud.NewSimulation(ramcloud.Options{Servers: 4, Seed: 8})
 	table := sim.CreateTable("t")
 	sim.Spawn("app", func(c *ramcloud.Client) {
 		errs := c.MultiWrite(table, []ramcloud.WriteOp{
@@ -104,7 +104,7 @@ func ExampleClient_MultiRead() {
 // Asynchronous operations: issue many requests, then wait — the round
 // trips overlap instead of queueing behind a closed loop.
 func ExampleClient_ReadAsync() {
-	sim := ramcloud.NewSimulation(ramcloud.Options{Servers: 2, Seed: 4, RealPayloads: true})
+	sim := ramcloud.NewSimulation(ramcloud.Options{Servers: 2, Seed: 4})
 	table := sim.CreateTable("t")
 	sim.Spawn("app", func(c *ramcloud.Client) {
 		for i := 0; i < 3; i++ {

@@ -50,14 +50,13 @@ type Config struct {
 }
 
 // BackoffConfig tunes capped exponential retry backoff. Delay n is
-// Base * Multiplier^n, clamped to Cap, then jittered by a uniform factor in
+// Base * 2^n, clamped to Cap, then jittered by a uniform factor in
 // [1-JitterFrac, 1+JitterFrac] drawn from the client's private deterministic
 // sequence (never the engine RNG, so enabling backoff cannot perturb any
 // other random choice in the simulation).
 type BackoffConfig struct {
 	Base       sim.Duration
 	Cap        sim.Duration
-	Multiplier float64 // <=1 means 2
 	JitterFrac float64
 }
 
@@ -142,13 +141,9 @@ func (c *Client) nextJitter() float64 {
 // the capped exponential policy.
 func (c *Client) backoffDelay(n int) sim.Duration {
 	b := c.cfg.Backoff
-	mult := b.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	d := float64(b.Base)
 	for i := 0; i < n; i++ {
-		d *= mult
+		d *= 2
 		if b.Cap > 0 && d >= float64(b.Cap) {
 			break
 		}

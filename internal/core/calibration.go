@@ -24,8 +24,9 @@ import (
 //     ~23-28 Kop/s (Table II workload C).
 //   - Client update overhead ~95 us and write-path contention: Table II
 //     workload A (98K -> 106K -> 64K collapse).
-//   - Worker spin 400 us + LIFO wake: Table I CPU floors (25% idle, ~50%
-//     at 1 client, ~75% at 2, saturating near 100%).
+//   - Worker spin 400 us + connection-affine worker queues: Table I CPU
+//     floors (25% idle, ~50% at 1 client, ~75% at 2, saturating near
+//     100%).
 //   - Disk 130/110 MB/s + 6 ms alternation seek: Figs. 11-12 recovery
 //     behaviour.
 //   - Infiniband-20G: 2.3 us one-way, 2.3 GB/s per NIC.

@@ -27,7 +27,6 @@ func hardenedClient(p Profile, rpcTimeout sim.Duration) Profile {
 	p.Client.RPCTimeout = rpcTimeout
 	p.Client.Backoff.Base = sim.Millisecond
 	p.Client.Backoff.Cap = 100 * sim.Millisecond
-	p.Client.Backoff.Multiplier = 2
 	p.Client.Backoff.JitterFrac = 0.2
 	p.Coordinator.EnforceDeath = true
 	return p

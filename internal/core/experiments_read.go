@@ -18,7 +18,7 @@ func init() {
 	Register(Experiment{ID: "table2", Order: 50, Title: "Throughput of workloads A/B/C on 10 servers", Setup: "RF 0, 100K records, clients {10..90}", Run: runTable2, Scenarios: table2Grid})
 	Register(Experiment{ID: "fig3", Order: 60, Title: "Scalability factor vs 10-client baseline", Setup: "derived from table2", Run: runFig3, Scenarios: table2Grid})
 	Register(Experiment{ID: "fig4a", Order: 70, Title: "Average power per node, 20 servers", Setup: "A/B/C x clients {10..90}", Run: runFig4a, Scenarios: fig4Grid})
-	Register(Experiment{ID: "fig4b", Order: 80, Title: "Total energy at 90 clients by workload", Setup: "20 servers", Run: runFig4b, Scenarios: fig4Grid})
+	Register(Experiment{ID: "fig4b", Order: 80, Title: "Total energy at 90 clients by workload", Setup: "20 servers", Run: runFig4b, Scenarios: fig4bGrid})
 }
 
 var fig1Servers = []int{1, 5, 10}
@@ -319,6 +319,12 @@ func fig4Grid(o Options) []Scenario {
 		}
 	}
 	return out
+}
+
+// fig4bGrid is the 90-client row of fig4Grid, the only cells fig4b renders.
+func fig4bGrid(o Options) []Scenario {
+	o = o.normalize()
+	return []Scenario{fig4Scenario(o, 90, "C"), fig4Scenario(o, 90, "B"), fig4Scenario(o, 90, "A")}
 }
 
 func runFig4a(o Options) *ExpResult {

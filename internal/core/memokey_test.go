@@ -18,7 +18,7 @@ func memoKeyBase() Scenario {
 	prof := DefaultProfile()
 	prof.Client.Backoff = client.BackoffConfig{
 		Base: sim.Millisecond, Cap: 40 * sim.Millisecond,
-		Multiplier: 2, JitterFrac: 0.25,
+		JitterFrac: 0.25,
 	}
 	return Scenario{
 		Name:              "memokey",

@@ -113,26 +113,38 @@ func TestPrewarmWarmsTheMemo(t *testing.T) {
 	}
 }
 
-// TestPrewarmCoversRender prewarms a registered experiment's declared
-// grid and then renders it: the cells the grid declares and the cells
-// the render asks for must share keys, or a prewarmed cell is simulated
-// a second time.
+// TestPrewarmCoversRender checks a registered experiment's declared grid
+// against its render. A fresh render counts the distinct cells it asks
+// for; prewarming the grid must simulate exactly that many, and the
+// render after it none: a cell the grid misses is simulated twice, and a
+// cell the render never reads is simulated for nothing.
 func TestPrewarmCoversRender(t *testing.T) {
-	ResetMemo()
-	seg, ok := ByID("seg")
-	if !ok {
-		t.Fatal("seg is not registered")
-	}
 	opts := Options{Scale: 0.02, Seed: 42}
-	before := MemoRuns()
-	NewRunner(2).Prewarm([]Experiment{seg}, opts)
-	if MemoRuns() == before {
-		t.Fatal("prewarm simulated nothing")
-	}
-	before = MemoRuns()
-	seg.Run(opts)
-	if runs := MemoRuns() - before; runs != 0 {
-		t.Fatalf("render after prewarm simulated %d cells again", runs)
+	for _, id := range []string{"seg", "fig4b"} {
+		t.Run(id, func(t *testing.T) {
+			exp, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s is not registered", id)
+			}
+			ResetMemo()
+			before := MemoRuns()
+			exp.Run(opts)
+			rendered := MemoRuns() - before
+			if rendered == 0 {
+				t.Fatal("render simulated nothing")
+			}
+			ResetMemo()
+			before = MemoRuns()
+			NewRunner(2).Prewarm([]Experiment{exp}, opts)
+			if prewarmed := MemoRuns() - before; prewarmed != rendered {
+				t.Fatalf("prewarm simulated %d cells, the render asks for %d", prewarmed, rendered)
+			}
+			before = MemoRuns()
+			exp.Run(opts)
+			if runs := MemoRuns() - before; runs != 0 {
+				t.Fatalf("render after prewarm simulated %d cells again", runs)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,6 @@ package machine
 import (
 	"fmt"
 
-	"ramcloud/internal/metrics"
 	"ramcloud/internal/sim"
 )
 
@@ -162,15 +161,6 @@ func (n *Node) UtilSecond(k int) float64 {
 		return 1
 	}
 	return u
-}
-
-// UtilSeries returns the utilization for seconds [0, upto) as a Series.
-func (n *Node) UtilSeries(upto int) *metrics.Series {
-	var s metrics.Series
-	for k := 0; k < upto; k++ {
-		s.Set(k, n.UtilSecond(k))
-	}
-	return &s
 }
 
 // MeanUtil returns the average utilization over seconds [from, to).

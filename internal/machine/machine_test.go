@@ -129,9 +129,8 @@ func TestMeanUtilAndSeries(t *testing.T) {
 	if got := n.MeanUtil(0, 2); got != (0.25+0.5)/2 {
 		t.Fatalf("mean = %v", got)
 	}
-	s := n.UtilSeries(2)
-	if s.At(0) != 0.25 || s.At(1) != 0.5 {
-		t.Fatalf("series = %v", s.Values())
+	if u0, u1 := n.UtilSecond(0), n.UtilSecond(1); u0 != 0.25 || u1 != 0.5 {
+		t.Fatalf("util = %v, %v", u0, u1)
 	}
 	if n.MeanUtil(2, 2) != 0 {
 		t.Fatal("empty mean must be 0")

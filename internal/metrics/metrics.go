@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -289,21 +288,6 @@ func (d *Distribution) Stddev() float64 {
 		ss += (v - m) * (v - m)
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Median returns the sample median.
-func (d *Distribution) Median() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	cp := make([]float64, n)
-	copy(cp, d.samples)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
 // FormatTable renders rows of cells as an aligned plain-text table.

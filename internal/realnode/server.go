@@ -16,8 +16,6 @@ import (
 type ServerConfig struct {
 	// MemoryBytes is advertised at enlistment. Default 1 GiB.
 	MemoryBytes int64
-	// EnlistTimeout bounds one enlist attempt. Default 1s.
-	EnlistTimeout time.Duration
 	// EnlistBackoff paces enlist retries. Default 200ms.
 	EnlistBackoff time.Duration
 }
@@ -29,12 +27,8 @@ func (c ServerConfig) memoryBytes() int64 {
 	return 1 << 30
 }
 
-func (c ServerConfig) enlistTimeout() time.Duration {
-	if c.EnlistTimeout > 0 {
-		return c.EnlistTimeout
-	}
-	return time.Second
-}
+// enlistTimeout bounds one enlist attempt.
+const enlistTimeout = time.Second
 
 func (c ServerConfig) enlistBackoff() time.Duration {
 	if c.EnlistBackoff > 0 {
@@ -98,7 +92,7 @@ func (s *Server) Start(addr string) error {
 	defer conn.Close()
 	req := &wire.EnlistAddrReq{Addr: ln.Addr(), MemoryBytes: s.cfg.memoryBytes()}
 	for attempt := 0; ; attempt++ {
-		ctx := newDeadline(s.cfg.enlistTimeout())
+		ctx := newDeadline(enlistTimeout)
 		resp, err := conn.Call(ctx, req)
 		ctx.release()
 		if err == nil {

@@ -94,7 +94,7 @@ func (ep *Endpoint) AsyncCall(to simnet.NodeID, msg wire.Message) *sim.Future[wi
 	return f
 }
 
-// Call is one in-flight request issued with Start. Unlike the bare future
+// Call is one in-flight request issued with StartCall. Unlike the bare future
 // of AsyncCall it remembers its RPC id, so an abandoned call (timeout) can
 // drop its pending entry and a late response is discarded instead of
 // resolving a stale future.
@@ -104,18 +104,12 @@ type Call struct {
 	f  *sim.Future[wire.Message]
 }
 
-// Start issues a request without blocking and returns a handle the caller
-// waits on later. This is the client-side async primitive: the send costs
-// no simulated time beyond NIC serialization, and the completion wakes
-// whichever proc is parked in Wait/WaitTimeout.
-func (ep *Endpoint) Start(to simnet.NodeID, msg wire.Message) *Call {
-	c := ep.StartCall(to, msg)
-	return &c
-}
-
-// StartCall is Start returning the handle by value, for callers that embed
-// it (the client's op core keeps its in-flight attempt allocation-free
-// this way).
+// StartCall issues a request without blocking and returns a handle the
+// caller waits on later. This is the client-side async primitive: the send
+// costs no simulated time beyond NIC serialization, and the completion
+// wakes whichever proc is parked in Wait/WaitTimeout. The handle is a
+// value so that callers can embed it (the client's op core keeps its
+// in-flight attempt allocation-free this way).
 func (ep *Endpoint) StartCall(to simnet.NodeID, msg wire.Message) Call {
 	id, f := ep.send(to, msg)
 	return Call{ep: ep, id: id, f: f}

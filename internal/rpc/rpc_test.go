@@ -147,7 +147,7 @@ func TestStartThenWait(t *testing.T) {
 	var seq uint64
 	var issuedAt, doneAt sim.Time
 	e.Go("client", func(p *sim.Proc) {
-		call := cl.Start(2, &wire.PingReq{Seq: 42})
+		call := cl.StartCall(2, &wire.PingReq{Seq: 42})
 		issuedAt = p.Now()
 		// The proc is free to do other work while the RPC is in flight.
 		p.Sleep(2 * sim.Microsecond)
@@ -178,7 +178,7 @@ func TestStartTimeoutDropsLateResponse(t *testing.T) {
 	var first bool
 	var second bool
 	e.Go("client", func(p *sim.Proc) {
-		call := cl.Start(2, &wire.PingReq{Seq: 1})
+		call := cl.StartCall(2, &wire.PingReq{Seq: 1})
 		_, first = call.WaitTimeout(p, 5*sim.Millisecond)
 		p.Sleep(30 * sim.Millisecond) // late response arrives and must be dropped
 		resp, ok := cl.CallTimeout(p, 2, &wire.PingReq{Seq: 2}, 100*sim.Millisecond)

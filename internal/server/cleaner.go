@@ -55,5 +55,4 @@ func (s *Server) cleanOnce(p *sim.Proc) {
 	s.logMu.Unlock()
 	s.stats.CleanerPasses.Inc()
 	s.stats.CleanerFreed.Add(int64(stats.SegmentsFreed))
-	s.stats.CleanerRelocated.Add(int64(moved))
 }

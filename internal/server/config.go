@@ -50,8 +50,9 @@ type Costs struct {
 	ReplayObject sim.Duration
 
 	// SpinTimeout is how long an idle worker busy-polls for new work
-	// before sleeping. Together with LIFO worker wake-up it produces the
-	// paper's Table I CPU floor behaviour.
+	// before sleeping. With connection-affine worker queues, where each
+	// client's requests go to one worker, it produces the paper's Table I
+	// CPU floor behaviour.
 	SpinTimeout sim.Duration
 
 	// InterferenceFactor inflates service costs while the node hosts an
@@ -107,10 +108,6 @@ type Config struct {
 	// master declares the backup dead and re-replicates.
 	ReplicationTimeout sim.Duration
 
-	// ReplayBatch is the number of replayed objects replicated per RPC
-	// during recovery (RAMCloud batches recovery re-replication).
-	ReplayBatch int
-
 	// PartitionBytes is the target size of one will partition (RAMCloud
 	// uses ~500-600 MB so multiple recovery masters share the load).
 	PartitionBytes int64
@@ -148,7 +145,6 @@ func DefaultConfig() Config {
 		Log:                logstore.DefaultConfig(),
 		Costs:              DefaultCosts(),
 		ReplicationTimeout: 400 * sim.Millisecond,
-		ReplayBatch:        1,
 		PartitionBytes:     600 << 20,
 		CleanerThreshold:   0.90,
 	}
@@ -158,19 +154,13 @@ func DefaultConfig() Config {
 type Stats struct {
 	ReadsOK        metrics.Counter
 	WritesOK       metrics.Counter
-	DeletesOK      metrics.Counter
 	WrongServer    metrics.Counter
 	ReplicaAppends metrics.Counter
 	SegmentsSealed metrics.Counter
 	SegmentsFlush  metrics.Counter
-	ReplaysDone    metrics.Counter
 	ObjectsReplay  metrics.Counter
 	BackupFailures metrics.Counter
 
-	TabletsMigratedOut metrics.Counter // migrations completed as source
-	ObjectsMigrated    metrics.Counter // objects taken in as destination
-
-	CleanerPasses    metrics.Counter
-	CleanerFreed     metrics.Counter // segments reclaimed
-	CleanerRelocated metrics.Counter // entries moved
+	CleanerPasses metrics.Counter
+	CleanerFreed  metrics.Counter // segments reclaimed
 }

@@ -123,7 +123,6 @@ func (s *Server) serveDelete(p *sim.Proc, req rpc.Request, m *wire.DeleteReq) {
 		Version:   version,
 		Tombstone: true,
 	})
-	s.stats.DeletesOK.Inc()
 	s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusOK, Version: version})
 }
 

@@ -20,9 +20,9 @@ import (
 
 const migrateBatchTimeout = 5 * sim.Second
 
-// migrateBatch is the number of objects shipped per TakeTabletReq. Larger
-// than ReplayBatch (often 1) because migration is a bulk transfer, not a
-// latency-sensitive replay.
+// migrateBatch is the number of objects shipped per TakeTabletReq. Recovery
+// replay replicates one object per RPC; migration is a bulk transfer, not
+// a latency-sensitive replay, so it ships many.
 const migrateBatch = 64
 
 // PeerRejoined clears the permanent dead mark for a restarted peer so it
@@ -87,7 +87,6 @@ func (s *Server) migrateTablet(p *sim.Proc, req rpc.Request, m *wire.MigrateTabl
 		}
 	}
 	s.dropRange(p, m.Table, m.FirstHash, m.LastHash, objs)
-	s.stats.TabletsMigratedOut.Inc()
 	s.ep.Reply(req, &wire.MigrateTabletResp{Status: wire.StatusOK, Moved: uint32(len(objs))})
 }
 
@@ -189,7 +188,6 @@ func (s *Server) serveTakeTablet(p *sim.Proc, req rpc.Request, m *wire.TakeTable
 		if !replayed {
 			continue
 		}
-		s.stats.ObjectsMigrated.Inc()
 		if seg != batchSeg {
 			flush()
 			batchSeg = seg

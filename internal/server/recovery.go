@@ -44,16 +44,6 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 	}()
 
 	ok := true
-	var batch []wire.Object
-	var batchSeg uint64
-
-	flush := func() {
-		if len(batch) > 0 {
-			s.replicateReplaySerial(p, batchSeg, batch)
-			batch = nil
-		}
-	}
-
 	for _, loc := range m.Segments {
 		resp, got := s.ep.CallTimeout(p, simnet.NodeID(loc.Backup), &wire.GetRecoveryDataReq{
 			Master:    m.Crashed,
@@ -76,21 +66,12 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 			if !replayed {
 				continue
 			}
-			if seg != batchSeg {
-				flush()
-				batchSeg = seg
-			}
-			batch = append(batch, *obj)
-			if len(batch) >= s.cfg.ReplayBatch {
-				flush()
-			}
+			s.replicateReplaySerial(p, seg, []wire.Object{*obj})
 			if s.dead {
 				return
 			}
 		}
 	}
-	flush()
-	s.stats.ReplaysDone.Inc()
 	s.ep.CallTimeout(p, s.coordinator, &wire.RecoveryDoneReq{
 		Crashed:   m.Crashed,
 		FirstHash: m.FirstHash,

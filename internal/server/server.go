@@ -9,10 +9,12 @@
 //   - One dispatch thread busy-polls the NIC. It permanently pins a core
 //     (the paper's 25% CPU floor on 4-core nodes) and serializes request
 //     hand-off at a fixed per-request cost.
-//   - N worker threads (cores-1) execute requests. An idle worker spins
-//     for Costs.SpinTimeout before sleeping, and the dispatch wakes the
-//     most-recently-active worker first (cache affinity). Both choices are
-//     what make CPU usage saturate long before throughput does (Finding 1).
+//   - N worker threads (cores-1) execute requests, each from its own
+//     queue. The dispatch hands every client request to its connection's
+//     affine worker (connWorker), and an idle worker spins for
+//     Costs.SpinTimeout before sleeping, so each active client keeps one
+//     worker's core busy. Both choices are what make CPU usage saturate
+//     long before throughput does (Finding 1).
 //   - Writes serialize on the log head; queueing there inflates service
 //     time quadratically (the "nanoscheduling" thrash of Finding 2).
 //   - Replication requests from other masters run through the same

@@ -493,7 +493,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.eng.scheduleProcAt(p.eng.now.Add(d), p)
 	p.park()
 }
-
-// Yield reschedules the proc at the current time, letting other events and
-// procs scheduled for this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }

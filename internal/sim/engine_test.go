@@ -249,7 +249,7 @@ func TestYield(t *testing.T) {
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) {

@@ -24,49 +24,28 @@ func (f *fifo[T]) push(v T) {
 	f.n++
 }
 
-// pop removes the oldest element, popNewest the most recently pushed.
+// pop removes the oldest element.
 func (f *fifo[T]) pop() T {
-	i := f.head
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero // release for GC
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
-	return f.take(i)
-}
-
-func (f *fifo[T]) popNewest() T {
-	f.n--
-	return f.take((f.head + f.n) & (len(f.buf) - 1))
-}
-
-func (f *fifo[T]) take(i int) T {
-	var zero T
-	v := f.buf[i]
-	f.buf[i] = zero // release for GC
 	return v
 }
 
 // Queue is an unbounded FIFO queue that procs can block on. Pushing may be
-// done from callbacks or procs; popping only from procs.
-//
-// Items are always delivered FIFO; the wakeLIFO option only changes which
-// *waiter* is woken first (most-recently parked), modeling schedulers with
-// hot-thread affinity such as RAMCloud's dispatch, which prefers the worker
-// that finished most recently to keep its cache warm.
+// done from callbacks or procs; popping only from procs. Waiters are woken
+// in the order they parked.
 type Queue[T any] struct {
-	eng      *Engine
-	items    fifo[T]
-	waiting  fifo[*Proc]
-	wakeLIFO bool
+	eng     *Engine
+	items   fifo[T]
+	waiting fifo[*Proc]
 }
 
 // NewQueue returns an empty queue bound to e.
 func NewQueue[T any](e *Engine) *Queue[T] {
 	return &Queue[T]{eng: e}
-}
-
-// NewLIFOWakeQueue returns a queue that wakes the most-recently parked
-// waiter first.
-func NewLIFOWakeQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{eng: e, wakeLIFO: true}
 }
 
 // Len returns the number of queued items.
@@ -79,13 +58,7 @@ func (q *Queue[T]) Waiters() int { return q.waiting.n }
 func (q *Queue[T]) Push(v T) {
 	q.items.push(v)
 	if q.waiting.n > 0 {
-		var w *Proc
-		if q.wakeLIFO {
-			w = q.waiting.popNewest()
-		} else {
-			w = q.waiting.pop()
-		}
-		q.eng.scheduleProcAt(q.eng.now, w)
+		q.eng.scheduleProcAt(q.eng.now, q.waiting.pop())
 	}
 }
 

@@ -281,47 +281,6 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	NewWaitGroup(New(1)).Add(-1)
 }
 
-func TestLIFOWakeQueue(t *testing.T) {
-	e := New(1)
-	q := NewLIFOWakeQueue[int](e)
-	var got []string
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			for {
-				v := q.Pop(p)
-				if v < 0 {
-					return
-				}
-				got = append(got, name)
-				p.Sleep(Microsecond) // process, then re-park (most recent)
-			}
-		})
-	}
-	e.Go("producer", func(p *Proc) {
-		p.Sleep(Millisecond) // let all three park: w1, w2, w3 in park order
-		for i := 0; i < 4; i++ {
-			q.Push(i)
-			p.Sleep(10 * Microsecond) // w3 finishes and re-parks before next push
-		}
-		for i := 0; i < 3; i++ {
-			q.Push(-1)
-		}
-	})
-	e.Run()
-	e.Shutdown()
-	// LIFO wake: the last-parked waiter (w3) services everything.
-	want := []string{"w3", "w3", "w3", "w3"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 // steadyAllocs reports allocations per 100 µs slice of an engine whose
 // procs are already running, after checking that the slice makes progress.
 func steadyAllocs(t *testing.T, e *Engine, rounds *int) float64 {
@@ -414,55 +373,44 @@ func TestQueueItemOrderAcrossWrap(t *testing.T) {
 // them (the waiter list drains to empty and refills as they park again) and
 // enough of them for the waiter ring to wrap.
 func TestQueueWakeOrderAcrossRefill(t *testing.T) {
-	for _, lifo := range []bool{false, true} {
-		e := New(1)
-		q := NewQueue[int](e)
-		if lifo {
-			q = NewLIFOWakeQueue[int](e)
-		}
-		names := []string{"w0", "w1", "w2", "w3", "w4"}
-		var got, want []string
-		items := 0
-		for _, name := range names {
-			e.Go(name, func(p *Proc) {
-				for {
-					if v := q.Pop(p); v != len(got) {
-						t.Errorf("lifo=%v: %s popped item %d as pop number %d", lifo, name, v, len(got))
-					}
-					got = append(got, name)
-					// Work on the item, as a server worker does; without
-					// this the first waiter woken pops the whole burst.
-					p.Sleep(Microsecond)
+	e := New(1)
+	q := NewQueue[int](e)
+	names := []string{"w0", "w1", "w2", "w3", "w4"}
+	var got, want []string
+	items := 0
+	for _, name := range names {
+		e.Go(name, func(p *Proc) {
+			for {
+				if v := q.Pop(p); v != len(got) {
+					t.Errorf("%s popped item %d as pop number %d", name, v, len(got))
 				}
-			})
-		}
-		parked := append([]string(nil), names...) // in park order
-		e.Go("producer", func(p *Proc) {
-			for _, burst := range []int{3, 5, 5, 2, 5, 1, 4, 5, 5, 3} {
-				p.Sleep(Millisecond) // everyone woken by the last burst has parked again
-				var woken []string
-				for i := 0; i < burst; i++ {
-					q.Push(items)
-					items++
-					at := 0
-					if lifo {
-						at = len(parked) - 1
-					}
-					woken = append(woken, parked[at])
-					parked = append(parked[:at], parked[at+1:]...)
-				}
-				parked = append(parked, woken...) // they run, and park, in wake order
-				want = append(want, woken...)
+				got = append(got, name)
+				// Work on the item, as a server worker does; without
+				// this the first waiter woken pops the whole burst.
+				p.Sleep(Microsecond)
 			}
 		})
-		e.Run()
-		if q.Waiters() != len(names) {
-			t.Fatalf("lifo=%v: %d waiters parked at the end, want %d", lifo, q.Waiters(), len(names))
+	}
+	parked := append([]string(nil), names...) // in park order
+	e.Go("producer", func(p *Proc) {
+		for _, burst := range []int{3, 5, 5, 2, 5, 1, 4, 5, 5, 3} {
+			p.Sleep(Millisecond) // everyone woken by the last burst has parked again
+			woken := append([]string(nil), parked[:burst]...)
+			for i := 0; i < burst; i++ {
+				q.Push(items)
+				items++
+			}
+			parked = append(parked[burst:], woken...) // they run, and park, in wake order
+			want = append(want, woken...)
 		}
-		e.Shutdown()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("lifo=%v: wake order\n got %v\nwant %v", lifo, got, want)
-		}
+	})
+	e.Run()
+	if q.Waiters() != len(names) {
+		t.Fatalf("%d waiters parked at the end, want %d", q.Waiters(), len(names))
+	}
+	e.Shutdown()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("wake order\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -51,9 +51,6 @@ type Disk struct {
 	readBytes  metrics.Series // bytes read per second (attributed at start)
 	writeBytes metrics.Series
 	busy       metrics.Series // busy nanoseconds per second
-
-	totalRead    metrics.Counter
-	totalWritten metrics.Counter
 }
 
 // New returns an idle disk.
@@ -102,12 +99,9 @@ func (d *Disk) accountBusy(from, to sim.Time) {
 // operation spans, so the Fig. 12 I/O-rate series is smooth.
 func (d *Disk) accountBytes(kind opKind, from, to sim.Time, size int64) {
 	series := &d.readBytes
-	counter := &d.totalRead
 	if kind == opWrite {
 		series = &d.writeBytes
-		counter = &d.totalWritten
 	}
-	counter.Add(size)
 	span := float64(to - from)
 	if span <= 0 {
 		series.Add(int(int64(from)/int64(sim.Second)), float64(size))
@@ -144,16 +138,6 @@ func (d *Disk) WriteAsync(size int64, done func()) {
 	d.eng.ScheduleAt(end, done)
 }
 
-// QueueDelay returns how long a request issued now would wait before
-// starting service.
-func (d *Disk) QueueDelay() sim.Duration {
-	now := d.eng.Now()
-	if d.busyUntil <= now {
-		return 0
-	}
-	return d.busyUntil.Sub(now)
-}
-
 // BusyFracSecond returns the fraction of second k the disk spent busy.
 func (d *Disk) BusyFracSecond(k int) float64 {
 	f := d.busy.At(k) / float64(sim.Second)
@@ -168,9 +152,3 @@ func (d *Disk) ReadBytesSecond(k int) float64 { return d.readBytes.At(k) }
 
 // WriteBytesSecond returns bytes written during second k.
 func (d *Disk) WriteBytesSecond(k int) float64 { return d.writeBytes.At(k) }
-
-// TotalRead returns total bytes read.
-func (d *Disk) TotalRead() int64 { return d.totalRead.Value() }
-
-// TotalWritten returns total bytes written.
-func (d *Disk) TotalWritten() int64 { return d.totalWritten.Value() }

@@ -63,8 +63,6 @@ type nic struct {
 	msgSeq uint64
 
 	txBusyUntil sim.Time
-	txBytes     metrics.Series
-	rxBytes     metrics.Series
 	txBusy      metrics.Series // busy ns per second
 }
 
@@ -105,7 +103,6 @@ type delivery struct {
 	n        *Network
 	msg      Message
 	src, dst *nic
-	at       sim.Time
 	fn       func() // bound to run once at construction; reused across sends
 	next     *delivery
 }
@@ -115,7 +112,6 @@ func (d *delivery) run() {
 	n := d.n
 	msg := d.msg
 	src, dst := d.src, d.dst
-	at := d.at
 	d.msg = Message{} // drop the payload reference before pooling
 	d.src, d.dst = nil, nil
 	d.next = n.free
@@ -124,7 +120,6 @@ func (d *delivery) run() {
 		n.dropped.Inc()
 		return
 	}
-	spreadBytes(&dst.rxBytes, at, at, float64(msg.Size))
 	n.delivered.Inc()
 	dst.handler(msg) // read now, not at Send: the process may have restarted
 }
@@ -140,7 +135,7 @@ func (n *Network) schedule(msg Message, src, dst *nic, deliverAt sim.Time) {
 		n.free = d.next
 		d.next = nil
 	}
-	d.msg, d.src, d.dst, d.at = msg, src, dst, deliverAt
+	d.msg, d.src, d.dst = msg, src, dst
 	src.msgSeq++
 	n.eng.ScheduleKeyedAt(deliverAt, deliverySeq(msg.From, src.msgSeq), d.fn)
 }
@@ -210,7 +205,6 @@ func (n *Network) Send(msg Message) {
 	end := start.Add(txDur)
 	src.txBusyUntil = end
 	accountSpan(&src.txBusy, start, end)
-	spreadBytes(&src.txBytes, start, end, float64(msg.Size))
 
 	deliverAt := end.Add(n.cfg.PropagationDelay)
 	if n.fault != nil {
@@ -239,24 +233,6 @@ func accountSpan(s *metrics.Series, from, to sim.Time) {
 	}
 }
 
-func spreadBytes(s *metrics.Series, from, to sim.Time, bytes float64) {
-	span := float64(to - from)
-	if span <= 0 {
-		s.Add(int(int64(from)/int64(sim.Second)), bytes)
-		return
-	}
-	for t := from; t < to; {
-		second := int64(t) / int64(sim.Second)
-		bucketEnd := sim.Time((second + 1) * int64(sim.Second))
-		end := to
-		if bucketEnd < end {
-			end = bucketEnd
-		}
-		s.Add(int(second), bytes*float64(end-t)/span)
-		t = end
-	}
-}
-
 // TxBusyFracSecond returns the fraction of second k node id spent
 // transmitting.
 func (n *Network) TxBusyFracSecond(id NodeID, k int) float64 {
@@ -269,22 +245,6 @@ func (n *Network) TxBusyFracSecond(id NodeID, k int) float64 {
 		return 1
 	}
 	return f
-}
-
-// TxBytesSecond returns bytes transmitted by id during second k.
-func (n *Network) TxBytesSecond(id NodeID, k int) float64 {
-	if nc, ok := n.nics[id]; ok {
-		return nc.txBytes.At(k)
-	}
-	return 0
-}
-
-// RxBytesSecond returns bytes received by id during second k.
-func (n *Network) RxBytesSecond(id NodeID, k int) float64 {
-	if nc, ok := n.nics[id]; ok {
-		return nc.rxBytes.At(k)
-	}
-	return 0
 }
 
 // Delivered returns the total number of delivered messages.

@@ -117,12 +117,6 @@ func TestByteAccounting(t *testing.T) {
 	n.Attach(2, func(m Message) {})
 	e.Schedule(0, func() { n.Send(Message{From: 1, To: 2, Size: 500e6}) }) // 0.5s tx
 	e.Run()
-	if math.Abs(n.TxBytesSecond(1, 0)-500e6) > 1 {
-		t.Fatalf("tx bytes = %v", n.TxBytesSecond(1, 0))
-	}
-	if math.Abs(n.RxBytesSecond(2, 0)-500e6) > 1 {
-		t.Fatalf("rx bytes = %v", n.RxBytesSecond(2, 0))
-	}
 	if f := n.TxBusyFracSecond(1, 0); math.Abs(f-0.5) > 1e-9 {
 		t.Fatalf("tx busy frac = %v", f)
 	}

@@ -211,7 +211,7 @@ func (m *Membership) DeclareDead(id int32) (rec *Recovery, restarts []Restart) {
 	// earlier recovery may be missing, so gaps are filled from the
 	// master's actual tablets — otherwise that data would silently drop
 	// out of the tablet map.
-	owned := m.Owned(id)
+	owned := mergeOverlaps(m.Owned(id))
 	will := fillWillGaps(owned, s.will)
 	if len(will) == 0 {
 		will = SplitRanges(owned, len(m.Alive()))
@@ -400,6 +400,26 @@ func (m *Membership) Moved(t wire.Tablet, target int32) {
 			}
 		}
 	}
+}
+
+// mergeOverlaps returns the hash ranges of tablets with every overlapping
+// pair merged into one, so that tables sharing a range yield one
+// partition for it, not one per table. A merged range stays where its
+// first tablet was; adjacent ranges stay apart.
+func mergeOverlaps(tablets []wire.Tablet) []wire.Tablet {
+	var out []wire.Tablet
+	for _, t := range tablets {
+		r := wire.Tablet{StartHash: t.StartHash, EndHash: t.EndHash}
+		at := len(out)
+		for i := len(out) - 1; i >= 0; i-- {
+			if o := out[i]; o.StartHash <= r.EndHash && r.StartHash <= o.EndHash {
+				r.StartHash, r.EndHash = min(r.StartHash, o.StartHash), max(r.EndHash, o.EndHash)
+				out, at = slices.Delete(out, i, i+1), i
+			}
+		}
+		out = slices.Insert(out, at, r)
+	}
+	return out
 }
 
 // fillWillGaps returns the will extended with one partition per hash

@@ -152,6 +152,43 @@ func TestMembership(t *testing.T) {
 			},
 		},
 		{
+			"two tables over one hash range: the dead master's shared range is partitioned once, each table's tablet fragmented once per partition",
+			func() []any {
+				m := enlisted(1, 2, 3)
+				m.CreateTable("a", 3)
+				m.CreateTable("b", 3)
+				rec, _ := m.DeclareDead(2)
+				disjoint := true
+				for i, p := range rec.Partitions {
+					for _, o := range rec.Partitions[i+1:] {
+						if p.Range.FirstHash <= o.Range.LastHash && o.Range.FirstHash <= p.Range.LastHash {
+							disjoint = false
+						}
+					}
+				}
+				fragments := map[wire.Tablet]int{}
+				for _, tb := range m.Tablets() {
+					if tb.Recovering {
+						fragments[tb]++
+					}
+				}
+				var counts []int
+				for _, p := range rec.Partitions {
+					for _, table := range []uint64{1, 2} {
+						counts = append(counts, fragments[recovering(table, p.Range.FirstHash, p.Range.LastHash, 2)])
+					}
+				}
+				return []any{disjoint, len(fragments), counts, partitions(rec)}
+			},
+			[]any{
+				true, 4, []int{1, 1, 1, 1},
+				[][4]any{
+					{wire.WillPartition{FirstHash: 0x5555555555555556, LastHash: 0x8000000000000000}, int32(0), false, false},
+					{wire.WillPartition{FirstHash: 0x8000000000000001, LastHash: 0xaaaaaaaaaaaaaaab}, int32(0), false, false},
+				},
+			},
+		},
+		{
 			"a recovery master's death restarts its unfinished partitions round-robin on the survivors; an abandoned partition stays recovering; a failed start moves on",
 			func() []any {
 				m := enlisted(1, 2, 3, 4)

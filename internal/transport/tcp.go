@@ -16,8 +16,6 @@ import (
 // TCP is the real-socket backend. The zero value is usable; the fields
 // tune connection management.
 type TCP struct {
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
 	// RedialBase is the pause after the first failed attempt; each
 	// consecutive failure doubles it up to RedialCap. Defaults 50ms / 2s.
 	RedialBase time.Duration
@@ -26,22 +24,10 @@ type TCP struct {
 	// goroutine performs it; a peer that stalls a write this long is
 	// treated as dead. Default 30s.
 	FlushTimeout time.Duration
-	// Workers bounds the per-listener dispatch pool. Default
-	// 8*GOMAXPROCS clamped to [8, 64]. The pool serves what a connection's
-	// reader must not or need not serve itself: every control-plane
-	// request (a handler may block on RPCs of its own) and any request
-	// with more frames already buffered behind it. When every worker is
-	// busy the reader serves overflow requests itself, so a request flood
-	// degrades into backpressure instead of a goroutine per request.
-	Workers int
 }
 
-func (t *TCP) dialTimeout() time.Duration {
-	if t.DialTimeout > 0 {
-		return t.DialTimeout
-	}
-	return 2 * time.Second
-}
+// dialTimeout bounds one connection attempt.
+const dialTimeout = 2 * time.Second
 
 func (t *TCP) redialBase() time.Duration {
 	if t.RedialBase > 0 {
@@ -64,10 +50,14 @@ func (t *TCP) flushTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-func (t *TCP) workers() int {
-	if t.Workers > 0 {
-		return t.Workers
-	}
+// workers sizes the per-listener dispatch pool: 8*GOMAXPROCS clamped to
+// [8, 64]. The pool serves what a connection's reader must not or need not
+// serve itself: every control-plane request (a handler may block on RPCs
+// of its own) and any request with more frames already buffered behind
+// it. When every worker is busy the reader serves overflow requests
+// itself, so a request flood degrades into backpressure instead of a
+// goroutine per request.
+func workers() int {
 	n := 8 * runtime.GOMAXPROCS(0)
 	if n < 8 {
 		n = 8
@@ -148,8 +138,8 @@ func (c *tcpConn) ensure(ctx context.Context) (*connWriter, error) {
 		}
 		// Dial under the lock: concurrent callers queue behind one
 		// attempt instead of racing several sockets. The attempt is
-		// bounded by DialTimeout.
-		nc, err := net.DialTimeout("tcp", c.addr, c.tr.dialTimeout())
+		// bounded by dialTimeout.
+		nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			backoff := c.tr.redialBase() << c.fails
 			if limit := c.tr.redialCap(); backoff > limit || backoff <= 0 {
@@ -372,10 +362,10 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 		h:     h,
 		tr:    t,
 		conns: make(map[net.Conn]*srvConn),
-		work:  make(chan srvReq, 4*t.workers()),
+		work:  make(chan srvReq, 4*workers()),
 		done:  make(chan struct{}),
 	}
-	for i := 0; i < t.workers(); i++ {
+	for i := 0; i < workers(); i++ {
 		go l.worker()
 	}
 	go l.acceptLoop()

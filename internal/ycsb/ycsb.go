@@ -96,14 +96,16 @@ func AppendKey(dst []byte, i int) []byte {
 	return dst
 }
 
-// chooser picks record indices.
-type chooser interface {
-	next(rng *rand.Rand) int
+// Chooser picks record indices from the workload's key distribution.
+// Drivers outside this package (the real-transport YCSB mode) draw keys
+// from exactly the distribution the simulated runs use.
+type Chooser interface {
+	Next(rng *rand.Rand) int
 }
 
 type uniformChooser struct{ n int }
 
-func (u uniformChooser) next(rng *rand.Rand) int { return rng.Intn(u.n) }
+func (u uniformChooser) Next(rng *rand.Rand) int { return rng.Intn(u.n) }
 
 // zipfChooser implements the scrambled zipfian generator from the YCSB
 // paper (Gray et al. method), spreading popular items across the space.
@@ -131,7 +133,7 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
-func (z *zipfChooser) next(rng *rand.Rand) int {
+func (z *zipfChooser) Next(rng *rand.Rand) int {
 	u := rng.Float64()
 	uz := u * z.zetan
 	if uz < 1.0 {
@@ -149,7 +151,8 @@ func (z *zipfChooser) next(rng *rand.Rand) int {
 	return int(h % uint64(z.n))
 }
 
-func (w Workload) chooser() chooser {
+// NewChooser returns the workload's key chooser.
+func (w Workload) NewChooser() Chooser {
 	switch w.Dist {
 	case Zipfian:
 		return newZipfChooser(w.RecordCount, 0.99)
@@ -157,21 +160,6 @@ func (w Workload) chooser() chooser {
 		return uniformChooser{n: w.RecordCount}
 	}
 }
-
-// Chooser picks record indices from the workload's key distribution. It
-// is the exported face of the internal chooser so drivers outside this
-// package — the real-transport YCSB mode — draw keys from exactly the
-// distribution the simulated runs use.
-type Chooser interface {
-	Next(rng *rand.Rand) int
-}
-
-type chooserAdapter struct{ c chooser }
-
-func (a chooserAdapter) Next(rng *rand.Rand) int { return a.c.next(rng) }
-
-// NewChooser returns the workload's key chooser.
-func (w Workload) NewChooser() Chooser { return chooserAdapter{w.chooser()} }
 
 // NextOp draws the next operation kind from the workload mix.
 func (w Workload) NextOp(rng *rand.Rand) OpKind {
@@ -301,7 +289,7 @@ type RunResult struct {
 // Latency and throughput land in the client's Stats.
 func RunClient(p *sim.Proc, c *client.Client, w Workload, opts RunOptions) RunResult {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	ch := w.chooser()
+	ch := w.NewChooser()
 	th := NewThrottle(opts.Rate)
 	if opts.RateFunc != nil {
 		th = NewVarThrottle(opts.RateFunc)
@@ -321,7 +309,7 @@ func RunClient(p *sim.Proc, c *client.Client, w Workload, opts RunOptions) RunRe
 	default:
 		for i := 0; stepsLeft(i, p, opts); i++ {
 			th.Wait(p)
-			key := Key(ch.next(rng))
+			key := Key(ch.Next(rng))
 			switch w.NextOp(rng) {
 			case OpRead:
 				if _, _, err := c.Read(p, opts.Table, key); err != nil {
@@ -368,7 +356,7 @@ const maxOutstanding = 512
 // previous one. Completions are reaped opportunistically so latency
 // captures queueing delay under overload — the regime where the paper's
 // closed loop silently throttles itself.
-func runOpenLoop(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch chooser, res *RunResult) {
+func runOpenLoop(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch Chooser, res *RunResult) {
 	if opts.Rate <= 0 && opts.RateFunc == nil {
 		panic("ycsb: open loop requires Rate or RateFunc")
 	}
@@ -405,7 +393,7 @@ func runOpenLoop(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng
 			reap(pending[0])
 			pending = pending[1:]
 		}
-		key := Key(ch.next(rng))
+		key := Key(ch.Next(rng))
 		if w.NextOp(rng) == OpRead {
 			pending = append(pending, c.ReadAsync(p, opts.Table, key))
 			res.Reads++
@@ -425,7 +413,7 @@ func runOpenLoop(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng
 // updates as one MultiWrite. One simulated RPC now carries many ops, so
 // both the cluster and the discrete-event engine do proportionally less
 // per-op work — the scale lever the paper's closed loop lacks.
-func runBatched(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch chooser, th *Throttle, res *RunResult) {
+func runBatched(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch Chooser, th *Throttle, res *RunResult) {
 	readKeys := make([][]byte, 0, opts.BatchSize)
 	writeOps := make([]client.MultiWriteOp, 0, opts.BatchSize)
 	for issued := 0; stepsLeft(issued, p, opts); {
@@ -437,7 +425,7 @@ func runBatched(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng 
 		writeOps = writeOps[:0]
 		for j := 0; j < n; j++ {
 			th.Wait(p)
-			key := Key(ch.next(rng))
+			key := Key(ch.Next(rng))
 			if w.NextOp(rng) == OpRead {
 				readKeys = append(readKeys, key)
 				res.Reads++
@@ -467,7 +455,7 @@ func runBatched(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng 
 // runPipelined keeps up to Window operations outstanding through the
 // async API, awaiting the oldest when the window fills (a bounded
 // closed loop, like YCSB with client-side pipelining).
-func runPipelined(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch chooser, th *Throttle, res *RunResult) {
+func runPipelined(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rng *rand.Rand, ch Chooser, th *Throttle, res *RunResult) {
 	window := make([]*client.Op, 0, opts.Window)
 	reap := func(op *client.Op) {
 		if _, _, err := op.Wait(p); err != nil {
@@ -481,7 +469,7 @@ func runPipelined(p *sim.Proc, c *client.Client, w Workload, opts RunOptions, rn
 			copy(window, window[1:])
 			window = window[:len(window)-1]
 		}
-		key := Key(ch.next(rng))
+		key := Key(ch.Next(rng))
 		if w.NextOp(rng) == OpRead {
 			window = append(window, c.ReadAsync(p, opts.Table, key))
 			res.Reads++

@@ -102,10 +102,10 @@ func TestKeyEqualsSprintf(t *testing.T) {
 
 func TestUniformChooserBounds(t *testing.T) {
 	w := WorkloadC(1000, 1024)
-	ch := w.chooser()
+	ch := w.NewChooser()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10_000; i++ {
-		v := ch.next(rng)
+		v := ch.Next(rng)
 		if v < 0 || v >= 1000 {
 			t.Fatalf("uniform out of range: %d", v)
 		}
@@ -114,12 +114,12 @@ func TestUniformChooserBounds(t *testing.T) {
 
 func TestZipfianChooserBoundsAndSkew(t *testing.T) {
 	w := Workload{RecordCount: 10_000, Dist: Zipfian}
-	ch := w.chooser()
+	ch := w.NewChooser()
 	rng := rand.New(rand.NewSource(3))
 	counts := map[int]int{}
 	n := 200_000
 	for i := 0; i < n; i++ {
-		v := ch.next(rng)
+		v := ch.Next(rng)
 		if v < 0 || v >= 10_000 {
 			t.Fatalf("zipf out of range: %d", v)
 		}

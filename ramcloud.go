@@ -1,19 +1,22 @@
-// Package ramcloud is a simulation-grade reproduction of the RAMCloud
-// in-memory storage system and of the ICDCS 2017 characterization study
-// "Characterizing Performance and Energy-Efficiency of The RAMCloud
-// Storage System" (Taleb, Ibrahim, Antoniu, Cortes).
+// Package ramcloud reproduces the RAMCloud in-memory storage system and
+// the ICDCS 2017 characterization study "Characterizing Performance and
+// Energy-Efficiency of The RAMCloud Storage System" (Taleb, Ibrahim,
+// Antoniu, Cortes).
 //
-// The package offers three things:
+// One storage protocol runs in two deployments, which share the masters'
+// store, the backups' replicas and the coordinator's tablet map:
 //
-//   - A complete RAMCloud-class storage system: coordinator, masters with
-//     log-structured memory and hash-table indexes, backups with DRAM
-//     staging and disk spill, synchronous primary-backup replication, and
-//     distributed crash recovery.
-//   - A deterministic simulated testbed modeled on the paper's Grid'5000
-//     Nancy cluster: 4-core nodes, Infiniband-class fabric, HDDs, and
-//     PDU power metering with a calibrated power model.
-//   - The paper's measurement harness: every table and figure of the
-//     evaluation can be regenerated (see Experiments and cmd/rcbench).
+//   - A deterministic simulated cluster, which this package exposes: a
+//     coordinator, masters with log-structured memory and hash-table
+//     indexes, backups with DRAM staging and disk spill, synchronous
+//     replication and distributed crash recovery, on a testbed modeled on
+//     the paper's Grid'5000 Nancy cluster (4-core nodes, Infiniband-class
+//     fabric, HDDs, PDU power metering with a calibrated power model).
+//     Every table and figure of the paper's evaluation can be regenerated
+//     from it (see Experiments and cmd/rcbench).
+//   - A real cluster over TCP: cmd/rccoord (the coordinator), cmd/rcserver
+//     (a master and backup) and cmd/rcclient (one-shot operations, a REPL
+//     and YCSB load).
 //
 // Applications script workloads against a Simulation:
 //
@@ -28,7 +31,8 @@
 //
 // All time inside the simulation is virtual: a million operations cost
 // milliseconds of wall clock, and runs are fully deterministic for a
-// given seed.
+// given seed. Values written with WriteLen carry only their length, so
+// paper-scale datasets fit in modest host memory.
 //
 // Experiment regeneration executes its scenario grids on a worker pool of
 // up to Parallelism() concurrent simulations and memoizes every distinct
@@ -78,15 +82,10 @@ type Options struct {
 	SegmentBytes int
 	// LogBytes overrides the 10 GB per-server log capacity.
 	LogBytes int64
-	// RealPayloads stores actual value bytes (examples, small data). When
-	// false, values are virtual: only declared lengths flow through the
-	// system, allowing paper-scale datasets in modest host memory.
-	RealPayloads bool
 }
 
 // Simulation is a running simulated cluster plus its virtual clock.
 type Simulation struct {
-	opts    Options
 	eng     *sim.Engine
 	cluster *core.Cluster
 	done    *sim.WaitGroup
@@ -111,7 +110,7 @@ func NewSimulation(opts Options) *Simulation {
 	eng := sim.New(opts.Seed)
 	cl := core.NewCluster(eng, profile, opts.Servers, opts.ReplicationFactor)
 	cl.Start()
-	return &Simulation{opts: opts, eng: eng, cluster: cl, done: sim.NewWaitGroup(eng)}
+	return &Simulation{eng: eng, cluster: cl, done: sim.NewWaitGroup(eng)}
 }
 
 // Table identifies a created table.
@@ -198,9 +197,9 @@ func (s *Simulation) EnergyReport() energy.Report {
 	return s.cluster.EnergyReport(0, end, ops)
 }
 
-// Read fetches a value. With virtual payloads (the default) the returned
-// slice is nil and only its declared length is meaningful; use ValueLen
-// in that case.
+// Read fetches a value. Bytes stored with Write read back as written; a
+// value stored with WriteLen reads back nil, and ReadLen returns its
+// length.
 func (c *Client) Read(table Table, key []byte) ([]byte, error) {
 	_, v, err := c.c.Read(c.p, uint64(table), key)
 	return v, err
@@ -233,7 +232,7 @@ func (c *Client) Delete(table Table, key []byte) error {
 // MultiReadResult is one key's outcome in a MultiRead. Results are
 // positional: result i answers keys[i].
 type MultiReadResult struct {
-	Value    []byte // nil under virtual payloads
+	Value    []byte // nil for a value written with WriteLen
 	ValueLen int    // declared length, always valid
 	Version  uint64
 	Err      error // nil, ErrNotFound, ErrNoTable, or ErrUnavailable
@@ -319,7 +318,8 @@ func (c *Client) DeleteAsync(table Table, key []byte) *Future {
 func (f *Future) Done() bool { return f.op.Done() }
 
 // Wait blocks until the operation completes. For reads it returns the
-// value bytes (nil under virtual payloads); for writes and deletes, nil.
+// value bytes as written with Write, or nil for a value written with
+// WriteLen; for writes and deletes, nil.
 func (f *Future) Wait() ([]byte, error) {
 	_, v, err := f.op.Wait(f.c.p)
 	return v, err

@@ -11,6 +11,11 @@
 #           `go doc -short` lists them: a const or var group is one line)
 #           plus exported methods. Struct fields are not counted.
 # Flags:    flag definitions per command.
+# Unused:   exported names (as counted above) that no non-test Go file in
+#           the module uses: candidates for deletion. A name counts as
+#           used when it occurs in code (comments and method receivers
+#           stripped) more often than it is declared, so a name shared
+#           with a used one is never listed.
 #
 # Uses only the go toolchain and POSIX tools; downloads nothing.
 set -euo pipefail
@@ -28,12 +33,21 @@ echo "all               $(go list ./internal/... | wc -l | tr -d ' ')"
 echo "outside analysis  $(go list ./internal/... | grep -vc /internal/analysis)"
 
 echo "== exported names (declarations + methods)"
+declared=$(mktemp)
+trap 'rm -f "$declared"' EXIT
 total=0
 for pkg in $(go list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' . ./internal/...); do
-	decls=$(go doc -short "$pkg" 2>/dev/null | grep -cE '^ *(func|type|const|var) ' || true)
-	methods=$(go doc -all "$pkg" 2>/dev/null | grep -c '^func (' || true)
+	short=$(go doc -short "$pkg" 2>/dev/null || true)
+	all=$(go doc -all "$pkg" 2>/dev/null || true)
+	decls=$(grep -cE '^ *(func|type|const|var) ' <<<"$short" || true)
+	methods=$(grep -c '^func (' <<<"$all" || true)
 	printf '%-44s %4d\n' "$pkg" $((decls + methods))
 	total=$((total + decls + methods))
+	# One "name label" line per declaration: Name pkg.Name, Method pkg.Type.Method.
+	{
+		sed -nE 's/^ *(func|type|const|var) ([A-Z][A-Za-z0-9_]*).*/\2 '"${pkg##*/}"'.\2/p' <<<"$short"
+		sed -nE 's/^func \([a-z0-9_]* \*?([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Z][A-Za-z0-9_]*).*/\3 '"${pkg##*/}"'.\1.\3/p' <<<"$all"
+	} >>"$declared"
 done
 printf '%-44s %4d\n' total "$total"
 
@@ -45,3 +59,12 @@ for dir in cmd/*/; do
 	total=$((total + n))
 done
 printf '%-12s %3d\n' total "$total"
+
+echo "== exported names no non-test code uses"
+gofiles -not -name '*_test.go' -print0 | xargs -0 sed -E -e 's://.*$::' -e 's/^func \([^)]*\)/func/' |
+	grep -owF -f <(cut -d' ' -f1 "$declared" | sort -u) |
+	sort | uniq -c |
+	awk 'NR == FNR { decl[$1]++; label[$1] = label[$1] " " $2; next }
+		{ used[$2] = $1 }
+		END { for (n in decl) if (used[n] <= decl[n]) { split(substr(label[n], 2), l, " "); for (i in l) print l[i] } }' "$declared" - |
+	sort
