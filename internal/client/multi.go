@@ -95,6 +95,7 @@ func (c *Client) multiExec(p *sim.Proc, table uint64, hashes []uint64, out []Mul
 		var round store.Round
 		for g := range calls {
 			resp, ok := calls[g].WaitTimeout(p, c.cfg.RPCTimeout)
+			calls[g].Release()
 			if !ok {
 				c.stats.Timeouts.Inc()
 				round.Lost(groups[g])

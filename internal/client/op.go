@@ -45,7 +45,7 @@ type Op struct {
 
 	start sim.Time
 
-	call     rpc.Call // valid while inflight
+	call     rpc.Call // valid while inflight, released after its wait
 	inflight bool
 
 	finished  bool
@@ -165,6 +165,8 @@ func (o *Op) Wait(p *sim.Proc) (valueLen uint32, value []byte, err error) {
 			o.inflight = true
 		}
 		resp, ok := o.call.WaitTimeout(p, c.cfg.RPCTimeout)
+		doneAt := o.call.ResolvedAt()
+		o.call.Release()
 		o.inflight = false
 		if !ok {
 			c.stats.Timeouts.Inc()
@@ -181,10 +183,10 @@ func (o *Op) Wait(p *sim.Proc) (valueLen uint32, value []byte, err error) {
 		st, valueLen, value := o.classify(resp)
 		switch store.Judge(st, o.kind == opWrite) {
 		case store.Done:
-			c.recordCompleted(o.start, o.call.ResolvedAt(), o.hist())
+			c.recordCompleted(o.start, doneAt, o.hist())
 			return o.finish(valueLen, value, nil)
 		case store.NotFound:
-			c.recordCompleted(o.start, o.call.ResolvedAt(), o.hist())
+			c.recordCompleted(o.start, doneAt, o.hist())
 			return o.finish(0, nil, ErrNotFound)
 		case store.Reroute:
 			c.stats.Retries.Inc()

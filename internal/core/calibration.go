@@ -41,7 +41,8 @@ type Profile struct {
 }
 
 // DefaultProfile returns the Grid'5000 Nancy calibration used for every
-// experiment in EXPERIMENTS.md.
+// experiment, and so for the committed rendering in
+// cmd/rcbench/testdata/render-0.5.txt.
 func DefaultProfile() Profile {
 	return Profile{
 		Machine:     machine.Grid5000Nancy(),

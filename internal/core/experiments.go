@@ -12,8 +12,9 @@ import (
 
 // Options scale and seed an experiment run. Scale multiplies the paper's
 // record counts and this reproduction's standard request counts; 1.0 is
-// the default used for EXPERIMENTS.md, larger values approach paper-scale
-// durations at proportional wall-clock cost.
+// rcbench's default and 0.5 the committed rendering's
+// (cmd/rcbench/testdata/render-0.5.txt); larger values approach
+// paper-scale durations at proportional wall-clock cost.
 type Options struct {
 	Scale   float64
 	Seed    int64

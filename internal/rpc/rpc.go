@@ -1,7 +1,19 @@
 // Package rpc layers request/response semantics over the simulated fabric.
 // Every node (server, coordinator, client) owns one Endpoint. Outbound
 // calls are matched to responses by RPC id through futures; inbound
-// requests land in a queue serviced by the node's dispatch proc.
+// requests land in a queue that the node services, either from a proc
+// parked in Pop or from engine callbacks woken by OnRequest.
+//
+// Response futures are reused, so a simulated RPC allocates none. A call
+// takes its future from the endpoint's free list and registers it under
+// its RPC id; the entry goes when the response arrives or WaitTimeout
+// gives up, and a response that finds none is dropped. Call.Release puts
+// the future back, deregistering a call that has not resolved, so a late
+// or duplicated response never resolves the call that reuses it. Only the
+// proc that waited on a call releases it, once, after the wait: Call and
+// CallTimeout do so themselves, as do the client's ops and multi-ops and
+// the master's replication fan-out. A bare AsyncCall future is never
+// released.
 //
 // Message sizes on the wire are computed from the real binary encoding
 // (wire.Message.WireSize), so transfer timing matches what a physical
@@ -37,9 +49,13 @@ type Endpoint struct {
 
 	nextID  uint64
 	pending map[uint64]*sim.Future[wire.Message]
+	// free holds released futures, each unset and unregistered.
+	free []*sim.Future[wire.Message]
 
-	// Inbound holds requests awaiting the dispatch proc.
+	// Inbound holds requests awaiting service.
 	Inbound *sim.Queue[Request]
+	// onRequest, if set, runs after each push onto Inbound.
+	onRequest func()
 
 	sent uint64
 }
@@ -74,21 +90,37 @@ func (ep *Endpoint) deliver(m simnet.Message) {
 		return
 	}
 	ep.Inbound.Push(Request{From: m.From, RPCID: m.RPCID, Msg: m.Payload, ArrivedAt: ep.eng.Now()})
+	if ep.onRequest != nil {
+		ep.onRequest()
+	}
 }
 
-// send issues a request, registering a future for its response.
+// OnRequest installs fn to run after every request is pushed onto
+// Inbound, inside the delivering event. A node that services its requests
+// from engine callbacks rather than a proc drains Inbound there with
+// TryPop.
+func (ep *Endpoint) OnRequest(fn func()) { ep.onRequest = fn }
+
+// send issues a request, registering a future for its response. The
+// future comes from the free list; only an empty list allocates.
 func (ep *Endpoint) send(to simnet.NodeID, msg wire.Message) (uint64, *sim.Future[wire.Message]) {
 	ep.nextID++
 	id := ep.nextID
-	f := sim.NewFuture[wire.Message](ep.eng)
+	var f *sim.Future[wire.Message]
+	if n := len(ep.free); n > 0 {
+		f, ep.free = ep.free[n-1], ep.free[:n-1]
+	} else {
+		f = sim.NewFuture[wire.Message](ep.eng)
+	}
 	ep.pending[id] = f
 	ep.sent++
 	ep.net.Send(simnet.Message{From: ep.node, To: to, Size: msg.WireSize(), RPCID: id, Payload: msg})
 	return id, f
 }
 
-// AsyncCall issues a request and returns a future for the response. Use
-// for fan-out (replication) where the caller gathers several acks.
+// AsyncCall issues a request and returns a future for the response. The
+// future is never released, so AsyncCall suits requests whose answer
+// nobody waits for; a caller that waits uses StartCall.
 func (ep *Endpoint) AsyncCall(to simnet.NodeID, msg wire.Message) *sim.Future[wire.Message] {
 	_, f := ep.send(to, msg)
 	return f
@@ -97,7 +129,7 @@ func (ep *Endpoint) AsyncCall(to simnet.NodeID, msg wire.Message) *sim.Future[wi
 // Call is one in-flight request issued with StartCall. Unlike the bare future
 // of AsyncCall it remembers its RPC id, so an abandoned call (timeout) can
 // drop its pending entry and a late response is discarded instead of
-// resolving a stale future.
+// resolving a stale future, and its future can be released for reuse.
 type Call struct {
 	ep *Endpoint
 	id uint64
@@ -138,17 +170,35 @@ func (c *Call) WaitTimeout(p *sim.Proc, d sim.Duration) (wire.Message, bool) {
 	return resp, ok
 }
 
+// Release hands the call's future back to its endpoint for reuse by a
+// later call. A call that has not resolved is deregistered first, so its
+// response, should one still come, is dropped. No proc may be waiting on
+// the call, and neither it nor a copy of it may be used afterwards.
+func (c *Call) Release() {
+	if !c.f.IsSet() {
+		delete(c.ep.pending, c.id)
+	}
+	c.f.Reset()
+	c.ep.free = append(c.ep.free, c.f)
+	c.f = nil
+}
+
 // Call issues a request and blocks until the response arrives. It never
 // gives up; use CallTimeout when the peer may be dead.
 func (ep *Endpoint) Call(p *sim.Proc, to simnet.NodeID, msg wire.Message) wire.Message {
-	return ep.AsyncCall(to, msg).Get(p)
+	c := ep.StartCall(to, msg)
+	resp := c.Wait(p)
+	c.Release()
+	return resp
 }
 
 // CallTimeout issues a request and waits up to d for the response. On
 // timeout the pending entry is dropped so a late response is discarded.
 func (ep *Endpoint) CallTimeout(p *sim.Proc, to simnet.NodeID, msg wire.Message, d sim.Duration) (wire.Message, bool) {
 	c := ep.StartCall(to, msg)
-	return c.WaitTimeout(p, d)
+	resp, ok := c.WaitTimeout(p, d)
+	c.Release()
+	return resp, ok
 }
 
 // Reply sends a response for an inbound request.

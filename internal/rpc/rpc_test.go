@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"slices"
 	"testing"
 
 	"ramcloud/internal/sim"
@@ -195,8 +196,9 @@ func TestStartTimeoutDropsLateResponse(t *testing.T) {
 }
 
 // TestCallTimeoutAllocs pins what a simulated RPC that is answered in time
-// costs the host beyond its messages: the response future, and nothing for
-// the waiter or the deadline, which live inside the future.
+// costs the host beyond its messages: nothing. The response future is
+// reused from the endpoint's free list, and the waiter and the deadline
+// live inside the future.
 func TestCallTimeoutAllocs(t *testing.T) {
 	e, cl, srv := pair(t)
 	defer e.Shutdown()
@@ -224,7 +226,83 @@ func TestCallTimeoutAllocs(t *testing.T) {
 		t.Fatalf("%.0f calls per slice: the loop is not running", perSlice)
 	}
 	// AllocsPerRun rounds its per-slice average down, hence the margin.
-	if perCall := allocs / perSlice; perCall > 1.05 {
-		t.Fatalf("CallTimeout allocates %.2f objects per call, want 1", perCall)
+	if perCall := allocs / perSlice; perCall > 0.05 {
+		t.Fatalf("CallTimeout allocates %.2f objects per call, want 0", perCall)
+	}
+}
+
+// seqServer answers each PingReq with its own Seq after delay(Seq), every
+// request on its own proc, so a slow answer does not hold up a fast one.
+func seqServer(e *sim.Engine, ep *Endpoint, delay func(seq uint64) sim.Duration) {
+	e.Go("seq", func(p *sim.Proc) {
+		for {
+			req := ep.Inbound.Pop(p)
+			seq := req.Msg.(*wire.PingReq).Seq
+			e.Go("answer", func(p *sim.Proc) {
+				p.Sleep(delay(seq))
+				ep.Reply(req, &wire.PingResp{Seq: seq})
+			})
+		}
+	})
+}
+
+// TestLateResponseSkipsReusedFuture sends a second call right after the
+// first times out, so it reuses the first call's future, and has the first
+// call's response arrive while the second is still waiting. The late
+// response must be dropped, not taken for the second call's.
+func TestLateResponseSkipsReusedFuture(t *testing.T) {
+	e, cl, srv := pair(t)
+	seqServer(e, srv, func(seq uint64) sim.Duration {
+		return map[uint64]sim.Duration{1: 20 * sim.Millisecond, 2: 30 * sim.Millisecond}[seq]
+	})
+	var first, second bool
+	var got uint64
+	e.Go("client", func(p *sim.Proc) {
+		_, first = cl.CallTimeout(p, 2, &wire.PingReq{Seq: 1}, 5*sim.Millisecond)
+		var resp wire.Message
+		resp, second = cl.CallTimeout(p, 2, &wire.PingReq{Seq: 2}, 100*sim.Millisecond)
+		if second {
+			got = resp.(*wire.PingResp).Seq
+		}
+	})
+	e.Run()
+	e.Shutdown()
+	if first {
+		t.Fatal("first call should have timed out")
+	}
+	if !second || got != 2 {
+		t.Fatalf("second call: ok=%v seq=%d, want its own response, seq 2", second, got)
+	}
+	if len(cl.free) != 1 {
+		t.Fatalf("%d futures on the free list, want the one both calls shared", len(cl.free))
+	}
+}
+
+// TestDuplicateResponseSkipsReusedFuture duplicates every request in the
+// fabric, so the server answers each call twice, 3µs apart. The second
+// answer arrives after the call resolved and its future went to the next
+// call; it must be dropped, not taken for that call's.
+func TestDuplicateResponseSkipsReusedFuture(t *testing.T) {
+	e := sim.New(1)
+	n := simnet.New(e, simnet.Config{PropagationDelay: 2 * sim.Microsecond, Bandwidth: 1e9})
+	cl, srv := NewEndpoint(e, n, 1), NewEndpoint(e, n, 2)
+	n.SetLinkFaults(1, 2, simnet.FaultModel{Dup: 1})
+	echoServer(e, srv, 3*sim.Microsecond)
+	var got []uint64
+	e.Go("client", func(p *sim.Proc) {
+		for seq := uint64(1); seq <= 5; seq++ {
+			got = append(got, cl.Call(p, 2, &wire.PingReq{Seq: seq}).(*wire.PingResp).Seq)
+		}
+	})
+	e.Run()
+	e.Shutdown()
+	if !slices.Equal(got, []uint64{1, 2, 3, 4, 5}) {
+		t.Fatalf("calls answered %v, want each its own seq", got)
+	}
+	if n.Duplicated() != 5 {
+		t.Fatalf("%d requests duplicated, want 5", n.Duplicated())
+	}
+	if len(cl.free) != 1 {
+		t.Fatalf("%d futures on the free list, want the one every call shared", len(cl.free))
 	}
 }

@@ -398,7 +398,7 @@ func (s *Server) replicateBatch(p *sim.Proc, segment uint64, objs []wire.Object)
 // pendingAck is one backup's outstanding acknowledgement in a fan-out.
 type pendingAck struct {
 	backup simnet.NodeID
-	f      *sim.Future[wire.Message]
+	call   rpc.Call
 }
 
 // inlineAcks is how many pending acks a fan-out keeps on its stack; a
@@ -411,7 +411,7 @@ const inlineAcks = 8
 func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []simnet.NodeID, msg wire.Message, post sim.Duration) []pendingAck {
 	for _, b := range backups {
 		s.busy(p, post)
-		acks = append(acks, pendingAck{backup: b, f: s.ep.AsyncCall(b, msg)})
+		acks = append(acks, pendingAck{backup: b, call: s.ep.StartCall(b, msg)})
 	}
 	return acks
 }
@@ -419,10 +419,15 @@ func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []simnet.NodeID,
 // awaitAcks waits for every ack and replaces each backup that missed its
 // deadline. It names a backup by the id captured at its send, not by its
 // index in the segment's backup set: handleBackupFailure rewrites that set
-// in place, so an index may already name the substitute.
+// in place, so an index may already name the substitute. Each call is
+// released after its wait; one that timed out was deregistered by
+// WaitTimeout, so its ack, should it still come, is dropped.
 func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
-	for _, a := range acks {
-		if _, ok := a.f.GetTimeout(p, s.cfg.ReplicationTimeout); !ok {
+	for i := range acks {
+		a := &acks[i]
+		_, ok := a.call.WaitTimeout(p, s.cfg.ReplicationTimeout)
+		a.call.Release()
+		if !ok {
 			s.handleBackupFailure(p, a.backup, segment)
 		}
 	}

@@ -8,7 +8,9 @@
 //
 //   - One dispatch thread busy-polls the NIC. It permanently pins a core
 //     (the paper's 25% CPU floor on 4-core nodes) and serializes request
-//     hand-off at a fixed per-request cost.
+//     hand-off at a fixed per-request cost. It does nothing but wait, so
+//     it runs as engine events rather than a proc: a request that finds
+//     it idle wakes it, and each hand-off is one scheduled callback.
 //   - N worker threads (cores-1) execute requests, each from its own
 //     queue. The dispatch hands every client request to its connection's
 //     affine worker (connWorker), and an idle worker spins for
@@ -72,6 +74,14 @@ type Server struct {
 	// node, which is the contention the paper measures (Finding 3).
 	backupQ *sim.Queue[rpc.Request]
 
+	// The dispatch thread: busy from its wake-up until it finds Inbound
+	// empty, paying for inHand (and, once penalized, for RecoveryPenalty
+	// too). Its callbacks are bound once so scheduling them allocates
+	// nothing.
+	dispatching, penalized bool
+	inHand                 rpc.Request
+	takeFn, handOffFn      func()
+
 	// Backup state: the replicas held, and those sealed but not yet on disk.
 	backups store.Backups
 	flushQ  *sim.Queue[*store.Replica]
@@ -86,7 +96,7 @@ type Server struct {
 }
 
 // New creates a server on the given node and attaches it to the fabric.
-// Call Start to launch its dispatch and worker procs.
+// Call Start to launch its dispatch thread and worker procs.
 func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.Disk,
 	coordinator simnet.NodeID, cfg Config) *Server {
 	if cfg.Workers < 1 {
@@ -115,6 +125,7 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 	}
 	s.backupQ = sim.NewQueue[rpc.Request](e)
 	s.ep = rpc.NewEndpoint(e, net, simnet.NodeID(node.ID))
+	s.takeFn, s.handOffFn = s.takeRequest, s.handOff
 	return s
 }
 
@@ -139,8 +150,7 @@ func (s *Server) SetPeers(peers []simnet.NodeID) {
 // Start launches the dispatch thread (pinning one core) and the worker and
 // flush procs.
 func (s *Server) Start() {
-	s.node.PinCores(1)
-	s.eng.Go(fmt.Sprintf("srv%d-dispatch", s.id), s.dispatchLoop)
+	s.startDispatch()
 	for i := 0; i < s.cfg.Workers; i++ {
 		i := i
 		s.eng.Go(fmt.Sprintf("srv%d-worker%d", s.id, i), func(p *sim.Proc) {
@@ -158,7 +168,8 @@ func (s *Server) Start() {
 
 // Kill crashes the server process: the NIC goes silent, accounting stops,
 // and service procs exit at their next scheduling point. In-flight
-// requests are lost, exactly like a process kill.
+// requests are lost, exactly like a process kill; the dispatch thread
+// drops the one in hand when its callback next runs.
 func (s *Server) Kill() {
 	s.dead = true
 	s.node.Kill()
@@ -168,50 +179,80 @@ func (s *Server) Kill() {
 		q.Push(rpc.Request{})
 	}
 	s.backupQ.Push(rpc.Request{})
-	s.ep.Inbound.Push(rpc.Request{})
 	s.flushQ.Push(nil)
 }
 
 // Dead reports whether the server was killed.
 func (s *Server) Dead() bool { return s.dead }
 
-// dispatchLoop is the polling thread: it serializes inbound requests onto
-// the worker queue at a fixed per-request cost. Its CPU is covered by the
-// pinned core.
-func (s *Server) dispatchLoop(p *sim.Proc) {
-	for {
-		req := s.ep.Inbound.Pop(p)
-		if s.dead {
-			return
-		}
-		p.Sleep(s.cfg.Costs.Dispatch)
-		if s.recoveryActive > 0 && s.cfg.Costs.RecoveryPenalty > 0 {
-			// Recovery traffic (segment fetches, re-replication, replay
-			// bookkeeping) competes for the dispatch thread; foreground
-			// requests pay the paper's 1.4-2.4x latency inflation.
-			p.Sleep(s.cfg.Costs.RecoveryPenalty)
-		}
-		if s.dead {
-			return
-		}
-		switch m := req.Msg.(type) {
-		case *wire.ReadReq, *wire.WriteReq, *wire.DeleteReq,
-			*wire.MultiReadReq, *wire.MultiWriteReq:
-			s.workQs[connWorker(req.From, len(s.workQs))].Push(req)
-		case *wire.RDMAWriteReq:
-			// One-sided RDMA write: the NIC deposits the objects into the
-			// replica buffer with no thread involvement and no CPU charged;
-			// the completion is generated immediately (Sec. IX.B proposal,
-			// the zero-CPU replication path).
-			resp, bytes := s.backups.RDMAWrite(m)
-			if bytes > 0 {
-				s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
-			}
-			s.ep.Reply(req, resp)
-		default:
-			s.backupQ.Push(req)
-		}
+// startDispatch starts the dispatch thread, which serializes inbound
+// requests onto the service queues at a fixed per-request cost; its CPU is
+// the pinned core. It runs as engine callbacks, each scheduled where a
+// polling proc would have drawn its wake-up or its sleep, so the event
+// order is that proc's. Its first poll is where the proc was spawned.
+func (s *Server) startDispatch() {
+	s.node.PinCores(1)
+	s.ep.OnRequest(s.wakeDispatch)
+	s.wakeDispatch()
+}
+
+// wakeDispatch runs after every request lands on Inbound and wakes an idle
+// dispatch thread at the current instant.
+func (s *Server) wakeDispatch() {
+	if s.dispatching || s.dead {
+		return
 	}
+	s.dispatching = true
+	s.eng.ScheduleAt(s.eng.Now(), s.takeFn)
+}
+
+// takeRequest pops the next request and pays its hand-off cost, or idles
+// the thread when Inbound is empty.
+func (s *Server) takeRequest() {
+	req, ok := s.ep.Inbound.TryPop()
+	if !ok || s.dead {
+		s.dispatching = false
+		return
+	}
+	s.inHand = req
+	s.eng.Schedule(s.cfg.Costs.Dispatch, s.handOffFn)
+}
+
+// handOff routes the request in hand once its cost is paid, then takes
+// the next one in the same event.
+func (s *Server) handOff() {
+	if !s.penalized && s.recoveryActive > 0 && s.cfg.Costs.RecoveryPenalty > 0 {
+		// Recovery traffic (segment fetches, re-replication, replay
+		// bookkeeping) competes for the dispatch thread; foreground
+		// requests pay the paper's 1.4-2.4x latency inflation.
+		s.penalized = true
+		s.eng.Schedule(s.cfg.Costs.RecoveryPenalty, s.handOffFn)
+		return
+	}
+	req := s.inHand
+	s.inHand, s.penalized = rpc.Request{}, false
+	if s.dead {
+		s.dispatching = false
+		return
+	}
+	switch m := req.Msg.(type) {
+	case *wire.ReadReq, *wire.WriteReq, *wire.DeleteReq,
+		*wire.MultiReadReq, *wire.MultiWriteReq:
+		s.workQs[connWorker(req.From, len(s.workQs))].Push(req)
+	case *wire.RDMAWriteReq:
+		// One-sided RDMA write: the NIC deposits the objects into the
+		// replica buffer with no thread involvement and no CPU charged;
+		// the completion is generated immediately (Sec. IX.B proposal,
+		// the zero-CPU replication path).
+		resp, bytes := s.backups.RDMAWrite(m)
+		if bytes > 0 {
+			s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
+		}
+		s.ep.Reply(req, resp)
+	default:
+		s.backupQ.Push(req)
+	}
+	s.takeRequest()
 }
 
 // connWorker maps a connection to its affine worker.

@@ -350,24 +350,34 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 	}
 }
 
-// TestReplicationAllocs pins what replication costs the host beyond the
-// same work at RF 0. At RF k a write costs k + 2 objects: its one-object
-// list, one request for the whole fan-out and one response future per
-// backup. A replayed object costs k + 1: its request and a future per
-// backup (the replay builds its one-object list at RF 0 too). The acks are
-// shared constants and each backup copies what it is sent into its
-// replica's blocks, so nothing else is paid per backup.
+// TestReplicationAllocs pins what a write, a read and a replayed object
+// cost the host. At RF 0 a write and a read each cost three objects, the
+// test client's request and key and the master's response, and a replayed
+// object one, its one-object list; no RPC pays for its reply future, which
+// its endpoint reuses. At RF k a write costs two objects more, its
+// one-object list and one request for the whole fan-out, and a replayed
+// object one more, its request. Neither depends on k: the acks are shared
+// constants, the ack futures are reused and each backup copies what it is
+// sent into its replica's blocks, so nothing is paid per backup.
 func TestReplicationAllocs(t *testing.T) {
-	write0, replay0 := writeAllocs(t, 0), replayAllocs(t, 0)
-	t.Logf("RF 0: %.3f objects per write, %.3f per replayed object", write0, replay0)
+	write0, read0, replay0 := writeAllocs(t, 0), readAllocs(t), replayAllocs(t, 0)
+	t.Logf("RF 0: %.3f objects per write, %.3f per read, %.3f per replayed object", write0, read0, replay0)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{{"a write", write0, 3}, {"a read", read0, 3}, {"a replayed object", replay0, 1}} {
+		if math.Abs(c.got-c.want) > 0.1 {
+			t.Errorf("RF 0: %s allocates %.3f objects, want %.0f", c.what, c.got, c.want)
+		}
+	}
 	for _, k := range []int{1, 3, 4} {
 		write, replay := writeAllocs(t, k)-write0, replayAllocs(t, k)-replay0
 		t.Logf("RF %d: +%.3f per write, +%.3f per replayed object", k, write, replay)
-		if math.Abs(write-float64(k+2)) > 0.1 {
-			t.Errorf("RF %d: a write allocates %.3f objects more than at RF 0, want %d", k, write, k+2)
+		if math.Abs(write-2) > 0.1 {
+			t.Errorf("RF %d: a write allocates %.3f objects more than at RF 0, want 2", k, write)
 		}
-		if math.Abs(replay-float64(k+1)) > 0.1 {
-			t.Errorf("RF %d: a replayed object allocates %.3f objects more than at RF 0, want %d", k, replay, k+1)
+		if math.Abs(replay-1) > 0.1 {
+			t.Errorf("RF %d: a replayed object allocates %.3f objects more than at RF 0, want 1", k, replay)
 		}
 	}
 }
@@ -403,6 +413,25 @@ func writeAllocs(t *testing.T, rf int) float64 {
 		}
 	})
 	return allocsPerStep(t, rig.eng, m.Stats().WritesOK.Value)
+}
+
+// readAllocs returns the objects one read of a present key allocates end
+// to end at RF 0.
+func readAllocs(t *testing.T) float64 {
+	rig := newRig(t, 1, DefaultConfig())
+	defer rig.eng.Shutdown()
+	m := rig.servers[0]
+	for i := 0; i < 64; i++ {
+		if err := m.FastLoad(1, ycsbKey(i), 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.eng.Go("client", func(p *sim.Proc) {
+		for i := 0; ; i++ {
+			rig.client.Call(p, m.Addr(), &wire.ReadReq{Table: 1, Key: ycsbKey(i % 64)})
+		}
+	})
+	return allocsPerStep(t, rig.eng, m.Stats().ReadsOK.Value)
 }
 
 // replayAllocs returns the objects one replayed object allocates while a

@@ -155,6 +155,17 @@ func NewFuture[T any](e *Engine) *Future[T] { return &Future[T]{eng: e} }
 // IsSet reports whether the future has a value.
 func (f *Future[T]) IsSet() bool { return f.set }
 
+// Reset returns the future to its unset state so that it can be reused,
+// exactly as if NewFuture had just returned it. The caller must be sure
+// that nothing will Set it for its previous use any more. Resetting a
+// future a proc is still waiting on panics.
+func (f *Future[T]) Reset() {
+	if !f.idle() {
+		panic("sim: Reset of a Future with a waiting proc")
+	}
+	*f = Future[T]{eng: f.eng}
+}
+
 // Set stores the value and wakes all waiters, cancelling their timeout
 // timers. Setting twice panics: a future is single-assignment by design.
 func (f *Future[T]) Set(v T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -233,6 +234,73 @@ func TestFutureGetTimeoutAlreadySet(t *testing.T) {
 	e.Run()
 	if !ok || v != 3 || at != 0 {
 		t.Fatalf("v=%d ok=%v at=%v", v, ok, at)
+	}
+}
+
+func TestFutureResetPanicsWithWaiter(t *testing.T) {
+	e := New(1)
+	f := NewFuture[int](e)
+	e.Go("g", func(p *Proc) { f.GetTimeout(p, Second) })
+	e.RunUntil(Time(Millisecond))
+	defer e.Shutdown()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset with a parked waiter did not panic")
+		}
+	}()
+	f.Reset()
+}
+
+// TestFutureResetServesLikeNew reuses one future for a value, a timeout, a
+// value again and a Set that comes before the wait, and checks each wait
+// against a fresh future's: same value, same verdict, same instant.
+func TestFutureResetServesLikeNew(t *testing.T) {
+	type result struct {
+		v  int
+		ok bool
+		at Time
+	}
+	// Each round waits up to 2s from its start at k*10s; setAt is when
+	// the value arrives, relative to that start (negative: before the
+	// wait, none: never).
+	const none = Duration(-2)
+	rounds := []Duration{Second, none, 3 * Second / 2, -1}
+	run := func(reuse bool) []result {
+		e := New(1)
+		f := NewFuture[int](e)
+		var got []result
+		e.Go("g", func(p *Proc) {
+			for k, setAt := range rounds {
+				start := Time(Duration(k) * 10 * Second)
+				p.Sleep(start.Sub(p.Now()))
+				if !reuse {
+					f = NewFuture[int](e)
+				}
+				g := f
+				switch {
+				case setAt == -1:
+					g.Set(k)
+				case setAt != none:
+					e.Schedule(setAt, func() { g.Set(k) })
+				}
+				v, ok := g.GetTimeout(p, 2*Second)
+				got = append(got, result{v, ok, p.Now() - start})
+				if reuse {
+					g.Reset()
+				}
+			}
+		})
+		e.Run()
+		e.Shutdown()
+		return got
+	}
+	fresh, reused := run(false), run(true)
+	want := []result{{0, true, Time(Second)}, {0, false, Time(2 * Second)}, {2, true, Time(3 * Second / 2)}, {3, true, 0}}
+	if !slices.Equal(fresh, want) {
+		t.Fatalf("fresh futures: %v, want %v", fresh, want)
+	}
+	if !slices.Equal(reused, fresh) {
+		t.Fatalf("a reset future served %v, a fresh one %v", reused, fresh)
 	}
 }
 
