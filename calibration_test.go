@@ -10,9 +10,10 @@ import (
 // These tests pin the calibrated model to the paper's anchor measurements.
 // Tolerances are generous (the paper itself averages 5 noisy runs) but
 // tight enough that a regression in the threading, replication or power
-// models fails the suite. They use reduced request counts for speed; every
-// experiment's rendering at -scale 0.5 -seed 42 is committed in
-// cmd/rcbench/testdata/render-0.5.txt, which CI renders afresh and diffs.
+// models fails the suite. They use reduced request counts for speed; the
+// full-scale numbers, every experiment at -scale 1 -seed 42, are committed
+// in cmd/rcbench/testdata/render-1.txt (and at -scale 0.5 beside it), and
+// CI renders both afresh and diffs.
 
 func runCal(t *testing.T, servers, clients, rf int, wl ycsb.Workload, reqs int) *core.Result {
 	t.Helper()

@@ -41,8 +41,8 @@ type Profile struct {
 }
 
 // DefaultProfile returns the Grid'5000 Nancy calibration used for every
-// experiment, and so for the committed rendering in
-// cmd/rcbench/testdata/render-0.5.txt.
+// experiment, and so for the committed full-scale rendering in
+// cmd/rcbench/testdata/render-1.txt.
 func DefaultProfile() Profile {
 	return Profile{
 		Machine:     machine.Grid5000Nancy(),

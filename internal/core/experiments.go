@@ -12,9 +12,10 @@ import (
 
 // Options scale and seed an experiment run. Scale multiplies the paper's
 // record counts and this reproduction's standard request counts; 1.0 is
-// rcbench's default and 0.5 the committed rendering's
-// (cmd/rcbench/testdata/render-0.5.txt); larger values approach
-// paper-scale durations at proportional wall-clock cost.
+// rcbench's default and the committed full-scale rendering's
+// (cmd/rcbench/testdata/render-1.txt, with 0.5 beside it in
+// render-0.5.txt); larger values approach paper-scale durations at
+// proportional wall-clock cost.
 type Options struct {
 	Scale   float64
 	Seed    int64

@@ -39,6 +39,40 @@ func BenchmarkLookup(b *testing.B) {
 	}
 }
 
+// coldN entries make a directory of 32 MiB, far larger than L2: a probe
+// of a random hash misses the cache.
+const coldN = 1 << 20
+
+// BenchmarkLookupPrefetched is the master's probe on a table far larger
+// than L2, as is ("lookup") and with the bucket of the key eight lookups
+// ahead prefetched first ("prefetched"): the overlap the simulated master
+// gets from prefetching before its service time, and the real master from
+// prefetching a batch's buckets before its first lookup.
+func BenchmarkLookupPrefetched(b *testing.B) {
+	t, hashes := benchTable(coldN)
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ref, ok := t.Lookup(hashes[i&(coldN-1)], nil)
+			if !ok {
+				b.Fatal("missing key")
+			}
+			sinkU64 = ref
+		}
+	})
+	b.Run("prefetched", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t.Prefetch(hashes[(i+8)&(coldN-1)])
+			ref, ok := t.Lookup(hashes[i&(coldN-1)], nil)
+			if !ok {
+				b.Fatal("missing key")
+			}
+			sinkU64 = ref
+		}
+	})
+}
+
 func BenchmarkInsertDelete(b *testing.B) {
 	t, hashes := benchTable(benchN)
 	b.ReportAllocs()

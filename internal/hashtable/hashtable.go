@@ -20,6 +20,13 @@
 // Put walks a chain once: it replaces the entry its equality callback
 // matches, or fills the first free slot it passed. Lookup, Put, Replace
 // and Delete allocate nothing unless the directory doubles.
+//
+// Prefetch asks for a hash's directory bucket ahead of the probe, as
+// RAMCloud's master does before it looks a key up: a caller that has
+// other work between learning the hash and probing (the simulated
+// master's service time, the real master's other batch items) overlaps
+// the bucket's cache miss with it. It is PREFETCHT0 on the bucket's two
+// cache lines on amd64 and nothing elsewhere; it changes no result.
 package hashtable
 
 import "math/bits"
@@ -122,6 +129,13 @@ func (b *bucket) fill(hash, ref uint64) {
 	b.hashes[i] = hash
 	b.refs[i] = ref
 	b.used |= 1 << i
+}
+
+// Prefetch starts loading the directory bucket of hash into the cache. A
+// Lookup, Put, Replace or Delete of hash that follows finds it there
+// unless the directory doubled or the lines were evicted in between.
+func (t *Table) Prefetch(hash uint64) {
+	prefetchBucket(&t.buckets[hash&t.mask])
 }
 
 // Lookup finds an entry with the given hash whose referent satisfies eq.

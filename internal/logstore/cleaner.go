@@ -79,7 +79,7 @@ func (l *Log) Clean(maxSegments int, isLive IsLiveFunc, relocated RelocatedFunc)
 		for i := range v.offs {
 			var e Entry
 			e.decode(v.bytesAt(i))
-			old := Ref{Segment: v.id, Index: i}
+			old := v.RefAt(i)
 			keep := false
 			isTomb := e.Type == EntryTombstone
 			if isTomb {

@@ -161,7 +161,7 @@ func TestCleanPreservesExactlyLiveSet(t *testing.T) {
 			if e.Type != EntryObject {
 				continue
 			}
-			ref := Ref{Segment: id, Index: i}
+			ref := s.RefAt(i)
 			if m.refs[string(e.Key)] == ref {
 				liveCount++
 			}

@@ -16,6 +16,15 @@
 // pointer-free backing (header, key, then the value when it is real), and
 // what Get hands back is a view of those bytes. Nothing is allocated per
 // entry and the collector has nothing to trace inside a segment.
+//
+// A ref is a position, as in RAMCloud: the segment, the block of the
+// segment and the 8-byte granule of the block where the entry starts. In
+// storage every entry starts on a granule, padded after its predecessor,
+// and each block keeps a bitmap of the granules where an entry starts, so
+// Get and MarkDead go from a ref straight to the entry's bytes and still
+// refuse a ref that names no entry. The padding is in the stored bytes
+// only: what an entry accounts for, and so rolls, cleaning and replica
+// accounting, do not change.
 package logstore
 
 import (
@@ -169,24 +178,59 @@ func (e *Entry) Seal() { e.Checksum = e.ComputeChecksum() }
 // VerifyChecksum reports whether the entry matches its checksum.
 func (e *Entry) VerifyChecksum() bool { return e.Checksum == e.ComputeChecksum() }
 
-// Ref locates an entry in the log.
+// Ref locates an entry in the log: its segment, and where its bytes start
+// in the segment's storage. Only Append, Segment.RefAt and UnpackRef make
+// one. A ref spelled out by hand, Ref{Segment: s, Index: i}, locates
+// nothing: Get and MarkDead refuse it with ErrBadRef.
 type Ref struct {
 	Segment uint64
-	Index   int
+	// Index is not read. Refs were once ordinals; the field stays zero so
+	// that a ref spelled out as an ordinal is refused, not misread.
+	Index int
+	// at is 1 + the entry's position, block<<granuleBits | granule; the
+	// zero at locates nothing.
+	at uint32
 }
 
-// Packed encodes the ref as a uint64 for storage in the hash table
-// (40 bits of segment id, 24 bits of index).
+// A ref packs into a uint64 for the hash table: 40 bits of segment id,
+// then a 24-bit position, 7 bits of block and 17 of granule.
+const (
+	segmentBits  = 40
+	blockBits    = 7
+	granuleBits  = 17
+	granuleBytes = 8
+	maxBlocks    = 1 << blockBits
+	granuleMask  = 1<<granuleBits - 1
+	positionMask = 1<<(blockBits+granuleBits) - 1
+)
+
+// Packed encodes the ref as a uint64 for storage in the hash table.
 func (r Ref) Packed() uint64 {
-	if r.Segment >= 1<<40 || r.Index >= 1<<24 || r.Index < 0 {
+	if r.Segment >= 1<<segmentBits || r.at == 0 {
 		panic(fmt.Sprintf("logstore: ref out of packing range: %+v", r))
 	}
-	return r.Segment<<24 | uint64(r.Index)
+	return r.Segment<<(blockBits+granuleBits) | uint64(r.at-1)
 }
 
 // UnpackRef inverts Ref.Packed.
 func UnpackRef(v uint64) Ref {
-	return Ref{Segment: v >> 24, Index: int(v & (1<<24 - 1))}
+	return Ref{Segment: v >> (blockBits + granuleBits), at: 1 + uint32(v&positionMask)}
+}
+
+// position packs block b and byte offset off, a granule boundary, into a
+// ref's position. It panics past either field's width; reserve keeps a
+// log segment inside both. (A backup's replica, which makes no refs, may
+// be handed more than a segment holds and outgrow them.)
+func position(b, off int) uint32 {
+	if uint(b) >= maxBlocks || uint(off) >= granuleBytes<<granuleBits {
+		positionOutOfRange(b, off) // a call, so that position inlines into every append
+	}
+	return uint32(b<<granuleBits | off/granuleBytes)
+}
+
+//go:noinline
+func positionOutOfRange(b, off int) {
+	panic(fmt.Sprintf("logstore: position out of packing range: block %d offset %d", b, off))
 }
 
 // blockBytes bounds one piece of a segment's backing. A segment's bytes
@@ -194,18 +238,57 @@ func UnpackRef(v uint64) Ref {
 // array: an 8 MB array per head leaves megabytes of unfilled tail in the
 // heap of every master (measured: tcp-open heap_mb_peak +22 %, against
 // +3 % in 1 MiB pieces; PERFORMANCE.md "The log is bytes"). RAMCloud cuts
-// its segments into seglets for the same reason.
-const blockBytes = 1 << 20
+// its segments into seglets for the same reason. A ref's 17-bit granule
+// addresses exactly one block.
+const blockBytes = granuleBytes << granuleBits
 
-// Segment is one fixed-size piece of the log: its entries serialised back
-// to back in blocks. An entry never straddles a block; one larger than a
-// block has a block of its own. Blocks are never reused — a freed
-// segment's are left to the collector, which is what keeps a view valid
-// for as long as anybody holds it.
+// block is one piece of a segment's backing. starts is carved from the
+// same allocation, after bytes: bit g%8 of starts[g/8] is set when an
+// entry starts at granule g.
+type block struct {
+	bytes  []byte
+	starts []byte
+}
+
+// newBlock allocates a block of n bytes and its entry-start bitmap in one
+// piece. A block larger than blockBytes holds one entry, at granule 0.
+func newBlock(n int) block {
+	granules := (n + granuleBytes - 1) / granuleBytes
+	if n > blockBytes {
+		granules = 1
+	}
+	all := make([]byte, n+(granules+7)/8)
+	return block{bytes: all[:n:n], starts: all[n:]}
+}
+
+// storable bounds the stored bytes, padding included, of entries that
+// account for at most rest bytes: an entry stores at most what it
+// accounts for plus granuleBytes-1 of padding, and accounts for at least
+// entryHeaderBytes.
+func storable(rest int) int {
+	return rest + rest*(granuleBytes-1)/entryHeaderBytes + granuleBytes
+}
+
+// spareBlocks is how many blocks a segment of capacity accounted bytes
+// keeps in reserve so that its block index never outgrows blockBits.
+// From then on each new block is blockBytes, or the whole of what the
+// segment can still store; a full-size block is left only when what it
+// holds and the entry that did not fit exceed blockBytes, and each entry
+// is counted at most twice that way.
+func spareBlocks(capacity int) int {
+	return 2 + 2*storable(capacity)/blockBytes
+}
+
+// Segment is one fixed-size piece of the log: its entries serialised in
+// blocks, each from a granule boundary. An entry never straddles a block;
+// one larger than a block has a block of its own. Blocks are never reused
+// — a freed segment's are left to the collector, which is what keeps a
+// view valid for as long as anybody holds it.
 type Segment struct {
 	id     uint64
-	blocks [][]byte
+	blocks []block
 	// offs[i] locates entry i: block offs[i]>>32, byte uint32(offs[i]).
+	// Iteration by ordinal reads it; Get and MarkDead do not.
 	offs      []uint64
 	used      int // bytes filled in the last block
 	accounted int // bytes appended (declared sizes)
@@ -215,36 +298,69 @@ type Segment struct {
 }
 
 // reserve returns room for the next entry — need bytes stored, size bytes
-// accounted, rest accounted bytes left in the segment — and records where
-// it starts. A new block is as large as the rest of the segment would
-// store if it filled up with entries like this one, at most blockBytes:
-// real values get the block they will fill, and a segment of virtual
-// values, which stores a twentieth of what it accounts, gets no more than
-// that.
-func (s *Segment) reserve(need, size, rest int) []byte {
+// accounted, in a segment of capacity accounted bytes — at the next
+// granule, and records where it starts. A new block is as large as the
+// rest of the segment would store if it filled up with entries like this
+// one, padded, at most blockBytes: real values get the block they will
+// fill, and a segment of virtual values, which stores a twentieth of what
+// it accounts, gets no more than that. Once the segment is down to its
+// spare blocks, a new block is as large as the rest could need.
+func (s *Segment) reserve(need, size, capacity int) []byte {
 	last := len(s.blocks) - 1
-	if last < 0 || s.used+need > len(s.blocks[last]) {
-		n := int(int64(rest) * int64(need) / int64(size))
-		if n > blockBytes {
-			n = blockBytes
+	start := (s.used + granuleBytes - 1) &^ (granuleBytes - 1)
+	if last < 0 || start+need > len(s.blocks[last].bytes) {
+		rest := capacity - s.accounted
+		padded := (need + granuleBytes - 1) &^ (granuleBytes - 1)
+		n := int(int64(rest) * int64(padded) / int64(size))
+		if len(s.blocks) >= maxBlocks-spareBlocks(capacity) {
+			n = storable(rest)
 		}
-		if n < need {
-			n = need
-		}
-		s.blocks = append(s.blocks, make([]byte, n))
-		s.used = 0
+		n = max(min(n, blockBytes), need)
+		s.blocks = append(s.blocks, newBlock(n))
+		start = 0
 		last++
 	}
-	s.offs = append(s.offs, uint64(last)<<32|uint64(s.used))
-	b := s.blocks[last][s.used : s.used+need]
-	s.used += need
-	return b
+	b := &s.blocks[last]
+	g := start / granuleBytes
+	b.starts[g/8] |= 1 << (g % 8)
+	s.offs = append(s.offs, uint64(last)<<32|uint64(start))
+	s.used = start + need
+	return b.bytes[start:s.used]
 }
 
 // bytesAt returns the block from entry i's first byte on.
 func (s *Segment) bytesAt(i int) []byte {
 	off := s.offs[i]
-	return s.blocks[off>>32][uint32(off):]
+	return s.blocks[off>>32].bytes[uint32(off):]
+}
+
+// locate returns the block from the first byte of the entry at a ref's
+// at on, or nil when no entry starts there. at alone addresses both the
+// bitmap byte and the entry's bytes, so the two loads overlap.
+func (s *Segment) locate(at uint32) []byte {
+	p := at - 1
+	bi, g := p>>granuleBits, p&granuleMask
+	if bi >= uint32(len(s.blocks)) {
+		return nil
+	}
+	b := &s.blocks[bi]
+	if g/8 >= uint32(len(b.starts)) || b.starts[g/8]&(1<<(g%8)) == 0 {
+		return nil
+	}
+	return b.bytes[g*granuleBytes:]
+}
+
+// badRef is the error for a ref to s that locates no entry.
+func (s *Segment) badRef(ref Ref) error {
+	p := ref.at - 1
+	return fmt.Errorf("%w: no entry at block %d granule %d of segment %d (%d blocks)",
+		ErrBadRef, p>>granuleBits, p&granuleMask, s.id, len(s.blocks))
+}
+
+// RefAt returns the ref of the i-th entry, 0 <= i < Entries().
+func (s *Segment) RefAt(i int) Ref {
+	off := s.offs[i]
+	return Ref{Segment: s.id, at: 1 + position(int(off>>32), int(uint32(off)))}
 }
 
 // ID returns the segment's log-unique id.
@@ -328,6 +444,9 @@ func NewLog(cfg Config) *Log {
 	}
 	if cfg.TotalBytes < int64(cfg.SegmentBytes) {
 		panic("logstore: total capacity below one segment")
+	}
+	if spareBlocks(cfg.SegmentBytes) > maxBlocks {
+		panic("logstore: segment size beyond what a ref's block index addresses")
 	}
 	return &Log{cfg: cfg, segments: make(map[uint64]*Segment)}
 }
@@ -414,13 +533,13 @@ func (l *Log) Append(e Entry) (Ref, error) {
 func (l *Log) put(e *Entry, size int) Ref {
 	e.Seal()
 	s := l.head
-	e.encode(s.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, l.cfg.SegmentBytes-s.accounted))
+	e.encode(s.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, l.cfg.SegmentBytes))
 	s.accounted += size
 	s.live += size
 	l.totalAccounted += int64(size)
 	l.totalLive += int64(size)
 	l.appends++
-	return Ref{Segment: s.id, Index: len(s.offs) - 1}
+	return s.RefAt(len(s.offs) - 1)
 }
 
 // Get returns a view of the entry at ref.
@@ -429,10 +548,11 @@ func (l *Log) Get(ref Ref) (e Entry, err error) {
 	if !ok {
 		return e, fmt.Errorf("%w: segment %d missing", ErrBadRef, ref.Segment)
 	}
-	if !s.has(ref.Index) {
-		return e, s.badIndex(ref.Index)
+	b := s.locate(ref.at)
+	if b == nil {
+		return e, s.badRef(ref)
 	}
-	e.decode(s.bytesAt(ref.Index))
+	e.decode(b)
 	return e, nil
 }
 
@@ -442,11 +562,11 @@ func (l *Log) MarkDead(ref Ref) error {
 	if !ok {
 		return fmt.Errorf("%w: segment %d missing", ErrBadRef, ref.Segment)
 	}
-	if !s.has(ref.Index) {
-		return s.badIndex(ref.Index)
+	b := s.locate(ref.at)
+	if b == nil {
+		return s.badRef(ref)
 	}
 	// The entry's StorageSize, from its two length fields alone.
-	b := s.bytesAt(ref.Index)
 	size := entryHeaderBytes + int(binary.LittleEndian.Uint32(b[17:])) + int(binary.LittleEndian.Uint32(b[21:]))
 	s.live -= size
 	l.totalLive -= int64(size)

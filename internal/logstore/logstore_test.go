@@ -288,23 +288,41 @@ func TestChecksumByteLanes(t *testing.T) {
 	}
 }
 
+// TestRefPackRoundTrip: every ref inside the packed widths — 40 bits of
+// segment, 7 of block, 17 of granule — survives the hash table's uint64.
 func TestRefPackRoundTrip(t *testing.T) {
-	f := func(seg uint64, idx uint32) bool {
-		r := Ref{Segment: seg % (1 << 40), Index: int(idx % (1 << 24))}
+	f := func(seg uint64, blk uint8, granule uint32) bool {
+		b, g := int(blk%maxBlocks), int(granule%(1<<granuleBits))
+		r := Ref{Segment: seg % (1 << segmentBits), at: 1 + position(b, g*granuleBytes)}
 		return UnpackRef(r.Packed()) == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+	last := Ref{Segment: 1<<segmentBits - 1, at: 1 + position(maxBlocks-1, blockBytes-granuleBytes)}
+	if v := last.Packed(); v != 1<<64-1 || UnpackRef(v) != last {
+		t.Fatalf("the last ref packs to %#x", v)
+	}
 }
 
+// TestRefPackOutOfRangePanics: one past each packed width panics, and so
+// does packing a ref that locates nothing.
 func TestRefPackOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Ref{Segment: 1 << 40, Index: 0}.Packed()
+	for name, pack := range map[string]func(){
+		"segment":     func() { Ref{Segment: 1 << segmentBits, at: 1}.Packed() },
+		"block":       func() { position(maxBlocks, 0) },
+		"granule":     func() { position(0, granuleBytes<<granuleBits) },
+		"no position": func() { Ref{Segment: 1, Index: 5}.Packed() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			pack()
+		}()
+	}
 }
 
 func TestMemoryUtilization(t *testing.T) {
@@ -325,4 +343,16 @@ func TestBadConfigPanics(t *testing.T) {
 		}
 	}()
 	NewLog(Config{SegmentBytes: 10, TotalBytes: 1})
+}
+
+// TestSegmentBeyondRefsPanics: a segment whose blocks a ref's 7-bit block
+// index could not address is refused, and the largest that can be is not.
+func TestSegmentBeyondRefsPanics(t *testing.T) {
+	NewLog(Config{SegmentBytes: 54 << 20, TotalBytes: 1 << 30})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewLog(Config{SegmentBytes: 55 << 20, TotalBytes: 1 << 30})
 }

@@ -11,9 +11,17 @@ import (
 )
 
 // The model: the log as it was before its segments became bytes — every
-// segment a []Entry whose entries own their key and value. It is kept
-// here, test-only, as the reference the byte log must be indistinguishable
-// from: same refs, same entries, same accounting, same cleaning.
+// segment a []Entry whose entries own their key and value, and a ref the
+// entry's ordinal in its segment. It is kept here, test-only, as the
+// reference the byte log must be indistinguishable from: the same entries
+// at the same refs (the byte log's RefAt of the model's ordinal), the same
+// accounting, the same cleaning.
+
+// ordRef is the model's ref: a segment and an ordinal in it.
+type ordRef struct {
+	Segment uint64
+	Index   int
+}
 
 type refSegment struct {
 	id        uint64
@@ -53,7 +61,7 @@ func (l *refLog) roll() {
 }
 
 // put appends without the capacity checks; append adds them.
-func (l *refLog) put(e Entry) Ref {
+func (l *refLog) put(e Entry) ordRef {
 	size := e.StorageSize()
 	e.Seal()
 	s := l.head
@@ -62,23 +70,23 @@ func (l *refLog) put(e Entry) Ref {
 	s.live += size
 	l.totalAccounted += int64(size)
 	l.totalLive += int64(size)
-	return Ref{Segment: s.id, Index: len(s.entries) - 1}
+	return ordRef{Segment: s.id, Index: len(s.entries) - 1}
 }
 
-func (l *refLog) append(e Entry) (Ref, error) {
+func (l *refLog) append(e Entry) (ordRef, error) {
 	size := e.StorageSize()
 	switch {
 	case size > l.cfg.SegmentBytes:
-		return Ref{}, ErrEntryLarge
+		return ordRef{}, ErrEntryLarge
 	case l.totalAccounted+int64(size) > l.cfg.TotalBytes:
-		return Ref{}, ErrLogFull
+		return ordRef{}, ErrLogFull
 	case l.needsRoll(size):
-		return Ref{}, fmt.Errorf("append without roll")
+		return ordRef{}, fmt.Errorf("append without roll")
 	}
 	return l.put(e), nil
 }
 
-func (l *refLog) get(ref Ref) (Entry, bool) {
+func (l *refLog) get(ref ordRef) (Entry, bool) {
 	s, ok := l.segments[ref.Segment]
 	if !ok || ref.Index < 0 || ref.Index >= len(s.entries) {
 		return Entry{}, false
@@ -86,14 +94,14 @@ func (l *refLog) get(ref Ref) (Entry, bool) {
 	return s.entries[ref.Index], true
 }
 
-func (l *refLog) markDead(ref Ref) {
+func (l *refLog) markDead(ref ordRef) {
 	s := l.segments[ref.Segment]
 	size := s.entries[ref.Index].StorageSize()
 	s.live -= size
 	l.totalLive -= int64(size)
 }
 
-func (l *refLog) clean(maxSegments int, isLive func(Ref) bool, relocated func(old, new Ref)) CleanStats {
+func (l *refLog) clean(maxSegments int, isLive func(ordRef) bool, relocated func(old, new ordRef)) CleanStats {
 	var stats CleanStats
 	var victims []*refSegment
 	for _, s := range l.segments {
@@ -124,7 +132,7 @@ func (l *refLog) clean(maxSegments int, isLive func(Ref) bool, relocated func(ol
 	}
 	for _, v := range victims {
 		for i, e := range v.entries {
-			old := Ref{Segment: v.id, Index: i}
+			old := ordRef{Segment: v.id, Index: i}
 			if e.Type == EntryTombstone {
 				if _, exists := l.segments[e.ObjectSegment]; !exists || dying[e.ObjectSegment] {
 					stats.TombstonesDropped++
@@ -182,8 +190,24 @@ func sameEntry(got, want Entry) error {
 type modelPair struct {
 	log   *Log
 	model *refLog
-	refs  []Ref        // every ref ever returned
-	live  map[Ref]bool // object refs the "index" points at
+	refs  []refPair      // every ref ever returned
+	live  map[Ref]ordRef // object refs the "index" points at
+}
+
+// refPair is a ref of the byte log and the model's for the same entry.
+type refPair struct {
+	ref Ref
+	ord ordRef
+}
+
+// refOf returns the byte log's ref of the entry the model's ord names.
+// The segment must not have been freed.
+func (p *modelPair) refOf(ord ordRef) Ref {
+	s, ok := p.log.Segment(ord.Segment)
+	if !ok {
+		panic(fmt.Sprintf("segment %d of %+v freed", ord.Segment, ord))
+	}
+	return s.RefAt(ord.Index)
 }
 
 func (p *modelPair) roll() {
@@ -199,18 +223,25 @@ func (p *modelPair) append(e Entry) (Ref, error) {
 		p.roll()
 	}
 	ref, err := p.log.Append(e)
-	want, wantErr := p.model.append(e)
-	if (err == nil) != (wantErr == nil) || ref != want {
-		return Ref{}, fmt.Errorf("Append: ref %+v err %v, model ref %+v err %v", ref, err, want, wantErr)
+	ord, wantErr := p.model.append(e)
+	if (err == nil) != (wantErr == nil) {
+		return Ref{}, fmt.Errorf("Append: err %v, model err %v", err, wantErr)
 	}
-	if err == nil {
-		p.refs = append(p.refs, ref)
+	if err != nil {
+		return Ref{}, nil
+	}
+	if want := p.refOf(ord); ref != want {
+		return Ref{}, fmt.Errorf("Append: ref %+v, RefAt of the model's %+v is %+v", ref, ord, want)
+	}
+	p.refs = append(p.refs, refPair{ref, ord})
+	if e.Type == EntryObject {
+		p.live[ref] = ord
 	}
 	return ref, nil
 }
 
 func (p *modelPair) markDead(ref Ref) error {
-	p.model.markDead(ref)
+	p.model.markDead(p.live[ref])
 	delete(p.live, ref)
 	return p.log.MarkDead(ref)
 }
@@ -218,8 +249,12 @@ func (p *modelPair) markDead(ref Ref) error {
 func (p *modelPair) clean(maxSegments int) error {
 	type move struct{ old, new Ref }
 	var got, want []move
-	live := func(ref Ref) bool { return p.live[ref] }
-	wantStats := p.model.clean(maxSegments, live, func(old, new Ref) { want = append(want, move{old, new}) })
+	var wantNew []ordRef
+	live := func(ref Ref) bool { _, ok := p.live[ref]; return ok }
+	wantStats := p.model.clean(maxSegments, func(old ordRef) bool { return live(p.refOf(old)) }, func(old, new ordRef) {
+		want = append(want, move{old: p.refOf(old)}) // new is in a segment the byte log has yet to open
+		wantNew = append(wantNew, new)
+	})
 	stats, err := p.log.Clean(maxSegments, func(ref Ref, e Entry) bool { return live(ref) }, func(old, new Ref, e Entry) {
 		got = append(got, move{old, new})
 	})
@@ -229,14 +264,17 @@ func (p *modelPair) clean(maxSegments int) error {
 	if stats != wantStats {
 		return fmt.Errorf("Clean(%d): %+v, model %+v", maxSegments, stats, wantStats)
 	}
+	for i := range want {
+		want[i].new = p.refOf(wantNew[i])
+	}
 	if !slices.Equal(got, want) {
 		return fmt.Errorf("Clean(%d) relocated %v, model %v", maxSegments, got, want)
 	}
-	for _, m := range got {
-		p.refs = append(p.refs, m.new)
-		if p.live[m.old] {
+	for i, m := range got {
+		p.refs = append(p.refs, refPair{m.new, wantNew[i]})
+		if _, ok := p.live[m.old]; ok {
 			delete(p.live, m.old)
-			p.live[m.new] = true
+			p.live[m.new] = wantNew[i]
 		}
 	}
 	return nil
@@ -253,9 +291,10 @@ func (p *modelPair) check() error {
 	if a, b := p.log.SegmentCount(), len(p.model.segments); a != b {
 		return fmt.Errorf("SegmentCount %d, model %d", a, b)
 	}
-	for _, ref := range p.refs {
+	for _, r := range p.refs {
+		ref := r.ref
 		got, err := p.log.Get(ref)
-		want, ok := p.model.get(ref)
+		want, ok := p.model.get(r.ord)
 		if (err == nil) != ok {
 			return fmt.Errorf("Get(%+v): err %v, model has it: %v", ref, err, ok)
 		}
@@ -265,7 +304,7 @@ func (p *modelPair) check() error {
 		if err := sameEntry(got, want); err != nil {
 			return fmt.Errorf("Get(%+v): %w", ref, err)
 		}
-		if (p.live[ref] || got.Type == EntryTombstone) && !got.VerifyChecksum() {
+		if _, live := p.live[ref]; (live || got.Type == EntryTombstone) && !got.VerifyChecksum() {
 			return fmt.Errorf("Get(%+v): checksum does not verify", ref)
 		}
 	}
@@ -314,7 +353,7 @@ func runModelSequence(seed int64) error {
 		cfg.SegmentBytes = 3*blockBytes + rng.Intn(blockBytes)
 		steps = 24
 	}
-	p := &modelPair{log: NewLog(cfg), model: newRefLog(cfg), live: make(map[Ref]bool)}
+	p := &modelPair{log: NewLog(cfg), model: newRefLog(cfg), live: make(map[Ref]ordRef)}
 	anyLive := func() (Ref, bool) {
 		if len(p.live) == 0 {
 			return Ref{}, false
@@ -331,10 +370,7 @@ func runModelSequence(seed int64) error {
 		op := "append"
 		switch k := rng.Intn(10); {
 		case k < 5:
-			var ref Ref
-			if ref, err = p.append(randomEntry(rng, cfg, uint64(step+1))); err == nil {
-				p.live[ref] = true
-			}
+			_, err = p.append(randomEntry(rng, cfg, uint64(step+1)))
 		case k == 5:
 			op = "roll"
 			p.roll()
@@ -346,7 +382,7 @@ func runModelSequence(seed int64) error {
 		case k == 7:
 			op = "delete"
 			if ref, ok := anyLive(); ok {
-				obj, _ := p.model.get(ref)
+				obj, _ := p.model.get(p.live[ref])
 				_, err = p.append(Entry{Type: EntryTombstone, Table: obj.Table, KeyHash: obj.KeyHash,
 					Key: obj.Key, Version: uint64(step + 1), ObjectSegment: ref.Segment})
 				if err == nil {
@@ -422,19 +458,27 @@ func TestAppendCopiesAndGetReturnsClippedViews(t *testing.T) {
 	}
 }
 
-// TestEntriesNeverStraddleBlocks pins the block rule at its edges: an entry
-// that exactly fills a block stays in it, one byte more opens the next, an
-// entry larger than a block has a block of its own, exactly as long, and a
-// segment's last block is no longer than what the segment can still take.
+// TestEntriesNeverStraddleBlocks pins the block and granule rules at
+// their edges: every entry starts on a granule, the only bits of a block's
+// bitmap are its entries' granules, an entry that exactly fills a block
+// from its granule stays in it, one byte more — padding included — opens
+// the next, an entry larger than a block has a block of its own, exactly
+// as long, and a segment's last block is as long as the rest of the
+// segment would store in entries like the one that opened it, padded.
 func TestEntriesNeverStraddleBlocks(t *testing.T) {
 	l := NewLog(Config{SegmentBytes: 3*blockBytes + 1000, TotalBytes: 1 << 30})
 	l.Roll()
-	put := func(stored int) Entry {
+	type place struct{ block, off int }
+	put := func(stored int, want place) Entry {
 		t.Helper()
 		value := bytes.Repeat([]byte{byte(stored)}, stored-entryHeaderBytes-1)
 		ref, err := l.Append(Entry{Type: EntryObject, Key: []byte{'k'}, ValueLen: uint32(len(value)), Value: value})
 		if err != nil {
 			t.Fatal(err)
+		}
+		p := ref.at - 1
+		if got := (place{int(p >> granuleBits), int(p&granuleMask) * granuleBytes}); got != want {
+			t.Fatalf("entry of %d stored bytes at %+v, want %+v", stored, got, want)
 		}
 		e, err := l.Get(ref)
 		if err != nil || !bytes.Equal(e.Value, value) || !e.VerifyChecksum() {
@@ -445,25 +489,98 @@ func TestEntriesNeverStraddleBlocks(t *testing.T) {
 	blockLens := func() []int {
 		var lens []int
 		for _, b := range l.Head().blocks {
-			lens = append(lens, len(b))
+			lens = append(lens, len(b.bytes))
 		}
 		return lens
 	}
-	put(blockBytes - 100)
-	put(100) // fills block 0 to its last byte
+	put(blockBytes-101, place{0, 0})
+	put(96, place{0, blockBytes - 96}) // 5 bytes of padding, then fills block 0 to its last byte
 	if got := blockLens(); fmt.Sprint(got) != fmt.Sprint([]int{blockBytes}) {
 		t.Fatalf("blocks %v after an exact fill, want one of %d", got, blockBytes)
 	}
-	put(blockBytes - 99)
-	put(100) // one byte too many for block 1
-	big := put(blockBytes + 1)
-	small := put(50)
-	want := []int{blockBytes, blockBytes, blockBytes, blockBytes + 1, l.cfg.SegmentBytes - l.Head().accounted + small.StorageSize()}
+	put(blockBytes-101, place{1, 0})
+	put(97, place{2, 0}) // with its padding, one byte too many for block 1
+	big := put(blockBytes+1, place{3, 0})
+	rest := l.cfg.SegmentBytes - l.Head().accounted
+	put(50, place{4, 0})
+	want := []int{blockBytes, blockBytes, blockBytes, blockBytes + 1, rest * 56 / 50}
 	if got := blockLens(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("blocks %v, want %v", got, want)
 	}
-	if again, _ := l.Get(Ref{Segment: l.Head().id, Index: 4}); !bytes.Equal(again.Value, big.Value) {
+	if again, _ := l.Get(l.Head().RefAt(4)); !bytes.Equal(again.Value, big.Value) {
 		t.Fatal("the entry with a block of its own changed when the next block opened")
+	}
+	// Each bitmap has a bit per granule (one for the block of its own), and
+	// the bits set are the entries' granules.
+	wantBits := make([][]int, len(want))
+	for i := 0; i < l.Head().Entries(); i++ {
+		p := l.Head().RefAt(i).at - 1
+		wantBits[p>>granuleBits] = append(wantBits[p>>granuleBits], int(p&granuleMask))
+	}
+	for bi, b := range l.Head().blocks {
+		granules := (len(b.bytes) + granuleBytes - 1) / granuleBytes
+		if len(b.bytes) > blockBytes {
+			granules = 1
+		}
+		if len(b.starts) != (granules+7)/8 {
+			t.Fatalf("block %d of %d bytes has a bitmap of %d bytes, want %d", bi, len(b.bytes), len(b.starts), (granules+7)/8)
+		}
+		var bits []int
+		for g := 0; g < 8*len(b.starts); g++ {
+			if b.starts[g/8]&(1<<(g%8)) != 0 {
+				bits = append(bits, g)
+			}
+		}
+		if fmt.Sprint(bits) != fmt.Sprint(wantBits[bi]) {
+			t.Fatalf("block %d: start bits %v, entries at granules %v", bi, bits, wantBits[bi])
+		}
+	}
+}
+
+// TestBlockIndexStaysInPackingRange: a segment that keeps opening small
+// blocks — each sized for a virtual value that accounts for a lot and
+// stores little, then filled with small real values until neither fits —
+// would pass the 128 blocks a ref's position addresses; once it is down
+// to its spare blocks, new ones are large enough that it never does, and
+// every entry still reads back at its ref.
+func TestBlockIndexStaysInPackingRange(t *testing.T) {
+	cfg := DefaultConfig()
+	l := NewLog(cfg)
+	l.Roll()
+	small := make([]byte, 24)
+	realNeed := entryHeaderBytes + 1 + len(small)
+	fits := func() bool {
+		s := l.Head()
+		if len(s.blocks) == 0 {
+			return false
+		}
+		start := (s.used + granuleBytes - 1) &^ (granuleBytes - 1)
+		return start+realNeed <= len(s.blocks[len(s.blocks)-1].bytes)
+	}
+	var refs []Ref
+	for i := 0; ; i++ {
+		// The virtual entry stores more than the real one, so it opens a block
+		// whenever the real one no longer fits.
+		e := Entry{Type: EntryObject, Key: bytes.Repeat([]byte{'v'}, 40), ValueLen: 40 << 10, Version: uint64(i)}
+		if fits() {
+			e = Entry{Type: EntryObject, Key: []byte{'k'}, ValueLen: uint32(len(small)), Value: small, Version: uint64(i)}
+		}
+		if l.NeedsRoll(e.StorageSize()) {
+			break
+		}
+		ref, err := l.Append(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	if n := len(l.Head().blocks); n > maxBlocks || n <= maxBlocks-spareBlocks(cfg.SegmentBytes) {
+		t.Fatalf("%d blocks: want the spare blocks in use (more than %d) and at most %d", n, maxBlocks-spareBlocks(cfg.SegmentBytes), maxBlocks)
+	}
+	for i, ref := range refs {
+		if e, err := l.Get(ref); err != nil || e.Version != uint64(i) || UnpackRef(ref.Packed()) != ref {
+			t.Fatalf("entry %d at %+v: version %d, %v", i, ref, e.Version, err)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func NewReplica(segmentBytes int) *Replica {
 // master's, not recomputed.
 func (r *Replica) Append(e Entry) {
 	size := e.StorageSize()
-	e.encode(r.seg.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, r.capacity-r.seg.accounted))
+	e.encode(r.seg.reserve(entryHeaderBytes+len(e.Key)+len(e.Value), size, r.capacity))
 	r.seg.accounted += size
 }
 

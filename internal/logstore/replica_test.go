@@ -90,3 +90,25 @@ func TestReplicaMatchesObjectModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplicaTakesMoreThanItsSegment: a backup can be handed more than the
+// segment it replicates holds (the simulated recovery at -scale 1 does),
+// and a replica makes no refs, so it is not bound by the blocks a ref's
+// position addresses: past its capacity every entry gets a block of its
+// own, and all of them read back.
+func TestReplicaTakesMoreThanItsSegment(t *testing.T) {
+	r := NewReplica(1024)
+	value := bytes.Repeat([]byte{'v'}, 50)
+	const n = 3 * maxBlocks
+	for i := 0; i < n; i++ {
+		r.Append(Entry{Type: EntryObject, Key: []byte("k"), ValueLen: uint32(len(value)), Value: value, Version: uint64(i)})
+	}
+	if len(r.seg.blocks) <= maxBlocks {
+		t.Fatalf("%d blocks: the replica never passed %d", len(r.seg.blocks), maxBlocks)
+	}
+	for i := 0; i < n; i++ {
+		if e := r.At(i); e.Version != uint64(i) || !bytes.Equal(e.Value, value) {
+			t.Fatalf("entry %d read back as version %d", i, e.Version)
+		}
+	}
+}

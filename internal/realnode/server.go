@@ -206,6 +206,11 @@ func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.Multi
 		s.wrongServer++
 		return wire.MultiReadResult{Status: wire.StatusWrongServer}
 	}
+	return s.lookupLocked(table, key, keyHash)
+}
+
+// lookupLocked is readLocked of a key this master owns.
+func (s *Server) lookupLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
 	var e logstore.Entry
 	if !s.st.Lookup(&e, table, key, keyHash) || e.Type != logstore.EntryObject {
 		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
@@ -270,12 +275,35 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 	return &wire.DeleteResp{Status: wire.StatusOK, Version: tomb.Version}
 }
 
+// stackBatch is the largest batch whose key hashes a multi-op keeps on
+// the stack; a larger one allocates them.
+const stackBatch = 64
+
+// A multi-op hashes every item before it takes s.mu, then, under it,
+// settles which items this master owns and prefetches each owned item's
+// index bucket before the first lookup, so the items' cache misses
+// overlap instead of following one another. The prefetch must come after
+// the lock: a concurrent writer may double the index.
 func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 	items := make([]wire.MultiReadResult, len(m.Items))
+	var buf [stackBatch]uint64
+	hashes := buf[:0]
+	for i := range m.Items {
+		hashes = append(hashes, hashtable.HashKey(m.Items[i].Table, m.Items[i].Key))
+	}
 	s.mu.Lock()
 	for i := range m.Items {
-		it := &m.Items[i]
-		items[i] = s.readLocked(it.Table, it.Key, hashtable.HashKey(it.Table, it.Key))
+		if !s.st.Owns(m.Items[i].Table, hashes[i]) {
+			s.wrongServer++
+			items[i].Status = wire.StatusWrongServer
+			continue
+		}
+		s.st.Prefetch(hashes[i])
+	}
+	for i := range m.Items {
+		if items[i].Status == 0 {
+			items[i] = s.lookupLocked(m.Items[i].Table, m.Items[i].Key, hashes[i])
+		}
 	}
 	s.mu.Unlock()
 	return &wire.MultiReadResp{Status: wire.StatusOK, Items: items}
@@ -283,20 +311,30 @@ func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 
 func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 	items := make([]wire.MultiWriteResult, len(m.Items))
+	var buf [stackBatch]uint64
+	hashes := buf[:0]
+	for i := range m.Items {
+		hashes = append(hashes, hashtable.HashKey(m.Items[i].Table, m.Items[i].Key))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range m.Items {
-		it := &m.Items[i]
-		keyHash := hashtable.HashKey(it.Table, it.Key)
-		if !s.st.Owns(it.Table, keyHash) {
+		if !s.st.Owns(m.Items[i].Table, hashes[i]) {
 			s.wrongServer++
 			items[i].Status = wire.StatusWrongServer
 			continue
 		}
+		s.st.Prefetch(hashes[i])
+	}
+	for i := range m.Items {
+		if items[i].Status != 0 {
+			continue
+		}
+		it := &m.Items[i]
 		entry := logstore.Entry{
 			Type:     logstore.EntryObject,
 			Table:    it.Table,
-			KeyHash:  keyHash,
+			KeyHash:  hashes[i],
 			Key:      it.Key,
 			ValueLen: it.ValueLen,
 			Value:    it.Value,

@@ -50,6 +50,7 @@ func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusRetry})
 		return
 	}
+	s.st.Prefetch(keyHash) // the bucket loads while the service time passes
 	s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
 	var e logstore.Entry
 	if !s.st.Lookup(&e, m.Table, m.Key, keyHash) || e.Type != logstore.EntryObject {
@@ -76,6 +77,7 @@ func (s *Server) serveWrite(p *sim.Proc, req rpc.Request, m *wire.WriteReq) {
 		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusRetry})
 		return
 	}
+	s.st.Prefetch(keyHash) // the bucket loads while the log-head lock and the service time pass
 	entry := logstore.Entry{
 		Type:     logstore.EntryObject,
 		Table:    m.Table,
@@ -111,6 +113,7 @@ func (s *Server) serveDelete(p *sim.Proc, req rpc.Request, m *wire.DeleteReq) {
 		s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusRetry})
 		return
 	}
+	s.st.Prefetch(keyHash) // the bucket loads while the log-head lock and the service time pass
 	version, seg, status := s.deleteLocked(p, m.Table, keyHash, m.Key)
 	if status != wire.StatusOK {
 		s.ep.Reply(req, &wire.DeleteResp{Status: status})
@@ -147,6 +150,7 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 			items[i].Status = wire.StatusRetry
 			continue
 		}
+		s.st.Prefetch(hashes[i])
 		cost += s.cfg.Costs.Read
 	}
 	s.busy(p, sim.Scale(cost, s.interference()))
@@ -193,6 +197,7 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 			items[i].Status = wire.StatusRetry
 			continue
 		}
+		s.st.Prefetch(hashes[i])
 		owned++
 		cost += s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(it.ValueLen)/1024)
 	}

@@ -116,7 +116,7 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 			if e.Table != table || e.KeyHash < first || e.KeyHash > last {
 				continue
 			}
-			ref := logstore.Ref{Segment: id, Index: i}
+			ref := seg.RefAt(i)
 			if !s.st.IsLive(ref, e) {
 				continue
 			}

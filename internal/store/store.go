@@ -149,6 +149,11 @@ func (s *Store) keyEq(table uint64, key []byte) hashtable.EqualFunc {
 	}
 }
 
+// Prefetch starts loading keyHash's index bucket into the cache, for a
+// lookup, put or delete of the key that follows other work (see
+// hashtable.Table.Prefetch).
+func (s *Store) Prefetch(keyHash uint64) { s.ht.Prefetch(keyHash) }
+
 // Lookup makes e a view of the log entry indexed for (table, key). The
 // candidate that matches is the answer, so a hit costs one log read, not
 // one to compare and one to fetch; e is the caller's so that the 100-byte

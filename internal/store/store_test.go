@@ -180,7 +180,7 @@ func (m *model) check() {
 					liveBytes += int64(e.StorageSize())
 					continue
 				}
-				if !st.IsLive(logstore.Ref{Segment: id, Index: i}, e) {
+				if !st.IsLive(seg.RefAt(i), e) {
 					continue
 				}
 				k := modelKey{e.Table, string(e.Key)}

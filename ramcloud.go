@@ -78,7 +78,8 @@ type Options struct {
 	// Seed drives all randomness; runs with equal seeds are identical.
 	// Default 1.
 	Seed int64
-	// SegmentBytes overrides the 8 MB log segment size.
+	// SegmentBytes overrides the 8 MB log segment size; at most about
+	// 54 MiB, what a log reference addresses.
 	SegmentBytes int
 	// LogBytes overrides the 10 GB per-server log capacity.
 	LogBytes int64
