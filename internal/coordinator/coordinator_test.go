@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ramcloud/internal/client"
+	"ramcloud/internal/hashtable"
 	"ramcloud/internal/machine"
 	"ramcloud/internal/server"
 	"ramcloud/internal/sim"
@@ -112,14 +113,22 @@ func TestClientTableRPCs(t *testing.T) {
 func TestFailureDetectionAndRecoveryRecord(t *testing.T) {
 	r := newRig(t, 4, 2)
 	r.coord.CreateTableDirect("t", 4)
-	// Seed data so the dead server has something to recover.
+	// Seed data so the dead server has something to recover: the first
+	// server takes every record, and its segments are then placed on
+	// backups in the order it opened them.
+	var segments []uint64
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("user%010d", i))
-		for _, s := range r.servers {
-			if err := s.FastLoad(1, key, 512); err == nil {
-				break
-			}
+		seg, err := r.servers[0].Load(1, key, hashtable.HashKey(1, key), 512)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(segments) == 0 || segments[len(segments)-1] != seg {
+			segments = append(segments, seg)
+		}
+	}
+	for _, seg := range segments {
+		r.servers[0].PlaceReplicas(seg)
 	}
 	var died int32 = -1
 	r.coord.SetOnDeath(func(id int32) { died = id })

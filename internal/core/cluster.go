@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ramcloud/internal/client"
 	"ramcloud/internal/coordinator"
@@ -133,31 +135,56 @@ func (c *Cluster) CreateTable(name string) uint64 {
 // BulkLoad fills a table with records of the given size in zero simulated
 // time, building the same log, hash-table and replica state a YCSB load
 // phase would. Replicas of sealed segments are marked flushed.
+//
+// It hashes each key once and loads one master at a time, each in record
+// order, so one index and one log head are in cache at a time. Then it
+// copies each segment the load wrote to onto its backups once, in the
+// order of the records that opened the segments: choosing backups draws
+// the engine's randomness, and that is the order loading record by record
+// would have drawn in.
 func (c *Cluster) BulkLoad(table uint64, records, recordSize int) {
 	tablets := c.Coord.TabletMapDirect()
-	reg := c.Coord.Registry()
-	// FastLoad's backup replicas retain the key they are handed (the log
-	// copies it), so a slice per record is an allocation per record; keys
-	// are carved out of slabs instead, each capped at its own length so no
-	// append can reach a neighbour.
-	const slabKeys, keyLen = 4096, len("user0000000000")
-	var slab []byte
-	for i := 0; i < records; i++ {
-		if cap(slab)-len(slab) < keyLen {
-			slab = make([]byte, 0, min(records-i, slabKeys)*keyLen)
-		}
-		start := len(slab)
-		slab = ycsb.AppendKey(slab, i)
-		key := slab[start:len(slab):len(slab)]
-		keyHash := hashtable.HashKey(table, key)
-		t := store.Find(tablets, table, keyHash)
+	hashes := make([]uint64, records)
+	byOwner := make([][]int32, len(c.Servers)+1) // record indices by owner id, 1..N
+	var key []byte                               // the log copies a key, so one buffer serves them all
+	for i := range records {
+		key = ycsb.AppendKey(key[:0], i)
+		hashes[i] = hashtable.HashKey(table, key)
+		t := store.Find(tablets, table, hashes[i])
 		if t == nil {
 			panic(fmt.Sprintf("core: no owner for record %d", i))
 		}
-		owner := reg(simnet.NodeID(t.Master))
-		if err := owner.FastLoad(table, key, uint32(recordSize)); err != nil {
-			panic(fmt.Sprintf("core: bulk load: %v", err))
+		byOwner[t.Master] = append(byOwner[t.Master], int32(i))
+	}
+
+	type placement struct {
+		record  int32
+		master  *server.Server
+		segment uint64
+	}
+	var placements []placement
+	reg := c.Coord.Registry()
+	for id, recs := range byOwner {
+		if len(recs) == 0 {
+			continue
 		}
+		master := reg(simnet.NodeID(id))
+		var last uint64
+		for _, i := range recs {
+			key = ycsb.AppendKey(key[:0], int(i))
+			segment, err := master.Load(table, key, hashes[i], uint32(recordSize))
+			if err != nil {
+				panic(fmt.Sprintf("core: bulk load: %v", err))
+			}
+			if segment != last {
+				placements = append(placements, placement{i, master, segment})
+				last = segment
+			}
+		}
+	}
+	slices.SortFunc(placements, func(a, b placement) int { return cmp.Compare(a.record, b.record) })
+	for _, p := range placements {
+		p.master.PlaceReplicas(p.segment)
 	}
 }
 

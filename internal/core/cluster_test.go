@@ -1,10 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ramcloud/internal/client"
+	"ramcloud/internal/hashtable"
+	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
+	"ramcloud/internal/simnet"
+	"ramcloud/internal/store"
+	"ramcloud/internal/wire"
 	"ramcloud/internal/ycsb"
 )
 
@@ -119,10 +126,10 @@ func TestBulkLoadMatchesClientView(t *testing.T) {
 	}
 }
 
-// TestBulkLoadKeysAreSealedSlabSlices: bulk-loaded keys are carved out of
-// shared slabs, so each must be exactly its record's key and capped at its
-// own length — an append to one may not write into its neighbour. 5,000
-// records cross a slab boundary.
+// TestBulkLoadKeysAreSealedSlabSlices: bulk-loaded keys are written into
+// one reused buffer, so each log must have copied its record's key, and
+// what the log hands back is a view capped at the key's own length — an
+// append to one may not write into its neighbour.
 func TestBulkLoadKeysAreSealedSlabSlices(t *testing.T) {
 	const records = 5000
 	eng := sim.New(3)
@@ -160,6 +167,101 @@ func TestBulkLoadKeysAreSealedSlabSlices(t *testing.T) {
 			t.Fatalf("key %q missing from the logs", ycsb.Key(i))
 		}
 	}
+}
+
+// TestBulkLoadPlacementMatchesRecordOrder: BulkLoad loads one master at a
+// time and places segments afterwards, yet every master's segments end up
+// on the backups, with the bytes and entry counts, that loading record by
+// record gives — the reference loop below places each segment the moment
+// a record opens it, as the loader once did, and refills it at the end.
+func TestBulkLoadPlacementMatchesRecordOrder(t *testing.T) {
+	p := smallProfile()
+	p.Server.Log.SegmentBytes = 16 << 10
+	for _, c := range []struct{ servers, rf, records int }{
+		{3, 1, 3000}, {3, 2, 2000}, {4, 1, 4000}, {4, 2, 3000}, {5, 3, 4000}, {6, 4, 5000}, {8, 2, 4000}, {12, 3, 6000}, {20, 4, 8000},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%d servers RF %d seed %d", c.servers, c.rf, seed)
+			loaded := placementsOf(t, p, c.servers, c.rf, seed, func(cl *Cluster, table uint64) {
+				cl.BulkLoad(table, c.records, 300)
+			})
+			reference := placementsOf(t, p, c.servers, c.rf, seed, func(cl *Cluster, table uint64) {
+				loadRecordByRecord(t, cl, table, c.records, 300)
+			})
+			if len(loaded) == 0 {
+				t.Fatalf("%s: no replicas placed", name)
+			}
+			if fmt.Sprint(loaded) != fmt.Sprint(reference) {
+				t.Fatalf("%s: BulkLoad placed\n%v\nloading record by record placed\n%v", name, loaded, reference)
+			}
+		}
+	}
+}
+
+// loadRecordByRecord loads records in record order, placing a segment's
+// replicas as soon as a record opens it and filling every segment's again
+// once all are loaded.
+func loadRecordByRecord(t *testing.T, cl *Cluster, table uint64, records, size int) {
+	type written struct {
+		master  int32
+		segment uint64
+	}
+	reg := cl.Coord.Registry()
+	last := map[int32]uint64{}
+	var all []written
+	for i := 0; i < records; i++ {
+		key := ycsb.Key(i)
+		hash := hashtable.HashKey(table, key)
+		owner := store.Find(cl.Coord.TabletMapDirect(), table, hash).Master
+		master := reg(simnet.NodeID(owner))
+		segment, err := master.Load(table, key, hash, uint32(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last[owner] != segment {
+			last[owner] = segment
+			master.PlaceReplicas(segment)
+			all = append(all, written{owner, segment})
+		}
+	}
+	for _, w := range all {
+		reg(simnet.NodeID(w.master)).PlaceReplicas(w.segment)
+	}
+}
+
+// placementsOf builds a cluster, loads it with load and lists, for every
+// master's segment, the backups holding a replica and the replica's bytes
+// as each backup's inventory reports them over the fabric, then every
+// backup's replica appends.
+func placementsOf(t *testing.T, p Profile, servers, rf int, seed int64, load func(*Cluster, uint64)) []string {
+	eng := sim.New(seed)
+	cl := NewCluster(eng, p, servers, rf)
+	cl.Start()
+	table := cl.CreateTable("t")
+	load(cl, table)
+	ep := rpc.NewEndpoint(eng, cl.Net, ClientAddrBase)
+	var out []string
+	eng.Go("inventory", func(proc *sim.Proc) {
+		for _, b := range cl.Servers {
+			for _, m := range cl.Servers {
+				resp, ok := ep.CallTimeout(proc, b.Addr(), &wire.SegmentInventoryReq{Master: m.ID()}, sim.Second)
+				if !ok {
+					t.Errorf("inventory of backup %d timed out", b.ID())
+					continue
+				}
+				for _, si := range resp.(*wire.SegmentInventoryResp).Segments {
+					out = append(out, fmt.Sprintf("master %d segment %d on %d: %d bytes", m.ID(), si.Segment, b.ID(), si.Bytes))
+				}
+			}
+			out = append(out, fmt.Sprintf("backup %d: %d appends", b.ID(), b.Stats().ReplicaAppends.Value()))
+		}
+		cl.StopMetering()
+		eng.Stop()
+	})
+	eng.Run()
+	eng.Shutdown()
+	slices.Sort(out)
+	return out
 }
 
 func TestCrashRecoveryPreservesAckedWrites(t *testing.T) {
@@ -296,4 +398,29 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// BenchmarkBulkLoad loads 100,000 1 KiB records into a 10-server cluster
+// with the paper's 8 MB segments, without replicas and at RF 4: what every
+// reproduced figure does before its first operation.
+func BenchmarkBulkLoad(b *testing.B) {
+	for _, rf := range []int{0, 4} {
+		b.Run(fmt.Sprintf("rf%d", rf), func(b *testing.B) {
+			const records = 100_000
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng := sim.New(int64(i + 1))
+				cl := NewCluster(eng, DefaultProfile(), 10, rf)
+				cl.Start()
+				table := cl.CreateTable("usertable")
+				b.StartTimer()
+				cl.BulkLoad(table, records, 1024)
+				b.StopTimer()
+				eng.Shutdown()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
 }

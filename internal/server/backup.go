@@ -14,7 +14,8 @@ import (
 // client requests — the collocation whose contention the paper measures.
 
 // Registry resolves a fabric address to its server object, used only by
-// the zero-time bulk loader (FastLoad) to build cluster state directly.
+// PlaceReplicas to fill a bulk-loaded segment's replicas on its backups
+// directly.
 type Registry func(simnet.NodeID) *Server
 
 // SetRegistry installs the cluster's server lookup for bulk loading.
@@ -77,15 +78,4 @@ func (s *Server) serveGetRecoveryData(p *sim.Proc, req rpc.Request, m *wire.GetR
 // for the given master. Used by tests and verification tooling.
 func (s *Server) ReplicaCount(master int32) int {
 	return len(s.backups.Inventory(&wire.SegmentInventoryReq{Master: master}).Segments)
-}
-
-// fastSealReplicas seals the replicas of a segment FastLoad just rolled on
-// their backups and marks them on disk (the load phase's flushes are
-// assumed complete before the experiment starts).
-func (s *Server) fastSealReplicas(segment uint64) {
-	for _, backup := range s.replicas[segment] {
-		if _, r := s.registry(backup).backups.Close(&wire.CloseSegmentReq{Master: s.id, Segment: segment}); r != nil {
-			r.Flushed()
-		}
-	}
 }

@@ -539,15 +539,15 @@ func (s *Server) computeWill() []wire.WillPartition {
 	return store.SplitRanges(s.st.Tablets, nParts)
 }
 
-// FastLoad inserts a record directly into the master's log, hash table and
-// replica sets without consuming simulated time. It reproduces the state a
-// YCSB load phase would build so experiments can start from a full store.
-// Returns the segments sealed during the load so callers can verify.
-func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
+// Load appends a record to the master's log and index in zero simulated
+// time, as a YCSB load phase would leave them, and returns the id of the
+// segment it landed in. keyHash is hashtable.HashKey(table, key); the log
+// copies key. Load touches no backup: PlaceReplicas copies each segment
+// the load wrote to once the load is done.
+func (s *Server) Load(table uint64, key []byte, keyHash uint64, valueLen uint32) (uint64, error) {
 	if s.dead {
-		return fmt.Errorf("server %d is dead", s.id)
+		return 0, fmt.Errorf("server %d is dead", s.id)
 	}
-	keyHash := hashtable.HashKey(table, key)
 	entry := logstore.Entry{
 		Type:     logstore.EntryObject,
 		Table:    table,
@@ -557,27 +557,44 @@ func (s *Server) FastLoad(table uint64, key []byte, valueLen uint32) error {
 		Version:  s.st.NextVersion(),
 	}
 	if s.st.Log.NeedsRoll(entry.StorageSize()) {
-		sealed, head := s.st.Log.Roll()
-		if rf := s.cfg.ReplicationFactor; rf > 0 {
-			if sealed != nil {
-				s.fastSealReplicas(sealed.ID())
-			}
-			s.replicas[head.ID()] = s.chooseBackups(rf)
-			for _, b := range s.replicas[head.ID()] {
-				s.registry(b).backups.Open(&wire.OpenSegmentReq{Master: s.id, Segment: head.ID()})
-			}
-		}
+		s.st.Log.Roll()
 	}
 	ref, err := s.st.Put(entry)
-	if err != nil {
-		return err
+	return ref.Segment, err
+}
+
+// PlaceReplicas copies a segment Load wrote to onto its backups in zero
+// simulated time, each replica filled once from the segment's bytes. A
+// segment Load opened gets its backups chosen and opened first, drawing
+// the engine's randomness as a roll does, so a load places its segments
+// in the order of the records that opened them, across masters: the
+// order loading record by record would have drawn in. A sealed segment's
+// replicas are closed and marked on disk: the load phase's flushes are
+// assumed complete before the experiment starts.
+func (s *Server) PlaceReplicas(segment uint64) {
+	rf := s.cfg.ReplicationFactor
+	seg, ok := s.st.Log.Segment(segment)
+	if rf <= 0 || !ok {
+		return
 	}
-	if s.cfg.ReplicationFactor > 0 {
-		for _, b := range s.replicas[ref.Segment] {
-			if backup := s.registry(b); backup.backups.Append(s.id, ref.Segment, entry) {
-				backup.stats.ReplicaAppends.Inc()
-			}
+	backups, placed := s.replicas[segment]
+	if !placed {
+		backups = s.chooseBackups(rf)
+		s.replicas[segment] = backups
+		for _, b := range backups {
+			s.registry(b).backups.Open(&wire.OpenSegmentReq{Master: s.id, Segment: segment})
 		}
 	}
-	return nil
+	for _, b := range backups {
+		backup := s.registry(b)
+		if added, ok := backup.backups.Fill(s.id, seg); ok {
+			backup.stats.ReplicaAppends.Add(int64(added))
+		}
+		if !seg.Sealed() {
+			continue
+		}
+		if _, r := backup.backups.Close(&wire.CloseSegmentReq{Master: s.id, Segment: segment}); r != nil {
+			r.Flushed()
+		}
+	}
 }

@@ -314,12 +314,14 @@ func TestTwoBackupsFailInOneFanOut(t *testing.T) {
 
 // TestReplayChainReachesEveryBackup kills the second of the head
 // segment's three backups and re-replicates one replayed object through
-// the serial chain. The third backup must receive it: the chain reads the
-// live backup set, which handleBackupFailure rewrites in place, so today
-// it sends to the substitute (which already has the object from the
-// resend) instead.
+// the serial chain. The third backup must receive it, and the substitute
+// must hold it once: the chain reads the live backup set, which
+// handleBackupFailure rewrites in place, so today it sends to the
+// substitute (which already has the object from the resend) instead, and
+// the substitute's replica outgrows the segment. That double append is
+// what the -scale 1 segment sweep shows on recovery masters' heads.
 func TestReplayChainReachesEveryBackup(t *testing.T) {
-	t.Skip("known fault: fixing it moves the recovery renderings (fig9a, fig9b, fig10, fig11a, fig11b); it belongs to the golden re-baseline in ROADMAP.md's paper-fidelity item")
+	t.Skip("known fault: fixing it moves the recovery renderings (fig9a, fig9b, fig10, fig11a, fig11b); it belongs to the golden re-baseline, ROADMAP 6(c)")
 	cfg := smallCfg(3)
 	cfg.ReplicationTimeout = 50 * sim.Millisecond
 	rig := newRig(t, 6, cfg)
@@ -347,6 +349,13 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 	rig.eng.Shutdown()
 	if got := third.Stats().ReplicaAppends.Value(); got != 2 {
 		t.Fatalf("the backup after the failed one holds %d of the 2 objects", got)
+	}
+	head := m.Log().Head()
+	set := m.replicas[head.ID()]
+	sub := m.registry(set[len(set)-1])
+	inv := sub.backups.Inventory(&wire.SegmentInventoryReq{Master: m.ID()})
+	if len(inv.Segments) != 1 || int(inv.Segments[0].Bytes) != head.Accounted() {
+		t.Fatalf("the substitute holds %+v; the head is %d bytes", inv.Segments, head.Accounted())
 	}
 }
 
@@ -421,17 +430,33 @@ func readAllocs(t *testing.T) float64 {
 	rig := newRig(t, 1, DefaultConfig())
 	defer rig.eng.Shutdown()
 	m := rig.servers[0]
-	for i := 0; i < 64; i++ {
-		if err := m.FastLoad(1, ycsbKey(i), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, m, 64, 100)
 	rig.eng.Go("client", func(p *sim.Proc) {
 		for i := 0; ; i++ {
 			rig.client.Call(p, m.Addr(), &wire.ReadReq{Table: 1, Key: ycsbKey(i % 64)})
 		}
 	})
 	return allocsPerStep(t, rig.eng, m.Stats().ReadsOK.Value)
+}
+
+// load bulk-loads keys 0..n-1 of table 1 into m, then places the replicas
+// of each segment it wrote in the order it wrote them.
+func load(t *testing.T, m *Server, n int, valueLen uint32) {
+	t.Helper()
+	var segments []uint64
+	for i := 0; i < n; i++ {
+		key := ycsbKey(i)
+		seg, err := m.Load(1, key, hashtable.HashKey(1, key), valueLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segments) == 0 || segments[len(segments)-1] != seg {
+			segments = append(segments, seg)
+		}
+	}
+	for _, seg := range segments {
+		m.PlaceReplicas(seg)
+	}
 }
 
 // replayAllocs returns the objects one replayed object allocates while a
@@ -444,11 +469,7 @@ func replayAllocs(t *testing.T, rf int) float64 {
 	rig := newRig(t, 6, cfg)
 	defer rig.eng.Shutdown()
 	crashed, rm := rig.servers[0], rig.servers[1]
-	for i := 0; i < n; i++ {
-		if err := crashed.FastLoad(1, ycsbKey(i), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, crashed, n, 100)
 	var locs []wire.SegmentLoc
 	for id := uint64(1); id <= crashed.Log().Head().ID(); id++ {
 		locs = append(locs, wire.SegmentLoc{Segment: id, Backup: int32(crashed.replicas[id][0])})
@@ -526,6 +547,49 @@ func TestBackupFailureReplacement(t *testing.T) {
 	rig.eng.Shutdown()
 	if rig.servers[0].Stats().BackupFailures.Value() == 0 {
 		t.Fatal("backup failure not detected")
+	}
+}
+
+// TestTimedOutResendIsNotAppendedTwice: a substitute backup whose resend
+// of the open segment timed out at the master still took it, and is still
+// a candidate. When the segment's other backup dies too, the master picks
+// it again and resends the segment whole; the substitute's replica must
+// then hold the segment once, not the first resend with the second
+// appended behind it. Segment 1 holds 500 bulk-loaded 1 KiB objects, so a
+// resend keeps a backup busy past the 2 ms replication timeout.
+func TestTimedOutResendIsNotAppendedTwice(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReplicationFactor = 2
+	cfg.ReplicationTimeout = 2 * sim.Millisecond
+	rig := newRig(t, 4, cfg)
+	m := rig.servers[0]
+	const n = 500
+	load(t, m, n, 1024)
+	var substitute *Server
+	for _, s := range rig.servers[1:] {
+		if !slices.Contains(m.replicas[1], s.Addr()) {
+			substitute = s
+		}
+	}
+	rig.eng.Go("client", func(p *sim.Proc) {
+		for i, b := range slices.Clone(m.replicas[1]) {
+			m.registry(b).Kill()
+			if resp := rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: ycsbKey(n + i), ValueLen: 1024}).(*wire.WriteResp); resp.Status != wire.StatusOK {
+				t.Errorf("write after backup %d died: %v", b, resp.Status)
+			}
+			p.Sleep(100 * sim.Millisecond) // the substitute works off the resend
+		}
+		rig.eng.Stop()
+	})
+	rig.eng.Run()
+	rig.eng.Shutdown()
+	if m.Stats().BackupFailures.Value() != 2 {
+		t.Fatalf("%d backup failures, want 2", m.Stats().BackupFailures.Value())
+	}
+	seg, _ := m.Log().Segment(1)
+	inv := substitute.backups.Inventory(&wire.SegmentInventoryReq{Master: m.ID()})
+	if len(inv.Segments) != 1 || int(inv.Segments[0].Bytes) != seg.Accounted() {
+		t.Fatalf("the substitute holds %+v of master %d; its segment 1 is %d bytes", inv.Segments, m.ID(), seg.Accounted())
 	}
 }
 

@@ -64,13 +64,11 @@ func segments(byMaster map[int32]map[uint64]*Replica, master int32) map[uint64]*
 	return m
 }
 
-// Open opens an empty replica of the master's segment, unless it is open
-// already.
+// Open opens an empty replica of the master's segment. One still open
+// is emptied: a master opens a replica again only to resend the segment
+// whole, after an earlier resend timed out at the master yet was taken.
 func (b *Backups) Open(m *wire.OpenSegmentReq) *wire.OpenSegmentResp {
-	open := segments(b.open, m.Master)
-	if _, ok := open[m.Segment]; !ok {
-		open[m.Segment] = &Replica{data: logstore.NewReplica(b.segmentBytes)}
-	}
+	segments(b.open, m.Master)[m.Segment] = &Replica{data: logstore.NewReplica(b.segmentBytes)}
 	return openSegmentOK
 }
 
@@ -90,14 +88,18 @@ func (b *Backups) Replicate(m *wire.ReplicateReq) (*wire.ReplicateResp, int) {
 	return replicateOK, bytes
 }
 
-// Append is Replicate of one entry, for a master's bulk load: it reports
-// whether the replica was open to take it.
-func (b *Backups) Append(master int32, segment uint64, e logstore.Entry) bool {
-	r, ok := b.open[master][segment]
-	if ok {
-		r.data.Append(e)
+// Fill makes the master's open replica of seg a copy of the segment, for
+// a master's bulk load, and returns how many entries that added: the
+// replica is what replicating each of them would have made. It reports
+// false when the replica is not open.
+func (b *Backups) Fill(master int32, seg *logstore.Segment) (int, bool) {
+	r, ok := b.open[master][seg.ID()]
+	if !ok {
+		return 0, false
 	}
-	return ok
+	added := seg.Entries() - r.data.Len()
+	r.data.Fill(seg)
+	return added, true
 }
 
 // RDMAWrite is Replicate as a one-sided write: one to a replica that is
