@@ -21,18 +21,32 @@ type Registry func(simnet.NodeID) *Server
 // SetRegistry installs the cluster's server lookup for bulk loading.
 func (s *Server) SetRegistry(r Registry) { s.registry = r }
 
-func (s *Server) serveReplicate(p *sim.Proc, req rpc.Request, m *wire.ReplicateReq) {
+// startReplicate is the prefix of a replica append: the append itself,
+// whose copy the returned service time pays for. An append to a replica
+// that is not open costs nothing and is answered at once.
+func (w *worker) startReplicate(req rpc.Request, m *wire.ReplicateReq) (sim.Duration, bool) {
+	s := w.s
 	resp, bytes := s.backups.Replicate(m)
-	if bytes > 0 { // nothing is charged for a replica that is not open
-		cost := sim.Duration(int64(s.cfg.Costs.ReplicaAppend)*int64(len(m.Objects))) +
-			sim.Scale(s.cfg.Costs.PerKByte, float64(bytes)/1024)
-		s.busy(p, sim.Scale(cost, s.interference()))
-		s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
+	if bytes == 0 {
+		s.ep.Reply(req, resp)
+		return 0, false
 	}
+	w.replicated = resp
+	cost := sim.Duration(int64(s.cfg.Costs.ReplicaAppend)*int64(len(m.Objects))) +
+		sim.Scale(s.cfg.Costs.PerKByte, float64(bytes)/1024)
+	return sim.Scale(cost, s.interference()), true
+}
+
+// finishReplicate is the tail of a replica append: the count and the ack.
+func (w *worker) finishReplicate(req rpc.Request, m *wire.ReplicateReq) {
+	s := w.s
+	s.stats.ReplicaAppends.Add(int64(len(m.Objects)))
+	resp := w.replicated
+	w.replicated = nil
 	s.ep.Reply(req, resp)
 }
 
-func (s *Server) serveCloseSegment(p *sim.Proc, req rpc.Request, m *wire.CloseSegmentReq) {
+func (s *Server) serveCloseSegment(req rpc.Request, m *wire.CloseSegmentReq) {
 	resp, r := s.backups.Close(m)
 	if r != nil {
 		s.flushQ.Push(r)

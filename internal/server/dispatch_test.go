@@ -34,7 +34,11 @@ func dispatchOnly(cfg Config, n int, prepare func(*Server)) []handed {
 	s := New(eng, node, net, simdisk.New(eng, simdisk.DefaultConfig()), simnet.NodeID(-1), cfg)
 	s.startDispatch()
 	var got []handed
-	for _, q := range append(slices.Clone(s.workQs), s.backupQ) {
+	var queues []*sim.Queue[rpc.Request]
+	for i := range s.workers {
+		queues = append(queues, &s.workers[i].q)
+	}
+	for _, q := range append(queues, &s.backupSvc.q) {
 		eng.Go("drain", func(p *sim.Proc) {
 			for {
 				if req := q.Pop(p); req.Msg != nil { // not a poison pill from Kill

@@ -39,21 +39,31 @@ func (s *Server) Tablets() []wire.Tablet {
 	return append([]wire.Tablet(nil), s.st.Tablets...)
 }
 
-func (s *Server) serveRead(p *sim.Proc, req rpc.Request, m *wire.ReadReq) {
+// startRead is the prefix of a read: the ownership and freeze checks,
+// which may answer it, and the prefetch of its index bucket. It returns
+// the read's service time.
+func (w *worker) startRead(req rpc.Request, m *wire.ReadReq) (sim.Duration, bool) {
+	s := w.s
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	if !s.st.Owns(m.Table, keyHash) {
 		s.stats.WrongServer.Inc()
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusWrongServer})
-		return
+		return 0, false
 	}
 	if s.frozenKey(m.Table, keyHash) {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusRetry})
-		return
+		return 0, false
 	}
 	s.st.Prefetch(keyHash) // the bucket loads while the service time passes
-	s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
+	w.keyHash = keyHash
+	return sim.Scale(s.cfg.Costs.Read, s.interference()), true
+}
+
+// finishRead is the tail of a read: the lookup and the answer.
+func (w *worker) finishRead(req rpc.Request, m *wire.ReadReq) {
+	s := w.s
 	var e logstore.Entry
-	if !s.st.Lookup(&e, m.Table, m.Key, keyHash) || e.Type != logstore.EntryObject {
+	if !s.st.Lookup(&e, m.Table, m.Key, w.keyHash) || e.Type != logstore.EntryObject {
 		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
 		return
 	}
@@ -129,12 +139,14 @@ func (s *Server) serveDelete(p *sim.Proc, req rpc.Request, m *wire.DeleteReq) {
 	s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusOK, Version: version})
 }
 
-// serveMultiRead services a read batch. The dispatch cost was paid once
-// for the whole RPC (that is the point of batching); the worker burns the
-// per-item read cost as one contiguous busy span, then answers every item.
-// Items this master does not own come back StatusWrongServer individually
-// so a tablet move mid-batch costs the client one regroup, not the batch.
-func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadReq) {
+// startMultiRead is the prefix of a read batch. The dispatch cost was
+// paid once for the whole RPC (that is the point of batching); the worker
+// burns the per-item read cost as one contiguous busy span, which it
+// returns, and finishMultiRead then answers every item. Items this master
+// does not own come back StatusWrongServer individually so a tablet move
+// mid-batch costs the client one regroup, not the batch.
+func (w *worker) startMultiRead(m *wire.MultiReadReq) sim.Duration {
+	s := w.s
 	items := make([]wire.MultiReadResult, len(m.Items))
 	hashes := make([]uint64, len(m.Items))
 	var cost sim.Duration
@@ -153,7 +165,15 @@ func (s *Server) serveMultiRead(p *sim.Proc, req rpc.Request, m *wire.MultiReadR
 		s.st.Prefetch(hashes[i])
 		cost += s.cfg.Costs.Read
 	}
-	s.busy(p, sim.Scale(cost, s.interference()))
+	w.items, w.hashes = items, hashes
+	return sim.Scale(cost, s.interference())
+}
+
+// finishMultiRead is the tail of a read batch: the lookups and the answer.
+func (w *worker) finishMultiRead(req rpc.Request, m *wire.MultiReadReq) {
+	s := w.s
+	items, hashes := w.items, w.hashes
+	w.items, w.hashes = nil, nil
 	for i := range m.Items {
 		if items[i].Status != 0 {
 			continue

@@ -16,7 +16,11 @@
 //     affine worker (connWorker), and an idle worker spins for
 //     Costs.SpinTimeout before sleeping, so each active client keeps one
 //     worker's core busy. Both choices are what make CPU usage saturate
-//     long before throughput does (Finding 1).
+//     long before throughput does (Finding 1). A worker is a proc only
+//     while it blocks (worker.go): a request that never waits on a lock,
+//     a disk or an RPC — a read, a replica append, a ping — runs as
+//     engine callbacks, and the worker's proc stays suspended until a
+//     write, a delete or a recovery request needs it.
 //   - Writes serialize on the log head; queueing there inflates service
 //     time quadratically (the "nanoscheduling" thrash of Finding 2).
 //   - Replication requests from other masters run through the same
@@ -60,19 +64,19 @@ type Server struct {
 	frozen   []wire.Tablet              // ranges mid-migration; ops answer StatusRetry
 	replicas map[uint64][]simnet.NodeID // segment id -> backup set
 
-	// workQs holds one queue per worker. The dispatch thread routes each
+	// workers are the client workers. The dispatch thread routes each
 	// client request to the worker owning its connection (hash of the
 	// source), RAMCloud's cache-affinity scheduling: one active client
 	// connection keeps exactly one worker spin-hot (Table I's +25% CPU
 	// per client).
-	workQs []*sim.Queue[rpc.Request]
+	workers []worker
 
-	// backupQ feeds the backup service thread, which handles the whole
+	// backupSvc is the backup service thread, which handles the whole
 	// replication and recovery plane. Keeping it off the client workers
 	// prevents replication RPCs from convoying behind a worker that is
 	// itself blocked waiting for acks; its CPU still lands on the same
 	// node, which is the contention the paper measures (Finding 3).
-	backupQ *sim.Queue[rpc.Request]
+	backupSvc worker
 
 	// The dispatch thread: busy from its wake-up until it finds Inbound
 	// empty, paying for inHand (and, once penalized, for RecoveryPenalty
@@ -96,7 +100,8 @@ type Server struct {
 }
 
 // New creates a server on the given node and attaches it to the fabric.
-// Call Start to launch its dispatch thread and worker procs.
+// Call Start to launch its dispatch thread, its workers and the procs
+// behind them.
 func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.Disk,
 	coordinator simnet.NodeID, cfg Config) *Server {
 	if cfg.Workers < 1 {
@@ -120,10 +125,11 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		backups:     store.NewBackups(cfg.Log.SegmentBytes),
 		flushQ:      sim.NewQueue[*store.Replica](e),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.workQs = append(s.workQs, sim.NewQueue[rpc.Request](e))
+	s.workers = make([]worker, cfg.Workers)
+	for i := range s.workers {
+		s.workers[i].init(s)
 	}
-	s.backupQ = sim.NewQueue[rpc.Request](e)
+	s.backupSvc.init(s)
 	s.ep = rpc.NewEndpoint(e, net, simnet.NodeID(node.ID))
 	s.takeFn, s.handOffFn = s.takeRequest, s.handOff
 	return s
@@ -147,19 +153,15 @@ func (s *Server) SetPeers(peers []simnet.NodeID) {
 	s.peers = append([]simnet.NodeID(nil), peers...)
 }
 
-// Start launches the dispatch thread (pinning one core) and the worker and
-// flush procs.
+// Start launches the dispatch thread (pinning one core), the workers, each
+// with the proc it serves blocking requests on, and the flush proc.
 func (s *Server) Start() {
 	s.startDispatch()
-	for i := 0; i < s.cfg.Workers; i++ {
-		i := i
-		s.eng.Go(fmt.Sprintf("srv%d-worker%d", s.id, i), func(p *sim.Proc) {
-			s.workerLoop(p, s.workQs[i])
-		})
+	for i := range s.workers {
+		w := &s.workers[i]
+		w.proc = s.eng.Go(fmt.Sprintf("srv%d-worker%d", s.id, i), w.loop)
 	}
-	s.eng.Go(fmt.Sprintf("srv%d-backupsvc", s.id), func(p *sim.Proc) {
-		s.workerLoop(p, s.backupQ)
-	})
+	s.backupSvc.proc = s.eng.Go(fmt.Sprintf("srv%d-backupsvc", s.id), s.backupSvc.loop)
 	s.eng.Go(fmt.Sprintf("srv%d-flush", s.id), s.flushLoop)
 	if s.cfg.CleanerThreshold > 0 {
 		s.eng.Go(fmt.Sprintf("srv%d-cleaner", s.id), s.cleanerLoop)
@@ -167,18 +169,19 @@ func (s *Server) Start() {
 }
 
 // Kill crashes the server process: the NIC goes silent, accounting stops,
-// and service procs exit at their next scheduling point. In-flight
-// requests are lost, exactly like a process kill; the dispatch thread
-// drops the one in hand when its callback next runs.
+// and service threads stop at their next scheduling point, their procs
+// exiting. In-flight requests are lost, exactly like a process kill; the
+// dispatch thread drops the one in hand when its callback next runs, and a
+// worker answers the one in hand into the downed NIC and serves no other.
 func (s *Server) Kill() {
 	s.dead = true
 	s.node.Kill()
 	s.net.SetDown(s.ep.Node(), true)
-	// Wake parked procs with poison pills so their goroutines exit.
-	for _, q := range s.workQs {
-		q.Push(rpc.Request{})
+	// Wake idle threads with poison pills so their procs exit.
+	for i := range s.workers {
+		s.workers[i].push(rpc.Request{})
 	}
-	s.backupQ.Push(rpc.Request{})
+	s.backupSvc.push(rpc.Request{})
 	s.flushQ.Push(nil)
 }
 
@@ -238,7 +241,7 @@ func (s *Server) handOff() {
 	switch m := req.Msg.(type) {
 	case *wire.ReadReq, *wire.WriteReq, *wire.DeleteReq,
 		*wire.MultiReadReq, *wire.MultiWriteReq:
-		s.workQs[connWorker(req.From, len(s.workQs))].Push(req)
+		s.workers[connWorker(req.From, len(s.workers))].push(req)
 	case *wire.RDMAWriteReq:
 		// One-sided RDMA write: the NIC deposits the objects into the
 		// replica buffer with no thread involvement and no CPU charged;
@@ -250,7 +253,7 @@ func (s *Server) handOff() {
 		}
 		s.ep.Reply(req, resp)
 	default:
-		s.backupQ.Push(req)
+		s.backupSvc.push(req)
 	}
 	s.takeRequest()
 }
@@ -261,32 +264,8 @@ func connWorker(from simnet.NodeID, workers int) int {
 	return int(h % uint64(workers))
 }
 
-// workerLoop services requests from this worker's queue. Idle workers
-// spin for SpinTimeout before sleeping; the spin is accounted
-// optimistically and corrected when work arrives earlier.
-func (s *Server) workerLoop(p *sim.Proc, workQ *sim.Queue[rpc.Request]) {
-	spin := s.cfg.Costs.SpinTimeout
-	for {
-		t0 := p.Now()
-		if !s.dead && spin > 0 {
-			s.node.AddBusy(t0, t0.Add(spin))
-		}
-		req := workQ.Pop(p)
-		if s.dead {
-			return
-		}
-		if waited := p.Now().Sub(t0); waited < spin {
-			s.node.SubBusy(p.Now(), t0.Add(spin))
-		}
-		s.serve(p, req)
-		if s.dead {
-			return
-		}
-	}
-}
-
-// busy burns worker CPU: the span is accounted on the node and simulated
-// time advances.
+// busy burns the CPU of a worker serving a blocking request: the span is
+// accounted on the node and simulated time advances.
 func (s *Server) busy(p *sim.Proc, d sim.Duration) {
 	if d <= 0 {
 		return
@@ -325,32 +304,16 @@ func (s *Server) interference() float64 {
 	return 1
 }
 
-// serve executes one request on a worker.
+// serve executes one request that blocks on a worker's proc; the requests
+// that never block run as the worker's callbacks (worker.start).
 func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	switch m := req.Msg.(type) {
-	case *wire.ReadReq:
-		s.serveRead(p, req, m)
 	case *wire.WriteReq:
 		s.serveWrite(p, req, m)
 	case *wire.DeleteReq:
 		s.serveDelete(p, req, m)
-	case *wire.MultiReadReq:
-		s.serveMultiRead(p, req, m)
 	case *wire.MultiWriteReq:
 		s.serveMultiWrite(p, req, m)
-	case *wire.OpenSegmentReq:
-		s.busy(p, sim.Scale(s.cfg.Costs.SegmentOpen, s.interference()))
-		s.ep.Reply(req, s.backups.Open(m))
-	case *wire.ReplicateReq:
-		s.serveReplicate(p, req, m)
-	case *wire.CloseSegmentReq:
-		s.serveCloseSegment(p, req, m)
-	case *wire.FreeReplicasReq:
-		s.busy(p, s.cfg.Costs.SegmentOpen)
-		s.ep.Reply(req, s.backups.Free(m))
-	case *wire.SegmentInventoryReq:
-		s.busy(p, s.cfg.Costs.SegmentOpen)
-		s.ep.Reply(req, s.backups.Inventory(m))
 	case *wire.GetRecoveryDataReq:
 		s.serveGetRecoveryData(p, req, m)
 	case *wire.RecoverReq:
@@ -359,10 +322,6 @@ func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 		s.serveMigrateTablet(req, m)
 	case *wire.TakeTabletReq:
 		s.serveTakeTablet(p, req, m)
-	case *wire.PingReq:
-		s.ep.Reply(req, &wire.PingResp{Seq: m.Seq})
-	case nil:
-		// poison pill from Kill
 	default:
 		panic(fmt.Sprintf("server %d: unexpected request %T", s.id, req.Msg))
 	}

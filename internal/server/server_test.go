@@ -25,7 +25,7 @@ type testRig struct {
 	client  *rpc.Endpoint
 }
 
-func newRig(t *testing.T, n int, cfg Config) *testRig {
+func newRig(t testing.TB, n int, cfg Config) *testRig {
 	t.Helper()
 	eng := sim.New(1)
 	net := simnet.New(eng, simnet.DefaultConfig())
@@ -359,6 +359,56 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 	}
 }
 
+// TestTimedOutResendKeepsSubstitute kills one of the open segment's two
+// backups, so the next write's fan-out times out and the master resends
+// the segment to a substitute. The segment holds 500 1 KiB objects, which
+// keeps the substitute busy past the 2 ms replication timeout, so the
+// resend times out too, though the substitute takes it. The master must
+// then count the substitute among the segment's backups (or declare it
+// dead); today it does neither, and the head runs on with a replica the
+// master never counts, closes or frees.
+func TestTimedOutResendKeepsSubstitute(t *testing.T) {
+	t.Skip("known fault: fixing it moves the segment sweep's rendering (seg); it belongs to the golden re-baseline, ROADMAP 6(c)")
+	cfg := DefaultConfig()
+	cfg.ReplicationFactor = 2
+	cfg.ReplicationTimeout = 2 * sim.Millisecond
+	rig := newRig(t, 4, cfg)
+	m := rig.servers[0]
+	const n = 500
+	load(t, m, n, 1024)
+	var victim, substitute *Server
+	for _, s := range rig.servers[1:] {
+		switch {
+		case !slices.Contains(m.replicas[1], s.Addr()):
+			substitute = s
+		case victim == nil:
+			victim = s
+		}
+	}
+	rig.eng.Go("client", func(p *sim.Proc) {
+		victim.Kill()
+		if resp := rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: ycsbKey(n), ValueLen: 1024}).(*wire.WriteResp); resp.Status != wire.StatusOK {
+			t.Errorf("write after backup %d died: %v", victim.Addr(), resp.Status)
+		}
+		p.Sleep(100 * sim.Millisecond) // the substitute works off the resend
+		rig.eng.Stop()
+	})
+	rig.eng.Run()
+	rig.eng.Shutdown()
+	if m.Stats().BackupFailures.Value() != 1 {
+		t.Fatalf("%d backup failures, want the victim's", m.Stats().BackupFailures.Value())
+	}
+	held, _, _ := substitute.backups.RecoveryData(&wire.GetRecoveryDataReq{Master: m.ID(), Segment: 1, LastHash: ^uint64(0)})
+	if held.Status != wire.StatusOK || len(held.Objects) < n {
+		t.Fatalf("the substitute holds %v, %d objects of segment 1: it did not take the resend", held.Status, len(held.Objects))
+	}
+	set := m.replicas[1]
+	if !slices.Contains(set, substitute.Addr()) && !m.deadPeers[substitute.Addr()] {
+		t.Fatalf("segment 1's backups are %v: the substitute %d took the resend but is neither among them nor declared dead",
+			set, substitute.Addr())
+	}
+}
+
 // TestReplicationAllocs pins what a write, a read and a replayed object
 // cost the host. At RF 0 a write and a read each cost three objects, the
 // test client's request and key and the master's response, and a replayed
@@ -441,7 +491,7 @@ func readAllocs(t *testing.T) float64 {
 
 // load bulk-loads keys 0..n-1 of table 1 into m, then places the replicas
 // of each segment it wrote in the order it wrote them.
-func load(t *testing.T, m *Server, n int, valueLen uint32) {
+func load(t testing.TB, m *Server, n int, valueLen uint32) {
 	t.Helper()
 	var segments []uint64
 	for i := 0; i < n; i++ {

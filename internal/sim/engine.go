@@ -17,7 +17,9 @@
 // Procs block in simulated time using Sleep and the synchronization
 // primitives in this package (Queue, Mutex, Future, WaitGroup).
 // All wake-ups are funneled through the event queue, so execution order is a
-// pure function of the seed and the program.
+// pure function of the seed and the program. The one exception draws no
+// event at all: a callback may Resume a proc parked in Suspend, which then
+// runs inline, as part of that callback's event.
 //
 // Hot-path design: the event queue is a 4-ary min-heap of plain event
 // structs owned by the engine (no container/heap, so no `any` boxing per
@@ -89,6 +91,10 @@ type Engine struct {
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	stopped bool
+
+	// running is the proc the engine has switched into, nil while a
+	// callback (or nothing) runs.
+	running *Proc
 }
 
 // New returns an engine whose randomness is derived entirely from seed.
@@ -377,11 +383,34 @@ func (e *Engine) RunUntil(horizon Time) {
 		}
 		e.now = ev.t
 		if ev.p != nil {
-			ev.p.next()
+			e.resume(ev.p)
 		} else {
 			ev.fn()
 		}
 	}
+}
+
+// resume switches into p until it parks or finishes.
+func (e *Engine) resume(p *Proc) {
+	e.running = p
+	p.next()
+	e.running = nil
+}
+
+// Resume runs p, parked in Suspend, at once and inline: it returns when p
+// parks again or finishes. It draws no sequence number, so p's code runs
+// as part of the calling event, exactly where that event's own code would
+// have run it. It must be called from engine context, a callback; it
+// panics when called from a proc or for a proc that is not suspended.
+func (e *Engine) Resume(p *Proc) {
+	if e.running != nil {
+		panic(fmt.Sprintf("sim: Resume(%q) from proc %q", p.name, e.running.name))
+	}
+	if !p.suspended {
+		panic(fmt.Sprintf("sim: Resume of proc %q, which is not suspended", p.name))
+	}
+	p.suspended = false
+	e.resume(p)
 }
 
 // Stop halts Run after the current event completes. Pending events are
@@ -445,6 +474,8 @@ type Proc struct {
 	stop   func()
 	yield  func(struct{}) bool
 	killed bool
+	// suspended is set while the proc is parked in Suspend.
+	suspended bool
 }
 
 // Name returns the name the proc was spawned with.
@@ -486,6 +517,14 @@ func (p *Proc) park() {
 	if p.killed || !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
+}
+
+// Suspend parks the proc with no wake-up scheduled: only Engine.Resume
+// runs it again. It suits a proc that stands behind engine callbacks and
+// is needed only now and then: a callback resumes it inline when it is.
+func (p *Proc) Suspend() {
+	p.suspended = true
+	p.park()
 }
 
 // Sleep suspends the proc for d of simulated time (none if d is negative).

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -496,4 +498,73 @@ func TestScheduleKeyedAtPanics(t *testing.T) {
 		mustPanic("t < now", func() { e.ScheduleKeyedAt(Time(Millisecond), KeyedSeqBit|1, func() {}) })
 	})
 	e.Run()
+}
+
+// TestResumeRunsInline resumes a suspended proc from callbacks: the proc's
+// code runs inside the calling callback, between its statements, until it
+// suspends again or returns, and the resume draws no sequence number, so
+// an event scheduled after it still runs in its (time, sequence) slot.
+func TestResumeRunsInline(t *testing.T) {
+	e := New(1)
+	var order []string
+	p := e.Go("worker", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			order = append(order, fmt.Sprintf("proc %d", i))
+			p.Suspend()
+		}
+		order = append(order, "proc returns")
+	})
+	for i := 1; i <= 2; i++ {
+		e.Schedule(Duration(i)*Second, func() {
+			order = append(order, fmt.Sprintf("callback %d", i))
+			seq := e.seq
+			e.Resume(p)
+			if e.seq != seq {
+				t.Errorf("callback %d: Resume drew %d sequence numbers", i, e.seq-seq)
+			}
+			order = append(order, fmt.Sprintf("callback %d after", i))
+			e.Schedule(0, func() { order = append(order, fmt.Sprintf("event after %d", i)) })
+		})
+	}
+	e.Run()
+	want := []string{
+		"proc 0",
+		"callback 1", "proc 1", "callback 1 after", "event after 1",
+		"callback 2", "proc returns", "callback 2 after", "event after 2",
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %q,\nwant    %q", order, want)
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after the resumed proc returned", e.LiveProcs())
+	}
+}
+
+// TestResumePanics checks Resume's two refusals: from a proc, where an
+// inline switch would hand the proc's own park to the other proc, and of a
+// proc that is not suspended, whose wake-up is already scheduled.
+func TestResumePanics(t *testing.T) {
+	run := func(t *testing.T, e *Engine, want string) {
+		t.Helper()
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.Contains(r, want) {
+				t.Fatalf("Run panicked with %q, want it to contain %q", r, want)
+			}
+		}()
+		e.Run()
+	}
+	t.Run("from a proc", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		target := e.Go("target", func(p *Proc) { p.Suspend() })
+		e.Go("caller", func(p *Proc) { e.Resume(target) })
+		run(t, e, `sim: Resume("target") from proc "caller"`)
+	})
+	t.Run("not suspended", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		sleeper := e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+		e.Schedule(Millisecond, func() { e.Resume(sleeper) })
+		run(t, e, `sim: Resume of proc "sleeper", which is not suspended`)
+	})
 }

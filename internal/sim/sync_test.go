@@ -408,6 +408,26 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 			t.Fatalf("mutex has %d waiters, want 2: the lock is not contended", mu.Waiters())
 		}
 	})
+	t.Run("inline resume", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		rounds := 0
+		p := e.Go("suspended", func(p *Proc) {
+			for {
+				p.Suspend()
+				rounds++
+			}
+		})
+		var tick func()
+		tick = func() {
+			e.Resume(p)
+			e.Schedule(Microsecond, tick)
+		}
+		e.Schedule(Microsecond, tick)
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("inline resume allocates %v per slice, want 0", n)
+		}
+	})
 }
 
 // TestQueueItemOrderAcrossWrap pushes and pops in uneven bursts so the item
