@@ -70,6 +70,9 @@ func TestMastersAgree(t *testing.T) {
 		&wire.MultiReadReq{Items: []wire.MultiReadItem{{Table: 1, Key: b}, {Table: 1, Key: c}, {Table: 1, Key: stranger}, {Table: 1, Key: a}}},
 		write(c, 30, 't'),
 		&wire.MultiReadReq{Items: []wire.MultiReadItem{{Table: 1, Key: c}}},
+		&wire.MultiWriteReq{Items: []wire.MultiWriteItem{item(stranger, 3, 'u')}}, // nothing owned
+		&wire.DeleteReq{Table: 1, Key: b},                                         // written by the batch
+		&wire.MultiReadReq{Items: []wire.MultiReadItem{{Table: 1, Key: b}, {Table: 2, Key: c}, {Table: 1, Key: c}}},
 	}
 
 	fromSim := simAnswers(script, owned)

@@ -45,7 +45,7 @@ func (c ServerConfig) enlistBackoff() time.Duration {
 // Its backup is the simulated backup's store.Backups, behind a mutex of
 // its own. A request is valid only until its handler returns
 // (transport.Handler), and the handlers keep none of it: the one copy of a
-// written key and value is the log's, made by the store's Put, and of a
+// written key and value is the log's, made by store.Apply, and of a
 // replicated one the replica's.
 type Server struct {
 	tr        transport.Interface
@@ -128,9 +128,9 @@ func (s *Server) serve(remote string, msg wire.Message) wire.Message {
 	case *wire.ReadReq:
 		return s.serveRead(m)
 	case *wire.WriteReq:
-		return s.serveWrite(m)
+		return s.write(wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
 	case *wire.DeleteReq:
-		return s.serveDelete(m)
+		return s.write(wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
 	case *wire.MultiReadReq:
 		return s.serveMultiRead(m)
 	case *wire.MultiWriteReq:
@@ -183,17 +183,19 @@ func (s *Server) serveAssign(m *wire.AssignTabletsReq) wire.Message {
 	return &wire.AssignTabletsResp{Status: wire.StatusOK}
 }
 
-// putLocked rolls the head if the entry needs it and puts the entry.
-// Caller holds s.mu.
-func (s *Server) putLocked(entry logstore.Entry) error {
-	if s.st.Log.NeedsRoll(entry.StorageSize()) {
-		s.st.Log.Roll()
+// admitLocked answers StatusWrongServer (and counts it) for a key this
+// master does not own, and otherwise starts loading the key's index
+// bucket. Caller holds s.mu: a concurrent writer may double the index.
+func (s *Server) admitLocked(table, keyHash uint64) wire.Status {
+	if !s.st.Owns(table, keyHash) {
+		s.wrongServer++
+		return wire.StatusWrongServer
 	}
-	_, err := s.st.Put(entry)
-	return err
+	s.st.Prefetch(keyHash)
+	return wire.StatusOK
 }
 
-// readLocked looks (table, key) up for a read. The result's Value is a
+// readLocked looks an admitted key up for a read. The result's Value is a
 // VIEW of the log's bytes, and the response carries it as is: the
 // transport encodes it after s.mu is released (transport.Handler), so a
 // read holds the master mutex for the lookup only and copies nothing.
@@ -202,77 +204,43 @@ func (s *Server) putLocked(entry logstore.Entry) error {
 // blocks are never reused, so whoever frees a segment leaves this view to
 // the collector. Caller holds s.mu.
 func (s *Server) readLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
-	if !s.st.Owns(table, keyHash) {
-		s.wrongServer++
-		return wire.MultiReadResult{Status: wire.StatusWrongServer}
+	r := s.st.Read(table, key, keyHash)
+	if r.Status == wire.StatusOK {
+		s.readsOK++
 	}
-	return s.lookupLocked(table, key, keyHash)
-}
-
-// lookupLocked is readLocked of a key this master owns.
-func (s *Server) lookupLocked(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
-	var e logstore.Entry
-	if !s.st.Lookup(&e, table, key, keyHash) || e.Type != logstore.EntryObject {
-		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
-	}
-	s.readsOK++
-	return wire.MultiReadResult{
-		Status:   wire.StatusOK,
-		Version:  e.Version,
-		ValueLen: e.ValueLen,
-		Value:    e.Value,
-	}
+	return r
 }
 
 func (s *Server) serveRead(m *wire.ReadReq) wire.Message {
 	keyHash := hashtable.HashKey(m.Table, m.Key)
 	s.mu.Lock()
-	r := s.readLocked(m.Table, m.Key, keyHash)
+	r := wire.MultiReadResult{Status: s.admitLocked(m.Table, keyHash)}
+	if r.Status == wire.StatusOK {
+		r = s.readLocked(m.Table, m.Key, keyHash)
+	}
 	s.mu.Unlock()
 	return &wire.ReadResp{Status: r.Status, Version: r.Version, ValueLen: r.ValueLen, Value: r.Value}
 }
 
-func (s *Server) serveWrite(m *wire.WriteReq) wire.Message {
-	keyHash := hashtable.HashKey(m.Table, m.Key)
+// write serves a WriteReq or a DeleteReq, o being the object or the
+// tombstone it asks for.
+func (s *Server) write(o wire.Object) wire.Message {
+	o.KeyHash = hashtable.HashKey(o.Table, o.Key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.st.Owns(m.Table, keyHash) {
-		s.wrongServer++
-		return &wire.WriteResp{Status: wire.StatusWrongServer}
+	status := s.admitLocked(o.Table, o.KeyHash)
+	if status == wire.StatusOK {
+		_, status = s.st.Apply(&o, nil)
 	}
-	entry := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    m.Table,
-		KeyHash:  keyHash,
-		Key:      m.Key,
-		ValueLen: m.ValueLen,
-		Value:    m.Value,
-		Version:  s.st.NextVersion(),
+	if status == wire.StatusOK && o.Tombstone {
+		s.deletesOK++
+	} else if status == wire.StatusOK {
+		s.writesOK++
 	}
-	if s.putLocked(entry) != nil {
-		return &wire.WriteResp{Status: wire.StatusError}
+	s.mu.Unlock()
+	if o.Tombstone {
+		return &wire.DeleteResp{Status: status, Version: o.Version}
 	}
-	s.writesOK++
-	return &wire.WriteResp{Status: wire.StatusOK, Version: entry.Version}
-}
-
-func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
-	keyHash := hashtable.HashKey(m.Table, m.Key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.st.Owns(m.Table, keyHash) {
-		s.wrongServer++
-		return &wire.DeleteResp{Status: wire.StatusWrongServer}
-	}
-	tomb, ok := s.st.Tombstone(m.Table, m.Key, keyHash)
-	if !ok {
-		return &wire.DeleteResp{Status: wire.StatusUnknownKey}
-	}
-	if s.putLocked(tomb) != nil {
-		return &wire.DeleteResp{Status: wire.StatusError}
-	}
-	s.deletesOK++
-	return &wire.DeleteResp{Status: wire.StatusOK, Version: tomb.Version}
+	return &wire.WriteResp{Status: status, Version: o.Version}
 }
 
 // stackBatch is the largest batch whose key hashes a multi-op keeps on
@@ -280,10 +248,9 @@ func (s *Server) serveDelete(m *wire.DeleteReq) wire.Message {
 const stackBatch = 64
 
 // A multi-op hashes every item before it takes s.mu, then, under it,
-// settles which items this master owns and prefetches each owned item's
-// index bucket before the first lookup, so the items' cache misses
-// overlap instead of following one another. The prefetch must come after
-// the lock: a concurrent writer may double the index.
+// admits every item, which prefetches each owned item's index bucket
+// before the first lookup, so the items' cache misses overlap instead of
+// following one another.
 func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 	items := make([]wire.MultiReadResult, len(m.Items))
 	var buf [stackBatch]uint64
@@ -293,16 +260,11 @@ func (s *Server) serveMultiRead(m *wire.MultiReadReq) wire.Message {
 	}
 	s.mu.Lock()
 	for i := range m.Items {
-		if !s.st.Owns(m.Items[i].Table, hashes[i]) {
-			s.wrongServer++
-			items[i].Status = wire.StatusWrongServer
-			continue
-		}
-		s.st.Prefetch(hashes[i])
+		items[i].Status = s.admitLocked(m.Items[i].Table, hashes[i])
 	}
 	for i := range m.Items {
-		if items[i].Status == 0 {
-			items[i] = s.lookupLocked(m.Items[i].Table, m.Items[i].Key, hashes[i])
+		if items[i].Status == wire.StatusOK {
+			items[i] = s.readLocked(m.Items[i].Table, m.Items[i].Key, hashes[i])
 		}
 	}
 	s.mu.Unlock()
@@ -319,33 +281,19 @@ func (s *Server) serveMultiWrite(m *wire.MultiWriteReq) wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range m.Items {
-		if !s.st.Owns(m.Items[i].Table, hashes[i]) {
-			s.wrongServer++
-			items[i].Status = wire.StatusWrongServer
-			continue
-		}
-		s.st.Prefetch(hashes[i])
+		items[i].Status = s.admitLocked(m.Items[i].Table, hashes[i])
 	}
 	for i := range m.Items {
-		if items[i].Status != 0 {
+		if items[i].Status != wire.StatusOK {
 			continue
 		}
 		it := &m.Items[i]
-		entry := logstore.Entry{
-			Type:     logstore.EntryObject,
-			Table:    it.Table,
-			KeyHash:  hashes[i],
-			Key:      it.Key,
-			ValueLen: it.ValueLen,
-			Value:    it.Value,
-			Version:  s.st.NextVersion(),
+		o := wire.Object{Table: it.Table, KeyHash: hashes[i], Key: it.Key, ValueLen: it.ValueLen, Value: it.Value}
+		_, status := s.st.Apply(&o, nil)
+		if status == wire.StatusOK {
+			s.writesOK++
 		}
-		if s.putLocked(entry) != nil {
-			items[i].Status = wire.StatusError
-			continue
-		}
-		s.writesOK++
-		items[i] = wire.MultiWriteResult{Status: wire.StatusOK, Version: entry.Version}
+		items[i] = wire.MultiWriteResult{Status: status, Version: o.Version}
 	}
 	return &wire.MultiWriteResp{Status: wire.StatusOK, Items: items}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ramcloud/internal/hashtable"
-	"ramcloud/internal/logstore"
 	"ramcloud/internal/wire"
 )
 
@@ -28,12 +27,11 @@ func TestReadServesAViewOfTheLog(t *testing.T) {
 	write(key, value)
 	read := s.serve("", &wire.ReadReq{Table: 1, Key: key}).(*wire.ReadResp)
 	multi := s.serve("", &wire.MultiReadReq{Items: []wire.MultiReadItem{{Table: 1, Key: key}}}).(*wire.MultiReadResp)
-	var e logstore.Entry
 	s.mu.Lock()
-	found := s.st.Lookup(&e, 1, key, hashtable.HashKey(1, key))
+	e := s.st.Read(1, key, hashtable.HashKey(1, key))
 	s.mu.Unlock()
-	if !found || !bytes.Equal(e.Value, value) {
-		t.Fatalf("the store holds %q (found %v)", e.Value, found)
+	if e.Status != wire.StatusOK || !bytes.Equal(e.Value, value) {
+		t.Fatalf("the store holds %q (%v)", e.Value, e.Status)
 	}
 	if &read.Value[0] != &e.Value[0] || &multi.Items[0].Value[0] != &e.Value[0] {
 		t.Fatal("a read's value is a copy, not a view of the log entry")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ramcloud/internal/hashtable"
-	"ramcloud/internal/logstore"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
@@ -39,104 +38,102 @@ func (s *Server) Tablets() []wire.Tablet {
 	return append([]wire.Tablet(nil), s.st.Tablets...)
 }
 
-// startRead is the prefix of a read: the ownership and freeze checks,
-// which may answer it, and the prefetch of its index bucket. It returns
-// the read's service time.
+// admit is the check every key of a client request passes before it is
+// served: a key this master does not own answers StatusWrongServer (and
+// is counted), one inside a range mid-migration StatusRetry. An admitted
+// key's index bucket starts loading, to land while the service time, or
+// the log head, is waited for.
+func (s *Server) admit(table, keyHash uint64) wire.Status {
+	if !s.st.Owns(table, keyHash) {
+		s.stats.WrongServer.Inc()
+		return wire.StatusWrongServer
+	}
+	if s.frozenKey(table, keyHash) {
+		return wire.StatusRetry
+	}
+	s.st.Prefetch(keyHash)
+	return wire.StatusOK
+}
+
+// startRead is the prefix of a read: admission, which may answer it. It
+// returns the read's service time.
 func (w *worker) startRead(req rpc.Request, m *wire.ReadReq) (sim.Duration, bool) {
 	s := w.s
 	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.st.Owns(m.Table, keyHash) {
-		s.stats.WrongServer.Inc()
-		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusWrongServer})
+	if status := s.admit(m.Table, keyHash); status != wire.StatusOK {
+		s.ep.Reply(req, &wire.ReadResp{Status: status})
 		return 0, false
 	}
-	if s.frozenKey(m.Table, keyHash) {
-		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusRetry})
-		return 0, false
-	}
-	s.st.Prefetch(keyHash) // the bucket loads while the service time passes
 	w.keyHash = keyHash
 	return sim.Scale(s.cfg.Costs.Read, s.interference()), true
 }
 
 // finishRead is the tail of a read: the lookup and the answer.
 func (w *worker) finishRead(req rpc.Request, m *wire.ReadReq) {
-	s := w.s
-	var e logstore.Entry
-	if !s.st.Lookup(&e, m.Table, m.Key, w.keyHash) || e.Type != logstore.EntryObject {
-		s.ep.Reply(req, &wire.ReadResp{Status: wire.StatusUnknownKey})
-		return
-	}
-	s.stats.ReadsOK.Inc()
-	s.ep.Reply(req, &wire.ReadResp{
-		Status:   wire.StatusOK,
-		Version:  e.Version,
-		ValueLen: e.ValueLen,
-		Value:    e.Value,
-	})
+	r := w.s.read(m.Table, m.Key, w.keyHash)
+	w.s.ep.Reply(req, &wire.ReadResp{Status: r.Status, Version: r.Version, ValueLen: r.ValueLen, Value: r.Value})
 }
 
-func (s *Server) serveWrite(p *sim.Proc, req rpc.Request, m *wire.WriteReq) {
-	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.st.Owns(m.Table, keyHash) {
-		s.stats.WrongServer.Inc()
-		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusWrongServer})
-		return
+// read looks an admitted key up, counting a hit.
+func (s *Server) read(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
+	r := s.st.Read(table, key, keyHash)
+	if r.Status == wire.StatusOK {
+		s.stats.ReadsOK.Inc()
 	}
-	if s.frozenKey(m.Table, keyHash) {
-		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusRetry})
-		return
-	}
-	s.st.Prefetch(keyHash) // the bucket loads while the log-head lock and the service time pass
-	entry := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    m.Table,
-		KeyHash:  keyHash,
-		Key:      m.Key,
-		ValueLen: m.ValueLen,
-		Value:    m.Value,
-	}
-	version, seg, ok := s.appendLocked(p, entry)
-	if !ok {
-		s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusError})
-		return
-	}
-	s.replicateObject(p, seg, wire.Object{
-		Table:    m.Table,
-		KeyHash:  keyHash,
-		Key:      m.Key,
-		ValueLen: m.ValueLen,
-		Version:  version,
-	})
-	s.stats.WritesOK.Inc()
-	s.ep.Reply(req, &wire.WriteResp{Status: wire.StatusOK, Version: version})
+	return r
 }
 
-func (s *Server) serveDelete(p *sim.Proc, req rpc.Request, m *wire.DeleteReq) {
-	keyHash := hashtable.HashKey(m.Table, m.Key)
-	if !s.st.Owns(m.Table, keyHash) {
-		s.stats.WrongServer.Inc()
-		s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusWrongServer})
-		return
+// write serves a WriteReq or a DeleteReq, o being the object or the
+// tombstone it asks for: admitted, appended under the log head, replicated
+// to its segment's backups and answered.
+func (s *Server) write(p *sim.Proc, req rpc.Request, o wire.Object) {
+	o.KeyHash = hashtable.HashKey(o.Table, o.Key)
+	status := s.admit(o.Table, o.KeyHash)
+	var seg uint64
+	if status == wire.StatusOK {
+		seg, status = s.appendOne(p, &o)
 	}
-	if s.frozenKey(m.Table, keyHash) {
-		s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusRetry})
-		return
+	if status == wire.StatusOK {
+		if s.cfg.ReplicationFactor > 0 {
+			s.replicate(p, seg, []wire.Object{o})
+		}
+		if !o.Tombstone {
+			s.stats.WritesOK.Inc()
+		}
 	}
-	s.st.Prefetch(keyHash) // the bucket loads while the log-head lock and the service time pass
-	version, seg, status := s.deleteLocked(p, m.Table, keyHash, m.Key)
-	if status != wire.StatusOK {
-		s.ep.Reply(req, &wire.DeleteResp{Status: status})
-		return
+	if o.Tombstone {
+		s.ep.Reply(req, &wire.DeleteResp{Status: status, Version: o.Version})
+	} else {
+		s.ep.Reply(req, &wire.WriteResp{Status: status, Version: o.Version})
 	}
-	s.replicateObject(p, seg, wire.Object{
-		Table:     m.Table,
-		KeyHash:   keyHash,
-		Key:       m.Key,
-		Version:   version,
-		Tombstone: true,
-	})
-	s.ep.Reply(req, &wire.DeleteResp{Status: wire.StatusOK, Version: version})
+}
+
+// appendOne appends one object (a write, a delete, a replayed or migrated
+// object) under the log head, paying its service time there, and returns
+// the segment it landed in.
+func (s *Server) appendOne(p *sim.Proc, o *wire.Object) (uint64, wire.Status) {
+	if !s.lockLog(p, s.cfg.Costs.WriteBase+sim.Scale(s.cfg.Costs.PerKByte, float64(o.ValueLen)/1024)) {
+		return 0, wire.StatusError
+	}
+	seg, status := s.st.Apply(o, func() { s.rollLocked(p) })
+	s.logMu.Unlock()
+	return seg, status
+}
+
+// lockLog takes the log head and burns cost under it, inflated by the
+// contention tax of Finding 2 (WriteContention per waiter squared, the
+// waiters counted before the wait). False, the head released again, when
+// the server died meanwhile.
+func (s *Server) lockLog(p *sim.Proc, cost sim.Duration) bool {
+	waiters := s.logMu.Waiters()
+	s.lockWithSpin(p, s.logMu)
+	cost += sim.Duration(int64(s.cfg.Costs.WriteContention) * int64(waiters*waiters))
+	s.busy(p, sim.Scale(cost, s.interference()))
+	if s.dead {
+		s.logMu.Unlock()
+		return false
+	}
+	return true
 }
 
 // startMultiRead is the prefix of a read batch. The dispatch cost was
@@ -153,17 +150,9 @@ func (w *worker) startMultiRead(m *wire.MultiReadReq) sim.Duration {
 	for i := range m.Items {
 		it := &m.Items[i]
 		hashes[i] = hashtable.HashKey(it.Table, it.Key)
-		if !s.st.Owns(it.Table, hashes[i]) {
-			s.stats.WrongServer.Inc()
-			items[i].Status = wire.StatusWrongServer
-			continue
+		if items[i].Status = s.admit(it.Table, hashes[i]); items[i].Status == wire.StatusOK {
+			cost += s.cfg.Costs.Read
 		}
-		if s.frozenKey(it.Table, hashes[i]) {
-			items[i].Status = wire.StatusRetry
-			continue
-		}
-		s.st.Prefetch(hashes[i])
-		cost += s.cfg.Costs.Read
 	}
 	w.items, w.hashes = items, hashes
 	return sim.Scale(cost, s.interference())
@@ -175,21 +164,8 @@ func (w *worker) finishMultiRead(req rpc.Request, m *wire.MultiReadReq) {
 	items, hashes := w.items, w.hashes
 	w.items, w.hashes = nil, nil
 	for i := range m.Items {
-		if items[i].Status != 0 {
-			continue
-		}
-		it := &m.Items[i]
-		var e logstore.Entry
-		if !s.st.Lookup(&e, it.Table, it.Key, hashes[i]) || e.Type != logstore.EntryObject {
-			items[i].Status = wire.StatusUnknownKey
-			continue
-		}
-		s.stats.ReadsOK.Inc()
-		items[i] = wire.MultiReadResult{
-			Status:   wire.StatusOK,
-			Version:  e.Version,
-			ValueLen: e.ValueLen,
-			Value:    e.Value,
+		if items[i].Status == wire.StatusOK {
+			items[i] = s.read(m.Items[i].Table, m.Items[i].Key, hashes[i])
 		}
 	}
 	s.ep.Reply(req, &wire.MultiReadResp{Status: wire.StatusOK, Items: items})
@@ -208,32 +184,19 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 	for i := range m.Items {
 		it := &m.Items[i]
 		hashes[i] = hashtable.HashKey(it.Table, it.Key)
-		if !s.st.Owns(it.Table, hashes[i]) {
-			s.stats.WrongServer.Inc()
-			items[i].Status = wire.StatusWrongServer
-			continue
+		if items[i].Status = s.admit(it.Table, hashes[i]); items[i].Status == wire.StatusOK {
+			owned++
+			cost += s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(it.ValueLen)/1024)
 		}
-		if s.frozenKey(it.Table, hashes[i]) {
-			items[i].Status = wire.StatusRetry
-			continue
-		}
-		s.st.Prefetch(hashes[i])
-		owned++
-		cost += s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(it.ValueLen)/1024)
 	}
 	if owned == 0 {
 		s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
 		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
 		return
 	}
-	waiters := s.logMu.Waiters()
-	s.lockWithSpin(p, s.logMu)
-	cost += sim.Duration(int64(s.cfg.Costs.WriteContention) * int64(waiters*waiters))
-	s.busy(p, sim.Scale(cost, s.interference()))
-	if s.dead {
-		s.logMu.Unlock()
+	if !s.lockLog(p, cost) {
 		for i := range items {
-			if items[i].Status == 0 {
+			if items[i].Status == wire.StatusOK {
 				items[i].Status = wire.StatusError
 			}
 		}
@@ -242,110 +205,41 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusError, Items: items})
 		return
 	}
-	// Append every owned item, gathering replication objects per segment in
-	// append order.
-	var segOrder []uint64
-	segObjs := make(map[uint64][]wire.Object)
+	// Append every owned item, packing the appended objects to the front
+	// of objs (at RF 0 nothing is kept). A roll only moves the head
+	// forward, so the objects appended to one segment are one run of the
+	// batch: the run the head took is replicated before the roll closes
+	// the head's replicas, and the last run once the head is released.
+	var objs []wire.Object
+	if s.cfg.ReplicationFactor > 0 {
+		objs = make([]wire.Object, 0, owned)
+	}
+	var seg uint64 // the segment objs[start:] was appended to
+	start := 0
+	roll := func() {
+		s.replicate(p, seg, objs[start:])
+		start = len(objs)
+		s.rollLocked(p)
+	}
 	for i := range m.Items {
-		if items[i].Status != 0 {
+		if items[i].Status != wire.StatusOK {
 			continue
 		}
 		it := &m.Items[i]
-		entry := logstore.Entry{
-			Type:     logstore.EntryObject,
-			Table:    it.Table,
-			KeyHash:  hashes[i],
-			Key:      it.Key,
-			ValueLen: it.ValueLen,
-			Value:    it.Value,
-			Version:  s.st.NextVersion(),
-		}
-		if s.st.Log.NeedsRoll(entry.StorageSize()) {
-			s.rollLocked(p)
-		}
-		ref, err := s.st.Put(entry)
-		if err != nil {
-			items[i].Status = wire.StatusError
+		o := wire.Object{Table: it.Table, KeyHash: hashes[i], Key: it.Key, ValueLen: it.ValueLen, Value: it.Value}
+		landed, status := s.st.Apply(&o, roll)
+		items[i] = wire.MultiWriteResult{Status: status, Version: o.Version}
+		if status != wire.StatusOK {
 			continue
 		}
-		items[i] = wire.MultiWriteResult{Status: wire.StatusOK, Version: entry.Version}
 		s.stats.WritesOK.Inc()
 		if s.cfg.ReplicationFactor > 0 {
-			if _, ok := segObjs[ref.Segment]; !ok {
-				segOrder = append(segOrder, ref.Segment)
-			}
-			segObjs[ref.Segment] = append(segObjs[ref.Segment], wire.Object{
-				Table:    it.Table,
-				KeyHash:  hashes[i],
-				Key:      it.Key,
-				ValueLen: it.ValueLen,
-				Version:  entry.Version,
-			})
+			seg, objs = landed, append(objs, o)
 		}
 	}
 	s.logMu.Unlock()
-	for _, seg := range segOrder {
-		s.replicateBatch(p, seg, segObjs[seg])
-	}
+	s.replicate(p, seg, objs[start:])
 	s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
-}
-
-// appendLocked runs the serialized section of the write path: contention-
-// inflated service cost, segment roll (with replica open/close) and the
-// store's Put. It returns the entry's version and the segment it landed
-// in. An entry that arrives with a version keeps it (replay); one without
-// draws a fresh one.
-func (s *Server) appendLocked(p *sim.Proc, entry logstore.Entry) (uint64, uint64, bool) {
-	waiters := s.logMu.Waiters()
-	s.lockWithSpin(p, s.logMu)
-	cost := s.cfg.Costs.WriteBase +
-		sim.Duration(int64(s.cfg.Costs.WriteContention)*int64(waiters*waiters)) +
-		sim.Scale(s.cfg.Costs.PerKByte, float64(entry.ValueLen)/1024)
-	s.busy(p, sim.Scale(cost, s.interference()))
-	if s.dead {
-		s.logMu.Unlock()
-		return 0, 0, false
-	}
-
-	if entry.Version == 0 {
-		entry.Version = s.st.NextVersion()
-	}
-	if s.st.Log.NeedsRoll(entry.StorageSize()) {
-		s.rollLocked(p)
-	}
-	ref, err := s.st.Put(entry)
-	s.logMu.Unlock()
-	if err != nil {
-		return 0, 0, false
-	}
-	return entry.Version, ref.Segment, true
-}
-
-// deleteLocked appends a tombstone for an existing key.
-func (s *Server) deleteLocked(p *sim.Proc, table, keyHash uint64, key []byte) (uint64, uint64, wire.Status) {
-	waiters := s.logMu.Waiters()
-	s.lockWithSpin(p, s.logMu)
-	cost := s.cfg.Costs.WriteBase +
-		sim.Duration(int64(s.cfg.Costs.WriteContention)*int64(waiters*waiters))
-	s.busy(p, sim.Scale(cost, s.interference()))
-	if s.dead {
-		s.logMu.Unlock()
-		return 0, 0, wire.StatusError
-	}
-	tomb, ok := s.st.Tombstone(table, key, keyHash)
-	if !ok {
-		s.logMu.Unlock()
-		return 0, 0, wire.StatusUnknownKey
-	}
-	if s.st.Log.NeedsRoll(tomb.StorageSize()) {
-		s.rollLocked(p)
-	}
-	ref, err := s.st.Put(tomb)
-	s.logMu.Unlock()
-	if err != nil {
-		return 0, 0, wire.StatusError
-	}
-	return tomb.Version, ref.Segment, wire.StatusOK
 }
 
 // rollLocked seals the head segment and opens a new one, closing the old
@@ -397,18 +291,11 @@ func (s *Server) chooseBackups(rf int) []simnet.NodeID {
 	return cands
 }
 
-// replicateObject forwards one appended object to the backups of its
-// segment and waits for every ack — the synchronous path that provides
-// strong consistency and costs Finding 3's throughput.
-func (s *Server) replicateObject(p *sim.Proc, segment uint64, obj wire.Object) {
-	if s.cfg.ReplicationFactor > 0 {
-		s.replicateBatch(p, segment, []wire.Object{obj})
-	}
-}
-
-// replicateBatch sends objs to the backups of their segment, one request
-// for the whole fan-out, and waits for every ack.
-func (s *Server) replicateBatch(p *sim.Proc, segment uint64, objs []wire.Object) {
+// replicate sends objs, appended to segment, to the segment's backups,
+// one request for the whole fan-out, and waits for every ack: the
+// synchronous path that provides strong consistency and costs Finding 3's
+// throughput.
+func (s *Server) replicate(p *sim.Proc, segment uint64, objs []wire.Object) {
 	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
 		return
 	}
@@ -568,19 +455,12 @@ func (s *Server) Load(table uint64, key []byte, keyHash uint64, valueLen uint32)
 	if s.dead {
 		return 0, fmt.Errorf("server %d is dead", s.id)
 	}
-	entry := logstore.Entry{
-		Type:     logstore.EntryObject,
-		Table:    table,
-		KeyHash:  keyHash,
-		Key:      key,
-		ValueLen: valueLen,
-		Version:  s.st.NextVersion(),
+	o := wire.Object{Table: table, KeyHash: keyHash, Key: key, ValueLen: valueLen}
+	seg, status := s.st.Apply(&o, nil)
+	if status != wire.StatusOK {
+		return 0, fmt.Errorf("server %d: load: %v", s.id, status)
 	}
-	if s.st.Log.NeedsRoll(entry.StorageSize()) {
-		s.st.Log.Roll()
-	}
-	ref, err := s.st.Put(entry)
-	return ref.Segment, err
+	return seg, nil
 }
 
 // PlaceReplicas copies a segment Load wrote to onto its backups in zero

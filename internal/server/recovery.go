@@ -3,11 +3,9 @@ package server
 import (
 	"fmt"
 
-	"ramcloud/internal/logstore"
 	"ramcloud/internal/rpc"
 	"ramcloud/internal/sim"
 	"ramcloud/internal/simnet"
-	"ramcloud/internal/store"
 	"ramcloud/internal/wire"
 )
 
@@ -79,26 +77,19 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 	}, 5*sim.Second)
 }
 
-// replayObject re-inserts one recovered object (or tombstone). Versions
-// are preserved; an object older than what the master already holds for
-// that key is skipped. Returns the segment the entry landed in.
+// replayObject re-inserts one recovered object (or tombstone) through
+// the write path's append. Versions are preserved; an object older than
+// what the master already holds for that key is skipped. Returns the
+// segment the entry landed in.
 func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
 	s.busy(p, s.cfg.Costs.ReplayObject)
-	entry := store.EntryOf(obj)
-	if obj.Tombstone {
-		entry.ValueLen = 0
-		entry.Value = nil
-	}
-
 	// Staleness check: replay may deliver older versions after newer ones
 	// when segments interleave; never regress.
-	var cur logstore.Entry
-	if s.st.Lookup(&cur, obj.Table, obj.Key, obj.KeyHash) && cur.Version >= obj.Version {
+	if cur := s.st.Read(obj.Table, obj.Key, obj.KeyHash); cur.Status == wire.StatusOK && cur.Version >= obj.Version {
 		return 0, false
 	}
-
-	_, seg, appended := s.appendLocked(p, entry)
-	if !appended {
+	seg, status := s.appendOne(p, obj)
+	if status != wire.StatusOK {
 		return 0, false
 	}
 	s.stats.ObjectsReplay.Inc()

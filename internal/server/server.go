@@ -309,9 +309,9 @@ func (s *Server) interference() float64 {
 func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	switch m := req.Msg.(type) {
 	case *wire.WriteReq:
-		s.serveWrite(p, req, m)
+		s.write(p, req, wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
 	case *wire.DeleteReq:
-		s.serveDelete(p, req, m)
+		s.write(p, req, wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
 	case *wire.MultiWriteReq:
 		s.serveMultiWrite(p, req, m)
 	case *wire.GetRecoveryDataReq:

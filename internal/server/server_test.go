@@ -441,6 +441,97 @@ func TestReplicationAllocs(t *testing.T) {
 	}
 }
 
+// TestMultiWriteAllocs pins what a 32-item write batch costs the host end
+// to end, client, master and backups, at RF 0 and RF 3: the request is
+// the client's own and is sent again, so what is counted is the master's
+// result list, key hashes and response, and at RF 3 one list of the
+// appended objects and one request for the fan-out. Segments are 8 MB, so
+// a roll is one batch in hundreds.
+func TestMultiWriteAllocs(t *testing.T) {
+	for _, c := range []struct {
+		rf  int
+		max float64
+	}{{0, 3}, {3, 5}} {
+		got := multiWriteAllocs(t, c.rf)
+		t.Logf("RF %d: %.3f objects per 32-item batch", c.rf, got)
+		if got > c.max+0.1 {
+			t.Errorf("RF %d: a 32-item batch allocates %.3f objects, want at most %.0f", c.rf, got, c.max)
+		}
+	}
+}
+
+// multiWriteAllocs returns the objects one 32-item batch allocates end to
+// end at RF rf.
+func multiWriteAllocs(t *testing.T, rf int) float64 {
+	cfg := DefaultConfig()
+	cfg.ReplicationFactor = rf
+	rig := newRig(t, 5, cfg)
+	defer rig.eng.Shutdown()
+	m := rig.servers[0]
+	req := &wire.MultiWriteReq{Items: make([]wire.MultiWriteItem, 32)}
+	for i := range req.Items {
+		req.Items[i] = wire.MultiWriteItem{Table: 1, Key: ycsbKey(i), ValueLen: 100}
+	}
+	rig.eng.Go("client", func(p *sim.Proc) {
+		for {
+			rig.client.Call(p, m.Addr(), req)
+		}
+	})
+	return 32 * allocsPerStep(t, rig.eng, m.Stats().WritesOK.Value)
+}
+
+// TestMultiWriteReplicatesSegmentRuns: one write batch that rolls the
+// head twice or more reaches each segment's backups as the run of items
+// that landed in that segment, in batch order and with their values.
+func TestMultiWriteReplicatesSegmentRuns(t *testing.T) {
+	rig := newRig(t, 4, smallCfg(2)) // 16 KiB segments: about 15 items each
+	m := rig.servers[0]
+	items := make([]wire.MultiWriteItem, 40)
+	for i := range items {
+		v := bytes.Repeat([]byte{byte(i)}, 1024)
+		items[i] = wire.MultiWriteItem{Table: 1, Key: ycsbKey(i), ValueLen: uint32(len(v)), Value: v}
+	}
+	rig.eng.Go("client", func(p *sim.Proc) {
+		resp := rig.client.Call(p, m.Addr(), &wire.MultiWriteReq{Items: items}).(*wire.MultiWriteResp)
+		for i, it := range resp.Items {
+			if it.Status != wire.StatusOK || it.Version != uint64(i+1) {
+				t.Errorf("item %d: %v at version %d", i, it.Status, it.Version)
+			}
+		}
+		rig.eng.Stop()
+	})
+	rig.eng.Run()
+	rig.eng.Shutdown()
+	head := m.Log().Head().ID()
+	if head < 3 {
+		t.Fatalf("the batch filled %d segments; want a batch that rolls at least twice", head)
+	}
+	next := 0 // the batch index the next segment's run starts at
+	for seg := uint64(1); seg <= head; seg++ {
+		landed, _ := m.Log().Segment(seg)
+		if len(m.replicas[seg]) != 2 {
+			t.Fatalf("segment %d has backups %v, want 2", seg, m.replicas[seg])
+		}
+		for _, b := range m.replicas[seg] {
+			resp, _, _ := m.registry(b).backups.RecoveryData(&wire.GetRecoveryDataReq{Master: m.ID(), Segment: seg, LastHash: ^uint64(0)})
+			if resp.Status != wire.StatusOK || len(resp.Objects) != landed.Entries() {
+				t.Fatalf("backup %d holds %d objects of segment %d (%v); %d landed there", b, len(resp.Objects), seg, resp.Status, landed.Entries())
+			}
+			for j, o := range resp.Objects {
+				it := items[next+j]
+				if !bytes.Equal(o.Key, it.Key) || o.Version != uint64(next+j+1) || !bytes.Equal(o.Value, it.Value) {
+					t.Fatalf("backup %d segment %d object %d: key %v version %d %d value bytes, want item %d (key %v, %d bytes)",
+						b, seg, j, o.Key, o.Version, len(o.Value), next+j, it.Key, len(it.Value))
+				}
+			}
+		}
+		next += landed.Entries()
+	}
+	if next != len(items) {
+		t.Fatalf("%d items landed in segments 1..%d, want %d", next, head, len(items))
+	}
+}
+
 // allocsPerStep runs the engine in 20 ms slices, once to warm up and then
 // under testing.AllocsPerRun, and returns the objects allocated per step
 // counted by steps.

@@ -323,3 +323,44 @@ func BenchmarkServerRead(b *testing.B) {
 		b.Fatalf("%d of %d reads served", got, n)
 	}
 }
+
+// BenchmarkServerWrite times one write, or one 32-item write batch, from
+// one client through dispatch, worker, the log head and, at RF 3, the
+// fan-out to three backups and their acks.
+func BenchmarkServerWrite(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		rf, batch int
+	}{{"rf0", 0, 1}, {"rf3", 3, 1}, {"multi32-rf3", 3, 32}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.ReplicationFactor = c.rf
+			rig := newRig(b, 5, cfg)
+			defer rig.eng.Shutdown()
+			m := rig.servers[0]
+			batch := &wire.MultiWriteReq{Items: make([]wire.MultiWriteItem, c.batch)}
+			for i := range batch.Items {
+				batch.Items[i] = wire.MultiWriteItem{Table: 1, Key: ycsbKey(i), ValueLen: 100}
+			}
+			n := b.N
+			rig.eng.Go("client", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					if c.batch > 1 {
+						rig.client.Call(p, m.Addr(), batch)
+					} else {
+						rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: ycsbKey(i % 64), ValueLen: 100})
+					}
+				}
+				rig.eng.Stop()
+			})
+			rig.eng.RunUntil(0) // the servers' procs start
+			b.ReportAllocs()
+			b.ResetTimer()
+			rig.eng.Run()
+			b.StopTimer()
+			if got := m.Stats().WritesOK.Value(); got != int64(n*c.batch) {
+				b.Fatalf("%d of %d items written", got, n*c.batch)
+			}
+		})
+	}
+}

@@ -24,21 +24,19 @@ func TestFilledReplicaRecoversAsReplicated(t *testing.T) {
 	for i := 0; ; i++ {
 		key := []byte(fmt.Sprintf("key%d", rng.Intn(120)))
 		hash := hashtable.HashKey(1, key)
-		e := logstore.Entry{Type: logstore.EntryObject, Table: 1, KeyHash: hash, Key: key, ValueLen: uint32(rng.Intn(900)), Version: st.NextVersion()}
+		o := wire.Object{Table: 1, KeyHash: hash, Key: key, ValueLen: uint32(rng.Intn(900))}
 		if rng.Intn(3) == 0 {
-			e.Value = make([]byte, e.ValueLen)
-			rng.Read(e.Value)
+			o.Value = make([]byte, o.ValueLen)
+			rng.Read(o.Value)
 		}
 		if rng.Intn(6) == 0 {
-			if tomb, ok := st.Tombstone(1, key, hash); ok {
-				e = tomb
-			}
+			o = wire.Object{Table: 1, KeyHash: hash, Key: key, Tombstone: true} // a delete, answered UnknownKey when nothing is indexed
 		}
-		if st.Log.NeedsRoll(e.StorageSize()) {
+		if e := EntryOf(&o); st.Log.NeedsRoll(e.StorageSize()) {
 			break
 		}
-		if _, err := st.Put(e); err != nil {
-			t.Fatal(err)
+		if _, status := st.Apply(&o, nil); status == wire.StatusError {
+			t.Fatalf("Apply(%+v): %v", o, status)
 		}
 	}
 	seg := st.Log.Head()

@@ -23,11 +23,12 @@
 // tables and the tablet map, and splits a dead master's tablets into
 // recovery partitions.
 //
-// The store knows nothing about time, threads or networks. Rolling the
-// head stays with the caller (if st.Log.NeedsRoll(size) { ... }) because
-// the simulated master opens and closes backup replicas across a roll;
-// serialisation (a sim.Mutex there, a sync.Mutex on the real master),
-// CPU-cost charging and replication stay with the caller too.
+// The store knows nothing about time, threads or networks. Every append
+// goes through Apply, which decides when the head rolls; the roll itself
+// is Apply's roll callback, because the simulated master opens and closes
+// backup replicas across a roll. Serialisation (a sim.Mutex there, a
+// sync.Mutex on the real master), CPU-cost charging and replication stay
+// with the caller.
 package store
 
 import (
@@ -154,33 +155,75 @@ func (s *Store) keyEq(table uint64, key []byte) hashtable.EqualFunc {
 // hashtable.Table.Prefetch).
 func (s *Store) Prefetch(keyHash uint64) { s.ht.Prefetch(keyHash) }
 
-// Lookup makes e a view of the log entry indexed for (table, key). The
-// candidate that matches is the answer, so a hit costs one log read, not
-// one to compare and one to fetch; e is the caller's so that the 100-byte
-// entry is written once.
-func (s *Store) Lookup(e *logstore.Entry, table uint64, key []byte, keyHash uint64) bool {
+// Read answers a read of (table, key): its indexed version, or
+// StatusUnknownKey. The index candidate that matches is the answer, so a
+// hit costs one log read, not one to compare and one to fetch. The Value
+// is a view of the log's bytes, which are never written again once
+// appended.
+func (s *Store) Read(table uint64, key []byte, keyHash uint64) wire.MultiReadResult {
+	var e logstore.Entry
 	_, ok := s.ht.Lookup(keyHash, func(packed uint64) bool {
 		var err error
-		*e, err = s.Log.Get(logstore.UnpackRef(packed))
+		e, err = s.Log.Get(logstore.UnpackRef(packed))
 		return err == nil && e.Table == table && string(e.Key) == string(key)
 	})
-	return ok
+	if !ok || e.Type != logstore.EntryObject {
+		return wire.MultiReadResult{Status: wire.StatusUnknownKey}
+	}
+	return wire.MultiReadResult{Status: wire.StatusOK, Version: e.Version, ValueLen: e.ValueLen, Value: e.Value}
 }
 
-// NextVersion draws a version above every version the store holds or has
-// handed out.
-func (s *Store) NextVersion() uint64 {
-	s.nextVersion++
-	return s.nextVersion
+// Apply appends o to the log head and makes it the indexed version of its
+// key: the one rule by which both masters append a write, a delete, a
+// replayed or migrated object and a bulk-loaded record.
+//
+// An object that arrives with a version keeps it (replay, migration). One
+// without draws a fresh version above every version held or handed out,
+// and a tombstone without one is a delete of the indexed version, which
+// answers StatusUnknownKey, drawing nothing, when the key is not indexed.
+// roll is called before the append exactly when the head cannot take the
+// entry, and must roll the log (Log.Roll); the simulated master opens and
+// closes backup replicas around it. A nil roll rolls the log alone.
+//
+// On StatusOK o.Version is the version appended and the segment it landed
+// in is returned; a tombstone's value is dropped. The version counter
+// never stays below a version held, so a replayed or migrated object
+// cannot be followed by a write at a lower version.
+func (s *Store) Apply(o *wire.Object, roll func()) (uint64, wire.Status) {
+	if o.Tombstone {
+		o.ValueLen, o.Value = 0, nil
+	}
+	e := EntryOf(o)
+	if e.Version == 0 {
+		if o.Tombstone {
+			packed, ok := s.ht.Lookup(o.KeyHash, s.keyEq(o.Table, o.Key))
+			if !ok {
+				return 0, wire.StatusUnknownKey
+			}
+			e.ObjectSegment = logstore.UnpackRef(packed).Segment
+		}
+		s.nextVersion++
+		e.Version = s.nextVersion
+	}
+	if s.Log.NeedsRoll(e.StorageSize()) {
+		if roll == nil {
+			s.Log.Roll()
+		} else {
+			roll()
+		}
+	}
+	ref, err := s.put(e)
+	if err != nil {
+		return 0, wire.StatusError
+	}
+	o.Version = e.Version
+	return ref.Segment, wire.StatusOK
 }
 
-// Put appends entry to the log head (the caller has rolled if
-// Log.NeedsRoll said so) and makes it the indexed version of its key: the
-// displaced version is marked dead, and a tombstone leaves the key
-// unindexed. The version counter never stays below a version held, so a
-// replayed or migrated object cannot be followed by a write at a lower
-// version.
-func (s *Store) Put(entry logstore.Entry) (logstore.Ref, error) {
+// put appends entry to the log head and makes it the indexed version of
+// its key: the displaced version is marked dead, and a tombstone leaves
+// the key unindexed.
+func (s *Store) put(entry logstore.Entry) (logstore.Ref, error) {
 	ref, err := s.Log.Append(entry)
 	if err != nil {
 		return ref, err
@@ -201,29 +244,11 @@ func (s *Store) Put(entry logstore.Entry) (logstore.Ref, error) {
 	return ref, nil
 }
 
-// Tombstone returns the tombstone that deletes the indexed version of
-// (table, key), at a fresh version, for the caller to Put; false when the
-// key is not indexed.
-func (s *Store) Tombstone(table uint64, key []byte, keyHash uint64) (logstore.Entry, bool) {
-	packed, ok := s.ht.Lookup(keyHash, s.keyEq(table, key))
-	if !ok {
-		return logstore.Entry{}, false
-	}
-	return logstore.Entry{
-		Type:          logstore.EntryTombstone,
-		Table:         table,
-		KeyHash:       keyHash,
-		Key:           key,
-		Version:       s.NextVersion(),
-		ObjectSegment: logstore.UnpackRef(packed).Segment,
-	}, true
-}
-
 // Unindex drops (table, key) from the index and marks its entry dead, with
 // no tombstone: the object now lives on another master (migration).
 func (s *Store) Unindex(table uint64, key []byte, keyHash uint64) {
 	if old, ok := s.ht.Delete(keyHash, s.keyEq(table, key)); ok {
-		_ = s.Log.MarkDead(logstore.UnpackRef(old)) // as in Put
+		_ = s.Log.MarkDead(logstore.UnpackRef(old)) // as in put
 	}
 }
 

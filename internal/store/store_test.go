@@ -46,44 +46,74 @@ func (m *model) randKey() (modelKey, uint64) {
 	return k, hashtable.HashKey(k.table, []byte(k.key)) % 4
 }
 
-func (m *model) draw() uint64 {
-	v := m.st.NextVersion()
-	if v <= m.maxVersion {
-		m.t.Fatalf("drew version %d with %d already held", v, m.maxVersion)
-	}
-	m.maxVersion = v
-	return v
-}
-
-// put rolls if the entry needs it and puts it, as both masters do.
-func (m *model) put(e logstore.Entry) {
-	if m.st.Log.NeedsRoll(e.StorageSize()) {
-		m.st.Log.Roll()
-	}
-	if _, err := m.st.Put(e); err != nil {
-		m.t.Fatalf("put %+v: %v", e, err)
-	}
-	if e.Version > m.maxVersion {
-		m.maxVersion = e.Version
-	}
-	k := modelKey{e.Table, string(e.Key)}
-	if e.Type == logstore.EntryTombstone {
-		delete(m.objs, k)
+// apply appends o through Apply, as both masters do, and holds Apply to
+// its promises: a version drawn above every version held unless o came
+// with one, a delete of an absent key that draws nothing and appends
+// nothing, a delete that names the segment of what it deletes, and roll
+// called exactly when the head cannot take the entry, before it is
+// appended.
+func (m *model) apply(o wire.Object) {
+	t, st := m.t, m.st
+	k := modelKey{o.Table, string(o.Key)}
+	_, held := m.objs[k]
+	given := o.Version
+	fresh := given == 0
+	e := EntryOf(&o)
+	needsRoll := st.Log.NeedsRoll(e.StorageSize())
+	appends, counter := st.Log.Appends(), st.nextVersion
+	rolled := false
+	seg, status := st.Apply(&o, func() {
+		if rolled || st.Log.Appends() != appends {
+			t.Fatalf("Apply(%+v) rolled twice or after the append", o)
+		}
+		rolled = true
+		st.Log.Roll()
+	})
+	if fresh && o.Tombstone && !held {
+		if status != wire.StatusUnknownKey || rolled || st.Log.Appends() != appends || st.nextVersion != counter {
+			t.Fatalf("delete of absent %v: %v, rolled %v, %d appends, counter %d → %d", k, status, rolled, st.Log.Appends()-appends, counter, st.nextVersion)
+		}
 		return
 	}
-	m.objs[k] = modelObj{version: e.Version, valueLen: e.ValueLen, value: e.Value}
+	if status != wire.StatusOK {
+		t.Fatalf("Apply(%+v) = %v, model holds the key: %v", o, status, held)
+	}
+	if rolled != needsRoll {
+		t.Fatalf("Apply(%+v) rolled: %v, the head needed a roll: %v", o, rolled, needsRoll)
+	}
+	head := st.Log.Head()
+	if st.Log.Appends() != appends+1 || seg != head.ID() {
+		t.Fatalf("Apply(%+v) appended %d entries, to segment %d; the head is %d", o, st.Log.Appends()-appends, seg, head.ID())
+	}
+	if fresh && o.Version <= m.maxVersion {
+		t.Fatalf("drew version %d with %d already held", o.Version, m.maxVersion)
+	}
+	if !fresh && o.Version != given {
+		t.Fatalf("Apply(%+v) appended at version %d, not the version it came with", o, o.Version)
+	}
+	m.maxVersion = max(m.maxVersion, o.Version)
+	if !o.Tombstone {
+		m.objs[k] = modelObj{version: o.Version, valueLen: o.ValueLen, value: o.Value}
+		return
+	}
+	delete(m.objs, k)
+	if tomb, err := head.EntryAt(head.Entries() - 1); err != nil || tomb.Type != logstore.EntryTombstone || tomb.Version != o.Version {
+		t.Fatalf("the head ends in %+v (%v), not the tombstone at version %d", tomb, err, o.Version)
+	} else if _, live := st.Log.Segment(tomb.ObjectSegment); fresh && !live {
+		t.Fatalf("tombstone names segment %d, which is not in the log", tomb.ObjectSegment)
+	}
 }
 
-func (m *model) object(k modelKey, keyHash, version uint64) logstore.Entry {
-	e := logstore.Entry{Type: logstore.EntryObject, Table: k.table, KeyHash: keyHash, Key: []byte(k.key), Version: version}
+func (m *model) object(k modelKey, keyHash, version uint64) wire.Object {
+	o := wire.Object{Table: k.table, KeyHash: keyHash, Key: []byte(k.key), Version: version}
 	if m.rng.Intn(3) == 0 {
-		e.ValueLen = uint32(m.rng.Intn(64)) // virtual: a length and no bytes
+		o.ValueLen = uint32(m.rng.Intn(64)) // virtual: a length and no bytes
 	} else {
-		e.Value = make([]byte, m.rng.Intn(64))
-		m.rng.Read(e.Value)
-		e.ValueLen = uint32(len(e.Value))
+		o.Value = make([]byte, m.rng.Intn(64))
+		m.rng.Read(o.Value)
+		o.ValueLen = uint32(len(o.Value))
 	}
-	return e
+	return o
 }
 
 // forcedVersion is what replay and migration hand the store: any version,
@@ -95,28 +125,14 @@ func (m *model) forcedVersion() uint64 {
 func (m *model) step() {
 	k, h := m.randKey()
 	switch op := m.rng.Intn(20); {
-	case op < 7: // a client write: fresh version
-		m.put(m.object(k, h, m.draw()))
+	case op < 7: // a client write, an overwrite when the key is held: a fresh version
+		m.apply(m.object(k, h, 0))
 	case op < 9: // replay or migration: the version comes with the object
-		m.put(m.object(k, h, m.forcedVersion()))
+		m.apply(m.object(k, h, m.forcedVersion()))
 	case op < 13: // a client delete, of a present or an absent key
-		tomb, ok := m.st.Tombstone(k.table, []byte(k.key), h)
-		if _, held := m.objs[k]; ok != held {
-			m.t.Fatalf("Tombstone(%v) = %v, model holds it: %v", k, ok, held)
-		}
-		if !ok {
-			return
-		}
-		if tomb.Type != logstore.EntryTombstone || tomb.Version <= m.maxVersion {
-			m.t.Fatalf("tombstone %+v with version %d already held", tomb, m.maxVersion)
-		}
-		m.maxVersion = tomb.Version
-		if _, live := m.st.Log.Segment(tomb.ObjectSegment); !live {
-			m.t.Fatalf("tombstone names segment %d, which is not in the log", tomb.ObjectSegment)
-		}
-		m.put(tomb)
+		m.apply(wire.Object{Table: k.table, KeyHash: h, Key: []byte(k.key), Tombstone: true})
 	case op < 14: // a replayed tombstone
-		m.put(logstore.Entry{Type: logstore.EntryTombstone, Table: k.table, KeyHash: h, Key: []byte(k.key), Version: m.forcedVersion()})
+		m.apply(wire.Object{Table: k.table, KeyHash: h, Key: []byte(k.key), Tombstone: true, Version: m.forcedVersion()})
 	case op < 16: // migration hand-off
 		m.st.Unindex(k.table, []byte(k.key), h)
 		delete(m.objs, k)
@@ -137,22 +153,21 @@ func (m *model) step() {
 
 func (m *model) check() {
 	t, st := m.t, m.st
-	// Lookup agrees with the model on every key of the key space.
+	// Read agrees with the model on every key of the key space.
 	for table := uint64(1); table <= 2; table++ {
 		for i := 0; i < 8; i++ {
 			k := modelKey{table, fmt.Sprintf("key%d", i)}
-			var e logstore.Entry
-			found := st.Lookup(&e, k.table, []byte(k.key), hashtable.HashKey(k.table, []byte(k.key))%4)
+			r := st.Read(k.table, []byte(k.key), hashtable.HashKey(k.table, []byte(k.key))%4)
 			want, held := m.objs[k]
-			if found != held {
-				t.Fatalf("Lookup(%v) found = %v, model holds it: %v", k, found, held)
+			if found := r.Status == wire.StatusOK; found != held || !found && r.Status != wire.StatusUnknownKey {
+				t.Fatalf("Read(%v) = %v, model holds it: %v", k, r.Status, held)
 			}
-			if !found {
+			if !held {
 				continue
 			}
-			if e.Type != logstore.EntryObject || e.Version != want.version || e.ValueLen != want.valueLen ||
-				(e.Value == nil) != (want.value == nil) || !bytes.Equal(e.Value, want.value) {
-				t.Fatalf("Lookup(%v) = %+v, model holds %+v", k, e, want)
+			if r.Version != want.version || r.ValueLen != want.valueLen ||
+				(r.Value == nil) != (want.value == nil) || !bytes.Equal(r.Value, want.value) {
+				t.Fatalf("Read(%v) = %+v, model holds %+v", k, r, want)
 			}
 		}
 	}
@@ -292,11 +307,8 @@ func TestSplitHashSpace(t *testing.T) {
 	}
 }
 
-var sinkEntry logstore.Entry
-
 // BenchmarkStorePutLookup is the per-item store work of a write and a
-// read of a 1 KiB value, as both masters do them: draw, roll when needed,
-// put, look up.
+// read of a 1 KiB value, as both masters do them: Apply, then Read.
 func BenchmarkStorePutLookup(b *testing.B) {
 	const keys = 4096
 	st := New(logstore.DefaultConfig())
@@ -307,27 +319,27 @@ func BenchmarkStorePutLookup(b *testing.B) {
 		hash[i] = hashtable.HashKey(1, key[i])
 	}
 	value := make([]byte, 1024)
-	b.SetBytes(int64(len(value)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % keys
-		e := logstore.Entry{Type: logstore.EntryObject, Table: 1, KeyHash: hash[k], Key: key[k], ValueLen: 1024, Value: value, Version: st.NextVersion()}
-		if st.Log.NeedsRoll(e.StorageSize()) && st.Log.AccountedBytes() > 128<<20 {
+	roll := func() {
+		if st.Log.AccountedBytes() > 128<<20 {
 			// Bound the benchmark's memory the way a master would: the
 			// overwritten versions go.
 			if _, err := st.Clean(16); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if st.Log.NeedsRoll(e.StorageSize()) {
-			st.Log.Roll()
+		st.Log.Roll()
+	}
+	b.SetBytes(int64(len(value)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % keys
+		o := wire.Object{Table: 1, KeyHash: hash[k], Key: key[k], ValueLen: 1024, Value: value}
+		if _, status := st.Apply(&o, roll); status != wire.StatusOK {
+			b.Fatal(status)
 		}
-		if _, err := st.Put(e); err != nil {
-			b.Fatal(err)
-		}
-		if !st.Lookup(&sinkEntry, 1, key[k], hash[k]) {
-			b.Fatal("lookup missed what was just put")
+		if st.Read(1, key[k], hash[k]).Version != o.Version {
+			b.Fatal("read missed what was just put")
 		}
 	}
 }
