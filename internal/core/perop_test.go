@@ -1,0 +1,113 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"ramcloud/internal/client"
+	"ramcloud/internal/sim"
+	"ramcloud/internal/ycsb"
+)
+
+// opCost is what one operation of a steady closed loop costs the host:
+// engine events run, procs resumed and objects allocated, end to end.
+type opCost struct {
+	events, resumes, allocs float64
+}
+
+// closedLoop starts one closed-loop client of w, seeded 1, against a
+// started cluster of servers at RF rf that holds w's records: the client
+// runs opts.Requests operations (batches of opts.BatchSize when set) and
+// stops the engine.
+func closedLoop(tb testing.TB, servers, rf int, w ycsb.Workload, opts ycsb.RunOptions) (*sim.Engine, *client.Client) {
+	tb.Helper()
+	eng := sim.New(1)
+	cl := NewCluster(eng, DefaultProfile(), servers, rf)
+	cl.Start()
+	opts.Table = cl.CreateTable("usertable")
+	opts.Seed = 1
+	cl.BulkLoad(opts.Table, w.RecordCount, w.RecordSize)
+	c := cl.NewClient()
+	eng.Go("client", func(p *sim.Proc) {
+		ycsb.RunClient(p, c, w, opts)
+		eng.Stop()
+	})
+	return eng, c
+}
+
+// measureOp runs one closed-loop client against a cluster of servers at
+// RF rf, holding 1,000 records of 100 bytes, and returns the cost of one
+// of its operations in steady state: the engine's counts and the heap
+// objects over 21 slices of 20 ms, divided by the operations completed in
+// them. A batched client's operation is one batch.
+func measureOp(t *testing.T, servers, rf int, w ycsb.Workload, batch int) opCost {
+	t.Helper()
+	eng, c := closedLoop(t, servers, rf, w, ycsb.RunOptions{Requests: 1 << 30, BatchSize: batch})
+	defer eng.Shutdown()
+	slice := func() { eng.RunUntil(eng.Now().Add(20 * sim.Millisecond)) }
+	slice()
+	slice()
+	ops0, counts0 := c.Stats().Ops.Value(), eng.Counts()
+	allocs := testing.AllocsPerRun(20, slice)
+	counts := eng.Counts()
+	ops := float64(c.Stats().Ops.Value()-ops0) / float64(max(batch, 1))
+	if ops < 1000 {
+		t.Fatalf("%.0f ops in 21 slices: the loop is not running", ops)
+	}
+	return opCost{
+		events:  float64(counts.Events-counts0.Events) / ops,
+		resumes: float64(counts.Resumes-counts0.Resumes) / ops,
+		allocs:  allocs * 21 / ops,
+	}
+}
+
+// TestEngineCountsPerOp pins what the engine runs for one closed-loop
+// operation through the whole stack, client, fabric, master and backups:
+// a read, a write at RF 1 and RF 4, and a 32-item multi-read. A single
+// operation's client is engine callbacks and resumes no proc; a write
+// resumes its master's worker proc, for its service time and for its
+// backups' acks. The batched client keeps its proc: two resumes a batch.
+func TestEngineCountsPerOp(t *testing.T) {
+	records := func(read, update float64) ycsb.Workload {
+		return ycsb.Workload{ReadProp: read, UpdateProp: update, RecordCount: 1000, RecordSize: 100, Dist: ycsb.Uniform}
+	}
+	for _, c := range []struct {
+		name        string
+		servers, rf int
+		w           ycsb.Workload
+		batch       int
+		want        opCost
+	}{
+		{"read", 1, 0, records(1, 0), 0, opCost{8, 0, 3}},
+		{"write rf1", 2, 1, records(0, 1), 0, opCost{16.02, 4.01, 5.01}},
+		{"write rf4", 5, 4, records(0, 1), 0, opCost{37.1, 7.05, 5.03}},
+		{"multiread32", 1, 0, records(1, 0), 32, opCost{8.01, 2, 45}},
+	} {
+		got := measureOp(t, c.servers, c.rf, c.w, c.batch)
+		t.Logf("%s: %.3f events, %.3f resumes, %.3f allocs per op", c.name, got.events, got.resumes, got.allocs)
+		for _, v := range []struct {
+			what      string
+			got, want float64
+		}{{"events", got.events, c.want.events}, {"resumes", got.resumes, c.want.resumes}, {"allocs", got.allocs, c.want.allocs}} {
+			if math.Abs(v.got-v.want) > 0.05 {
+				t.Errorf("%s: %.3f %s per op, want %.2f", c.name, v.got, v.what, v.want)
+			}
+		}
+	}
+}
+
+// BenchmarkClosedLoopRead times one read of a closed-loop client through
+// the whole stack on one server at RF 0: the client's overhead wait and
+// issue, the fabric, the server's dispatch and worker, and the reply.
+func BenchmarkClosedLoopRead(b *testing.B) {
+	eng, c := closedLoop(b, 1, 0, ycsb.WorkloadC(1000, 100), ycsb.RunOptions{Requests: b.N})
+	defer eng.Shutdown()
+	eng.RunUntil(0) // the servers' procs and the client start
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	if got := c.Stats().Ops.Value(); got != int64(b.N) {
+		b.Fatalf("%d of %d reads done", got, b.N)
+	}
+}

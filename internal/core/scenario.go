@@ -125,6 +125,11 @@ type Result struct {
 
 	Crashed bool // deadline exceeded
 
+	// Engine is what the run's engine ran, up to the end of the run:
+	// events, proc resumes, callbacks and sequence numbers drawn. It is
+	// never rendered.
+	Engine sim.Counts
+
 	// Groups breaks the run down per client group (always at least the
 	// implicit flat-field group); Phases slices it along the scenario's
 	// load phases (empty without phases).
@@ -253,6 +258,7 @@ func Run(s Scenario) *Result {
 
 	eng.Run()
 	finalNow := eng.Now()
+	res.Engine = eng.Counts()
 	eng.Shutdown()
 	for _, node := range cl.Nodes {
 		node.FlushAccounting(finalNow)

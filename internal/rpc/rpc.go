@@ -10,10 +10,10 @@
 // gives up, and a response that finds none is dropped. Call.Release puts
 // the future back, deregistering a call that has not resolved, so a late
 // or duplicated response never resolves the call that reuses it. Only the
-// proc that waited on a call releases it, once, after the wait: Call and
-// CallTimeout do so themselves, as do the client's ops and multi-ops and
-// the master's replication fan-out. A bare AsyncCall future is never
-// released.
+// proc or callback that waited on a call releases it, once, after the
+// wait: Call and CallTimeout do so themselves, as do the client's ops and
+// multi-ops and the master's replication fan-out. A bare AsyncCall future
+// is never released.
 //
 // Message sizes on the wire are computed from the real binary encoding
 // (wire.Message.WireSize), so transfer timing matches what a physical
@@ -169,6 +169,18 @@ func (c *Call) WaitTimeout(p *sim.Proc, d sim.Duration) (wire.Message, bool) {
 	}
 	return resp, ok
 }
+
+// Notify is WaitTimeout for a caller that is not a proc: fn runs once the
+// response arrives, or once d elapses without one, and takes the outcome
+// with Result. fn runs in the events a proc in WaitTimeout would be
+// resumed from, drawn where it draws them (sim.Future.NotifyTimeout).
+// Nothing may be waiting on the call, and it must not have resolved.
+func (c *Call) Notify(d sim.Duration, fn func()) { c.f.NotifyTimeout(d, fn) }
+
+// Result returns the response and true once it has arrived, and false
+// before, as after Notify's deadline. Release then drops the pending
+// entry of a call that timed out, so its late response is discarded.
+func (c *Call) Result() (wire.Message, bool) { return c.f.TryGet() }
 
 // Release hands the call's future back to its endpoint for reuse by a
 // later call. A call that has not resolved is deregistered first, so its

@@ -306,3 +306,43 @@ func TestDuplicateResponseSkipsReusedFuture(t *testing.T) {
 		t.Fatalf("%d futures on the free list, want the one every call shared", len(cl.free))
 	}
 }
+
+// TestNotifiedLateResponseSkipsReusedFuture is
+// TestLateResponseSkipsReusedFuture for calls waited on by a callback
+// (Notify and Result): the first call times out, Result drops its entry
+// and Release frees its future for the second call, which the first
+// call's late answer must not resolve.
+func TestNotifiedLateResponseSkipsReusedFuture(t *testing.T) {
+	e, cl, srv := pair(t)
+	seqServer(e, srv, func(seq uint64) sim.Duration {
+		return map[uint64]sim.Duration{1: 20 * sim.Millisecond, 2: 30 * sim.Millisecond}[seq]
+	})
+	var c Call
+	var oks []bool
+	var got uint64
+	var wake func()
+	wake = func() {
+		resp, ok := c.Result()
+		oks = append(oks, ok)
+		if ok {
+			got = resp.(*wire.PingResp).Seq
+		}
+		c.Release()
+		if len(oks) == 1 {
+			c = cl.StartCall(2, &wire.PingReq{Seq: 2})
+			c.Notify(100*sim.Millisecond, wake)
+		}
+	}
+	e.Schedule(0, func() {
+		c = cl.StartCall(2, &wire.PingReq{Seq: 1})
+		c.Notify(5*sim.Millisecond, wake)
+	})
+	e.Run()
+	e.Shutdown()
+	if !slices.Equal(oks, []bool{false, true}) || got != 2 {
+		t.Fatalf("calls settled %v, second with seq %d; want a timeout, then its own response, seq 2", oks, got)
+	}
+	if len(cl.free) != 1 {
+		t.Fatalf("%d futures on the free list, want the one both calls shared", len(cl.free))
+	}
+}

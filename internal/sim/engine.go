@@ -17,9 +17,11 @@
 // Procs block in simulated time using Sleep and the synchronization
 // primitives in this package (Queue, Mutex, Future, WaitGroup).
 // All wake-ups are funneled through the event queue, so execution order is a
-// pure function of the seed and the program. The one exception draws no
-// event at all: a callback may Resume a proc parked in Suspend, which then
-// runs inline, as part of that callback's event.
+// pure function of the seed and the program. A callback may wait on a
+// Future too (NotifyTimeout): it is scheduled in the events, and with the
+// sequence numbers, that would resume a proc waiting there. The one
+// exception draws no event at all: a callback may Resume a proc parked in
+// Suspend, which then runs inline, as part of that callback's event.
 //
 // Hot-path design: the event queue is a 4-ary min-heap of plain event
 // structs owned by the engine (no container/heap, so no `any` boxing per
@@ -54,17 +56,27 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// timer is a cancellable proc-resume scheduled for a deadline. Timers live
-// in their own small heap so the (usually far-future, usually cancelled)
-// RPC timeouts of CallTimeout don't pollute the main event heap: without
-// cancellation a closed loop drags thousands of stale deadline events
-// through every sift. idx is the timer's position in the heap, -1 once
-// fired or cancelled.
+// timer is a cancellable deadline that resumes p, or runs fn when p is
+// nil. Timers live in their own small heap so the (usually far-future,
+// usually cancelled) RPC timeouts of CallTimeout don't pollute the main
+// event heap: without cancellation a closed loop drags thousands of stale
+// deadline events through every sift. idx is the timer's position in the
+// heap, -1 once fired or cancelled.
 type timer struct {
 	t   Time
 	seq uint64
 	p   *Proc
+	fn  func()
 	idx int
+}
+
+// Counts is what an engine has run so far. Each count costs one increment
+// where it happens.
+type Counts struct {
+	Events    uint64 // events taken off the queues, timers included
+	Resumes   uint64 // switches into a proc, by an event or by Resume
+	Callbacks uint64 // events that ran a callback
+	Seq       uint64 // sequence numbers drawn
 }
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
@@ -95,6 +107,8 @@ type Engine struct {
 	// running is the proc the engine has switched into, nil while a
 	// callback (or nothing) runs.
 	running *Proc
+
+	counts Counts
 }
 
 // New returns an engine whose randomness is derived entirely from seed.
@@ -107,6 +121,13 @@ func New(seed int64) *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
+
+// Counts returns what the engine has run so far.
+func (e *Engine) Counts() Counts {
+	c := e.counts
+	c.Seq = e.seq
+	return c
+}
 
 // Rand returns the engine's seeded random source. It must only be used from
 // engine context (callbacks and procs), never from outside Run.
@@ -205,14 +226,15 @@ func (e *Engine) heapPop() event {
 	return top
 }
 
-// scheduleProcTimer arms tm, storage the caller owns, as a cancellable
-// resume of p at time t (clamped to now). tm must not be pending.
-func (e *Engine) scheduleProcTimer(tm *timer, t Time, p *Proc) {
+// scheduleTimer arms tm, storage the caller owns, as a cancellable resume
+// of p, or call of fn when p is nil, at time t (clamped to now). tm must
+// not be pending.
+func (e *Engine) scheduleTimer(tm *timer, t Time, p *Proc, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	*tm = timer{t: t, seq: e.seq, p: p}
+	*tm = timer{t: t, seq: e.seq, p: p, fn: fn}
 	e.timerPush(tm)
 }
 
@@ -379,12 +401,14 @@ func (e *Engine) RunUntil(horizon Time) {
 			ev = e.heapPop()
 		case 3:
 			tm := e.timerPop()
-			ev = event{t: tm.t, seq: tm.seq, p: tm.p}
+			ev = event{t: tm.t, seq: tm.seq, p: tm.p, fn: tm.fn}
 		}
 		e.now = ev.t
+		e.counts.Events++
 		if ev.p != nil {
 			e.resume(ev.p)
 		} else {
+			e.counts.Callbacks++
 			ev.fn()
 		}
 	}
@@ -392,6 +416,7 @@ func (e *Engine) RunUntil(horizon Time) {
 
 // resume switches into p until it parks or finishes.
 func (e *Engine) resume(p *Proc) {
+	e.counts.Resumes++
 	e.running = p
 	p.next()
 	e.running = nil

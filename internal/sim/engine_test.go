@@ -377,7 +377,7 @@ func TestTimerHeapCancelMidHeap(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d := Duration((i*37)%100 + 1)
 		tm := new(timer)
-		e.scheduleProcTimer(tm, e.now.Add(d), nil)
+		e.scheduleTimer(tm, e.now.Add(d), nil, nil)
 		tms = append(tms, tm)
 	}
 	// Cancel every third timer, including the current minimum.

@@ -124,10 +124,12 @@ func (m *Mutex) Unlock() {
 	m.locked = false
 }
 
-// futureWaiter is one proc parked on a future, with its timeout timer when
-// the wait has a deadline.
+// futureWaiter is one proc parked on a future, or the callback that runs
+// in its place (NotifyTimeout), with its timeout timer when the wait has a
+// deadline.
 type futureWaiter struct {
 	p  *Proc
+	fn func()
 	tm *timer
 }
 
@@ -155,13 +157,17 @@ func NewFuture[T any](e *Engine) *Future[T] { return &Future[T]{eng: e} }
 // IsSet reports whether the future has a value.
 func (f *Future[T]) IsSet() bool { return f.set }
 
+// TryGet returns the value and true once the future is set, and false
+// before.
+func (f *Future[T]) TryGet() (T, bool) { return f.val, f.set }
+
 // Reset returns the future to its unset state so that it can be reused,
 // exactly as if NewFuture had just returned it. The caller must be sure
 // that nothing will Set it for its previous use any more. Resetting a
-// future a proc is still waiting on panics.
+// future a proc or callback is still waiting on panics.
 func (f *Future[T]) Reset() {
 	if !f.idle() {
-		panic("sim: Reset of a Future with a waiting proc")
+		panic("sim: Reset of a Future with a waiter")
 	}
 	*f = Future[T]{eng: f.eng}
 }
@@ -175,7 +181,7 @@ func (f *Future[T]) Set(v T) {
 	f.set = true
 	f.setAt = f.eng.now
 	f.val = v
-	if f.first.p != nil {
+	if f.first.waits() {
 		f.wake(f.first)
 	}
 	for _, w := range f.more {
@@ -184,9 +190,15 @@ func (f *Future[T]) Set(v T) {
 	f.first, f.more = futureWaiter{}, nil
 }
 
+// wake schedules w at the current instant: its proc, or its callback with
+// the same sequence number the proc would have drawn.
 func (f *Future[T]) wake(w futureWaiter) {
 	if w.tm != nil {
 		f.eng.cancelTimer(w.tm)
+	}
+	if w.fn != nil {
+		f.eng.ScheduleAt(f.eng.now, w.fn)
+		return
 	}
 	f.eng.scheduleProcAt(f.eng.now, w.p)
 }
@@ -197,8 +209,12 @@ func (f *Future[T]) wake(w futureWaiter) {
 // observation instant.
 func (f *Future[T]) ResolvedAt() Time { return f.setAt }
 
-// idle reports whether no proc is waiting.
-func (f *Future[T]) idle() bool { return f.first.p == nil && len(f.more) == 0 }
+// waits reports whether w still waits: a proc until it is woken or drops
+// itself, a callback until Set wakes it or its deadline has run it.
+func (w futureWaiter) waits() bool { return w.p != nil || w.fn != nil && w.tm.idx >= 0 }
+
+// idle reports whether no proc or callback is waiting.
+func (f *Future[T]) idle() bool { return !f.first.waits() && len(f.more) == 0 }
 
 func (f *Future[T]) addWaiter(w futureWaiter) {
 	if f.idle() {
@@ -230,7 +246,7 @@ func (f *Future[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 	if !f.idle() {
 		tm = new(timer)
 	}
-	f.eng.scheduleProcTimer(tm, deadline, p)
+	f.eng.scheduleTimer(tm, deadline, p, nil)
 	for !f.set {
 		f.addWaiter(futureWaiter{p: p, tm: tm})
 		p.park()
@@ -244,6 +260,23 @@ func (f *Future[T]) GetTimeout(p *Proc, d Duration) (v T, ok bool) {
 	}
 	// The value arrived first; Set cancelled the timer.
 	return f.val, true
+}
+
+// NotifyTimeout is GetTimeout for a caller that is not a proc: fn runs
+// once the future is set, or once d elapses, and reads which with TryGet.
+// Each event is the one GetTimeout would resume its proc from: Set
+// schedules fn at the current instant, and the deadline is a cancellable
+// timer armed now that runs fn in place of the proc, so every sequence
+// number is drawn where GetTimeout draws it. Once the deadline has run fn,
+// fn no longer waits: a late Set runs nothing. The future must be unset,
+// with nobody waiting on it; a caller binds fn once, and waiting then
+// allocates nothing.
+func (f *Future[T]) NotifyTimeout(d Duration, fn func()) {
+	if f.set || !f.idle() {
+		panic("sim: NotifyTimeout on a set or waited Future")
+	}
+	f.eng.scheduleTimer(&f.tm, f.eng.now.Add(d), nil, fn)
+	f.first = futureWaiter{fn: fn, tm: &f.tm}
 }
 
 func (f *Future[T]) dropWaiter(p *Proc) {

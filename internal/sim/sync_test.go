@@ -428,6 +428,117 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 			t.Fatalf("inline resume allocates %v per slice, want 0", n)
 		}
 	})
+	t.Run("callback wait", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		f := NewFuture[int](e)
+		rounds := 0
+		set := func() { f.Set(rounds) }
+		var wake func()
+		wake = func() {
+			f.Reset()
+			rounds++
+			e.Schedule(500, set)
+			f.NotifyTimeout(Second, wake)
+		}
+		e.Schedule(0, wake)
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("a callback's wait on a future allocates %v per slice, want 0", n)
+		}
+	})
+}
+
+// TestNotifyTimeout holds a callback that waits on a future to a proc in
+// GetTimeout. Each of five waits has a deadline 10 ns out, and its value
+// comes before it, at it, after it or at once. Both sides must wake at the
+// same instants, in the same place among those instants' other events,
+// and draw the same sequence numbers. A timed-out callback is forgotten:
+// a late Set runs nothing and the future can be reset.
+func TestNotifyTimeout(t *testing.T) {
+	gaps := []Duration{4, 10, 15, 0, 7}
+	run := func(callback bool) ([]string, Counts) {
+		e := New(1)
+		defer e.Shutdown()
+		f := NewFuture[int](e)
+		var trace []string
+		note := func(what string) { trace = append(trace, fmt.Sprintf("%d %s", e.Now(), what)) }
+		round := 0
+		// start schedules the round's value and a marker at its deadline,
+		// both ahead of the wait.
+		start := func() {
+			r := round
+			e.Schedule(gaps[r], func() {
+				if r == round {
+					f.Set(r)
+				}
+			})
+			e.Schedule(10, func() { note("deadline") })
+		}
+		woke := func(v int, ok bool) {
+			note(fmt.Sprintf("round %d: %d %v", round, v, ok))
+			f.Reset()
+			round++
+		}
+		if callback {
+			var wake func()
+			wake = func() {
+				woke(f.TryGet())
+				if round < len(gaps) {
+					start()
+					f.NotifyTimeout(10, wake)
+				}
+			}
+			e.Schedule(0, func() {
+				start()
+				f.NotifyTimeout(10, wake)
+			})
+		} else {
+			e.Go("waiter", func(p *Proc) {
+				for round < len(gaps) {
+					start()
+					woke(f.GetTimeout(p, 10))
+				}
+			})
+		}
+		e.Run()
+		return trace, e.Counts()
+	}
+	got, gotCounts := run(true)
+	want, wantCounts := run(false)
+	if !slices.Equal(got, want) {
+		t.Fatalf("callback:\n%v\nproc:\n%v", got, want)
+	}
+	if gotCounts.Seq != wantCounts.Seq || gotCounts.Events != wantCounts.Events || gotCounts.Resumes != 0 {
+		t.Fatalf("callback counts %+v, proc %+v", gotCounts, wantCounts)
+	}
+
+	e := New(1)
+	f := NewFuture[int](e)
+	calls := 0
+	f.NotifyTimeout(5, func() { calls++ })
+	e.Run()
+	f.Set(1)
+	e.Run()
+	if calls != 1 {
+		t.Fatalf("callback ran %d times, want once, at its deadline", calls)
+	}
+	f.Reset()
+	for _, c := range []struct {
+		what string
+		arm  func()
+	}{
+		{"a set future", func() { f.Set(1); f.NotifyTimeout(5, func() {}) }},
+		{"a waited one", func() { f.Reset(); f.NotifyTimeout(5, func() {}); f.NotifyTimeout(5, func() {}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NotifyTimeout on %s did not panic", c.what)
+				}
+			}()
+			c.arm()
+		}()
+	}
 }
 
 // TestQueueItemOrderAcrossWrap pushes and pops in uneven bursts so the item

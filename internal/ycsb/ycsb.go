@@ -208,25 +208,38 @@ func NewVarThrottle(fn RateFunc) *Throttle {
 
 // Wait blocks until the next send slot.
 func (t *Throttle) Wait(p *sim.Proc) {
+	for {
+		d, again := t.step(p.Now())
+		if d > 0 {
+			p.Sleep(d)
+		}
+		if !again {
+			return
+		}
+	}
+}
+
+// step is one pass of Wait that never blocks: it returns how long to wait
+// from now, and whether to step again after that wait (a variable rate
+// that is not positive dozes for pausePoll and asks again) or send at its
+// end. A nil throttle never waits.
+func (t *Throttle) step(now sim.Time) (d sim.Duration, again bool) {
 	if t == nil {
-		return
+		return 0, false
 	}
 	if t.rate != nil {
-		r := t.rate(p.Now())
-		for r <= 0 {
-			p.Sleep(pausePoll)
-			r = t.rate(p.Now())
+		r := t.rate(now)
+		if r <= 0 {
+			return pausePoll, true
 		}
 		t.interval = sim.Duration(float64(sim.Second) / r)
 	}
-	now := p.Now()
 	if t.next < now {
 		t.next = now
 	}
-	if d := t.next.Sub(now); d > 0 {
-		p.Sleep(d)
-	}
+	d = t.next.Sub(now)
 	t.next = t.next.Add(t.interval)
+	return d, false
 }
 
 // RunOptions configures one client run.
@@ -284,8 +297,10 @@ type RunResult struct {
 
 // RunClient executes the workload on one client. The default is the
 // paper's closed loop: each iteration draws an op and a key, issues it,
-// and waits for completion. BatchSize > 1 switches to multi-op batching,
-// Window > 1 to async pipelining, and OpenLoop to Poisson arrivals.
+// and waits for completion. It runs as engine callbacks (closedLoop), and
+// p is resumed only for an op that must block and at the end of the run.
+// BatchSize > 1 switches to multi-op batching, Window > 1 to async
+// pipelining, and OpenLoop to Poisson arrivals; those run on p.
 // Latency and throughput land in the client's Stats.
 func RunClient(p *sim.Proc, c *client.Client, w Workload, opts RunOptions) RunResult {
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -307,25 +322,146 @@ func RunClient(p *sim.Proc, c *client.Client, w Workload, opts RunOptions) RunRe
 	case opts.Window > 1:
 		runPipelined(p, c, w, opts, rng, ch, th, &res)
 	default:
-		for i := 0; stepsLeft(i, p, opts); i++ {
-			th.Wait(p)
-			key := Key(ch.Next(rng))
-			switch w.NextOp(rng) {
-			case OpRead:
-				if _, _, err := c.Read(p, opts.Table, key); err != nil {
-					res.Errors++
-				}
-				res.Reads++
-			default:
-				if err := c.Write(p, opts.Table, key, uint32(w.RecordSize), nil); err != nil {
-					res.Errors++
-				}
-				res.Updates++
-			}
-		}
+		l := &closedLoop{p: p, eng: p.Engine(), c: c, w: w, opts: opts, rng: rng, ch: ch, th: th, res: &res}
+		l.stepFn = l.step
+		l.run()
 	}
 	res.Duration = p.Now().Sub(start)
 	return res
+}
+
+// closedLoop is the paper's closed loop as engine callbacks. Each
+// iteration waits out the throttle, draws an op and a key, and begins the
+// op (client.BeginRead/BeginWrite); the throttle's wait and the op's
+// overhead, issue and answer are scheduled callbacks, all of them step.
+// The client's proc stays suspended. A callback resumes it inline
+// (sim.Engine.Resume) for an op that must block, which the proc finishes
+// with Op.Wait before it runs the loop on, and at the end of the run, when
+// it returns. Every sequence number is drawn where a proc that runs the
+// loop throughout, sleeping in Throttle.Wait and blocking in
+// client.Read/Write, draws it, so the events are that proc's.
+type closedLoop struct {
+	p    *sim.Proc
+	eng  *sim.Engine
+	c    *client.Client
+	w    Workload
+	opts RunOptions
+	rng  *rand.Rand
+	ch   Chooser
+	th   *Throttle
+	res  *RunResult
+
+	i      int       // iterations finished
+	op     client.Op // the iteration's op, held by value
+	read   bool      // op is a read
+	pacing bool      // step ends a throttle wait, not a wake of op
+	again  bool      // the throttle steps again after its wait
+	out    outcome   // what a callback resumed the proc for
+	stepFn func()    // step, bound once so scheduling it allocates nothing
+}
+
+// outcome is where the loop stands after running as far as it can
+// without blocking.
+type outcome uint8
+
+const (
+	waiting  outcome = iota // a callback is scheduled: step runs next
+	answered                // the iteration's op is done: take the next
+	blocks                  // the op must block: Op.Wait on the proc
+	ends                    // the run is over: the proc returns
+)
+
+// run is the proc's part: it starts the loop and, from then on, finishes
+// the ops that block, and is suspended between them.
+func (l *closedLoop) run() {
+	for o := l.next(); o != ends; o = l.next() {
+		if o == waiting {
+			l.p.Suspend()
+			if o = l.out; o == ends {
+				return
+			}
+		}
+		l.count(l.op.Wait(l.p))
+	}
+}
+
+// step is the loop's callback: the end of a throttle wait or a wake of
+// the op in flight.
+func (l *closedLoop) step() {
+	var o outcome
+	switch {
+	case l.pacing:
+		l.pacing = false
+		o = l.send(l.again)
+	case l.op.Step():
+		return
+	default:
+		o = l.settled()
+	}
+	if o == answered {
+		o = l.next()
+	}
+	if o != waiting {
+		l.out = o
+		l.eng.Resume(l.p)
+	}
+}
+
+// next runs the loop from its top until an iteration has to wait or
+// block, or the run is over.
+func (l *closedLoop) next() outcome {
+	for stepsLeft(l.i, l.p, l.opts) {
+		if o := l.send(true); o != answered {
+			return o
+		}
+	}
+	return ends
+}
+
+// send starts an iteration: with pace set it steps the throttle, and once
+// no wait is left it draws the op and the key and begins the op.
+func (l *closedLoop) send(pace bool) outcome {
+	if pace {
+		if d, again := l.th.step(l.eng.Now()); d > 0 {
+			l.pacing, l.again = true, again
+			l.eng.Schedule(d, l.stepFn)
+			return waiting
+		}
+	}
+	key := Key(l.ch.Next(l.rng))
+	var pending bool
+	if l.read = l.w.NextOp(l.rng) == OpRead; l.read {
+		pending = l.c.BeginRead(&l.op, l.opts.Table, key, l.stepFn)
+	} else {
+		pending = l.c.BeginWrite(&l.op, l.opts.Table, key, uint32(l.w.RecordSize), l.stepFn)
+	}
+	if pending {
+		return waiting
+	}
+	return l.settled()
+}
+
+// settled takes the op once it no longer waits on a callback: a done op is
+// counted, and one that must block is left to the proc.
+func (l *closedLoop) settled() outcome {
+	if !l.op.Done() {
+		return blocks
+	}
+	l.count(l.op.Wait(l.p)) // done: returns at once
+	return answered
+}
+
+// count ends the iteration with its op's result.
+func (l *closedLoop) count(_ uint32, _ []byte, err error) {
+	if err != nil {
+		l.res.Errors++
+	}
+	if l.read {
+		l.res.Reads++
+	} else {
+		l.res.Updates++
+	}
+	l.i++
 }
 
 // stepsLeft decides whether iteration i should issue: the request budget
