@@ -176,10 +176,10 @@ func (c *Client) Stats() *Stats { return c.stats }
 // Addr returns the client's fabric address.
 func (c *Client) Addr() simnet.NodeID { return c.ep.Node() }
 
-// SentRPCs returns the number of requests this client has issued on the
+// sentRPCs returns the number of requests this client has issued on the
 // fabric (data plane and tablet-map refreshes alike). Tests use it to
 // assert batching actually collapses RPC counts.
-func (c *Client) SentRPCs() uint64 { return c.ep.Sent() }
+func (c *Client) sentRPCs() uint64 { return c.ep.Sent() }
 
 // CreateTable creates (or opens) a table spanning the given number of
 // servers.

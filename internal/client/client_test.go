@@ -315,9 +315,9 @@ func TestMultiReadOneRPCPerMaster(t *testing.T) {
 	var sentDelta uint64
 	f.eng.Go("app", func(p *sim.Proc) {
 		c.refreshTablets(p) // warm the tablet map
-		before := c.SentRPCs()
+		before := c.sentRPCs()
 		results = c.MultiRead(p, 1, keys)
-		sentDelta = c.SentRPCs() - before
+		sentDelta = c.sentRPCs() - before
 		f.eng.Stop()
 	})
 	f.eng.Run()

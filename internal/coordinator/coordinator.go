@@ -81,7 +81,7 @@ type Coordinator struct {
 	respreadsPending int
 	tabletsMigrated  int64
 
-	onDeath func(id int32) // test/experiment hook
+	onDeath func(id int32) // called when a server is declared dead; set by tests
 }
 
 // New creates a coordinator attached to the fabric at addr.
@@ -105,9 +105,6 @@ func (c *Coordinator) Addr() simnet.NodeID { return c.ep.Node() }
 func (c *Coordinator) Records() []RecoveryRecord {
 	return append([]RecoveryRecord(nil), c.records...)
 }
-
-// SetOnDeath installs a hook invoked when a server is declared dead.
-func (c *Coordinator) SetOnDeath(fn func(id int32)) { c.onDeath = fn }
 
 // Suspicions returns the number of ping misses the detector has seen.
 func (c *Coordinator) Suspicions() int64 { return c.suspicions }

@@ -131,7 +131,7 @@ func TestFailureDetectionAndRecoveryRecord(t *testing.T) {
 		r.servers[0].PlaceReplicas(seg)
 	}
 	var died int32 = -1
-	r.coord.SetOnDeath(func(id int32) { died = id })
+	r.coord.onDeath = func(id int32) { died = id }
 	r.eng.Schedule(2*sim.Second, func() { r.servers[1].Kill() })
 	r.eng.Go("waiter", func(p *sim.Proc) {
 		for len(r.coord.Records()) == 0 {

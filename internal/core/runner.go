@@ -99,10 +99,6 @@ func runMemo(s Scenario) *Result {
 	return e.res
 }
 
-// MemoRuns reports how many scenario simulations have actually executed
-// (memo misses). The singleflight tests assert on its deltas.
-func MemoRuns() int64 { return memoRuns.Load() }
-
 // ResetMemo drops every memoized scenario result, releasing their
 // histograms and series for garbage collection. Long-lived embedders that
 // render many one-off experiments (the memo is process-global and grows

@@ -28,7 +28,7 @@ func tinyScenario(seed int64) Scenario {
 func TestRunMemoSingleflight(t *testing.T) {
 	ResetMemo()
 	scens := []Scenario{tinyScenario(1), tinyScenario(2), tinyScenario(3)}
-	before := MemoRuns()
+	before := memoRuns.Load()
 
 	const goroutines = 48
 	results := make([][]*Result, goroutines)
@@ -46,7 +46,7 @@ func TestRunMemoSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	if runs := MemoRuns() - before; runs != int64(len(scens)) {
+	if runs := memoRuns.Load() - before; runs != int64(len(scens)) {
 		t.Fatalf("%d goroutines x %d scenarios executed %d simulations, want %d (singleflight broken)",
 			goroutines, len(scens), runs, len(scens))
 	}
@@ -71,16 +71,16 @@ func TestResetMemoForcesRerun(t *testing.T) {
 	ResetMemo()
 	s := tinyScenario(11)
 	a := runMemo(s)
-	before := MemoRuns()
+	before := memoRuns.Load()
 	if runMemo(s) != a {
 		t.Fatal("memo hit returned a different pointer")
 	}
-	if MemoRuns() != before {
+	if memoRuns.Load() != before {
 		t.Fatal("memo hit executed a simulation")
 	}
 	ResetMemo()
 	b := runMemo(s)
-	if MemoRuns() != before+1 {
+	if memoRuns.Load() != before+1 {
 		t.Fatal("ResetMemo did not force a re-run")
 	}
 	if a == b {
@@ -99,16 +99,16 @@ func TestPrewarmWarmsTheMemo(t *testing.T) {
 		ID: "prewarm-test", Title: "t", Setup: "s",
 		Scenarios: func(Options) []Scenario { return grid },
 	}
-	before := MemoRuns()
+	before := memoRuns.Load()
 	// The same experiment twice: the dedup must collapse the doubled grid.
 	NewRunner(4).Prewarm([]Experiment{exp, exp}, Options{})
-	if runs := MemoRuns() - before; runs != int64(len(grid)) {
+	if runs := memoRuns.Load() - before; runs != int64(len(grid)) {
 		t.Fatalf("prewarm executed %d simulations, want %d", runs, len(grid))
 	}
 	for _, s := range grid {
 		runMemo(s)
 	}
-	if runs := MemoRuns() - before; runs != int64(len(grid)) {
+	if runs := memoRuns.Load() - before; runs != int64(len(grid)) {
 		t.Fatalf("render after prewarm re-simulated: %d runs total, want %d", runs, len(grid))
 	}
 }
@@ -127,21 +127,21 @@ func TestPrewarmCoversRender(t *testing.T) {
 				t.Fatalf("%s is not registered", id)
 			}
 			ResetMemo()
-			before := MemoRuns()
+			before := memoRuns.Load()
 			exp.Run(opts)
-			rendered := MemoRuns() - before
+			rendered := memoRuns.Load() - before
 			if rendered == 0 {
 				t.Fatal("render simulated nothing")
 			}
 			ResetMemo()
-			before = MemoRuns()
+			before = memoRuns.Load()
 			NewRunner(2).Prewarm([]Experiment{exp}, opts)
-			if prewarmed := MemoRuns() - before; prewarmed != rendered {
+			if prewarmed := memoRuns.Load() - before; prewarmed != rendered {
 				t.Fatalf("prewarm simulated %d cells, the render asks for %d", prewarmed, rendered)
 			}
-			before = MemoRuns()
+			before = memoRuns.Load()
 			exp.Run(opts)
-			if runs := MemoRuns() - before; runs != 0 {
+			if runs := memoRuns.Load() - before; runs != 0 {
 				t.Fatalf("render after prewarm simulated %d cells again", runs)
 			}
 		})
@@ -220,15 +220,15 @@ func TestRunnerPropagatesPanics(t *testing.T) {
 		return nil
 	}
 	first := mustPanic(func() { NewRunner(4).RunAll([]Scenario{bad, tinyScenario(41)}) })
-	before := MemoRuns()
+	before := memoRuns.Load()
 	second := mustPanic(func() { runMemo(bad) })
 	if first == nil || second == nil || first != second {
 		t.Fatalf("panic values differ: %v vs %v", first, second)
 	}
 	// The dropped entry means the retry re-panicked by running again (one
 	// more simulation attempt), not by returning a stale nil result.
-	if MemoRuns() != before+1 {
-		t.Fatalf("expected exactly one re-attempt after the dropped entry, got %d", MemoRuns()-before)
+	if memoRuns.Load() != before+1 {
+		t.Fatalf("expected exactly one re-attempt after the dropped entry, got %d", memoRuns.Load()-before)
 	}
 }
 
@@ -269,10 +269,10 @@ func TestRunAllReplicatedCellsInParallel(t *testing.T) {
 func TestRunAllOrderAndDedup(t *testing.T) {
 	ResetMemo()
 	s1, s2 := tinyScenario(31), tinyScenario(32)
-	before := MemoRuns()
+	before := memoRuns.Load()
 	rs := NewRunner(4).RunAll([]Scenario{s1, s2, s1})
-	if MemoRuns()-before != 2 {
-		t.Fatalf("RunAll simulated %d scenarios, want 2", MemoRuns()-before)
+	if memoRuns.Load()-before != 2 {
+		t.Fatalf("RunAll simulated %d scenarios, want 2", memoRuns.Load()-before)
 	}
 	if rs[0] == nil || rs[1] == nil || rs[0] == rs[1] {
 		t.Fatal("distinct scenarios shared a result")

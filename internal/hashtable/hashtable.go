@@ -99,8 +99,8 @@ func (t *Table) Len() int { return t.n }
 // OverflowBuckets returns the number of chained buckets (a health metric).
 func (t *Table) OverflowBuckets() int { return t.overflowBuckets }
 
-// DirectorySize returns the number of top-level buckets.
-func (t *Table) DirectorySize() int { return len(t.buckets) }
+// directorySize returns the number of top-level buckets.
+func (t *Table) directorySize() int { return len(t.buckets) }
 
 // next returns the bucket chained after b in spill, or nil at the end of
 // the chain.

@@ -88,13 +88,13 @@ func TestBucketOverflowChains(t *testing.T) {
 	base := uint64(5)
 	n := slotsPerBucket + 4
 	for i := 0; i < n; i++ {
-		ht.Insert(base+uint64(i)*uint64(ht.DirectorySize()), uint64(1000+i))
+		ht.Insert(base+uint64(i)*uint64(ht.directorySize()), uint64(1000+i))
 	}
 	if ht.OverflowBuckets() == 0 {
 		t.Fatal("expected overflow buckets")
 	}
 	for i := 0; i < n; i++ {
-		h := base + uint64(i)*uint64(ht.DirectorySize())
+		h := base + uint64(i)*uint64(ht.directorySize())
 		want := uint64(1000 + i)
 		if ref, ok := ht.Lookup(h, func(r uint64) bool { return r == want }); !ok || ref != want {
 			t.Fatalf("entry %d lost in overflow chain", i)
@@ -104,7 +104,7 @@ func TestBucketOverflowChains(t *testing.T) {
 
 func TestDeleteFreesEmptiedOverflowBuckets(t *testing.T) {
 	ht := New(0)
-	dir := uint64(ht.DirectorySize())
+	dir := uint64(ht.directorySize())
 	// 24 colliding entries fill ceil(24/slots) buckets: the directory
 	// bucket and a chain of the rest.
 	const n = 24
@@ -148,12 +148,12 @@ func TestDeleteFreesEmptiedOverflowBuckets(t *testing.T) {
 
 func TestGrowRetainsEntries(t *testing.T) {
 	ht := New(0)
-	dir0 := ht.DirectorySize()
+	dir0 := ht.directorySize()
 	n := 10_000
 	for i := 0; i < n; i++ {
 		ht.Insert(HashKey(1, []byte(fmt.Sprintf("key%d", i))), uint64(i))
 	}
-	if ht.DirectorySize() == dir0 {
+	if ht.directorySize() == dir0 {
 		t.Fatal("directory never grew")
 	}
 	if ht.Len() != n {
@@ -170,8 +170,8 @@ func TestGrowRetainsEntries(t *testing.T) {
 
 func TestSizeHint(t *testing.T) {
 	ht := New(100_000)
-	if ht.DirectorySize()*maxLoad < 100_000 {
-		t.Fatalf("directory %d too small for hint", ht.DirectorySize())
+	if ht.directorySize()*maxLoad < 100_000 {
+		t.Fatalf("directory %d too small for hint", ht.directorySize())
 	}
 }
 
@@ -219,14 +219,14 @@ func runModel(t *testing.T, ops []byte) modelStats {
 		ref++
 		switch op {
 		case 0, 1: // put
-			dir, slab, free := ht.DirectorySize(), len(ht.spill), ht.free
+			dir, slab, free := ht.directorySize(), len(ht.spill), ht.free
 			keyOf[ref] = k
 			old, replaced := ht.Put(h, eq, ref)
 			if replaced != present || (present && old != want) {
 				t.Fatalf("op %d: put(%d) = %d,%v; model %d,%v", i/2, k, old, replaced, want, present)
 			}
 			model[k] = ref
-			if ht.DirectorySize() != dir {
+			if ht.directorySize() != dir {
 				st.putGrows++
 			} else if free != 0 && ht.free != free && len(ht.spill) == slab {
 				st.reusedSpill++
@@ -403,7 +403,7 @@ func TestInsertsAllocatePerDoubling(t *testing.T) {
 		for i, h := range hashes {
 			ht.Insert(h, uint64(i))
 		}
-		doublings = bits.Len(uint(ht.DirectorySize()/minBuckets)) - 1
+		doublings = bits.Len(uint(ht.directorySize()/minBuckets)) - 1
 	})
 	if doublings == 0 || allocs > float64(2+2*doublings) {
 		t.Fatalf("%d inserts: %v allocations over %d doublings, want at most %d", n, allocs, doublings, 2+2*doublings)

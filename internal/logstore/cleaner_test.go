@@ -105,7 +105,7 @@ func (m *modelStore) verify(t *testing.T) {
 		if e.Version != m.vals[key] {
 			t.Fatalf("key %s version %d, want %d", key, e.Version, m.vals[key])
 		}
-		if !e.VerifyChecksum() {
+		if !e.verifyChecksum() {
 			t.Fatalf("key %s checksum broken after clean", key)
 		}
 	}
@@ -119,7 +119,7 @@ func TestCleanReclaimsDeadSegments(t *testing.T) {
 			m.write(t, fmt.Sprintf("key%d", k), uint64(round+1))
 		}
 	}
-	segsBefore := m.log.SegmentCount()
+	segsBefore := m.log.segmentCount()
 	accBefore := m.log.AccountedBytes()
 	stats := m.clean(t, segsBefore)
 	if stats.SegmentsFreed == 0 {
@@ -147,7 +147,7 @@ func TestCleanPreservesExactlyLiveSet(t *testing.T) {
 			m.verify(t)
 		}
 	}
-	m.clean(t, m.log.SegmentCount())
+	m.clean(t, m.log.segmentCount())
 	m.verify(t)
 	// Every surviving object entry must be in the live set.
 	liveCount := 0
@@ -182,7 +182,7 @@ func TestCleanDropsObsoleteTombstones(t *testing.T) {
 	}
 	total := CleanStats{}
 	for i := 0; i < 4; i++ {
-		s := m.clean(t, m.log.SegmentCount())
+		s := m.clean(t, m.log.segmentCount())
 		total.TombstonesDropped += s.TombstonesDropped
 		total.SegmentsFreed += s.SegmentsFreed
 	}
@@ -257,7 +257,7 @@ func TestQuickCleanerInvariant(t *testing.T) {
 				m.clean(t, 1+rng.Intn(3))
 			}
 		}
-		m.clean(t, m.log.SegmentCount())
+		m.clean(t, m.log.segmentCount())
 		m.verify(t)
 	}
 }

@@ -122,8 +122,8 @@ func FuzzLogRef(f *testing.F) {
 			}
 			if !w.dead {
 				markDead(ref)
-				if s, _ := l.Segment(ref.Segment); s.Live() != live[ref.Segment] || s.Live() < 0 {
-					t.Fatalf("segment %d live %d after MarkDead, want %d", ref.Segment, s.Live(), live[ref.Segment])
+				if s, _ := l.Segment(ref.Segment); s.live != live[ref.Segment] || s.live < 0 {
+					t.Fatalf("segment %d live %d after MarkDead, want %d", ref.Segment, s.live, live[ref.Segment])
 				}
 			}
 		}
@@ -160,8 +160,8 @@ func FuzzLogRef(f *testing.F) {
 		var total int
 		for id, want := range live {
 			s, _ := l.Segment(id)
-			if s.Live() != want || s.Live() < 0 {
-				t.Fatalf("segment %d live %d, want %d", id, s.Live(), want)
+			if s.live != want || s.live < 0 {
+				t.Fatalf("segment %d live %d, want %d", id, s.live, want)
 			}
 			total += want
 		}

@@ -175,8 +175,8 @@ func foldWord(sum uint32, w uint64) uint32 {
 // Seal protects the entry with its checksum.
 func (e *Entry) Seal() { e.Checksum = e.ComputeChecksum() }
 
-// VerifyChecksum reports whether the entry matches its checksum.
-func (e *Entry) VerifyChecksum() bool { return e.Checksum == e.ComputeChecksum() }
+// verifyChecksum reports whether the entry matches its checksum.
+func (e *Entry) verifyChecksum() bool { return e.Checksum == e.ComputeChecksum() }
 
 // Ref locates an entry in the log: its segment, and where its bytes start
 // in the segment's storage. Only Append, Segment.RefAt and UnpackRef make
@@ -372,9 +372,6 @@ func (s *Segment) Entries() int { return len(s.offs) }
 // Accounted returns the bytes appended to this segment.
 func (s *Segment) Accounted() int { return s.accounted }
 
-// Live returns the bytes of entries still live.
-func (s *Segment) Live() int { return s.live }
-
 // Sealed reports whether the segment is closed to appends.
 func (s *Segment) Sealed() bool { return s.sealed }
 
@@ -457,8 +454,8 @@ func (l *Log) Config() Config { return l.cfg }
 // Head returns the current head segment (nil before the first append).
 func (l *Log) Head() *Segment { return l.head }
 
-// SegmentCount returns the number of segments (head included).
-func (l *Log) SegmentCount() int { return len(l.segments) }
+// segmentCount returns the number of segments (head included).
+func (l *Log) segmentCount() int { return len(l.segments) }
 
 // Segment returns a segment by id.
 func (l *Log) Segment(id uint64) (*Segment, bool) {

@@ -51,7 +51,7 @@ func TestAppendAndGet(t *testing.T) {
 	if string(got.Key) != "user1" || got.Version != 1 {
 		t.Fatalf("got %+v", got)
 	}
-	if !got.VerifyChecksum() {
+	if !got.verifyChecksum() {
 		t.Fatal("checksum mismatch after append")
 	}
 	if l.Appends() != 1 || l.LiveBytes() != int64(e.StorageSize()) {
@@ -84,8 +84,8 @@ func TestSegmentRollAtCapacity(t *testing.T) {
 	if rolls != 3 {
 		t.Fatalf("rolls = %d, want 3", rolls)
 	}
-	if l.SegmentCount() != 3 {
-		t.Fatalf("segments = %d, want 3", l.SegmentCount())
+	if l.segmentCount() != 3 {
+		t.Fatalf("segments = %d, want 3", l.segmentCount())
 	}
 	if l.Head().Sealed() {
 		t.Fatal("head must not be sealed")
@@ -158,8 +158,8 @@ func TestMarkDeadAccounting(t *testing.T) {
 		t.Fatalf("accounted = %d, should not change", l.AccountedBytes())
 	}
 	seg, _ := l.Segment(ref.Segment)
-	if seg.Live() != 0 || seg.Utilization() != 0 {
-		t.Fatalf("segment live=%d util=%v", seg.Live(), seg.Utilization())
+	if seg.live != 0 || seg.Utilization() != 0 {
+		t.Fatalf("segment live=%d util=%v", seg.live, seg.Utilization())
 	}
 }
 
@@ -186,11 +186,11 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	e.Value = []byte("hello")
 	e.ValueLen = 5
 	e.Seal()
-	if !e.VerifyChecksum() {
+	if !e.verifyChecksum() {
 		t.Fatal("fresh entry must verify")
 	}
 	e.Version = 4
-	if e.VerifyChecksum() {
+	if e.verifyChecksum() {
 		t.Fatal("corrupted entry must not verify")
 	}
 }

@@ -288,8 +288,8 @@ func (p *modelPair) check() error {
 	if a, b := p.log.LiveBytes(), p.model.totalLive; a != b {
 		return fmt.Errorf("LiveBytes %d, model %d", a, b)
 	}
-	if a, b := p.log.SegmentCount(), len(p.model.segments); a != b {
-		return fmt.Errorf("SegmentCount %d, model %d", a, b)
+	if a, b := p.log.segmentCount(), len(p.model.segments); a != b {
+		return fmt.Errorf("segmentCount %d, model %d", a, b)
 	}
 	for _, r := range p.refs {
 		ref := r.ref
@@ -304,7 +304,7 @@ func (p *modelPair) check() error {
 		if err := sameEntry(got, want); err != nil {
 			return fmt.Errorf("Get(%+v): %w", ref, err)
 		}
-		if _, live := p.live[ref]; (live || got.Type == EntryTombstone) && !got.VerifyChecksum() {
+		if _, live := p.live[ref]; (live || got.Type == EntryTombstone) && !got.verifyChecksum() {
 			return fmt.Errorf("Get(%+v): checksum does not verify", ref)
 		}
 	}
@@ -447,10 +447,10 @@ func TestAppendCopiesAndGetReturnsClippedViews(t *testing.T) {
 	}
 	_ = append(e.Key, "grown"...)
 	_ = append(e.Value, "grown"...)
-	if again, _ := l.Get(ref); string(again.Value) != "value" || !again.VerifyChecksum() {
+	if again, _ := l.Get(ref); string(again.Value) != "value" || !again.verifyChecksum() {
 		t.Fatalf("append to a view's key reached the value: %q", again.Value)
 	}
-	if n, _ := l.Get(next); string(n.Key) != "next" || !n.VerifyChecksum() {
+	if n, _ := l.Get(next); string(n.Key) != "next" || !n.verifyChecksum() {
 		t.Fatalf("append to a view's value reached the next entry: %+v", n)
 	}
 	if _, err := l.Append(Entry{Type: EntryObject, ValueLen: 9, Value: []byte("short")}); err == nil {
@@ -481,7 +481,7 @@ func TestEntriesNeverStraddleBlocks(t *testing.T) {
 			t.Fatalf("entry of %d stored bytes at %+v, want %+v", stored, got, want)
 		}
 		e, err := l.Get(ref)
-		if err != nil || !bytes.Equal(e.Value, value) || !e.VerifyChecksum() {
+		if err != nil || !bytes.Equal(e.Value, value) || !e.verifyChecksum() {
 			t.Fatalf("entry of %d stored bytes read back wrong (err %v)", stored, err)
 		}
 		return e
@@ -617,13 +617,13 @@ func TestViewOutlivesItsSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Roll()
-	if _, err := l.Clean(l.SegmentCount(), nil, nil); err != nil {
+	if _, err := l.Clean(l.segmentCount(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Get(ref); err == nil {
 		t.Fatal("the view's segment survived the clean; the test proves nothing")
 	}
-	if string(view.Key) != "the-key" || !bytes.Equal(view.Value, value) || !view.VerifyChecksum() {
+	if string(view.Key) != "the-key" || !bytes.Equal(view.Value, value) || !view.verifyChecksum() {
 		t.Fatalf("view changed after its segment was freed: key %q, value intact: %v", view.Key, bytes.Equal(view.Value, value))
 	}
 }

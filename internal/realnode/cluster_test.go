@@ -412,6 +412,43 @@ func TestRunYCSB(t *testing.T) {
 	}
 }
 
+// TestRunYCSBCountsWrongBytes preloads every record with bytes that are
+// not its Value (of the right length, one byte flipped) and reads them
+// back through each load loop: every read must count as an error. After a
+// correct load the same reads count none.
+func TestRunYCSBCountsWrongBytes(t *testing.T) {
+	_, _, client := bootCluster(t, 2)
+	table, err := client.CreateTable("usertable", 2)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	w := ycsb.WorkloadC(50, 32)
+	for rec := 0; rec < w.RecordCount; rec++ {
+		v := Value(w, rec)
+		v[rec%len(v)] ^= 0xff
+		if _, err := client.Put(table, ycsb.Key(rec), v); err != nil {
+			t.Fatalf("preload %d: %v", rec, err)
+		}
+	}
+	loops := []LoadOptions{{}, {Pipeline: 4}, {Batch: 8}} // sync, pipelined, batched
+	for _, load := range []bool{false, true} {
+		for _, opts := range loops {
+			opts.Clients, opts.Ops, opts.Seed, opts.Load = 2, 200, 7, load
+			res, err := RunYCSB(client, table, w, opts)
+			if err != nil {
+				t.Fatalf("run %+v: %v", opts, err)
+			}
+			want := 0
+			if !load {
+				want = opts.Ops // the preload wrote no record's Value
+			}
+			if res.Errors != want || res.Ops != opts.Ops-want {
+				t.Fatalf("run %+v: %d errors, %d ops; want %d errors", opts, res.Errors, res.Ops, want)
+			}
+		}
+	}
+}
+
 // TestClusterReadDuringOverwrite: a read takes the log entry under the
 // master mutex and copies the value after releasing it, while writers
 // keep replacing the same key. Every Get and MultiRead must return one of

@@ -14,12 +14,14 @@
 // The coordinator keeps membership, tables and the tablet map in a
 // store.Membership, the simulated coordinator's state machine: a death
 // splits the dead master's tablets into partitions across the survivors,
-// as the simulator's recovery does. No master replicates to a backup yet,
-// so there is nothing to replay: each partition flips to its recovery
-// master at once, and the objects the dead master stored are LOST (reads
-// return not-found until rewritten). A master that restarts at its address
-// keeps its id and is sent what it owns when it enlists. Durability
-// modeling stays in the simulated path, where the paper's figures live.
+// as the simulator's recovery does. No master replicates to a backup yet
+// (the replication rules the simulated master follows are store.Replicas,
+// for this master to take up), so there is nothing to replay: each
+// partition flips to its recovery master at once, and the objects the
+// dead master stored are LOST (reads return not-found until rewritten).
+// A master that restarts at its address keeps its id and is sent what it
+// owns when it enlists. Durability modeling stays in the simulated path,
+// where the paper's figures live.
 //
 // Like internal/transport, this package legitimately uses wall-clock
 // time, bare goroutines and map iteration; rcvet's determinism analyzers

@@ -1,6 +1,7 @@
 package realnode
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,7 +67,7 @@ type LoadResult struct {
 	Reads      int
 	Updates    int
 	NotFound   int // reads of keys with no live object
-	Errors     int // ErrUnavailable and protocol failures
+	Errors     int // ErrUnavailable, protocol failures and reads of bytes no update wrote
 	Elapsed    time.Duration
 	P50, P99   time.Duration // completed-op latency percentiles
 	Throughput float64       // completed ops per second
@@ -74,13 +75,27 @@ type LoadResult struct {
 
 // Value renders the deterministic payload for record i: RecordSize bytes
 // derived from the key, so any reader can validate what it fetched.
-func Value(w ycsb.Workload, i int) []byte {
-	key := ycsb.Key(i)
-	v := make([]byte, w.RecordSize)
+func Value(w ycsb.Workload, i int) []byte { return value(ycsb.Key(i), w.RecordSize) }
+
+func value(key []byte, size int) []byte {
+	v := make([]byte, size)
 	for j := range v {
 		v[j] = key[j%len(key)] ^ byte(j)
 	}
 	return v
+}
+
+// errWrongValue is a read of bytes other than its key's Value, which
+// every update writes.
+var errWrongValue = errors.New("realnode: read returned bytes no update wrote")
+
+// checkRead is a read's outcome: err, or errWrongValue for bytes v that
+// are not key's Value.
+func checkRead(w ycsb.Workload, key, v []byte, err error) error {
+	if err == nil && !bytes.Equal(v, value(key, w.RecordSize)) {
+		return errWrongValue
+	}
+	return err
 }
 
 // workerTally accumulates one worker's outcomes.
@@ -111,7 +126,8 @@ func (t *workerTally) settle(isRead bool, err error, lat time.Duration) {
 // RunYCSB drives the workload mix against a live cluster through c. The
 // key distribution and operation mix come from the same internal/ycsb
 // generators the simulated runs use. Pipeline and Batch select the
-// async-window and multi-op fast paths over the same wire.
+// async-window and multi-op fast paths over the same wire. Every update
+// writes Value, so a read that returns other bytes counts as an error.
 func RunYCSB(c *Client, table uint64, w ycsb.Workload, opts LoadOptions) (LoadResult, error) {
 	if opts.Load {
 		if err := loadPhase(c, table, w, opts); err != nil {
@@ -179,7 +195,9 @@ func runSync(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch ycsb.C
 		var err error
 		isRead := rng.Float64() < w.ReadProp
 		if isRead {
-			_, _, err = c.Get(table, key)
+			var v []byte
+			v, _, err = c.Get(table, key)
+			err = checkRead(w, key, v, err)
 		} else {
 			_, err = c.Put(table, key, Value(w, rec))
 		}
@@ -194,6 +212,7 @@ func runSync(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch ycsb.C
 func runPipelined(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch ycsb.Chooser, nOps, depth int, tally *workerTally) {
 	type inflight struct {
 		f      *Future
+		key    []byte
 		isRead bool
 		issued time.Time
 	}
@@ -202,7 +221,10 @@ func runPipelined(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch y
 	reap := func() {
 		op := window[head]
 		head++
-		_, _, err := op.f.Wait()
+		v, _, err := op.f.Wait()
+		if op.isRead {
+			err = checkRead(w, op.key, v, err)
+		}
 		tally.settle(op.isRead, err, time.Since(op.issued))
 	}
 	for n := 0; n < nOps; n++ {
@@ -223,7 +245,7 @@ func runPipelined(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch y
 		} else {
 			f = c.PutAsync(table, key, Value(w, rec))
 		}
-		window = append(window, inflight{f: f, isRead: isRead, issued: issued})
+		window = append(window, inflight{f: f, key: key, isRead: isRead, issued: issued})
 	}
 	for head < len(window) {
 		reap()
@@ -261,7 +283,7 @@ func runBatched(c *Client, table uint64, w ycsb.Workload, rng *rand.Rand, ch ycs
 		}
 		lat := time.Since(roundStart)
 		for i := range rres {
-			tally.settle(true, rres[i].Err, lat)
+			tally.settle(true, checkRead(w, readKeys[i], rres[i].Value, rres[i].Err), lat)
 		}
 		for i := range wres {
 			tally.settle(false, wres[i].Err, lat)

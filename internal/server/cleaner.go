@@ -19,11 +19,9 @@ import (
 
 const cleanerCheckInterval = 50 * sim.Millisecond
 
-// cleanerLoop polls utilization and compacts when needed.
+// cleanerLoop polls utilization and compacts when needed. Start runs it
+// only when CleanerThreshold is set.
 func (s *Server) cleanerLoop(p *sim.Proc) {
-	if s.cfg.CleanerThreshold <= 0 {
-		return
-	}
 	for {
 		p.Sleep(cleanerCheckInterval)
 		if s.dead {

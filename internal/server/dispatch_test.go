@@ -160,7 +160,7 @@ func TestLateAckSkipsReusedFuture(t *testing.T) {
 	var got uint64
 	var ok bool
 	rig.eng.Go("master", func(p *sim.Proc) {
-		acks := m.fanOut(p, nil, []simnet.NodeID{backup.Node()}, &wire.PingReq{Seq: 1}, 0)
+		acks := m.fanOut(p, nil, []int32{int32(backup.Node())}, &wire.PingReq{Seq: 1}, 0)
 		m.awaitAcks(p, acks, 0)
 		var resp wire.Message
 		if resp, ok = m.ep.CallTimeout(p, backup.Node(), &wire.PingReq{Seq: 2}, 3*timeout); ok {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"ramcloud/internal/hashtable"
 	"ramcloud/internal/rpc"
@@ -24,13 +25,7 @@ func (s *Server) AssignTablet(t wire.Tablet) {
 
 // DropTablets removes ownership of every tablet of a table.
 func (s *Server) DropTablets(table uint64) {
-	out := s.st.Tablets[:0]
-	for _, t := range s.st.Tablets {
-		if t.Table != table {
-			out = append(out, t)
-		}
-	}
-	s.st.Tablets = out
+	s.st.Tablets = slices.DeleteFunc(s.st.Tablets, func(t wire.Tablet) bool { return t.Table == table })
 }
 
 // Tablets returns a copy of the master's owned tablets.
@@ -253,42 +248,17 @@ func (s *Server) rollLocked(p *sim.Proc) {
 	}
 	if sealed != nil {
 		closeReq := &wire.CloseSegmentReq{Master: s.id, Segment: sealed.ID(), SegmentBytes: uint32(sealed.Accounted())}
-		for _, b := range s.replicas[sealed.ID()] {
-			s.ep.AsyncCall(b, closeReq)
+		for _, b := range s.reps.Set(sealed.ID()) {
+			s.ep.AsyncCall(simnet.NodeID(b), closeReq)
 		}
 		s.stats.SegmentsSealed.Inc()
 	}
-	backups := s.chooseBackups(rf)
-	s.replicas[head.ID()] = backups
+	backups, _ := s.reps.Open(head.ID(), rf, s.eng.Rand())
 	var buf [inlineAcks]pendingAck
 	acks := s.fanOut(p, buf[:0], backups, &wire.OpenSegmentReq{Master: s.id, Segment: head.ID()}, s.cfg.Costs.SendOverhead)
 	s.awaitAcks(p, acks, head.ID())
 	// Update the will: the partition layout depends on data volume.
-	s.sendWill()
-}
-
-// chooseBackups picks rf distinct random backups, never self. RAMCloud
-// scatters each segment independently so recovery parallelizes across the
-// whole cluster. If fewer candidates exist than rf, all are used. With
-// FixedBackups the scatter is replaced by ring order (ablation mode).
-func (s *Server) chooseBackups(rf int) []simnet.NodeID {
-	cands := s.aliveBackupCandidates()
-	if s.cfg.FixedBackups {
-		// Rotate so the ring starts just after this server.
-		for i, c := range cands {
-			if c > s.ep.Node() {
-				cands = append(cands[i:], cands[:i]...)
-				break
-			}
-		}
-	} else {
-		rng := s.eng.Rand()
-		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	}
-	if len(cands) > rf {
-		cands = cands[:rf]
-	}
-	return cands
+	s.ep.AsyncCall(s.coordinator, &wire.SetWillReq{Master: s.id, Partitions: s.reps.Will(s.st.Tablets, s.st.Log.LiveBytes(), s.cfg.PartitionBytes)})
 }
 
 // replicate sends objs, appended to segment, to the segment's backups,
@@ -300,7 +270,8 @@ func (s *Server) replicate(p *sim.Proc, segment uint64, objs []wire.Object) {
 		return
 	}
 	var buf [inlineAcks]pendingAck
-	acks := s.fanOut(p, buf[:0], s.replicas[segment], s.replicationMsg(segment, objs), s.replicationPostCost())
+	msg, post := s.replication(segment, objs)
+	acks := s.fanOut(p, buf[:0], s.reps.Set(segment), msg, post)
 	if s.cfg.AsyncReplication {
 		return // relaxed consistency: do not wait for backup acks
 	}
@@ -309,7 +280,7 @@ func (s *Server) replicate(p *sim.Proc, segment uint64, objs []wire.Object) {
 
 // pendingAck is one backup's outstanding acknowledgement in a fan-out.
 type pendingAck struct {
-	backup simnet.NodeID
+	backup int32
 	call   rpc.Call
 }
 
@@ -320,20 +291,20 @@ const inlineAcks = 8
 // fanOut sends msg to every backup, paying post before each send, and
 // appends the pending acks to acks. Every backup gets the same message: a
 // sent message is immutable.
-func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []simnet.NodeID, msg wire.Message, post sim.Duration) []pendingAck {
+func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []int32, msg wire.Message, post sim.Duration) []pendingAck {
 	for _, b := range backups {
 		s.busy(p, post)
-		acks = append(acks, pendingAck{backup: b, call: s.ep.StartCall(b, msg)})
+		acks = append(acks, pendingAck{backup: b, call: s.ep.StartCall(simnet.NodeID(b), msg)})
 	}
 	return acks
 }
 
 // awaitAcks waits for every ack and replaces each backup that missed its
 // deadline. It names a backup by the id captured at its send, not by its
-// index in the segment's backup set: handleBackupFailure rewrites that set
-// in place, so an index may already name the substitute. Each call is
-// released after its wait; one that timed out was deregistered by
-// WaitTimeout, so its ack, should it still come, is dropped.
+// index in the segment's backup set: a failure rewrites that set in place,
+// so an index may already name the substitute. Each call is released after
+// its wait; one that timed out was deregistered by WaitTimeout, so its ack,
+// should it still come, is dropped.
 func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
 	for i := range acks {
 		a := &acks[i]
@@ -345,105 +316,37 @@ func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
 	}
 }
 
-// replicationPostCost is the master CPU burned to issue one replication
-// request: a full RPC send, or a cheap one-sided RDMA post (Sec. IX.B).
-func (s *Server) replicationPostCost() sim.Duration {
+// replication builds the replication request for the configured mode and
+// returns the master CPU burned to issue it to one backup: a full RPC
+// send, or a cheap one-sided RDMA post (Sec. IX.B).
+func (s *Server) replication(segment uint64, objs []wire.Object) (wire.Message, sim.Duration) {
 	if s.cfg.RDMAReplication {
-		return s.cfg.Costs.RDMAPost
+		return &wire.RDMAWriteReq{Master: s.id, Segment: segment, Objects: objs}, s.cfg.Costs.RDMAPost
 	}
-	return s.cfg.Costs.SendOverhead
+	return &wire.ReplicateReq{Master: s.id, Segment: segment, Objects: objs}, s.cfg.Costs.SendOverhead
 }
 
-// replicationMsg builds the replication request for the configured mode.
-func (s *Server) replicationMsg(segment uint64, objs []wire.Object) wire.Message {
-	if s.cfg.RDMAReplication {
-		return &wire.RDMAWriteReq{Master: s.id, Segment: segment, Objects: objs}
-	}
-	return &wire.ReplicateReq{Master: s.id, Segment: segment, Objects: objs}
-}
-
-// handleBackupFailure replaces a dead backup for the currently open
-// segment: pick a substitute, open a replica there and resend the open
-// segment's content so the replication factor is restored.
-func (s *Server) handleBackupFailure(p *sim.Proc, failed simnet.NodeID, segment uint64) {
-	s.deadPeers[failed] = true
+// handleBackupFailure replaces a backup that missed a deadline on segment:
+// an open segment's substitute is opened and sent everything appended so
+// far, restoring the replication factor.
+func (s *Server) handleBackupFailure(p *sim.Proc, failed int32, segment uint64) {
 	s.stats.BackupFailures.Inc()
 	seg, ok := s.st.Log.Segment(segment)
-	if !ok || seg.Sealed() {
-		// Sealed segments keep their surviving replicas; full backup
-		// recovery (re-replicating sealed segments) is out of scope.
-		s.removeReplica(segment, failed)
+	sub, ok := s.reps.Fail(segment, failed, ok && !seg.Sealed())
+	if !ok {
 		return
 	}
-	cands := s.aliveBackupCandidates()
-	var sub simnet.NodeID = -1
-	current := s.replicas[segment]
-	for _, c := range cands {
-		inUse := false
-		for _, cur := range current {
-			if cur == c {
-				inUse = true
-				break
+	_, ok = s.ep.CallTimeout(p, simnet.NodeID(sub), &wire.OpenSegmentReq{Master: s.id, Segment: segment}, s.cfg.ReplicationTimeout)
+	if ok {
+		objs := make([]wire.Object, 0, seg.Entries())
+		for i := 0; i < seg.Entries(); i++ {
+			if e, err := seg.EntryAt(i); err == nil {
+				objs = append(objs, store.ObjectOf(e))
 			}
 		}
-		if !inUse {
-			sub = c
-			break
-		}
+		_, ok = s.ep.CallTimeout(p, simnet.NodeID(sub), &wire.ReplicateReq{Master: s.id, Segment: segment, Objects: objs}, s.cfg.ReplicationTimeout)
 	}
-	s.removeReplica(segment, failed)
-	if sub < 0 {
-		return // no substitute available; degraded durability
-	}
-	if _, ok := s.ep.CallTimeout(p, sub, &wire.OpenSegmentReq{Master: s.id, Segment: segment}, s.cfg.ReplicationTimeout); !ok {
-		return
-	}
-	// Resend everything appended to the open segment so far.
-	objs := make([]wire.Object, 0, seg.Entries())
-	for i := 0; i < seg.Entries(); i++ {
-		e, err := seg.EntryAt(i)
-		if err != nil {
-			continue
-		}
-		objs = append(objs, store.ObjectOf(e))
-	}
-	if _, ok := s.ep.CallTimeout(p, sub, &wire.ReplicateReq{Master: s.id, Segment: segment, Objects: objs}, s.cfg.ReplicationTimeout); !ok {
-		return
-	}
-	s.replicas[segment] = append(s.replicas[segment], sub)
-}
-
-func (s *Server) removeReplica(segment uint64, backup simnet.NodeID) {
-	cur := s.replicas[segment]
-	out := cur[:0]
-	for _, b := range cur {
-		if b != backup {
-			out = append(out, b)
-		}
-	}
-	s.replicas[segment] = out
-}
-
-// sendWill pushes an updated recovery will to the coordinator: the owned
-// hash space split into partitions of roughly PartitionBytes of live data.
-func (s *Server) sendWill() {
-	parts := s.computeWill()
-	s.ep.AsyncCall(s.coordinator, &wire.SetWillReq{Master: s.id, Partitions: parts})
-}
-
-// computeWill splits the master's owned ranges into partitions sized so
-// each holds about PartitionBytes of live data — but never fewer than the
-// number of peer servers: RAMCloud scatters recovery "to have as many
-// machines performing the crash-recovery as possible" (paper Sec. II-B).
-func (s *Server) computeWill() []wire.WillPartition {
-	nParts := int(s.st.Log.LiveBytes()/s.cfg.PartitionBytes) + 1
-	if peers := len(s.peers) - 1; nParts < peers {
-		nParts = peers
-	}
-	if nParts > 64 {
-		nParts = 64
-	}
-	return store.SplitRanges(s.st.Tablets, nParts)
+	s.reps.Join(segment, sub, ok)
 }
 
 // Load appends a record to the master's log and index in zero simulated
@@ -477,16 +380,12 @@ func (s *Server) PlaceReplicas(segment uint64) {
 	if rf <= 0 || !ok {
 		return
 	}
-	backups, placed := s.replicas[segment]
-	if !placed {
-		backups = s.chooseBackups(rf)
-		s.replicas[segment] = backups
-		for _, b := range backups {
-			s.registry(b).backups.Open(&wire.OpenSegmentReq{Master: s.id, Segment: segment})
-		}
-	}
+	backups, opened := s.reps.Open(segment, rf, s.eng.Rand())
 	for _, b := range backups {
-		backup := s.registry(b)
+		backup := s.registry(simnet.NodeID(b))
+		if opened {
+			backup.backups.Open(&wire.OpenSegmentReq{Master: s.id, Segment: segment})
+		}
 		if added, ok := backup.backups.Fill(s.id, seg); ok {
 			backup.stats.ReplicaAppends.Add(int64(added))
 		}

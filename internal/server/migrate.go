@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"ramcloud/internal/logstore"
 	"ramcloud/internal/rpc"
@@ -27,9 +28,7 @@ const migrateBatch = 64
 
 // PeerRejoined clears the permanent dead mark for a restarted peer so it
 // becomes a backup candidate again.
-func (s *Server) PeerRejoined(addr simnet.NodeID) {
-	delete(s.deadPeers, addr)
-}
+func (s *Server) PeerRejoined(addr simnet.NodeID) { s.reps.Rejoin(int32(addr)) }
 
 // frozenKey reports whether (table, keyHash) is inside a range currently
 // being migrated away. Frozen keys answer StatusRetry: the client backs off
@@ -61,12 +60,9 @@ func (s *Server) migrateTablet(p *sim.Proc, req rpc.Request, m *wire.MigrateTabl
 	s.frozen = append(s.frozen, rng)
 	defer s.unfreeze(rng)
 
-	objs, _ := s.collectRange(p, m.Table, m.FirstHash, m.LastHash)
+	objs := s.collectRange(p, m.Table, m.FirstHash, m.LastHash)
 	for off := 0; off < len(objs); off += migrateBatch {
-		end := off + migrateBatch
-		if end > len(objs) {
-			end = len(objs)
-		}
+		end := min(off+migrateBatch, len(objs))
 		s.busy(p, s.cfg.Costs.SendOverhead)
 		resp, ok := s.ep.CallTimeout(p, simnet.NodeID(m.Dst), &wire.TakeTabletReq{
 			Table:     m.Table,
@@ -77,11 +73,7 @@ func (s *Server) migrateTablet(p *sim.Proc, req rpc.Request, m *wire.MigrateTabl
 		if s.dead {
 			return
 		}
-		if !ok {
-			s.ep.Reply(req, &wire.MigrateTabletResp{Status: wire.StatusError})
-			return
-		}
-		if tr, good := resp.(*wire.TakeTabletResp); !good || tr.Status != wire.StatusOK {
+		if tr, good := resp.(*wire.TakeTabletResp); !ok || !good || tr.Status != wire.StatusOK {
 			s.ep.Reply(req, &wire.MigrateTabletResp{Status: wire.StatusError})
 			return
 		}
@@ -94,14 +86,13 @@ func (s *Server) migrateTablet(p *sim.Proc, req rpc.Request, m *wire.MigrateTabl
 // lock, using the cleaner's liveness test (hash-table entry still points at
 // this exact log position). The scan CPU is charged after the lock drops so
 // writers outside the frozen range are not stalled for the whole walk.
-func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Object, []logstore.Ref) {
+func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) []wire.Object {
 	s.lockWithSpin(p, s.logMu)
 	var objs []wire.Object
-	var refs []logstore.Ref
 	head := s.st.Log.Head()
 	if head == nil {
 		s.logMu.Unlock()
-		return nil, nil
+		return nil
 	}
 	for id := uint64(0); id <= head.ID(); id++ {
 		seg, ok := s.st.Log.Segment(id)
@@ -116,17 +107,14 @@ func (s *Server) collectRange(p *sim.Proc, table, first, last uint64) ([]wire.Ob
 			if e.Table != table || e.KeyHash < first || e.KeyHash > last {
 				continue
 			}
-			ref := seg.RefAt(i)
-			if !s.st.IsLive(ref, e) {
-				continue
+			if s.st.IsLive(seg.RefAt(i), e) {
+				objs = append(objs, store.ObjectOf(e))
 			}
-			objs = append(objs, store.ObjectOf(e))
-			refs = append(refs, ref)
 		}
 	}
 	s.logMu.Unlock()
 	s.busy(p, sim.Scale(s.cfg.Costs.Read, float64(len(objs))))
-	return objs, refs
+	return objs
 }
 
 // dropRange removes ownership of [first, last] (splitting any tablet the
@@ -156,13 +144,7 @@ func (s *Server) dropRange(p *sim.Proc, table, first, last uint64, moved []wire.
 }
 
 func (s *Server) unfreeze(rng wire.Tablet) {
-	out := s.frozen[:0]
-	for _, t := range s.frozen {
-		if t != rng {
-			out = append(out, t)
-		}
-	}
-	s.frozen = out
+	s.frozen = slices.DeleteFunc(s.frozen, func(t wire.Tablet) bool { return t == rng })
 }
 
 // serveTakeTablet receives one batch of a migrating tablet. Objects are

@@ -49,13 +49,9 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 			FirstHash: m.FirstHash,
 			LastHash:  m.LastHash,
 		}, recoveryFetchTimeout)
-		if !got {
-			ok = false // backup died mid-recovery; partition incomplete
-			continue
-		}
-		data := resp.(*wire.GetRecoveryDataResp)
-		if data.Status != wire.StatusOK {
-			ok = false
+		data, _ := resp.(*wire.GetRecoveryDataResp)
+		if !got || data.Status != wire.StatusOK {
+			ok = false // the backup died mid-recovery or lost the replica; partition incomplete
 			continue
 		}
 		for i := range data.Objects {
@@ -106,14 +102,14 @@ func (s *Server) replicateReplaySerial(p *sim.Proc, segment uint64, objs []wire.
 	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
 		return
 	}
-	msg := s.replicationMsg(segment, objs)
-	// The chain reads the live backup set, which handleBackupFailure
+	msg, post := s.replication(segment, objs)
+	// ROADMAP 3(c): the chain walks the live backup set, which a failure
 	// rewrites in place, so the backup after a failed one is skipped
 	// (TestReplayChainReachesEveryBackup). Walking a copy moves the
 	// recovery renderings, so the fix waits for their re-baseline.
-	for _, b := range s.replicas[segment] {
-		s.busy(p, s.replicationPostCost())
-		resp, ok := s.ep.CallTimeout(p, b, msg, s.cfg.ReplicationTimeout)
+	for _, b := range s.reps.Set(segment) {
+		s.busy(p, post)
+		resp, ok := s.ep.CallTimeout(p, simnet.NodeID(b), msg, s.cfg.ReplicationTimeout)
 		if !ok || resp == nil {
 			s.handleBackupFailure(p, b, segment)
 		}

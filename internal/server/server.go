@@ -26,6 +26,12 @@
 //   - Replication requests from other masters run through the same
 //     dispatch and worker pool, which is exactly why replication costs
 //     client throughput (Finding 3).
+//
+// The rules both roles serve by live in internal/store: the objects in
+// store.Store, the backup's replicas in store.Backups, and the master's
+// replication rules (each segment's backup set, the backups it has seen
+// die, the substitute a timeout asks for, the recovery will) in
+// store.Replicas. This package sends, waits and charges time around them.
 package server
 
 import (
@@ -52,17 +58,15 @@ type Server struct {
 	cfg  Config
 
 	coordinator simnet.NodeID
-	peers       []simnet.NodeID // all servers in the cluster (including self)
-	deadPeers   map[simnet.NodeID]bool
 
 	dead bool
 
-	// Master state: the store (log, index, owned tablets, versions) and
-	// what the simulation wraps around it.
-	st       *store.Store
-	logMu    *sim.Mutex
-	frozen   []wire.Tablet              // ranges mid-migration; ops answer StatusRetry
-	replicas map[uint64][]simnet.NodeID // segment id -> backup set
+	// Master state: the store (log, index, owned tablets, versions), each
+	// segment's backups, and what the simulation wraps around them.
+	st     *store.Store
+	reps   store.Replicas
+	logMu  *sim.Mutex
+	frozen []wire.Tablet // ranges mid-migration; ops answer StatusRetry
 
 	// workers are the client workers. The dispatch thread routes each
 	// client request to the worker owning its connection (hash of the
@@ -118,10 +122,9 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 		disk:        disk,
 		cfg:         cfg,
 		coordinator: coordinator,
-		deadPeers:   make(map[simnet.NodeID]bool),
 		st:          store.New(cfg.Log),
+		reps:        store.NewReplicas(int32(node.ID), cfg.FixedBackups, fabric{net}),
 		logMu:       sim.NewMutex(e),
-		replicas:    make(map[uint64][]simnet.NodeID),
 		backups:     store.NewBackups(cfg.Log.SegmentBytes),
 		flushQ:      sim.NewQueue[*store.Replica](e),
 	}
@@ -134,6 +137,12 @@ func New(e *sim.Engine, node *machine.Node, net *simnet.Network, disk *simdisk.D
 	s.takeFn, s.handOffFn = s.takeRequest, s.handOff
 	return s
 }
+
+// fabric tells store.Replicas which peers the network can reach. It is
+// one pointer, so it goes into the interface without an allocation.
+type fabric struct{ net *simnet.Network }
+
+func (f fabric) Up(id int32) bool { return !f.net.IsDown(simnet.NodeID(id)) }
 
 // ID returns the server's cluster id (== its node id).
 func (s *Server) ID() int32 { return s.id }
@@ -150,7 +159,10 @@ func (s *Server) Log() *logstore.Log { return s.st.Log }
 // SetPeers tells the server which nodes can host its replicas. The list
 // may include the server itself; selection always excludes self.
 func (s *Server) SetPeers(peers []simnet.NodeID) {
-	s.peers = append([]simnet.NodeID(nil), peers...)
+	s.reps.Peers = make([]int32, len(peers))
+	for i, id := range peers {
+		s.reps.Peers[i] = int32(id)
+	}
 }
 
 // Start launches the dispatch thread (pinning one core), the workers, each
@@ -325,16 +337,4 @@ func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	default:
 		panic(fmt.Sprintf("server %d: unexpected request %T", s.id, req.Msg))
 	}
-}
-
-// aliveBackupCandidates returns peers that can host a replica: not self,
-// not known dead.
-func (s *Server) aliveBackupCandidates() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(s.peers))
-	for _, id := range s.peers {
-		if id != s.ep.Node() && !s.deadPeers[id] && !s.net.IsDown(id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -281,9 +281,9 @@ func TestTwoBackupsFailInOneFanOut(t *testing.T) {
 	rig.eng.Go("client", func(p *sim.Proc) {
 		rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: []byte("a"), ValueLen: 64})
 		head = m.Log().Head().ID()
-		victims := append([]simnet.NodeID(nil), m.replicas[head][1:]...)
+		victims := append([]int32(nil), m.reps.Set(head)[1:]...)
 		for _, s := range rig.servers {
-			if slices.Contains(victims, s.Addr()) {
+			if slices.Contains(victims, s.ID()) {
 				s.Kill()
 			}
 		}
@@ -298,15 +298,15 @@ func TestTwoBackupsFailInOneFanOut(t *testing.T) {
 	if got := m.Stats().BackupFailures.Value(); got != 2 {
 		t.Errorf("BackupFailures = %d, want 2", got)
 	}
-	set := m.replicas[head]
+	set := m.reps.Set(head)
 	if len(set) != 3 {
 		t.Errorf("head segment has %d backups, want 3: %v", len(set), set)
 	}
 	for _, s := range rig.servers[1:] {
-		if s.Dead() && slices.Contains(set, s.Addr()) {
+		if s.Dead() && slices.Contains(set, s.ID()) {
 			t.Errorf("dead backup %d is still in the head segment's set %v", s.Addr(), set)
 		}
-		if !s.Dead() && m.deadPeers[s.Addr()] {
+		if !s.Dead() && m.reps.Dead(s.ID()) {
 			t.Errorf("live backup %d was declared dead", s.Addr())
 		}
 	}
@@ -321,7 +321,7 @@ func TestTwoBackupsFailInOneFanOut(t *testing.T) {
 // the substitute's replica outgrows the segment. That double append is
 // what the -scale 1 segment sweep shows on recovery masters' heads.
 func TestReplayChainReachesEveryBackup(t *testing.T) {
-	t.Skip("known fault: fixing it moves the recovery renderings (fig9a, fig9b, fig10, fig11a, fig11b); it belongs to the golden re-baseline, ROADMAP 6(c)")
+	t.Skip("known fault: fixing it moves the recovery renderings (fig9a, fig9b, fig10, fig11a, fig11b); it belongs to the golden re-baseline, ROADMAP 3(c)")
 	cfg := smallCfg(3)
 	cfg.ReplicationTimeout = 50 * sim.Millisecond
 	rig := newRig(t, 6, cfg)
@@ -329,9 +329,9 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 	var third *Server
 	rig.eng.Go("replay", func(p *sim.Proc) {
 		rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: []byte("a"), ValueLen: 64})
-		set := m.replicas[m.Log().Head().ID()]
+		set := m.reps.Set(m.Log().Head().ID())
 		for _, s := range rig.servers {
-			switch s.Addr() {
+			switch s.ID() {
 			case set[1]:
 				s.Kill()
 			case set[2]:
@@ -351,8 +351,8 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 		t.Fatalf("the backup after the failed one holds %d of the 2 objects", got)
 	}
 	head := m.Log().Head()
-	set := m.replicas[head.ID()]
-	sub := m.registry(set[len(set)-1])
+	set := m.reps.Set(head.ID())
+	sub := m.registry(simnet.NodeID(set[len(set)-1]))
 	inv := sub.backups.Inventory(&wire.SegmentInventoryReq{Master: m.ID()})
 	if len(inv.Segments) != 1 || int(inv.Segments[0].Bytes) != head.Accounted() {
 		t.Fatalf("the substitute holds %+v; the head is %d bytes", inv.Segments, head.Accounted())
@@ -368,7 +368,7 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 // dead); today it does neither, and the head runs on with a replica the
 // master never counts, closes or frees.
 func TestTimedOutResendKeepsSubstitute(t *testing.T) {
-	t.Skip("known fault: fixing it moves the segment sweep's rendering (seg); it belongs to the golden re-baseline, ROADMAP 6(c)")
+	t.Skip("known fault: fixing it moves the segment sweep's rendering (seg); it belongs to the golden re-baseline, ROADMAP 3(b)")
 	cfg := DefaultConfig()
 	cfg.ReplicationFactor = 2
 	cfg.ReplicationTimeout = 2 * sim.Millisecond
@@ -379,7 +379,7 @@ func TestTimedOutResendKeepsSubstitute(t *testing.T) {
 	var victim, substitute *Server
 	for _, s := range rig.servers[1:] {
 		switch {
-		case !slices.Contains(m.replicas[1], s.Addr()):
+		case !slices.Contains(m.reps.Set(1), s.ID()):
 			substitute = s
 		case victim == nil:
 			victim = s
@@ -402,8 +402,8 @@ func TestTimedOutResendKeepsSubstitute(t *testing.T) {
 	if held.Status != wire.StatusOK || len(held.Objects) < n {
 		t.Fatalf("the substitute holds %v, %d objects of segment 1: it did not take the resend", held.Status, len(held.Objects))
 	}
-	set := m.replicas[1]
-	if !slices.Contains(set, substitute.Addr()) && !m.deadPeers[substitute.Addr()] {
+	set := m.reps.Set(1)
+	if !slices.Contains(set, substitute.ID()) && !m.reps.Dead(substitute.ID()) {
 		t.Fatalf("segment 1's backups are %v: the substitute %d took the resend but is neither among them nor declared dead",
 			set, substitute.Addr())
 	}
@@ -509,11 +509,11 @@ func TestMultiWriteReplicatesSegmentRuns(t *testing.T) {
 	next := 0 // the batch index the next segment's run starts at
 	for seg := uint64(1); seg <= head; seg++ {
 		landed, _ := m.Log().Segment(seg)
-		if len(m.replicas[seg]) != 2 {
-			t.Fatalf("segment %d has backups %v, want 2", seg, m.replicas[seg])
+		if len(m.reps.Set(seg)) != 2 {
+			t.Fatalf("segment %d has backups %v, want 2", seg, m.reps.Set(seg))
 		}
-		for _, b := range m.replicas[seg] {
-			resp, _, _ := m.registry(b).backups.RecoveryData(&wire.GetRecoveryDataReq{Master: m.ID(), Segment: seg, LastHash: ^uint64(0)})
+		for _, b := range m.reps.Set(seg) {
+			resp, _, _ := m.registry(simnet.NodeID(b)).backups.RecoveryData(&wire.GetRecoveryDataReq{Master: m.ID(), Segment: seg, LastHash: ^uint64(0)})
 			if resp.Status != wire.StatusOK || len(resp.Objects) != landed.Entries() {
 				t.Fatalf("backup %d holds %d objects of segment %d (%v); %d landed there", b, len(resp.Objects), seg, resp.Status, landed.Entries())
 			}
@@ -613,7 +613,7 @@ func replayAllocs(t *testing.T, rf int) float64 {
 	load(t, crashed, n, 100)
 	var locs []wire.SegmentLoc
 	for id := uint64(1); id <= crashed.Log().Head().ID(); id++ {
-		locs = append(locs, wire.SegmentLoc{Segment: id, Backup: int32(crashed.replicas[id][0])})
+		locs = append(locs, wire.SegmentLoc{Segment: id, Backup: crashed.reps.Set(id)[0]})
 	}
 	rm.cfg.ReplicationFactor = rf
 	rig.eng.Go("replay", func(p *sim.Proc) {
@@ -708,13 +708,13 @@ func TestTimedOutResendIsNotAppendedTwice(t *testing.T) {
 	load(t, m, n, 1024)
 	var substitute *Server
 	for _, s := range rig.servers[1:] {
-		if !slices.Contains(m.replicas[1], s.Addr()) {
+		if !slices.Contains(m.reps.Set(1), s.ID()) {
 			substitute = s
 		}
 	}
 	rig.eng.Go("client", func(p *sim.Proc) {
-		for i, b := range slices.Clone(m.replicas[1]) {
-			m.registry(b).Kill()
+		for i, b := range slices.Clone(m.reps.Set(1)) {
+			m.registry(simnet.NodeID(b)).Kill()
 			if resp := rig.client.Call(p, m.Addr(), &wire.WriteReq{Table: 1, Key: ycsbKey(n + i), ValueLen: 1024}).(*wire.WriteResp); resp.Status != wire.StatusOK {
 				t.Errorf("write after backup %d died: %v", b, resp.Status)
 			}

@@ -247,8 +247,5 @@ func (n *Network) TxBusyFracSecond(id NodeID, k int) float64 {
 	return f
 }
 
-// Delivered returns the total number of delivered messages.
-func (n *Network) Delivered() int64 { return n.delivered.Value() }
-
 // Dropped returns the total number of dropped messages.
 func (n *Network) Dropped() int64 { return n.dropped.Value() }

@@ -30,8 +30,8 @@ func TestDeliveryLatency(t *testing.T) {
 	if m, ok := got.Payload.(*wire.PingReq); !ok || m.Seq != 7 || got.From != 1 {
 		t.Fatalf("message = %+v", got)
 	}
-	if n.Delivered() != 1 {
-		t.Fatalf("delivered = %d", n.Delivered())
+	if n.delivered.Value() != 1 {
+		t.Fatalf("delivered = %d", n.delivered.Value())
 	}
 }
 

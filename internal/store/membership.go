@@ -214,7 +214,7 @@ func (m *Membership) DeclareDead(id int32) (rec *Recovery, restarts []Restart) {
 	owned := mergeOverlaps(m.Owned(id))
 	will := fillWillGaps(owned, s.will)
 	if len(will) == 0 {
-		will = SplitRanges(owned, len(m.Alive()))
+		will = splitRanges(owned, len(m.Alive()))
 	}
 	if len(will) == 0 {
 		return nil, restarts

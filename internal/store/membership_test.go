@@ -193,7 +193,7 @@ func TestMembership(t *testing.T) {
 			func() []any {
 				m := enlisted(1, 2, 3, 4)
 				m.CreateTable("a", 4)
-				m.SetWill(4, SplitRanges([]wire.Tablet{tab(1, q3, ^uint64(0), 4)}, 6))
+				m.SetWill(4, splitRanges([]wire.Tablet{tab(1, q3, ^uint64(0), 4)}, 6))
 				rec4, _ := m.DeclareDead(4) // six parts, to 1, 2, 3, 1, 2, 3
 				m.Assign(rec4)
 				m.Recovered(4, rec4.Partitions[0].Range.FirstHash, true)
@@ -275,10 +275,10 @@ func TestMembership(t *testing.T) {
 // rec4Part is the i-th sixth of [q3, 2^64-1], the will of the master that
 // owns it.
 func rec4Part(i int) wire.WillPartition {
-	return SplitRanges([]wire.Tablet{tab(1, q3, ^uint64(0), 4)}, 6)[i]
+	return splitRanges([]wire.Tablet{tab(1, q3, ^uint64(0), 4)}, 6)[i]
 }
 func TestSplitRangesUsedForWill(t *testing.T) {
-	parts := SplitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 8)
+	parts := splitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 8)
 	if len(parts) != 8 {
 		t.Fatalf("parts = %d", len(parts))
 	}
@@ -312,7 +312,7 @@ func TestFillWillGaps(t *testing.T) {
 
 func TestFillWillGapsFullCoverageUnchanged(t *testing.T) {
 	owned := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}
-	will := SplitRanges(owned, 8)
+	will := splitRanges(owned, 8)
 	got := fillWillGaps(owned, will)
 	if len(got) != len(will) {
 		t.Fatalf("complete will gained gap partitions: %d -> %d", len(will), len(got))

@@ -23,6 +23,10 @@
 // tables and the tablet map, and splits a dead master's tablets into
 // recovery partitions.
 //
+// And it holds the master's replication rules (replicas.go): Replicas
+// keeps each segment's backups and the dead ones, and decides placement,
+// substitutes and the recovery will.
+//
 // The store knows nothing about time, threads or networks. Every append
 // goes through Apply, which decides when the head rolls; the roll itself
 // is Apply's roll callback, because the simulated master opens and closes
@@ -88,11 +92,11 @@ func SplitHashSpace(table uint64, span int, owners []int32) []wire.Tablet {
 	return tablets
 }
 
-// SplitRanges cuts tablets' hash ranges into about n partitions, each
+// splitRanges cuts tablets' hash ranges into about n partitions, each
 // tablet into the same number of equal parts (one when n is at most the
 // number of tablets): a master's will, or the coordinator's split of a
 // dead master that left none.
-func SplitRanges(tablets []wire.Tablet, n int) []wire.WillPartition {
+func splitRanges(tablets []wire.Tablet, n int) []wire.WillPartition {
 	if len(tablets) == 0 || n <= 0 {
 		return nil
 	}

@@ -368,7 +368,7 @@ func TestEntryToObject(t *testing.T) {
 
 func TestSplitRanges(t *testing.T) {
 	tablets := []wire.Tablet{{Table: 1, StartHash: 0, EndHash: 999}}
-	parts := SplitRanges(tablets, 4)
+	parts := splitRanges(tablets, 4)
 	if len(parts) != 4 {
 		t.Fatalf("parts = %d", len(parts))
 	}
@@ -381,7 +381,7 @@ func TestSplitRanges(t *testing.T) {
 			t.Fatalf("gap between %d and %d: %+v", i-1, i, parts)
 		}
 	}
-	if got := SplitRanges(nil, 3); got != nil {
+	if got := splitRanges(nil, 3); got != nil {
 		t.Fatal("nil tablets should give nil will")
 	}
 
@@ -389,7 +389,7 @@ func TestSplitRanges(t *testing.T) {
 	// do not fit in a uint64, and it still splits into equal quarters that
 	// tile the space.
 	const quarter = uint64(1) << 62
-	full := SplitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 4)
+	full := splitRanges([]wire.Tablet{{Table: 1, StartHash: 0, EndHash: ^uint64(0)}}, 4)
 	want := []wire.WillPartition{
 		{FirstHash: 0, LastHash: quarter - 1},
 		{FirstHash: quarter, LastHash: 2*quarter - 1},

@@ -161,12 +161,6 @@ func (s *Simulation) Run() {
 	s.eng.Shutdown()
 }
 
-// RunFor executes the simulation for a fixed span of virtual time,
-// whether or not clients have finished.
-func (s *Simulation) RunFor(d time.Duration) {
-	s.eng.RunUntil(s.eng.Now().Add(sim.Duration(d)))
-}
-
 // Now returns the current virtual time.
 func (s *Simulation) Now() time.Duration {
 	return time.Duration(s.eng.Now())
@@ -302,11 +296,6 @@ func (c *Client) WriteAsync(table Table, key, value []byte) *Future {
 	return &Future{c: c, op: c.c.WriteAsync(c.p, uint64(table), key, uint32(len(value)), value)}
 }
 
-// WriteLenAsync issues a virtual-payload write without waiting.
-func (c *Client) WriteLenAsync(table Table, key []byte, valueLen int) *Future {
-	return &Future{c: c, op: c.c.WriteAsync(c.p, uint64(table), key, uint32(valueLen), nil)}
-}
-
 // DeleteAsync issues a delete without waiting.
 func (c *Client) DeleteAsync(table Table, key []byte) *Future {
 	return &Future{c: c, op: c.c.DeleteAsync(c.p, uint64(table), key)}
@@ -324,13 +313,6 @@ func (f *Future) Done() bool { return f.op.Done() }
 func (f *Future) Wait() ([]byte, error) {
 	_, v, err := f.op.Wait(f.c.p)
 	return v, err
-}
-
-// WaitLen blocks until the operation completes and returns a read's
-// declared value length without materializing bytes.
-func (f *Future) WaitLen() (int, error) {
-	n, _, err := f.op.Wait(f.c.p)
-	return int(n), err
 }
 
 // Sleep pauses the client for a span of virtual time.
