@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -63,10 +64,12 @@ func measureOp(t *testing.T, servers, rf int, w ycsb.Workload, batch int) opCost
 
 // TestEngineCountsPerOp pins what the engine runs for one closed-loop
 // operation through the whole stack, client, fabric, master and backups:
-// a read, a write at RF 1 and RF 4, and a 32-item multi-read. A single
-// operation's client is engine callbacks and resumes no proc; a write
-// resumes its master's worker proc, for its service time and for its
-// backups' acks. The batched client keeps its proc: two resumes a batch.
+// a read, a write at RF 0, 1 and 4, and a 32-item multi-read. A single
+// operation's client is engine callbacks and resumes no proc, and so is a
+// master's write: its log head, service time, posts and acks are
+// callbacks, and only a roll at RF > 0 (one write in thousands) resumes
+// the worker's proc. The batched client keeps its proc: two resumes a
+// batch.
 func TestEngineCountsPerOp(t *testing.T) {
 	records := func(read, update float64) ycsb.Workload {
 		return ycsb.Workload{ReadProp: read, UpdateProp: update, RecordCount: 1000, RecordSize: 100, Dist: ycsb.Uniform}
@@ -79,20 +82,87 @@ func TestEngineCountsPerOp(t *testing.T) {
 		want        opCost
 	}{
 		{"read", 1, 0, records(1, 0), 0, opCost{8, 0, 3}},
-		{"write rf1", 2, 1, records(0, 1), 0, opCost{16.02, 4.01, 5.01}},
-		{"write rf4", 5, 4, records(0, 1), 0, opCost{37.1, 7.05, 5.03}},
+		{"write rf0", 1, 0, records(0, 1), 0, opCost{8, 0, 3}},
+		{"write rf1", 2, 1, records(0, 1), 0, opCost{16.02, 0.01, 5.01}},
+		{"write rf4", 5, 4, records(0, 1), 0, opCost{37.1, 0.05, 5.03}},
 		{"multiread32", 1, 0, records(1, 0), 32, opCost{8.01, 2, 45}},
 	} {
-		got := measureOp(t, c.servers, c.rf, c.w, c.batch)
-		t.Logf("%s: %.3f events, %.3f resumes, %.3f allocs per op", c.name, got.events, got.resumes, got.allocs)
-		for _, v := range []struct {
-			what      string
-			got, want float64
-		}{{"events", got.events, c.want.events}, {"resumes", got.resumes, c.want.resumes}, {"allocs", got.allocs, c.want.allocs}} {
-			if math.Abs(v.got-v.want) > 0.05 {
-				t.Errorf("%s: %.3f %s per op, want %.2f", c.name, v.got, v.what, v.want)
-			}
+		checkCost(t, c.name, "op", measureOp(t, c.servers, c.rf, c.w, c.batch), c.want)
+	}
+}
+
+// checkCost logs what one unit of name cost and holds each count to want
+// within 0.05.
+func checkCost(t *testing.T, name, unit string, got, want opCost) {
+	t.Helper()
+	t.Logf("%s: %.3f events, %.3f resumes, %.3f allocs per %s", name, got.events, got.resumes, got.allocs, unit)
+	for _, v := range []struct {
+		what      string
+		got, want float64
+	}{{"events", got.events, want.events}, {"resumes", got.resumes, want.resumes}, {"allocs", got.allocs, want.allocs}} {
+		if math.Abs(v.got-v.want) > 0.05 {
+			t.Errorf("%s: %.3f %s per %s, want %.2f", name, v.got, v.what, unit, v.want)
 		}
+	}
+}
+
+// measureReplay kills one of nine servers at RF rf, each holding about
+// 20,000 of 180,000 records of 100 bytes, and returns the cost of one
+// object its recovery masters replay: the engine's counts and the heap
+// objects over 21 slices of 5 ms once the replay is under way, divided by
+// the objects replayed in them, cluster-wide.
+func measureReplay(t *testing.T, rf int) opCost {
+	t.Helper()
+	eng := sim.New(1)
+	defer eng.Shutdown()
+	cl := NewCluster(eng, DefaultProfile(), 9, rf)
+	cl.Start()
+	cl.BulkLoad(cl.CreateTable("usertable"), 180_000, 100)
+	replayed := func() int64 {
+		var n int64
+		for _, s := range cl.Servers {
+			n += s.Stats().ObjectsReplay.Value()
+		}
+		return n
+	}
+	eng.RunUntil(eng.Now().Add(100 * sim.Millisecond))
+	cl.KillServer(4)
+	for replayed() < 500 {
+		if eng.Now() > sim.Time(30*sim.Second) {
+			t.Fatal("no replay under way 30 s into the run")
+		}
+		eng.RunUntil(eng.Now().Add(5 * sim.Millisecond))
+	}
+	slice := func() { eng.RunUntil(eng.Now().Add(5 * sim.Millisecond)) }
+	objs0, counts0 := replayed(), eng.Counts()
+	allocs := testing.AllocsPerRun(20, slice)
+	counts := eng.Counts()
+	objs := float64(replayed() - objs0)
+	if objs < 1000 || replayed() > 19_000 {
+		t.Fatalf("%.0f objects replayed in 21 slices, %d in all: the replay is not running throughout", objs, replayed())
+	}
+	return opCost{
+		events:  float64(counts.Events-counts0.Events) / objs,
+		resumes: float64(counts.Resumes-counts0.Resumes) / objs,
+		allocs:  allocs * 21 / objs,
+	}
+}
+
+// TestEngineCountsPerReplayedObject pins what the engine runs for one
+// object a recovery master replays at RF 1 and RF 4, end to end, with the
+// backups' appends and acks: its busy time, the log head, its cost, and a
+// post, a call and an ack per backup are each callbacks, and the replay
+// proc stays suspended but for a roll. What one object allocates is its
+// one-object list and the request the chain sends.
+func TestEngineCountsPerReplayedObject(t *testing.T) {
+	for _, c := range []struct {
+		rf   int
+		want opCost
+	}{
+		{1, opCost{11, 0, 2}},
+		{4, opCost{38.01, 0.01, 1.99}},
+	} {
+		checkCost(t, fmt.Sprintf("replay rf%d", c.rf), "replayed object", measureReplay(t, c.rf), c.want)
 	}
 }
 

@@ -78,36 +78,11 @@ func (s *Server) read(table uint64, key []byte, keyHash uint64) wire.MultiReadRe
 	return r
 }
 
-// write serves a WriteReq or a DeleteReq, o being the object or the
-// tombstone it asks for: admitted, appended under the log head, replicated
-// to its segment's backups and answered.
-func (s *Server) write(p *sim.Proc, req rpc.Request, o wire.Object) {
-	o.KeyHash = hashtable.HashKey(o.Table, o.Key)
-	status := s.admit(o.Table, o.KeyHash)
-	var seg uint64
-	if status == wire.StatusOK {
-		seg, status = s.appendOne(p, &o)
-	}
-	if status == wire.StatusOK {
-		if s.cfg.ReplicationFactor > 0 {
-			s.replicate(p, seg, []wire.Object{o})
-		}
-		if !o.Tombstone {
-			s.stats.WritesOK.Inc()
-		}
-	}
-	if o.Tombstone {
-		s.ep.Reply(req, &wire.DeleteResp{Status: status, Version: o.Version})
-	} else {
-		s.ep.Reply(req, &wire.WriteResp{Status: status, Version: o.Version})
-	}
-}
-
-// appendOne appends one object (a write, a delete, a replayed or migrated
-// object) under the log head, paying its service time there, and returns
-// the segment it landed in.
+// appendOne appends one migrated object under the log head, paying its
+// service time there, and returns the segment it landed in. A client
+// write and a replayed object take these steps as writeOp's callbacks.
 func (s *Server) appendOne(p *sim.Proc, o *wire.Object) (uint64, wire.Status) {
-	if !s.lockLog(p, s.cfg.Costs.WriteBase+sim.Scale(s.cfg.Costs.PerKByte, float64(o.ValueLen)/1024)) {
+	if !s.lockLog(p, s.appendCost(o.ValueLen)) {
 		return 0, wire.StatusError
 	}
 	seg, status := s.st.Apply(o, func() { s.rollLocked(p) })
@@ -115,20 +90,33 @@ func (s *Server) appendOne(p *sim.Proc, o *wire.Object) (uint64, wire.Status) {
 	return seg, status
 }
 
+// appendCost is the service time of appending an object of valueLen
+// bytes under the log head, before contention.
+func (s *Server) appendCost(valueLen uint32) sim.Duration {
+	return s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(valueLen)/1024)
+}
+
 // lockLog takes the log head and burns cost under it, inflated by the
-// contention tax of Finding 2 (WriteContention per waiter squared, the
-// waiters counted before the wait). False, the head released again, when
-// the server died meanwhile.
+// contention tax of Finding 2 (logCost). False, the head released again,
+// when the server died meanwhile.
 func (s *Server) lockLog(p *sim.Proc, cost sim.Duration) bool {
 	waiters := s.logMu.Waiters()
 	s.lockWithSpin(p, s.logMu)
-	cost += sim.Duration(int64(s.cfg.Costs.WriteContention) * int64(waiters*waiters))
-	s.busy(p, sim.Scale(cost, s.interference()))
+	s.busy(p, s.logCost(cost, waiters))
 	if s.dead {
 		s.logMu.Unlock()
 		return false
 	}
 	return true
+}
+
+// logCost is what cost takes under the log head once it is held: the
+// contention tax of Finding 2, WriteContention per waiter squared (the
+// waiters counted before the wait), is added, and the sum is inflated by
+// any recovery replay running on this node.
+func (s *Server) logCost(cost sim.Duration, waiters int) sim.Duration {
+	cost += sim.Duration(int64(s.cfg.Costs.WriteContention) * int64(waiters*waiters))
+	return sim.Scale(cost, s.interference())
 }
 
 // startMultiRead is the prefix of a read batch. The dispatch cost was
@@ -181,7 +169,7 @@ func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWrit
 		hashes[i] = hashtable.HashKey(it.Table, it.Key)
 		if items[i].Status = s.admit(it.Table, hashes[i]); items[i].Status == wire.StatusOK {
 			owned++
-			cost += s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(it.ValueLen)/1024)
+			cost += s.appendCost(it.ValueLen)
 		}
 	}
 	if owned == 0 {
@@ -308,9 +296,9 @@ func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []int32, msg wir
 func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
 	for i := range acks {
 		a := &acks[i]
-		_, ok := a.call.WaitTimeout(p, s.cfg.ReplicationTimeout)
+		resp, ok := a.call.WaitTimeout(p, s.cfg.ReplicationTimeout)
 		a.call.Release()
-		if !ok {
+		if !acked(resp, ok) {
 			s.handleBackupFailure(p, a.backup, segment)
 		}
 	}

@@ -17,10 +17,14 @@
 //     Costs.SpinTimeout before sleeping, so each active client keeps one
 //     worker's core busy. Both choices are what make CPU usage saturate
 //     long before throughput does (Finding 1). A worker is a proc only
-//     while it blocks (worker.go): a request that never waits on a lock,
-//     a disk or an RPC — a read, a replica append, a ping — runs as
-//     engine callbacks, and the worker's proc stays suspended until a
-//     write, a delete or a recovery request needs it.
+//     while it blocks (worker.go): a read, a replica append, a ping runs
+//     as engine callbacks, and so does a single write or delete, whose
+//     waits for the log head, its service time, its posts and its acks
+//     are callbacks too (write.go). The worker's proc stays suspended
+//     until a write batch, a recovery or migration request, a write's
+//     roll at RF > 0 or a backup's replacement needs it. A recovery
+//     master's replay is the same step machine, its proc suspended
+//     behind it.
 //   - Writes serialize on the log head; queueing there inflates service
 //     time quadratically (the "nanoscheduling" thrash of Finding 2).
 //   - Replication requests from other masters run through the same
@@ -172,6 +176,7 @@ func (s *Server) Start() {
 	for i := range s.workers {
 		w := &s.workers[i]
 		w.proc = s.eng.Go(fmt.Sprintf("srv%d-worker%d", s.id, i), w.loop)
+		w.wr.proc = w.proc
 	}
 	s.backupSvc.proc = s.eng.Go(fmt.Sprintf("srv%d-backupsvc", s.id), s.backupSvc.loop)
 	s.eng.Go(fmt.Sprintf("srv%d-flush", s.id), s.flushLoop)
@@ -292,18 +297,28 @@ func (s *Server) busy(p *sim.Proc, d sim.Duration) {
 // switches rather than idling, which is what drives the paper's power
 // increase under update-heavy load (Fig. 4a).
 func (s *Server) lockWithSpin(p *sim.Proc, mu *sim.Mutex) {
-	spin := s.cfg.Costs.SpinTimeout
-	t0 := p.Now()
-	if !s.dead && spin > 0 && mu.Locked() {
-		s.node.AddBusy(t0, t0.Add(spin))
-	} else {
-		spin = 0
-	}
+	t0, spin := p.Now(), s.startSpin(mu)
 	mu.Lock(p)
-	if spin > 0 {
-		if waited := p.Now().Sub(t0); waited < spin {
-			s.node.SubBusy(p.Now(), t0.Add(spin))
-		}
+	s.endSpin(t0, spin)
+}
+
+// startSpin accounts SpinTimeout of CPU burn from now when mu is held, as
+// a thread about to wait for it spins, and returns what it accounted.
+func (s *Server) startSpin(mu *sim.Mutex) sim.Duration {
+	spin := s.cfg.Costs.SpinTimeout
+	if s.dead || spin <= 0 || !mu.Locked() {
+		return 0
+	}
+	now := s.eng.Now()
+	s.node.AddBusy(now, now.Add(spin))
+	return spin
+}
+
+// endSpin takes back the part of a spin accounted from t0 that the wait,
+// over now, did not use.
+func (s *Server) endSpin(t0 sim.Time, spin sim.Duration) {
+	if now := s.eng.Now(); spin > 0 && now.Sub(t0) < spin {
+		s.node.SubBusy(now, t0.Add(spin))
 	}
 }
 
@@ -320,10 +335,6 @@ func (s *Server) interference() float64 {
 // that never block run as the worker's callbacks (worker.start).
 func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	switch m := req.Msg.(type) {
-	case *wire.WriteReq:
-		s.write(p, req, wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
-	case *wire.DeleteReq:
-		s.write(p, req, wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
 	case *wire.MultiWriteReq:
 		s.serveMultiWrite(p, req, m)
 	case *wire.GetRecoveryDataReq:

@@ -17,12 +17,16 @@ import (
 // read or multi-read, a replica open, append or close, a free or
 // inventory request, a ping) runs as engine callbacks: its prefix checks
 // it and charges its service time, one scheduled callback waits that time
-// out, and its tail answers and takes the next request. A request that
-// blocks, on the log head, a disk or an RPC, runs on the worker's proc,
-// which is suspended otherwise and resumed inline by the callback that
-// takes such a request. Every sequence number is drawn where a worker that
-// is a proc throughout drew it: its wake-up on a push, and the end of its
-// sleep through the service time. The event order is that proc's.
+// out, and its tail answers and takes the next request. A single write or
+// delete runs as callbacks too, step by step (writeOp, write.go): the log
+// head, its service time, each post and each ack are waits. What blocks
+// for real runs on the worker's proc, which is suspended otherwise and
+// resumed inline by the callback that needs it: a write batch, a recovery
+// or migration request, and a write's roll at RF > 0 or the replacement
+// of a backup that missed its deadline. Every sequence number is drawn
+// where a worker that is a proc throughout drew it: its wake-up on a push,
+// the end of its sleep through each service time, its hand-off of the log
+// head and each ack's arrival or deadline. The event order is that proc's.
 
 // worker is one worker thread and its queue.
 type worker struct {
@@ -30,6 +34,9 @@ type worker struct {
 	q      sim.Queue[rpc.Request] // held by value: one allocation fewer
 	proc   *sim.Proc
 	stepFn func() // step, bound once so scheduling it allocates nothing
+
+	// wr is the single write or delete in hand, if any; step advances it.
+	wr writeOp
 
 	idle    bool     // the queue was found empty: a push wakes the worker
 	pending bool     // the tail of inHand is scheduled
@@ -51,13 +58,14 @@ type outcome int
 const (
 	answered outcome = iota // the request is done: take the next
 	waiting                 // idle, or a service time is running out
-	blocks                  // the request must be served on the proc
+	blocks                  // the request, or the write's step, must run on the proc
 	exits                   // the server died: the proc must return
 )
 
 func (w *worker) init(s *Server) {
 	w.s, w.q = s, *sim.NewQueue[rpc.Request](s.eng)
 	w.stepFn = w.step
+	w.wr.s, w.wr.stepFn = s, w.stepFn
 }
 
 // push queues req and wakes an idle worker at the current instant, where
@@ -71,38 +79,65 @@ func (w *worker) push(req rpc.Request) {
 }
 
 // loop is the worker's proc. Its first resume runs the top of the worker
-// loop; from then on it serves the requests that block, and is suspended
-// between them.
+// loop; from then on it serves the requests that block and the write's
+// steps that do, and is suspended between them. Until it suspends it
+// carries the worker loop on itself, as the callbacks would.
 func (w *worker) loop(p *sim.Proc) {
+	w.wr.onProc = true
 	req, o := w.next()
-	for o != exits {
-		if o == waiting {
+	for {
+		switch o {
+		case exits:
+			return
+		case answered:
+			req, o = w.next()
+		case blocks:
+			if w.wr.blocked {
+				o = w.wr.advance()
+			} else {
+				w.s.serve(p, req)
+				req, o = w.next()
+			}
+		case waiting:
+			w.wr.onProc = false
 			p.Suspend()
+			w.wr.onProc = true
 			req, w.inHand = w.inHand, rpc.Request{}
-			if req.Msg == nil {
+			if req.Msg == nil && !w.wr.blocked {
 				return // resumed to exit: the server died
 			}
+			o = blocks
 		}
-		w.s.serve(p, req)
-		req, o = w.next()
 	}
 }
 
 // step is the worker's scheduled callback: the wake-up of an idle worker
-// by a push, or the end of the service time of the request in hand.
+// by a push, the end of the service time of the request in hand, or a
+// wait of the write in hand ended (its log head handed over, a service
+// time or post paid, an ack in or overdue).
 func (w *worker) step() {
 	var req rpc.Request
 	var o outcome
-	if w.pending {
+	switch {
+	case w.wr.stage != writeIdle:
+		o = w.wr.advance()
+	case w.pending:
 		w.pending = false
 		w.finish()
-		req, o = w.next()
-	} else {
+		o = answered
+	default:
 		req, _ = w.q.TryPop()
-		if o = w.take(req); o == answered {
-			req, o = w.next()
-		}
+		o = w.take(req)
 	}
+	if o == answered {
+		req, o = w.next()
+	}
+	w.handOff(req, o)
+}
+
+// handOff resumes the proc, inline, when what the worker reached needs it:
+// a request that blocks, a write's blocking step, or the exit.
+func (w *worker) handOff(req rpc.Request, o outcome) {
 	switch o {
 	case blocks:
 		w.inHand = req
@@ -150,7 +185,8 @@ func (w *worker) take(req rpc.Request) outcome {
 }
 
 // start runs the prefix of a request that never blocks, and pays its
-// service time; a request that blocks is left to the proc.
+// service time, or a single write up to its first wait; a request that
+// blocks is left to the proc.
 func (w *worker) start(req rpc.Request) outcome {
 	s := w.s
 	var d sim.Duration
@@ -158,6 +194,10 @@ func (w *worker) start(req rpc.Request) outcome {
 	switch m := req.Msg.(type) {
 	case *wire.ReadReq:
 		d, tail = w.startRead(req, m)
+	case *wire.WriteReq:
+		return w.wr.startWrite(req, wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
+	case *wire.DeleteReq:
+		return w.wr.startWrite(req, wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
 	case *wire.MultiReadReq:
 		d = w.startMultiRead(m)
 	case *wire.OpenSegmentReq:

@@ -250,52 +250,72 @@ func TestWorkerTiming(t *testing.T) {
 	}
 }
 
-// TestKillStopsCallbackWorkers kills a server while a read's service time
-// is running out and three more reads are queued behind it on the same
-// worker. The read in hand finishes into the downed NIC, no queued read is
-// served, and every proc the server started exits.
+// TestKillStopsCallbackWorkers kills a server while the service time of
+// a read, or of a write under the log head, is running out and three more
+// of the same are queued behind it on the same worker. The request in
+// hand finishes into the downed NIC (a write, finding the server dead
+// under the log head, as StatusError), no queued request is served, and
+// every proc the server started exits.
 func TestKillStopsCallbackWorkers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CleanerThreshold = 0 // no cleaner proc outliving the run
-	cfg.Costs.Read = 20 * sim.Microsecond
-	r := newWorkerRig(t, cfg)
-	defer r.eng.Shutdown()
-	r.eng.RunUntil(0) // the procs' first pass
-	procs := r.eng.LiveProcs()
-	if want := cfg.Workers + 2; procs != want {
-		t.Fatalf("%d procs running, want %d: the workers, the backup service and the flusher", procs, want)
-	}
-	const at = sim.Time(sim.Millisecond)
-	for i := 0; i < 4; i++ {
-		r.send(at, clientNode, uint64(i+1), &wire.ReadReq{Table: 1, Key: ycsbKey(i)})
-	}
-	// The first read is handed over at at+hop+Dispatch and the last three
-	// by 4 Dispatch; kill half-way through the first one's service time.
-	w := &r.s.workers[connWorker(clientNode, cfg.Workers)]
-	killAt := at.Add(hop + cfg.Costs.Dispatch + cfg.Costs.Read/2)
-	queued := -1
-	r.eng.ScheduleAt(killAt, func() {
-		if !w.pending {
-			t.Error("no read's service time running at the kill")
-		}
-		queued = w.q.Len()
-		r.s.Kill()
-	})
-	r.eng.RunUntil(sim.Time(sim.Second))
-	if queued != 3 {
-		t.Fatalf("%d reads queued at the kill, want 3", queued)
-	}
-	if len(r.replies) != 0 {
-		t.Errorf("a killed server's replies arrived: %v", r.replies)
-	}
-	if got := r.s.Stats().ReadsOK.Value(); got != 1 {
-		t.Errorf("%d reads served, want only the one in hand at the kill", got)
-	}
-	if got := r.net.Dropped(); got != 1 {
-		t.Errorf("%d messages dropped, want the one reply", got)
-	}
-	if got := r.eng.LiveProcs(); got != 0 {
-		t.Errorf("%d of the killed server's %d procs still live", got, procs)
+	for _, c := range []struct {
+		name   string
+		msg    func(i int) wire.Message
+		inHand func(w *worker) bool
+		served func(s *Server) int64
+		want   int64
+	}{
+		{"read", func(i int) wire.Message { return &wire.ReadReq{Table: 1, Key: ycsbKey(i)} },
+			func(w *worker) bool { return w.pending }, func(s *Server) int64 { return s.Stats().ReadsOK.Value() }, 1},
+		{"write", func(i int) wire.Message { return &wire.WriteReq{Table: 1, Key: ycsbKey(i), ValueLen: 100} },
+			func(w *worker) bool { return w.wr.stage == writeCharged }, func(s *Server) int64 { return s.Stats().WritesOK.Value() }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.CleanerThreshold = 0 // no cleaner proc outliving the run
+			cfg.Costs.Read = 20 * sim.Microsecond
+			cfg.Costs.WriteBase = 20 * sim.Microsecond
+			cfg.Costs.PerKByte = 0
+			r := newWorkerRig(t, cfg)
+			defer r.eng.Shutdown()
+			r.eng.RunUntil(0) // the procs' first pass
+			procs := r.eng.LiveProcs()
+			if want := cfg.Workers + 2; procs != want {
+				t.Fatalf("%d procs running, want %d: the workers, the backup service and the flusher", procs, want)
+			}
+			const at = sim.Time(sim.Millisecond)
+			for i := 0; i < 4; i++ {
+				r.send(at, clientNode, uint64(i+1), c.msg(i))
+			}
+			// The first request is handed over at at+hop+Dispatch and the
+			// last three by 4 Dispatch; kill half-way through the first
+			// one's 20 µs service time.
+			w := &r.s.workers[connWorker(clientNode, cfg.Workers)]
+			killAt := at.Add(hop + cfg.Costs.Dispatch + 10*sim.Microsecond)
+			queued := -1
+			r.eng.ScheduleAt(killAt, func() {
+				if !c.inHand(w) {
+					t.Errorf("no %s's service time running at the kill", c.name)
+				}
+				queued = w.q.Len()
+				r.s.Kill()
+			})
+			r.eng.RunUntil(sim.Time(sim.Second))
+			if queued != 3 {
+				t.Fatalf("%d requests queued at the kill, want 3", queued)
+			}
+			if len(r.replies) != 0 {
+				t.Errorf("a killed server's replies arrived: %v", r.replies)
+			}
+			if got := c.served(r.s); got != c.want {
+				t.Errorf("%d served, want %d", got, c.want)
+			}
+			if got := r.net.Dropped(); got != 1 {
+				t.Errorf("%d messages dropped, want the one reply", got)
+			}
+			if got := r.eng.LiveProcs(); got != 0 {
+				t.Errorf("%d of the killed server's %d procs still live", got, procs)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,9 @@
 // primitives in this package (Queue, Mutex, Future, WaitGroup).
 // All wake-ups are funneled through the event queue, so execution order is a
 // pure function of the seed and the program. A callback may wait on a
-// Future too (NotifyTimeout): it is scheduled in the events, and with the
-// sequence numbers, that would resume a proc waiting there. The one
+// Future too (NotifyTimeout), or for a Mutex (LockNotify): it is scheduled
+// in the events, and with the sequence numbers, that would resume a proc
+// waiting there. The one
 // exception draws no event at all: a callback may Resume a proc parked in
 // Suspend, which then runs inline, as part of that callback's event.
 //

@@ -84,11 +84,20 @@ func (q *Queue[T]) Pop(p *Proc) T {
 }
 
 // Mutex is a FIFO mutual-exclusion lock with direct hand-off: Unlock passes
-// ownership to the longest-waiting proc, so the lock cannot be stolen.
+// ownership to the longest waiter, so the lock cannot be stolen. A waiter
+// is a proc parked in Lock or a callback queued by LockNotify; both wait
+// in one FIFO.
 type Mutex struct {
 	eng     *Engine
 	locked  bool
-	waiting fifo[*Proc]
+	waiting fifo[mutexWaiter]
+}
+
+// mutexWaiter is a proc parked in Lock, or the callback that LockNotify
+// runs in its place when p is nil.
+type mutexWaiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewMutex returns an unlocked mutex bound to e.
@@ -97,7 +106,8 @@ func NewMutex(e *Engine) *Mutex { return &Mutex{eng: e} }
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.locked }
 
-// Waiters returns the number of procs blocked in Lock.
+// Waiters returns the number of procs blocked in Lock and callbacks
+// queued by LockNotify.
 func (m *Mutex) Waiters() int { return m.waiting.n }
 
 // Lock acquires the mutex, blocking the proc until it is available.
@@ -106,9 +116,25 @@ func (m *Mutex) Lock(p *Proc) {
 		m.locked = true
 		return
 	}
-	m.waiting.push(p)
+	m.waiting.push(mutexWaiter{p: p})
 	p.park()
 	// Ownership was handed to us by Unlock; m.locked is still true.
+}
+
+// LockNotify is Lock for a caller that is not a proc. A free mutex is
+// taken at once and LockNotify reports true; fn does not run. Otherwise fn
+// queues behind the waiters already there, LockNotify reports false, and
+// once the mutex is handed over fn runs holding it, in the event that
+// would resume a proc parked in Lock: Unlock schedules it with the
+// sequence number it draws for that proc. A caller binds fn once, and
+// waiting then allocates nothing.
+func (m *Mutex) LockNotify(fn func()) bool {
+	if !m.locked {
+		m.locked = true
+		return true
+	}
+	m.waiting.push(mutexWaiter{fn: fn})
+	return false
 }
 
 // Unlock releases the mutex, handing it directly to the next waiter if one
@@ -118,7 +144,11 @@ func (m *Mutex) Unlock() {
 		panic("sim: unlock of unlocked Mutex")
 	}
 	if m.waiting.n > 0 {
-		m.eng.scheduleProcAt(m.eng.now, m.waiting.pop())
+		if w := m.waiting.pop(); w.p != nil {
+			m.eng.scheduleProcAt(m.eng.now, w.p)
+		} else {
+			m.eng.ScheduleAt(m.eng.now, w.fn)
+		}
 		return
 	}
 	m.locked = false

@@ -133,6 +133,86 @@ func TestMutexWaiters(t *testing.T) {
 	}
 }
 
+// TestMutexCallbackWaiters queues five waiters behind a holder, procs
+// and LockNotify callbacks in mixed order, and holds them to five proc
+// waiters: each must take the mutex in arrival order, at the same instant
+// and after the same sequence numbers, and the engine must end having run
+// the same events and drawn the same numbers. Waiters counts both kinds.
+// A free mutex is taken by LockNotify at once, with nothing scheduled.
+func TestMutexCallbackWaiters(t *testing.T) {
+	run := func(callback []bool) ([]string, int, Counts) {
+		e := New(1)
+		defer e.Shutdown()
+		mu := NewMutex(e)
+		var trace []string
+		took := func(name string) {
+			trace = append(trace, fmt.Sprintf("%s at %d after seq %d", name, e.Now(), e.Counts().Seq))
+		}
+		peak := 0
+		e.Go("holder", func(p *Proc) {
+			mu.Lock(p)
+			p.Sleep(100)
+			peak = mu.Waiters()
+			mu.Unlock()
+		})
+		for i, cb := range callback {
+			name := fmt.Sprintf("w%d", i)
+			// Every waiter arrives from a proc, so both runs draw the same
+			// numbers to get there; a callback waiter's proc queues its
+			// callback and ends.
+			e.Go(name, func(p *Proc) {
+				p.Sleep(Duration(10 * (i + 1)))
+				if !cb {
+					mu.Lock(p)
+					took(name)
+					p.Sleep(7)
+					mu.Unlock()
+					return
+				}
+				if mu.LockNotify(func() {
+					took(name)
+					e.Schedule(7, mu.Unlock)
+				}) {
+					t.Errorf("%s: LockNotify took a held mutex", name)
+				}
+			})
+		}
+		e.Run()
+		return trace, peak, e.Counts()
+	}
+	want, wantPeak, wantCounts := run(make([]bool, 5))
+	for _, mix := range [][]bool{
+		{false, true, true, false, true},
+		{true, false, true, false, false},
+		{true, true, true, true, true},
+	} {
+		got, peak, counts := run(mix)
+		if !slices.Equal(got, want) {
+			t.Errorf("%v:\n%v\nall procs:\n%v", mix, got, want)
+		}
+		if peak != wantPeak || peak != 5 {
+			t.Errorf("%v: %d waiters counted, all procs %d, want 5", mix, peak, wantPeak)
+		}
+		if counts.Seq != wantCounts.Seq || counts.Events != wantCounts.Events {
+			t.Errorf("%v: counts %+v, all procs %+v", mix, counts, wantCounts)
+		}
+	}
+
+	e := New(1)
+	mu := NewMutex(e)
+	if !mu.LockNotify(func() { t.Error("the callback of a free mutex ran") }) || !mu.Locked() {
+		t.Fatal("LockNotify did not take a free mutex at once")
+	}
+	if c := e.Counts(); c.Seq != 0 {
+		t.Fatalf("LockNotify on a free mutex drew %d sequence numbers", c.Seq)
+	}
+	mu.Unlock()
+	e.Run()
+	if mu.Locked() {
+		t.Fatal("the mutex is held after its only holder unlocked it")
+	}
+}
+
 func TestFutureSetBeforeGet(t *testing.T) {
 	e := New(1)
 	f := NewFuture[int](e)
@@ -403,6 +483,35 @@ func TestBlockingPrimitivesDoNotAllocate(t *testing.T) {
 		}
 		if n := steadyAllocs(t, e, &rounds); n != 0 {
 			t.Fatalf("contended mutex allocates %v per slice, want 0", n)
+		}
+		if mu.Waiters() != 2 {
+			t.Fatalf("mutex has %d waiters, want 2: the lock is not contended", mu.Waiters())
+		}
+	})
+	t.Run("mutex callback wait", func(t *testing.T) {
+		e := New(1)
+		defer e.Shutdown()
+		mu := NewMutex(e)
+		rounds := 0
+		// Three callbacks take turns: each holds the mutex a microsecond,
+		// releases it and queues behind the other two again.
+		for range 3 {
+			var lock, held, release func()
+			lock = func() {
+				if mu.LockNotify(held) {
+					held()
+				}
+			}
+			held = func() { e.Schedule(Microsecond, release) }
+			release = func() {
+				rounds++
+				mu.Unlock()
+				lock()
+			}
+			e.Schedule(0, lock)
+		}
+		if n := steadyAllocs(t, e, &rounds); n != 0 {
+			t.Fatalf("a callback's wait on a mutex allocates %v per slice, want 0", n)
 		}
 		if mu.Waiters() != 2 {
 			t.Fatalf("mutex has %d waiters, want 2: the lock is not contended", mu.Waiters())
