@@ -39,13 +39,13 @@ func closedLoop(tb testing.TB, servers, rf int, w ycsb.Workload, opts ycsb.RunOp
 // measureOp runs one closed-loop client against a cluster of servers at
 // RF rf, holding 1,000 records of 100 bytes, and returns the cost of one
 // of its operations in steady state: the engine's counts and the heap
-// objects over 21 slices of 20 ms, divided by the operations completed in
+// objects over 21 slices of d, divided by the operations completed in
 // them. A batched client's operation is one batch.
-func measureOp(t *testing.T, servers, rf int, w ycsb.Workload, batch int) opCost {
+func measureOp(t *testing.T, servers, rf int, w ycsb.Workload, batch int, d sim.Duration) opCost {
 	t.Helper()
 	eng, c := closedLoop(t, servers, rf, w, ycsb.RunOptions{Requests: 1 << 30, BatchSize: batch})
 	defer eng.Shutdown()
-	slice := func() { eng.RunUntil(eng.Now().Add(20 * sim.Millisecond)) }
+	slice := func() { eng.RunUntil(eng.Now().Add(d)) }
 	slice()
 	slice()
 	ops0, counts0 := c.Stats().Ops.Value(), eng.Counts()
@@ -64,30 +64,35 @@ func measureOp(t *testing.T, servers, rf int, w ycsb.Workload, batch int) opCost
 
 // TestEngineCountsPerOp pins what the engine runs for one closed-loop
 // operation through the whole stack, client, fabric, master and backups:
-// a read, a write at RF 0, 1 and 4, and a 32-item multi-read. A single
-// operation's client is engine callbacks and resumes no proc, and so is a
-// master's write: its log head, service time, posts and acks are
-// callbacks, and only a roll at RF > 0 (one write in thousands) resumes
-// the worker's proc. The batched client keeps its proc: two resumes a
-// batch.
+// a read, a write at RF 0, 1 and 4, a 32-item multi-read, and a 32-item
+// multi-write at RF 1, whose slices are longer so that as many batches
+// land in them. A single operation's client is engine callbacks and
+// resumes no proc, and so is a master's write or write batch: its log
+// head, service time, posts and acks are callbacks, and only a roll at
+// RF > 0 (one write in thousands) resumes the worker's proc. The batched
+// client keeps its proc: two resumes a batch, and a little more when the
+// batch goes to two masters.
 func TestEngineCountsPerOp(t *testing.T) {
 	records := func(read, update float64) ycsb.Workload {
 		return ycsb.Workload{ReadProp: read, UpdateProp: update, RecordCount: 1000, RecordSize: 100, Dist: ycsb.Uniform}
 	}
+	const ms = sim.Millisecond
 	for _, c := range []struct {
 		name        string
 		servers, rf int
 		w           ycsb.Workload
 		batch       int
+		slice       sim.Duration
 		want        opCost
 	}{
-		{"read", 1, 0, records(1, 0), 0, opCost{8, 0, 3}},
-		{"write rf0", 1, 0, records(0, 1), 0, opCost{8, 0, 3}},
-		{"write rf1", 2, 1, records(0, 1), 0, opCost{16.02, 0.01, 5.01}},
-		{"write rf4", 5, 4, records(0, 1), 0, opCost{37.1, 0.05, 5.03}},
-		{"multiread32", 1, 0, records(1, 0), 32, opCost{8.01, 2, 45}},
+		{"read", 1, 0, records(1, 0), 0, 20 * ms, opCost{8, 0, 3}},
+		{"write rf0", 1, 0, records(0, 1), 0, 20 * ms, opCost{8, 0, 3}},
+		{"write rf1", 2, 1, records(0, 1), 0, 20 * ms, opCost{16.02, 0.01, 5.01}},
+		{"write rf4", 5, 4, records(0, 1), 0, 20 * ms, opCost{37.1, 0.05, 5.03}},
+		{"multiread32", 1, 0, records(1, 0), 32, 20 * ms, opCost{8.01, 2, 45}},
+		{"multiwrite32 rf1", 2, 1, records(0, 1), 32, 60 * ms, opCost{30.25, 2.24, 55}},
 	} {
-		checkCost(t, c.name, "op", measureOp(t, c.servers, c.rf, c.w, c.batch), c.want)
+		checkCost(t, c.name, "op", measureOp(t, c.servers, c.rf, c.w, c.batch, c.slice), c.want)
 	}
 }
 

@@ -135,9 +135,10 @@ func TestStartSpawnsNoDispatchProc(t *testing.T) {
 }
 
 // TestLateAckSkipsReusedFuture has a backup answer a replication request
-// after awaitAcks' deadline, while the master's next call, which reuses
-// the timed-out call's future, is still waiting. The late ack must be
-// dropped, not taken for that call's answer.
+// after its ack's deadline, judged by writeOp's send and ack stages on the
+// master's proc as a roll awaits them, while the master's next call, which
+// reuses the timed-out call's future, is still waiting. The late ack must
+// be dropped, not taken for that call's answer.
 func TestLateAckSkipsReusedFuture(t *testing.T) {
 	cfg := smallCfg(1)
 	rig := newRig(t, 1, cfg)
@@ -160,8 +161,10 @@ func TestLateAckSkipsReusedFuture(t *testing.T) {
 	var got uint64
 	var ok bool
 	rig.eng.Go("master", func(p *sim.Proc) {
-		acks := m.fanOut(p, nil, []int32{int32(backup.Node())}, &wire.PingReq{Seq: 1}, 0)
-		m.awaitAcks(p, acks, 0)
+		x := m.newReplayer(p, 1)
+		x.onProc = true
+		x.send(0, []int32{int32(backup.Node())}, &wire.PingReq{Seq: 1}, 0, false)
+		x.await()
 		var resp wire.Message
 		if resp, ok = m.ep.CallTimeout(p, backup.Node(), &wire.PingReq{Seq: 2}, 3*timeout); ok {
 			got = resp.(*wire.PingResp).Seq

@@ -12,9 +12,10 @@ import (
 	"ramcloud/internal/wire"
 )
 
-// This file implements the master role: tablet ownership, the read path,
-// the durable write path (log append + synchronous primary-backup
-// replication), deletes via tombstones, will maintenance and bulk loading.
+// This file implements the master role around its write path (writeOp,
+// write.go): tablet ownership and admission, reads and read batches, the
+// write path's costs and replication request, the replacement of a backup
+// that missed a deadline, and bulk loading.
 
 // AssignTablet gives the master ownership of a key-hash range. Called by
 // the coordinator's configuration plane.
@@ -78,36 +79,10 @@ func (s *Server) read(table uint64, key []byte, keyHash uint64) wire.MultiReadRe
 	return r
 }
 
-// appendOne appends one migrated object under the log head, paying its
-// service time there, and returns the segment it landed in. A client
-// write and a replayed object take these steps as writeOp's callbacks.
-func (s *Server) appendOne(p *sim.Proc, o *wire.Object) (uint64, wire.Status) {
-	if !s.lockLog(p, s.appendCost(o.ValueLen)) {
-		return 0, wire.StatusError
-	}
-	seg, status := s.st.Apply(o, func() { s.rollLocked(p) })
-	s.logMu.Unlock()
-	return seg, status
-}
-
 // appendCost is the service time of appending an object of valueLen
 // bytes under the log head, before contention.
 func (s *Server) appendCost(valueLen uint32) sim.Duration {
 	return s.cfg.Costs.WriteBase + sim.Scale(s.cfg.Costs.PerKByte, float64(valueLen)/1024)
-}
-
-// lockLog takes the log head and burns cost under it, inflated by the
-// contention tax of Finding 2 (logCost). False, the head released again,
-// when the server died meanwhile.
-func (s *Server) lockLog(p *sim.Proc, cost sim.Duration) bool {
-	waiters := s.logMu.Waiters()
-	s.lockWithSpin(p, s.logMu)
-	s.busy(p, s.logCost(cost, waiters))
-	if s.dead {
-		s.logMu.Unlock()
-		return false
-	}
-	return true
 }
 
 // logCost is what cost takes under the log head once it is held: the
@@ -152,156 +127,6 @@ func (w *worker) finishMultiRead(req rpc.Request, m *wire.MultiReadReq) {
 		}
 	}
 	s.ep.Reply(req, &wire.MultiReadResp{Status: wire.StatusOK, Items: items})
-}
-
-// serveMultiWrite services a write batch: every owned item is appended
-// under a single log-head acquisition (one contention tax for the whole
-// batch instead of one per op — the quadratic "nanoscheduling" cost of
-// Finding 2 is paid once), and replication fans out one RPC per backup per
-// touched segment carrying all of that segment's new objects.
-func (s *Server) serveMultiWrite(p *sim.Proc, req rpc.Request, m *wire.MultiWriteReq) {
-	items := make([]wire.MultiWriteResult, len(m.Items))
-	hashes := make([]uint64, len(m.Items))
-	var owned int
-	var cost sim.Duration
-	for i := range m.Items {
-		it := &m.Items[i]
-		hashes[i] = hashtable.HashKey(it.Table, it.Key)
-		if items[i].Status = s.admit(it.Table, hashes[i]); items[i].Status == wire.StatusOK {
-			owned++
-			cost += s.appendCost(it.ValueLen)
-		}
-	}
-	if owned == 0 {
-		s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
-		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
-		return
-	}
-	if !s.lockLog(p, cost) {
-		for i := range items {
-			if items[i].Status == wire.StatusOK {
-				items[i].Status = wire.StatusError
-			}
-		}
-		// Like the single-op path: answer StatusError (the downed NIC drops
-		// the reply anyway, but the two paths stay symmetric).
-		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusError, Items: items})
-		return
-	}
-	// Append every owned item, packing the appended objects to the front
-	// of objs (at RF 0 nothing is kept). A roll only moves the head
-	// forward, so the objects appended to one segment are one run of the
-	// batch: the run the head took is replicated before the roll closes
-	// the head's replicas, and the last run once the head is released.
-	var objs []wire.Object
-	if s.cfg.ReplicationFactor > 0 {
-		objs = make([]wire.Object, 0, owned)
-	}
-	var seg uint64 // the segment objs[start:] was appended to
-	start := 0
-	roll := func() {
-		s.replicate(p, seg, objs[start:])
-		start = len(objs)
-		s.rollLocked(p)
-	}
-	for i := range m.Items {
-		if items[i].Status != wire.StatusOK {
-			continue
-		}
-		it := &m.Items[i]
-		o := wire.Object{Table: it.Table, KeyHash: hashes[i], Key: it.Key, ValueLen: it.ValueLen, Value: it.Value}
-		landed, status := s.st.Apply(&o, roll)
-		items[i] = wire.MultiWriteResult{Status: status, Version: o.Version}
-		if status != wire.StatusOK {
-			continue
-		}
-		s.stats.WritesOK.Inc()
-		if s.cfg.ReplicationFactor > 0 {
-			seg, objs = landed, append(objs, o)
-		}
-	}
-	s.logMu.Unlock()
-	s.replicate(p, seg, objs[start:])
-	s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
-}
-
-// rollLocked seals the head segment and opens a new one, closing the old
-// replicas (async) and opening fresh ones (synchronously, so the new head
-// is durable before use). Caller holds logMu.
-func (s *Server) rollLocked(p *sim.Proc) {
-	sealed, head := s.st.Log.Roll()
-	rf := s.cfg.ReplicationFactor
-	if rf <= 0 {
-		return
-	}
-	if sealed != nil {
-		closeReq := &wire.CloseSegmentReq{Master: s.id, Segment: sealed.ID(), SegmentBytes: uint32(sealed.Accounted())}
-		for _, b := range s.reps.Set(sealed.ID()) {
-			s.ep.AsyncCall(simnet.NodeID(b), closeReq)
-		}
-		s.stats.SegmentsSealed.Inc()
-	}
-	backups, _ := s.reps.Open(head.ID(), rf, s.eng.Rand())
-	var buf [inlineAcks]pendingAck
-	acks := s.fanOut(p, buf[:0], backups, &wire.OpenSegmentReq{Master: s.id, Segment: head.ID()}, s.cfg.Costs.SendOverhead)
-	s.awaitAcks(p, acks, head.ID())
-	// Update the will: the partition layout depends on data volume.
-	s.ep.AsyncCall(s.coordinator, &wire.SetWillReq{Master: s.id, Partitions: s.reps.Will(s.st.Tablets, s.st.Log.LiveBytes(), s.cfg.PartitionBytes)})
-}
-
-// replicate sends objs, appended to segment, to the segment's backups,
-// one request for the whole fan-out, and waits for every ack: the
-// synchronous path that provides strong consistency and costs Finding 3's
-// throughput.
-func (s *Server) replicate(p *sim.Proc, segment uint64, objs []wire.Object) {
-	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
-		return
-	}
-	var buf [inlineAcks]pendingAck
-	msg, post := s.replication(segment, objs)
-	acks := s.fanOut(p, buf[:0], s.reps.Set(segment), msg, post)
-	if s.cfg.AsyncReplication {
-		return // relaxed consistency: do not wait for backup acks
-	}
-	s.awaitAcks(p, acks, segment)
-}
-
-// pendingAck is one backup's outstanding acknowledgement in a fan-out.
-type pendingAck struct {
-	backup int32
-	call   rpc.Call
-}
-
-// inlineAcks is how many pending acks a fan-out keeps on its stack; a
-// larger replica set spills to the heap.
-const inlineAcks = 8
-
-// fanOut sends msg to every backup, paying post before each send, and
-// appends the pending acks to acks. Every backup gets the same message: a
-// sent message is immutable.
-func (s *Server) fanOut(p *sim.Proc, acks []pendingAck, backups []int32, msg wire.Message, post sim.Duration) []pendingAck {
-	for _, b := range backups {
-		s.busy(p, post)
-		acks = append(acks, pendingAck{backup: b, call: s.ep.StartCall(simnet.NodeID(b), msg)})
-	}
-	return acks
-}
-
-// awaitAcks waits for every ack and replaces each backup that missed its
-// deadline. It names a backup by the id captured at its send, not by its
-// index in the segment's backup set: a failure rewrites that set in place,
-// so an index may already name the substitute. Each call is released after
-// its wait; one that timed out was deregistered by WaitTimeout, so its ack,
-// should it still come, is dropped.
-func (s *Server) awaitAcks(p *sim.Proc, acks []pendingAck, segment uint64) {
-	for i := range acks {
-		a := &acks[i]
-		resp, ok := a.call.WaitTimeout(p, s.cfg.ReplicationTimeout)
-		a.call.Release()
-		if !acked(resp, ok) {
-			s.handleBackupFailure(p, a.backup, segment)
-		}
-	}
 }
 
 // replication builds the replication request for the configured mode and

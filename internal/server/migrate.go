@@ -17,13 +17,16 @@ import (
 // MigrateTablet a hash range to a destination master. The source freezes the
 // range (clients get StatusRetry), walks its log for the range's live
 // objects, ships them in batches (TakeTabletReq) and finally drops ownership
-// so subsequent client ops re-route via the coordinator.
+// so subsequent client ops re-route via the coordinator. The destination
+// re-inserts each batch through the recovery replay's replayer
+// (recovery.go), on the proc serving the take.
 
 const migrateBatchTimeout = 5 * sim.Second
 
-// migrateBatch is the number of objects shipped per TakeTabletReq. Recovery
-// replay replicates one object per RPC; migration is a bulk transfer, not
-// a latency-sensitive replay, so it ships many.
+// migrateBatch is the number of objects shipped per TakeTabletReq, and
+// the most a take re-replicates in one request. Recovery replay
+// replicates one object per RPC; migration is a bulk transfer, not a
+// latency-sensitive replay, so it ships many.
 const migrateBatch = 64
 
 // PeerRejoined clears the permanent dead mark for a restarted peer so it
@@ -149,39 +152,17 @@ func (s *Server) unfreeze(rng wire.Tablet) {
 
 // serveTakeTablet receives one batch of a migrating tablet. Objects are
 // re-inserted through the replay path (versions preserved, staleness
-// checked) and re-replicated to this master's own backups. The store keeps
-// its version counter at or above every version it is handed, so
-// post-migration writes never regress below a migrated version.
+// checked) and re-replicated to this master's own backups through the
+// serial chain, in runs of up to migrateBatch. The store keeps its version
+// counter at or above every version it is handed, so post-migration writes
+// never regress below a migrated version. ROADMAP 3(d): a run is sent once
+// the next object has landed in another segment, after the roll closed the
+// run's replicas (TestTakeFillsSealedReplicas).
 func (s *Server) serveTakeTablet(p *sim.Proc, req rpc.Request, m *wire.TakeTabletReq) {
 	if s.dead {
 		return
 	}
-	var batch []wire.Object
-	var batchSeg uint64
-	flush := func() {
-		if len(batch) > 0 {
-			s.replicateReplaySerial(p, batchSeg, batch)
-			batch = nil
-		}
+	if s.newReplayer(p, migrateBatch).replay(m.Objects) {
+		s.ep.Reply(req, &wire.TakeTabletResp{Status: wire.StatusOK})
 	}
-	for i := range m.Objects {
-		obj := &m.Objects[i]
-		seg, replayed := s.replayObject(p, obj)
-		if !replayed {
-			continue
-		}
-		if seg != batchSeg {
-			flush()
-			batchSeg = seg
-		}
-		batch = append(batch, *obj)
-		if len(batch) >= migrateBatch {
-			flush()
-		}
-		if s.dead {
-			return
-		}
-	}
-	flush()
-	s.ep.Reply(req, &wire.TakeTabletResp{Status: wire.StatusOK})
 }

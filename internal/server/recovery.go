@@ -18,8 +18,8 @@ import (
 // (Finding 6). Each object is re-replicated one backup at a time, each
 // acknowledgement waited for before the next backup is contacted: the
 // paper's "inserting in DRAM, replicating it to backup replicas, waiting
-// for acknowledgement and so on". A migrated tablet's objects take the
-// same serial chain, in batches, on the worker serving the take.
+// for acknowledgement and so on". The replay is a replayer, a writeOp
+// (write.go) on the replay proc, which a take (migrate.go) shares.
 
 const recoveryFetchTimeout = 20 * sim.Second
 
@@ -31,7 +31,7 @@ func (s *Server) serveRecover(p *sim.Proc, req rpc.Request, m *wire.RecoverReq) 
 }
 
 // replayPartition fetches the partition's segments one by one on the
-// replay proc p and replays each one's objects through a writeOp, whose
+// replay proc p and replays each one's objects through a replayer, whose
 // callbacks resume p only for a roll, a backup's replacement or the end of
 // the segment.
 func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
@@ -49,8 +49,7 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 		}
 	}()
 
-	r := &replayer{}
-	r.s, r.proc, r.stepFn = s, p, r.step
+	r := s.newReplayer(p, 1)
 	ok := true
 	for _, loc := range m.Segments {
 		resp, got := s.ep.CallTimeout(p, simnet.NodeID(loc.Backup), &wire.GetRecoveryDataReq{
@@ -64,7 +63,7 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 			ok = false // the backup died mid-recovery or lost the replica; partition incomplete
 			continue
 		}
-		if !r.segment(data.Objects) {
+		if !r.replay(data.Objects) {
 			return // the server died
 		}
 	}
@@ -75,27 +74,43 @@ func (s *Server) replayPartition(p *sim.Proc, m *wire.RecoverReq) {
 	}, 5*sim.Second)
 }
 
-// replayer replays one recovered segment's objects, one writeOp at a time:
-// each re-inserted through the write path's append and re-replicated
-// through the serial chain.
+// replayer replays objects on a proc through its writeOp, one at a time,
+// each re-inserted through the write path's append. The objects that
+// landed in one segment are re-replicated through the serial chain as one
+// run, sent once it holds max objects, when an object lands in another
+// segment, and at the end. A recovery master sends each object alone
+// (max 1); a take ships runs of up to migrateBatch.
 type replayer struct {
 	writeOp
-	objs []wire.Object
-	next int  // the next object to replay
-	died bool // the server died after an object was replayed
+	objs    []wire.Object
+	next    int  // the next object to replay
+	max     int  // the objects a run is sent at
+	landing bool // the op in hand replays objs[next-1]
+	check   bool // an object was replayed: the server's death is read once its runs are sent
+	died    bool // the server died after an object was replayed
+
+	pending    []wire.Object // the run not yet sent
+	pendingSeg uint64
 }
 
-// segment replays objs on the replay proc and returns once they are all
-// replayed, or false when the server died. The proc suspends behind the
-// callbacks and runs only what blocks.
-func (r *replayer) segment(objs []wire.Object) bool {
+// newReplayer returns a replayer on proc p that sends runs of max objects.
+func (s *Server) newReplayer(p *sim.Proc, max int) *replayer {
+	r := &replayer{max: max}
+	r.s, r.proc, r.stepFn = s, p, r.step
+	return r
+}
+
+// replay replays objs on the proc and returns once every object is
+// replayed and every run sent, or false when the server died. The proc
+// suspends behind the callbacks and runs only what blocks.
+func (r *replayer) replay(objs []wire.Object) bool {
 	r.objs, r.next, r.onProc = objs, 0, true
 	for o := r.run(); o != answered; o = r.run() {
 		r.onProc = false
 		r.proc.Suspend()
 		r.onProc = true
 		if !r.blocked {
-			break // resumed at the end of the segment
+			break // resumed once the objects are done
 		}
 	}
 	r.objs = nil
@@ -103,71 +118,69 @@ func (r *replayer) segment(objs []wire.Object) bool {
 }
 
 // step is the replay's callback: it resumes the proc when the replay
-// blocks or the segment is done.
+// blocks or is done.
 func (r *replayer) step() {
 	if r.run() != waiting {
 		r.s.eng.Resume(r.proc)
 	}
 }
 
-// run advances the object in hand and takes the next ones until one
-// waits, blocks, or the segment is done (answered).
+// run advances the op in hand and takes the replay's next steps, in the
+// order a proc replaying the objects took them, until one waits, blocks,
+// or the objects are done (answered).
 func (r *replayer) run() outcome {
 	for {
-		if r.stage == writeIdle {
-			if r.died || r.next == len(r.objs) {
+		if r.stage != writeIdle {
+			if o := r.advance(); o != answered {
+				return o
+			}
+			if r.landing {
+				r.landing = false
+				r.land()
+				continue
+			}
+		}
+		switch {
+		case len(r.pending) >= r.max:
+			r.sendChain(r.pendingSeg, r.pending)
+			r.pending = nil
+		case r.check:
+			r.check = false
+			if r.s.dead {
+				r.died = true
 				return answered
 			}
-			r.startReplay(&r.objs[r.next])
+		case r.next < len(r.objs):
+			r.obj, r.replayed, r.status, r.stage = &r.objs[r.next], true, wire.StatusError, writeReplay
 			r.next++
+			r.landing = true
+		case len(r.pending) > 0:
+			r.sendChain(r.pendingSeg, r.pending)
+			r.pending = nil
+		default:
+			return answered
 		}
-		if o := r.advance(); o != answered {
-			return o
-		}
-		r.died = r.status == wire.StatusOK && r.s.dead
 	}
 }
 
-// stale reports whether the master already holds obj's key at obj's
-// version or later: replay may deliver older versions after newer ones
-// when segments interleave, and must never regress.
-func (s *Server) stale(obj *wire.Object) bool {
-	cur := s.st.Read(obj.Table, obj.Key, obj.KeyHash)
-	return cur.Status == wire.StatusOK && cur.Version >= obj.Version
-}
-
-// replayObject re-inserts one migrated object (or tombstone) through the
-// write path's append. Versions are preserved; an object older than what
-// the master already holds for that key is skipped. Returns the segment
-// the entry landed in.
-func (s *Server) replayObject(p *sim.Proc, obj *wire.Object) (uint64, bool) {
-	s.busy(p, s.cfg.Costs.ReplayObject)
-	if s.stale(obj) {
-		return 0, false
-	}
-	seg, status := s.appendOne(p, obj)
-	if status != wire.StatusOK {
-		return 0, false
-	}
-	s.stats.ObjectsReplay.Inc()
-	return seg, true
-}
-
-// replicateReplaySerial re-replicates migrated objects one backup at a
-// time, waiting for each acknowledgement before contacting the next, as
-// the recovery replay's chain does (writeOp).
-func (s *Server) replicateReplaySerial(p *sim.Proc, segment uint64, objs []wire.Object) {
-	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
+// land files the object just replayed: once appended, the server's death
+// is read after the runs it ends are sent, and at RF > 0 it joins the run
+// of the segment it landed in. Landing in another segment sends the run
+// before it first.
+func (r *replayer) land() {
+	if r.status != wire.StatusOK {
 		return
 	}
-	msg, post := s.replication(segment, objs)
-	for _, b := range s.chain(segment) {
-		s.busy(p, post)
-		resp, ok := s.ep.CallTimeout(p, simnet.NodeID(b), msg, s.cfg.ReplicationTimeout)
-		if !acked(resp, ok) {
-			s.handleBackupFailure(p, b, segment)
-		}
+	r.check = true
+	if r.s.cfg.ReplicationFactor <= 0 {
+		return
 	}
+	seg := r.seg
+	if seg != r.pendingSeg && len(r.pending) > 0 {
+		r.sendChain(r.pendingSeg, r.pending)
+		r.pending = nil
+	}
+	r.pending, r.pendingSeg = append(r.pending, r.objs[r.next-1]), seg
 }
 
 // chain is the backups a replay chain walks for segment, one at a time.

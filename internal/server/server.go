@@ -18,13 +18,13 @@
 //     worker's core busy. Both choices are what make CPU usage saturate
 //     long before throughput does (Finding 1). A worker is a proc only
 //     while it blocks (worker.go): a read, a replica append, a ping runs
-//     as engine callbacks, and so does a single write or delete, whose
-//     waits for the log head, its service time, its posts and its acks
-//     are callbacks too (write.go). The worker's proc stays suspended
-//     until a write batch, a recovery or migration request, a write's
-//     roll at RF > 0 or a backup's replacement needs it. A recovery
-//     master's replay is the same step machine, its proc suspended
-//     behind it.
+//     as engine callbacks, and so does a write, a delete or a write
+//     batch, whose waits for the log head, its service time, its posts
+//     and its acks are callbacks too (write.go). The worker's proc stays
+//     suspended until a roll at RF > 0, a backup's replacement, a
+//     recovery data request, a recover or a take needs it. A recovery
+//     master's replay and a take are the same step machine, their proc
+//     suspended behind it.
 //   - Writes serialize on the log head; queueing there inflates service
 //     time quadratically (the "nanoscheduling" thrash of Finding 2).
 //   - Replication requests from other masters run through the same
@@ -335,8 +335,6 @@ func (s *Server) interference() float64 {
 // that never block run as the worker's callbacks (worker.start).
 func (s *Server) serve(p *sim.Proc, req rpc.Request) {
 	switch m := req.Msg.(type) {
-	case *wire.MultiWriteReq:
-		s.serveMultiWrite(p, req, m)
 	case *wire.GetRecoveryDataReq:
 		s.serveGetRecoveryData(p, req, m)
 	case *wire.RecoverReq:

@@ -117,14 +117,20 @@ func TestWriteAfterReplayDoesNotRegressVersion(t *testing.T) {
 	old := wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 10, Version: 1000}
 	var failures []string
 	rig.eng.Go("client", func(p *sim.Proc) {
-		if _, ok := s.replayObject(p, &old); !ok {
+		rp := s.newReplayer(p, 1)
+		replayed := func() bool {
+			n := s.Stats().ObjectsReplay.Value()
+			rp.replay([]wire.Object{old})
+			return s.Stats().ObjectsReplay.Value() > n
+		}
+		if !replayed() {
 			failures = append(failures, "first replay refused")
 		}
 		w := rig.client.Call(p, s.Addr(), &wire.WriteReq{Table: 1, Key: key, ValueLen: 20}).(*wire.WriteResp)
 		if w.Status != wire.StatusOK || w.Version <= old.Version {
 			failures = append(failures, fmt.Sprintf("write after replay acknowledged at version %d, want above %d", w.Version, old.Version))
 		}
-		if _, ok := s.replayObject(p, &old); ok {
+		if replayed() {
 			failures = append(failures, "second replay displaced a newer write")
 		}
 		r := rig.client.Call(p, s.Addr(), &wire.ReadReq{Table: 1, Key: key}).(*wire.ReadResp)
@@ -340,9 +346,7 @@ func TestReplayChainReachesEveryBackup(t *testing.T) {
 		}
 		key := []byte("b")
 		obj := wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 64, Version: 100}
-		if seg, ok := m.replayObject(p, &obj); ok {
-			m.replicateReplaySerial(p, seg, []wire.Object{obj})
-		}
+		m.newReplayer(p, 1).replay([]wire.Object{obj})
 		rig.eng.Stop()
 	})
 	rig.eng.Run()

@@ -17,16 +17,15 @@ import (
 // read or multi-read, a replica open, append or close, a free or
 // inventory request, a ping) runs as engine callbacks: its prefix checks
 // it and charges its service time, one scheduled callback waits that time
-// out, and its tail answers and takes the next request. A single write or
-// delete runs as callbacks too, step by step (writeOp, write.go): the log
-// head, its service time, each post and each ack are waits. What blocks
-// for real runs on the worker's proc, which is suspended otherwise and
-// resumed inline by the callback that needs it: a write batch, a recovery
-// or migration request, and a write's roll at RF > 0 or the replacement
-// of a backup that missed its deadline. Every sequence number is drawn
-// where a worker that is a proc throughout drew it: its wake-up on a push,
-// the end of its sleep through each service time, its hand-off of the log
-// head and each ack's arrival or deadline. The event order is that proc's.
+// out, and its tail answers and takes the next request. A write, delete
+// or write batch runs as callbacks too, step by step (writeOp, write.go).
+// What blocks for real runs on the worker's proc, suspended otherwise and
+// resumed inline by the callback that needs it: a roll at RF > 0, the
+// replacement of a backup that missed its deadline, and a recovery data,
+// recover or take request. Every sequence number is drawn where a worker
+// that is a proc throughout drew it: its wake-up on a push, the end of its
+// sleep through each service time, its hand-off of the log head and each
+// ack's arrival or deadline. The event order is that proc's.
 
 // worker is one worker thread and its queue.
 type worker struct {
@@ -35,7 +34,7 @@ type worker struct {
 	proc   *sim.Proc
 	stepFn func() // step, bound once so scheduling it allocates nothing
 
-	// wr is the single write or delete in hand, if any; step advances it.
+	// wr is the write, delete or batch in hand, if any; step advances it.
 	wr writeOp
 
 	idle    bool     // the queue was found empty: a push wakes the worker
@@ -185,8 +184,8 @@ func (w *worker) take(req rpc.Request) outcome {
 }
 
 // start runs the prefix of a request that never blocks, and pays its
-// service time, or a single write up to its first wait; a request that
-// blocks is left to the proc.
+// service time, or a write, delete or write batch up to its first wait; a
+// request that blocks is left to the proc.
 func (w *worker) start(req rpc.Request) outcome {
 	s := w.s
 	var d sim.Duration
@@ -198,6 +197,8 @@ func (w *worker) start(req rpc.Request) outcome {
 		return w.wr.startWrite(req, wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
 	case *wire.DeleteReq:
 		return w.wr.startWrite(req, wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
+	case *wire.MultiWriteReq:
+		return w.wr.startBatch(req, m)
 	case *wire.MultiReadReq:
 		d = w.startMultiRead(m)
 	case *wire.OpenSegmentReq:

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"ramcloud/internal/hashtable"
@@ -14,11 +15,12 @@ import (
 	"ramcloud/internal/wire"
 )
 
-// This file holds the single write and the recovery replay to the proc
-// code they were before they became writeOp's callbacks. The reference
-// below is that code: a worker that is a proc throughout and serves writes
-// and deletes with refWrite, and a replay proc that replays each object
-// with refReplayObject and refReplicateReplaySerial.
+// This file holds the master's append-and-replicate path, writeOp, to the
+// proc code it replaced. The reference below is that code: a worker that
+// is a proc throughout and serves writes, deletes and write batches with
+// refWrite and refServeMultiWrite, a replay proc that replays each object
+// with refReplayObject and refReplicateReplaySerial, a take served with
+// refServeTakeTablet, and the proc roll, refRollLocked, under all of them.
 
 // refWrite is the proc write: admitted, appended under the log head,
 // replicated to its segment's backups and answered.
@@ -27,12 +29,10 @@ func refWrite(s *Server, p *sim.Proc, req rpc.Request, o wire.Object) {
 	status := s.admit(o.Table, o.KeyHash)
 	var seg uint64
 	if status == wire.StatusOK {
-		seg, status = s.appendOne(p, &o)
+		seg, status = refAppendOne(s, p, &o)
 	}
 	if status == wire.StatusOK {
-		if s.cfg.ReplicationFactor > 0 {
-			refReplicate(s, p, seg, []wire.Object{o})
-		}
+		refReplicate(s, p, seg, []wire.Object{o})
 		if !o.Tombstone {
 			s.stats.WritesOK.Inc()
 		}
@@ -44,25 +44,75 @@ func refWrite(s *Server, p *sim.Proc, req rpc.Request, o wire.Object) {
 	}
 }
 
-// refReplicate is the proc fan-out: every send posted, then every ack
-// waited for.
+// refLockLog takes the log head and burns cost under it, inflated by the
+// contention tax; false, the head released again, when the server died
+// meanwhile.
+func refLockLog(s *Server, p *sim.Proc, cost sim.Duration) bool {
+	waiters := s.logMu.Waiters()
+	s.lockWithSpin(p, s.logMu)
+	s.busy(p, s.logCost(cost, waiters))
+	if s.dead {
+		s.logMu.Unlock()
+		return false
+	}
+	return true
+}
+
+// refAppendOne appends one object under the log head, paying its service
+// time there, and returns the segment it landed in.
+func refAppendOne(s *Server, p *sim.Proc, o *wire.Object) (uint64, wire.Status) {
+	if !refLockLog(s, p, s.appendCost(o.ValueLen)) {
+		return 0, wire.StatusError
+	}
+	seg, status := s.st.Apply(o, func() { refRollLocked(s, p) })
+	s.logMu.Unlock()
+	return seg, status
+}
+
+// refRollLocked is the proc roll: the head sealed and its replicas closed,
+// the new head's replicas opened and every open waited for, and the will
+// sent.
+func refRollLocked(s *Server, p *sim.Proc) {
+	sealed, head := s.st.Log.Roll()
+	rf := s.cfg.ReplicationFactor
+	if rf <= 0 {
+		return
+	}
+	if sealed != nil {
+		closeReq := &wire.CloseSegmentReq{Master: s.id, Segment: sealed.ID(), SegmentBytes: uint32(sealed.Accounted())}
+		for _, b := range s.reps.Set(sealed.ID()) {
+			s.ep.AsyncCall(simnet.NodeID(b), closeReq)
+		}
+		s.stats.SegmentsSealed.Inc()
+	}
+	backups, _ := s.reps.Open(head.ID(), rf, s.eng.Rand())
+	refSend(s, p, head.ID(), backups, &wire.OpenSegmentReq{Master: s.id, Segment: head.ID()}, s.cfg.Costs.SendOverhead, false)
+	s.ep.AsyncCall(s.coordinator, &wire.SetWillReq{Master: s.id, Partitions: s.reps.Will(s.st.Tablets, s.st.Log.LiveBytes(), s.cfg.PartitionBytes)})
+}
+
+// refReplicate is the proc replication of objs, appended to segment: one
+// request for the whole fan-out.
 func refReplicate(s *Server, p *sim.Proc, segment uint64, objs []wire.Object) {
-	var buf [inlineAcks]pendingAck
+	if s.cfg.ReplicationFactor <= 0 || len(objs) == 0 {
+		return
+	}
 	msg, post := s.replication(segment, objs)
+	refSend(s, p, segment, s.reps.Set(segment), msg, post, s.cfg.AsyncReplication)
+}
+
+// refSend is the proc fan-out: every send posted, then, unless async,
+// every ack waited for in turn and each backup that missed its deadline
+// replaced.
+func refSend(s *Server, p *sim.Proc, segment uint64, backups []int32, msg wire.Message, post sim.Duration, async bool) {
+	var buf [inlineAcks]pendingAck
 	acks := buf[:0]
-	for _, b := range s.reps.Set(segment) {
+	for _, b := range backups {
 		s.busy(p, post)
 		acks = append(acks, pendingAck{backup: b, call: s.ep.StartCall(simnet.NodeID(b), msg)})
 	}
-	if s.cfg.AsyncReplication {
+	if async {
 		return
 	}
-	refAwaitAcks(s, p, acks, segment)
-}
-
-// refAwaitAcks waits for every ack in turn and replaces each backup that
-// missed its deadline.
-func refAwaitAcks(s *Server, p *sim.Proc, acks []pendingAck, segment uint64) {
 	for i := range acks {
 		a := &acks[i]
 		_, ok := a.call.WaitTimeout(p, s.cfg.ReplicationTimeout)
@@ -73,8 +123,108 @@ func refAwaitAcks(s *Server, p *sim.Proc, acks []pendingAck, segment uint64) {
 	}
 }
 
+// refServeMultiWrite is the proc write batch: every owned item appended
+// under one acquisition of the log head, the run a roll closes replicated
+// before the roll, and the last run once the head is released.
+func refServeMultiWrite(s *Server, p *sim.Proc, req rpc.Request, m *wire.MultiWriteReq) {
+	items := make([]wire.MultiWriteResult, len(m.Items))
+	hashes := make([]uint64, len(m.Items))
+	var owned int
+	var cost sim.Duration
+	for i := range m.Items {
+		it := &m.Items[i]
+		hashes[i] = hashtable.HashKey(it.Table, it.Key)
+		if items[i].Status = s.admit(it.Table, hashes[i]); items[i].Status == wire.StatusOK {
+			owned++
+			cost += s.appendCost(it.ValueLen)
+		}
+	}
+	if owned == 0 {
+		s.busy(p, sim.Scale(s.cfg.Costs.Read, s.interference()))
+		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
+		return
+	}
+	if !refLockLog(s, p, cost) {
+		for i := range items {
+			if items[i].Status == wire.StatusOK {
+				items[i].Status = wire.StatusError
+			}
+		}
+		s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusError, Items: items})
+		return
+	}
+	var objs []wire.Object
+	if s.cfg.ReplicationFactor > 0 {
+		objs = make([]wire.Object, 0, owned)
+	}
+	var seg uint64
+	start := 0
+	roll := func() {
+		refReplicate(s, p, seg, objs[start:])
+		start = len(objs)
+		refRollLocked(s, p)
+	}
+	for i := range m.Items {
+		if items[i].Status != wire.StatusOK {
+			continue
+		}
+		it := &m.Items[i]
+		o := wire.Object{Table: it.Table, KeyHash: hashes[i], Key: it.Key, ValueLen: it.ValueLen, Value: it.Value}
+		landed, status := s.st.Apply(&o, roll)
+		items[i] = wire.MultiWriteResult{Status: status, Version: o.Version}
+		if status != wire.StatusOK {
+			continue
+		}
+		s.stats.WritesOK.Inc()
+		if s.cfg.ReplicationFactor > 0 {
+			seg, objs = landed, append(objs, o)
+		}
+	}
+	s.logMu.Unlock()
+	refReplicate(s, p, seg, objs[start:])
+	s.ep.Reply(req, &wire.MultiWriteResp{Status: wire.StatusOK, Items: items})
+}
+
+// refServeTakeTablet is the proc take: each object replayed, and each run
+// of one segment's objects sent through the serial chain at migrateBatch
+// objects, once the next object has landed in another segment, and at the
+// end.
+func refServeTakeTablet(s *Server, p *sim.Proc, req rpc.Request, m *wire.TakeTabletReq) {
+	if s.dead {
+		return
+	}
+	var batch []wire.Object
+	var batchSeg uint64
+	flush := func() {
+		if len(batch) > 0 {
+			refReplicateReplaySerial(s, p, batchSeg, batch)
+			batch = nil
+		}
+	}
+	for i := range m.Objects {
+		obj := &m.Objects[i]
+		seg, replayed := refReplayObject(s, p, obj)
+		if !replayed {
+			continue
+		}
+		if seg != batchSeg {
+			flush()
+			batchSeg = seg
+		}
+		batch = append(batch, *obj)
+		if len(batch) >= migrateBatch {
+			flush()
+		}
+		if s.dead {
+			return
+		}
+	}
+	flush()
+	s.ep.Reply(req, &wire.TakeTabletResp{Status: wire.StatusOK})
+}
+
 // refWorker is a client worker that is a proc throughout, serving only
-// writes and deletes: it spins from the top of its loop, takes the next
+// writes, deletes and write batches: it spins from the top of its loop, takes the next
 // request, takes back the spin it did not wait and serves the request.
 func refWorker(s *Server, q *sim.Queue[rpc.Request], p *sim.Proc) {
 	spin := s.cfg.Costs.SpinTimeout
@@ -95,6 +245,8 @@ func refWorker(s *Server, q *sim.Queue[rpc.Request], p *sim.Proc) {
 			refWrite(s, p, req, wire.Object{Table: m.Table, Key: m.Key, ValueLen: m.ValueLen, Value: m.Value})
 		case *wire.DeleteReq:
 			refWrite(s, p, req, wire.Object{Table: m.Table, Key: m.Key, Tombstone: true})
+		case *wire.MultiWriteReq:
+			refServeMultiWrite(s, p, req, m)
 		default:
 			panic(fmt.Sprintf("reference worker: %T", req.Msg))
 		}
@@ -157,7 +309,7 @@ func refReplayObject(s *Server, p *sim.Proc, obj *wire.Object) (uint64, bool) {
 	if cur := s.st.Read(obj.Table, obj.Key, obj.KeyHash); cur.Status == wire.StatusOK && cur.Version >= obj.Version {
 		return 0, false
 	}
-	seg, status := s.appendOne(p, obj)
+	seg, status := refAppendOne(s, p, obj)
 	if status != wire.StatusOK {
 		return 0, false
 	}
@@ -353,17 +505,35 @@ func burst(r *timingRig, at sim.Time, clients, n, first int, valueLen uint32, ga
 	}
 }
 
-// TestWriteTiming holds the single write and delete to the proc write
-// path they replace (refWrite on a worker that is a proc throughout): at
-// RF 0, 1 and 4; with the log head contended; with rolls at RF > 0; with a
+// batches has clients 300.. each send n write batches of size items of
+// valueLen bytes to distinct keys from first on, one every gap, starting
+// at at; table is the items' table.
+func batches(r *timingRig, at sim.Time, clients, n, size, first int, table uint64, valueLen uint32, gap sim.Duration) {
+	for c := 0; c < clients; c++ {
+		id := simnet.NodeID(300 + c)
+		r.client(id)
+		for i := 0; i < n; i++ {
+			m := &wire.MultiWriteReq{Items: make([]wire.MultiWriteItem, size)}
+			for j := range m.Items {
+				m.Items[j] = wire.MultiWriteItem{Table: table, Key: ycsbKey(first + (c*n+i)*size + j), ValueLen: valueLen}
+			}
+			r.send(at.Add(sim.Duration(i)*gap), id, uint64(i+1), m)
+		}
+	}
+}
+
+// TestWriteTiming holds the single write and delete, and the write batch,
+// to the proc write path they replace (refWrite and refServeMultiWrite on
+// a worker that is a proc throughout): at RF 0, 1 and 4; with the log head
+// contended; with rolls at RF > 0, two of them inside one batch; with a
 // backup that misses its ack, so the master replaces it; with the late
-// appends a roll refuses (ROADMAP 3(a)); with the master killed mid-write;
-// and with deletes of a present and a missing key. Every reply must leave
-// at the same instant with the same contents, every node's busy time must
-// change alike, and both engines must run the same events and draw the
-// same sequence numbers throughout; at the end the counters, the logs,
-// the backup sets and the live procs must agree, and the callbacks must
-// have resumed fewer procs.
+// appends a roll refuses (ROADMAP 3(a)); with the master killed mid-write
+// and mid-batch; with deletes of a present and a missing key; and with a
+// batch of no owned item. Every reply must leave at the same instant with
+// the same contents, every node's busy time must change alike, and both
+// engines must run the same events and draw the same sequence numbers
+// throughout; at the end the counters, the logs, the backup sets and the
+// live procs must agree, and the callbacks must have resumed fewer procs.
 func TestWriteTiming(t *testing.T) {
 	const at = sim.Time(sim.Millisecond)
 	small := func(rf int) Config {
@@ -416,6 +586,35 @@ func TestWriteTiming(t *testing.T) {
 			// log head or on their workers.
 			r.eng.ScheduleAt(at.Add(120*sim.Microsecond), r.servers[0].Kill)
 		}},
+		{name: "batch rf0", servers: 1, cfg: big(0), load: 4, script: func(r *timingRig) {
+			batches(r, at, 2, 4, 8, 0, 1, 100, 300*sim.Microsecond)
+			burst(r, at.Add(50*sim.Microsecond), 1, 4, 100, 100, 300*sim.Microsecond)
+		}},
+		{name: "batch rolls", servers: 4, cfg: small(2), script: func(r *timingRig) {
+			// 16 KiB segments hold about 15 items of 1 KiB: the first
+			// batch rolls the head twice.
+			batches(r, at, 1, 2, 40, 0, 1, 1024, 4*sim.Millisecond)
+			burst(r, at.Add(200*sim.Microsecond), 1, 6, 100, 1024, 150*sim.Microsecond)
+		}},
+		{name: "batch backup timeout", servers: 4, cfg: big(2), script: func(r *timingRig) {
+			burst(r, at, 1, 1, 0, 64, 0)
+			r.eng.ScheduleAt(at.Add(2*sim.Millisecond), func() {
+				m := r.servers[0]
+				victim := m.reps.Set(m.Log().Head().ID())[1]
+				m.registry(simnet.NodeID(victim)).Kill()
+			})
+			batches(r, at.Add(3*sim.Millisecond), 2, 2, 8, 10, 1, 64, 100*sim.Microsecond)
+		}},
+		{name: "batch of no owned item", servers: 3, cfg: big(1), script: func(r *timingRig) {
+			batches(r, at, 1, 3, 8, 0, 2, 100, 100*sim.Microsecond)
+			burst(r, at.Add(20*sim.Microsecond), 1, 3, 100, 100, 100*sim.Microsecond)
+		}},
+		{name: "kill mid-batch", servers: 4, cfg: big(2), script: func(r *timingRig) {
+			batches(r, at, 4, 2, 16, 0, 1, 1000, 0)
+			// The first batch is mid fan-out and the rest queued on the
+			// log head or on their workers.
+			r.eng.ScheduleAt(at.Add(300*sim.Microsecond), r.servers[0].Kill)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r, resumes, refResumes := compareTiming(t, 20*at, func(ref bool) *timingRig {
@@ -442,40 +641,73 @@ func TestWriteTiming(t *testing.T) {
 	}
 }
 
-// TestReplayTiming holds the recovery replay to the proc replay it
-// replaces (refReplayPartition) at RF 1 and RF 4: a recovery master
-// replays a partition of 150 objects from another master's backups into
-// 16 KiB segments, so its head rolls, while a client writes to it, and one
-// of its head's backups is killed mid-chain, so a chain's ack times out
-// and the backup is replaced. Everything compareTiming checks must match,
-// and the callbacks must have resumed fewer procs.
+// TestReplayTiming holds the recovery replay and a tablet take to the
+// proc code they replace (refReplayPartition, refServeTakeTablet). A
+// recovery master replays, at RF 1 and RF 4, a partition of 150 objects
+// from another master's backups; a master takes, at RF 2, 300 objects of
+// 100 bytes, so its runs are sent at 64 objects as well as past each roll.
+// Both land in 16 KiB segments, so the head rolls, while a client writes
+// to the master, and one of its head's backups is killed mid-chain, so a
+// chain's ack times out and the backup is replaced. Everything
+// compareTiming checks must match, and the callbacks must have resumed
+// fewer procs.
 func TestReplayTiming(t *testing.T) {
 	const at = sim.Time(sim.Millisecond)
-	for _, rf := range []int{1, 4} {
-		t.Run(fmt.Sprintf("rf%d", rf), func(t *testing.T) {
-			cfg := smallCfg(rf)
+	for _, c := range []struct {
+		name string
+		rf   int
+		take bool
+	}{{"rf1", 1, false}, {"rf4", 4, false}, {"take rf2", 2, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smallCfg(c.rf)
 			cfg.CleanerThreshold = 0
 			cfg.ReplicationTimeout = 2 * sim.Millisecond
+			want := int64(150)
+			if c.take {
+				want = 300
+			}
 			r, resumes, refResumes := compareTiming(t, 40*at, func(ref bool) *timingRig {
-				r := newTimingRig(t, rf+3, cfg, ref)
-				rm, crashed := r.servers[0], r.servers[rf+2]
-				load(t, crashed, 150, 100)
-				m := &wire.RecoverReq{Crashed: crashed.ID(), LastHash: ^uint64(0)}
-				sources := map[int32]bool{crashed.ID(): true}
-				for id := uint64(1); id <= crashed.Log().Head().ID(); id++ {
-					b := crashed.reps.Set(id)[0]
-					m.Segments = append(m.Segments, wire.SegmentLoc{Segment: id, Backup: b})
-					sources[b] = true
-				}
-				r.eng.ScheduleAt(at, func() {
-					r.eng.Go("replay", func(p *sim.Proc) {
-						if ref {
-							refReplayPartition(rm, p, m)
-						} else {
-							rm.replayPartition(p, m)
-						}
+				r := newTimingRig(t, c.rf+3, cfg, ref)
+				rm := r.servers[0]
+				sources := map[int32]bool{}
+				if c.take {
+					objs := make([]wire.Object, want)
+					for i := range objs {
+						key := ycsbKey(i)
+						objs[i] = wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 100, Version: uint64(i + 1)}
+					}
+					m := &wire.TakeTabletReq{Table: 1, LastHash: ^uint64(0), Objects: objs}
+					r.client(400)
+					req := rpc.Request{From: 400, RPCID: 1, Msg: m}
+					r.eng.ScheduleAt(at, func() {
+						r.eng.Go("take", func(p *sim.Proc) {
+							if ref {
+								refServeTakeTablet(rm, p, req, m)
+							} else {
+								rm.serveTakeTablet(p, req, m)
+							}
+						})
 					})
-				})
+				} else {
+					crashed := r.servers[c.rf+2]
+					load(t, crashed, int(want), 100)
+					m := &wire.RecoverReq{Crashed: crashed.ID(), LastHash: ^uint64(0)}
+					sources[crashed.ID()] = true
+					for id := uint64(1); id <= crashed.Log().Head().ID(); id++ {
+						b := crashed.reps.Set(id)[0]
+						m.Segments = append(m.Segments, wire.SegmentLoc{Segment: id, Backup: b})
+						sources[b] = true
+					}
+					r.eng.ScheduleAt(at, func() {
+						r.eng.Go("replay", func(p *sim.Proc) {
+							if ref {
+								refReplayPartition(rm, p, m)
+							} else {
+								rm.replayPartition(p, m)
+							}
+						})
+					})
+				}
 				burst(r, at.Add(sim.Millisecond), 1, 10, 1000, 100, 500*sim.Microsecond)
 				r.eng.ScheduleAt(at.Add(5*sim.Millisecond), func() {
 					for _, b := range rm.reps.Set(rm.Log().Head().ID()) {
@@ -494,8 +726,11 @@ func TestReplayTiming(t *testing.T) {
 			t.Logf("%d objects replayed, %d writes, %d backup failures, %d segments sealed; %d procs resumed, the reference %d",
 				rm.Stats().ObjectsReplay.Value(), rm.Stats().WritesOK.Value(), rm.Stats().BackupFailures.Value(),
 				rm.Stats().SegmentsSealed.Value(), resumes, refResumes)
-			if rm.Stats().ObjectsReplay.Value() != 150 || rm.Stats().BackupFailures.Value() == 0 || rm.Stats().SegmentsSealed.Value() == 0 {
+			if rm.Stats().ObjectsReplay.Value() != want || rm.Stats().BackupFailures.Value() == 0 || rm.Stats().SegmentsSealed.Value() == 0 {
 				t.Error("the replay did not replay every object, roll and replace a backup")
+			}
+			if c.take && !slices.ContainsFunc(r.replies, func(s string) bool { return strings.Contains(s, "TakeTabletResp") }) {
+				t.Error("the take was not answered")
 			}
 			if resumes >= refResumes {
 				t.Errorf("%d procs resumed, the reference %d", resumes, refResumes)
@@ -534,6 +769,13 @@ func TestConcurrentWritesFillSealedReplicas(t *testing.T) {
 	}
 	rig.eng.Run()
 	rig.eng.Shutdown()
+	checkSealedReplicas(t, m)
+}
+
+// checkSealedReplicas fails unless m sealed a segment and each replica of
+// every sealed segment holds all of the segment's bytes.
+func checkSealedReplicas(t *testing.T, m *Server) {
+	t.Helper()
 	sealed, short := 0, 0
 	for id := uint64(1); id < m.Log().Head().ID(); id++ {
 		seg, ok := m.Log().Segment(id)
@@ -555,6 +797,34 @@ func TestConcurrentWritesFillSealedReplicas(t *testing.T) {
 	if short > 0 {
 		t.Fatalf("%d of %d sealed replicas hold less than their segment", short, sealed)
 	}
+}
+
+// TestTakeFillsSealedReplicas has a master take 60 objects of 900 bytes
+// at RF 2 into 16 KiB segments, so its head rolls mid-take. An object the
+// take acknowledged must be on every backup of its segment, so every
+// sealed segment's replicas must hold all its bytes. Today a take sends a
+// segment's run only once the next object has landed in a new segment,
+// after the roll has closed the run's replicas; the backups refuse the
+// append, and the master counts the refusal as an ack.
+func TestTakeFillsSealedReplicas(t *testing.T) {
+	t.Skip("known fault: fixing it moves the faultload rendering; it belongs to the golden re-baseline, ROADMAP 3(d)")
+	rig := newRig(t, 4, smallCfg(2))
+	m := rig.servers[0]
+	objs := make([]wire.Object, 60)
+	for i := range objs {
+		key := ycsbKey(i)
+		objs[i] = wire.Object{Table: 1, KeyHash: hashtable.HashKey(1, key), Key: key, ValueLen: 900, Version: uint64(i + 1)}
+	}
+	rig.eng.Go("source", func(p *sim.Proc) {
+		resp := rig.client.Call(p, m.Addr(), &wire.TakeTabletReq{Table: 1, LastHash: ^uint64(0), Objects: objs}).(*wire.TakeTabletResp)
+		if resp.Status != wire.StatusOK {
+			t.Errorf("take: %v", resp.Status)
+		}
+		rig.eng.Stop()
+	})
+	rig.eng.Run()
+	rig.eng.Shutdown()
+	checkSealedReplicas(t, m)
 }
 
 // BenchmarkReplayObject times one object a recovery master replays at
